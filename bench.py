@@ -50,10 +50,9 @@ BENCH_QUERIES = [
     # repetition signals, TF-IDF top terms, big-big shuffle join
     "events_hopping_agg", "gopher_repetition", "tfidf_top_terms",
     "orders_by_segment",
-    # round-4 session-5 additions: R-tree-sharded PIP, the
-    # replicated-grid radius self-join, cross-doc duplicate
+    # the replicated-grid radius self-join, cross-doc duplicate
     # n-grams, radius-graph CC clustering, per-order trajectories
-    "pip_join_rtree", "radius_pair_join", "dup_ngram_frac",
+    "radius_pair_join", "dup_ngram_frac",
     "spatial_clusters", "trajectory_length", "ann_pq_topk",
     "ann_ivfpq_topk", "rect_overlap_join", "events_user_hll",
     # round-4 session-6 additions: gap sessionization, the

@@ -3,7 +3,7 @@
 lineitem keys -> synth Common-Crawl-style pages (url, warc_ts, html,
 text-with-coordinate-mentions, lang) -> geoparse (RE2 extract) ->
 reproject WGS84 -> Web Mercator (fused 14-step transform) -> tile
-assign (zoom 12) -> PIP join against broadcast polygon buckets ->
+assign (zoom 12) -> PIP join against the broadcast polygon set ->
 per-cell aggregate (partial combine, then tiny groupby).
 
 Streaming end-to-end: no take_all/to_pandas/materialize on the big
@@ -90,8 +90,7 @@ def flagship_points(sf_dir: str, zoom: int = 12, batch_size: int = 65536,
                                   out_x="xm", out_y="ym", batch_size=None)
     tiled = tile_stage(merc, zoom, out="cell_id")
     return tiled.map_batches(
-        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, zoom=5,
-                     id_cols=("pid", "cell_id")),
+        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid", "cell_id")),
         batch_format="pyarrow", batch_size=None)
 
 

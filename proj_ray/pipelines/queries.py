@@ -1383,9 +1383,9 @@ def zonal_stats(sf_dir):
     Scale shape: the per-cell counts come from the same raster-bounded
     partial-bincount combine as raster_polygonize; zone burn-in is
     pnpoly over the bounded cell-center table against the broadcast
-    polygon set (kernels.pip.Polygon, identical comparisons to the SQL
+    polygon set (kernels.pip.PolygonSet, identical comparisons to the SQL
     crossing test, so the match is exact)."""
-    from ..kernels.pip import Polygon
+    from ..kernels.pip import PolygonSet
     from ..stages.agg import combine_partials
 
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
@@ -1407,22 +1407,13 @@ def zonal_stats(sf_dir):
     px = (cells["c"].to_numpy(np.int64) * _RCELL + _RCELL // 2 - 18000) / 100.0
     py = (cells["r"].to_numpy(np.int64) * _RCELL + _RCELL // 2 - 8000) / 100.0
     n = cells["n"].to_numpy(np.int64)
-    frames = []
-    for pid_, ring in FLAGSHIP_POLYGONS:
-        m = Polygon(pid_, ring).contains(px, py)
-        if m.any():
-            frames.append(pd.DataFrame({
-                "polygon_id": pid_, "n_cells": int(m.sum()),
-                "total_points": int(n[m].sum()),
-                "min_cell_points": int(n[m].min()),
-                "max_cell_points": int(n[m].max())}, index=[0]))
-    if not frames:
-        return pd.DataFrame({"polygon_id": pd.Series(dtype="object"),
-                             **{k: pd.Series(dtype="int64") for k in (
-                                 "n_cells", "total_points",
-                                 "min_cell_points", "max_cell_points")}})
-    return pd.concat(frames, ignore_index=True).sort_values(
-        "polygon_id").reset_index(drop=True)
+    zones = PolygonSet(FLAGSHIP_POLYGONS)
+    pt, poly = zones.join(px, py)
+    ids = np.array(zones.ids, dtype=object)
+    return (pd.DataFrame({"polygon_id": ids[poly], "n": n[pt]})
+            .groupby("polygon_id", as_index=False)
+            .agg(n_cells=("n", "size"), total_points=("n", "sum"),
+                 min_cell_points=("n", "min"), max_cell_points=("n", "max")))
 
 
 @query("raster_polygonize", sql=_polygonize_sql())
@@ -1499,12 +1490,12 @@ def _pip_sql():
 
 @query("pip_join", sql=_pip_sql())
 def pip_join(sf_dir):
-    """Broadcast PIP join: cell-bucketed polygons in an actor pool,
+    """Broadcast PIP join: the packed polygon set rides with the task,
     even-odd ray casting per point (pnpoly semantics,
     src/PJ_healpix.c:103-138). Exact rows (north rule)."""
     pts = _points_ds(sf_dir)
     joined = pts.map_batches(
-        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, zoom=5, id_cols=("pid",)),
+        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",)),
         batch_format="pyarrow", batch_size=None)
     return joined
 
@@ -1527,42 +1518,6 @@ def _knn_sql():
     r AS (SELECT *, row_number() OVER (PARTITION BY qid ORDER BY d2, id) AS rank FROM d)
     SELECT qid, id, rank, d2 FROM r WHERE rank <= 5
     """
-
-
-@query("pip_join_s2", sql=_pip_sql())
-def pip_join_s2(sf_dir):
-    """The same PIP join through the S2-bucketed probe path (north
-    star: points assigned to S2 cells, polygons bucketed by the
-    exact-superset bbox_covering — full sphere, no ±85° clamp).
-    direct_threshold=0 FORCES the bucketed branch so the driver gate
-    exercises the S2 covering + per-cell candidate pruning; the oracle
-    is the identical SQL as pip_join — bucketing must not change rows."""
-    pts = _points_ds(sf_dir)
-    joined = pts.map_batches(
-        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, zoom=6, id_cols=("pid",),
-                     direct_threshold=0, index="s2"),
-        batch_format="pyarrow", batch_size=None)
-    return joined
-
-
-@query("pip_join_rtree", sql=_pip_sql())
-def pip_join_rtree(sf_dir):
-    """The same PIP join through cell-bucketed polygon R-TREE shards —
-    the north-star plan verbatim: polygons bucket into S2-cell shards,
-    each shard holds an STR-packed R-tree (kernels.rtree, Leutenegger
-    et al. 1997 bulk load) built once per actor in ``__init__``, and
-    each batch descends the tree for bbox candidates before the exact
-    even-odd ray cast (src/PJ_healpix.c:103-138 semantics).
-    fanout=2 forces a multi-level tree even on the 5-polygon fixture so
-    the gate exercises real descent, not a root-only degenerate; the
-    oracle is the identical SQL as pip_join — indexing must not change
-    rows."""
-    pts = _points_ds(sf_dir)
-    joined = pts.map_batches(
-        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, zoom=6, id_cols=("pid",),
-                     direct_threshold=0, index="s2rtree", rtree_fanout=2),
-        batch_format="pyarrow", batch_size=None)
-    return joined
 
 
 @query("knn_points", sql=_knn_sql())

@@ -4,7 +4,7 @@ kernels into ``Dataset.map_batches`` transforms.
 Design rules (SURVEY.md §7.2):
 - stateless numeric transforms = plain functions over zero-copy Arrow
   batches (``batch_format="pyarrow"``)
-- stages with load-once state (shift grids, polygon buckets, query
+- stages with load-once state (shift grids, packed polygons, query
   matrices) = callable classes run as actor pools; state built in
   ``__init__`` once per actor, not per batch
 - the whole projection+datum pipeline is ONE fused UDF per batch —

@@ -2,11 +2,10 @@
 
 The polygon side is small relative to the point stream (countries /
 admin regions / AOIs), so the scalable plan is a BROADCAST spatial
-join: polygons are bucketed by covering tile cell once on the driver,
-the bucket index rides to each actor in ``__init__`` (via ``ray.put``
-object-store reference — one copy per node, zero per-batch shipping),
-and each batch probes only the buckets its points' cells hit. No
-shuffle of the point stream at all.
+join: the polygons are packed once into a ``PolygonSet`` (CSR rings,
+bboxes and a one-degree cell grid), the packed set rides with the
+stage to each worker, and each batch probes only the polygons its
+points' cells hit. No shuffle of the point stream at all.
 
 For polygon sets too large to broadcast, co-partition instead:
 ``groupby(cell)`` both sides and PIP per group (see
@@ -21,48 +20,22 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..kernels.pip import Polygon, pip_join_all
-from ..kernels.tiling import cell_id as cell_id_of, cell_xy
+from ..kernels.pip import PolygonSet
 
 
-def make_polygons(poly_defs):
-    """[(polygon_id, [(lon, lat), ...]), ...] -> list[Polygon]."""
-    return [Polygon(pid, ring) for pid, ring in poly_defs]
+def make_polygons(poly_defs) -> PolygonSet:
+    """[(polygon_id, [(lon, lat), ...]), ...] -> PolygonSet."""
+    return PolygonSet(poly_defs)
 
 
-def bucket_polygons(polygons, zoom: int):
-    """cell -> [poly_index] covering-bucket index (bbox cover; the
-    exact test runs per point, so over-cover is harmless)."""
-    buckets: dict = {}
-    n = 1 << zoom
-    for k, p in enumerate(polygons):
-        x0, y0, x1, y1 = p.bbox
-        y0c = max(min(y0, 85.0), -85.0)
-        y1c = max(min(y1, 85.0), -85.0)
-        txa, tya = _tile_of(x0, y1c, zoom)  # upper-left
-        txb, tyb = _tile_of(x1, y0c, zoom)  # lower-right
-        for ty in range(max(0, tya), min(n - 1, tyb) + 1):
-            for tx in range(max(0, txa), min(n - 1, txb) + 1):
-                buckets.setdefault((ty << zoom) | tx, []).append(k)
-    return buckets
-
-
-def _tile_of(lon, lat, zoom):
-    tx, ty = cell_xy(np.array([lon]), np.array([lat]), zoom)
-    return int(tx[0]), int(ty[0])
-
-
-def bucket_polygons_s2(polygons, level: int):
-    """cell -> [poly_index] S2 covering-bucket index.  Uses the
-    exact-superset bbox_covering (kernels.s2cell), so unlike the
-    Web-Mercator bucketing no ±85° latitude clamp is needed — polar
-    polygons bucket correctly; over-cover is harmless (exact pnpoly
-    test per point)."""
+def bucket_polygons_s2(polygons: PolygonSet, level: int):
+    """cell -> [poly_index] S2 covering of each polygon's bbox
+    (kernels.s2cell.bbox_covering, an exact superset). The join does not
+    use it; the benchmark reports polygons per S2 cell from it."""
     from ..kernels.s2cell import bbox_covering
 
     buckets: dict = {}
-    for k, p in enumerate(polygons):
-        x0, y0, x1, y1 = p.bbox
+    for k, (x0, y0, x1, y1) in enumerate(polygons.bbox.T):
         for c in bbox_covering(x0, x1, y0, y1, level).view(np.int64):
             buckets.setdefault(int(c), []).append(k)
     return buckets
@@ -74,48 +47,18 @@ class PIPJoinActor:
     actor) and as a prebuilt instance (map_batches(PIPJoinActor(...)) —
     a stateless task fn whose small state pickles with the task). The
     instance form avoids actor startup latency and scales with the task
-    pool; prefer it when the polygon set is small. Emits one output row
-    per (point, containing polygon): ``id_cols`` + ``polygon_id``.
+    pool. Emits one output row per (point, containing polygon):
+    ``id_cols`` + ``polygon_id``.
 
-    Probe strategy: for small polygon sets (<= direct_threshold) every
-    polygon is tested vectorized over the whole batch (the per-polygon
-    bbox mask prunes most points); for large sets points are grouped by
-    covering cell and only each cell's bucket candidates are tested —
-    the co-partitioned form whose shuffle twin is groupby(cell) on both
-    sides.
+    ``zoom`` and ``index`` are accepted and ignored: they chose among
+    probe paths that no longer exist, and the benchmark scripts still
+    pass them; the next change to the benchmark drops them.
     """
 
-    def __init__(self, poly_defs, zoom=7, lon_col="lon", lat_col="lat",
-                 id_cols=("pid",), direct_threshold=64, index="tile",
-                 rtree_fanout=8):
-        # index="tile": Web-Mercator quadtree buckets (kernels.tiling);
-        # index="s2": S2 Hilbert cell buckets (kernels.s2cell) — full
-        # sphere, no polar clamp; ``zoom`` is the S2 level in that mode;
-        # index="s2rtree": S2 buckets where each bucket is a SHARD with
-        # its own STR-packed R-tree over the member polygon bboxes
-        # (kernels.rtree) — the north-star "cell-bucketed polygon R-tree
-        # shards held in actor pools" plan; the tree prunes candidates
-        # before the exact even-odd test, so rows are identical
-        self.polygons = make_polygons(poly_defs)
-        self.zoom = zoom
-        self.index = index
-        self.direct = len(self.polygons) <= direct_threshold
-        self.shard_trees = None
-        if self.direct:
-            self.buckets = None
-        elif index in ("s2", "s2rtree"):
-            self.buckets = bucket_polygons_s2(self.polygons, zoom)
-        else:
-            self.buckets = bucket_polygons(self.polygons, zoom)
-        if not self.direct and index == "s2rtree":
-            from ..kernels.rtree import STRtree
-
-            self.shard_trees = {
-                cell: (np.asarray(idxs, dtype=np.int64),
-                       STRtree(np.asarray([self.polygons[k].bbox for k in idxs],
-                                          dtype=np.float64),
-                               fanout=rtree_fanout))
-                for cell, idxs in self.buckets.items()}
+    def __init__(self, poly_defs, lon_col="lon", lat_col="lat",
+                 id_cols=("pid",), zoom=None, index=None):
+        self.polygons = PolygonSet(poly_defs)
+        self.polygon_ids = pa.array(self.polygons.ids, pa.string())
         self.lon_col = lon_col
         self.lat_col = lat_col
         self.id_cols = id_cols
@@ -123,86 +66,9 @@ class PIPJoinActor:
     def __call__(self, batch: pa.Table) -> pa.Table:
         lon = batch[self.lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lat = batch[self.lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        if self.direct:
-            pt_idx, pls = pip_join_all(self.polygons, lon, lat)
-            poly_ids = np.array([self.polygons[k].polygon_id for k in pls],
-                                dtype=object)
-        else:
-            pt_idx, poly_ids = self._bucketed(lon, lat)
-        cols = {c: batch[c].take(pa.array(pt_idx, pa.int64()))
+        pt_idx, poly_idx = self.polygons.join(lon, lat)
+        pt_idx = pa.array(pt_idx, pa.int64())
+        cols = {c: batch[c].take(pt_idx)
                 for c in self.id_cols if c in batch.column_names}
-        cols["polygon_id"] = pa.array(poly_ids.astype(str) if poly_ids.size else [],
-                                      pa.string())
+        cols["polygon_id"] = self.polygon_ids.take(pa.array(poly_idx, pa.int32()))
         return pa.table(cols)
-
-    def _bucketed(self, lon, lat):
-        if self.index in ("s2", "s2rtree"):
-            from ..kernels.s2cell import cell_id_from_lonlat
-
-            cells = cell_id_from_lonlat(lon, lat, self.zoom).view(np.int64)
-        else:
-            cells = cell_id_of(lon, lat, self.zoom)
-        pt_idx_out = []
-        poly_out = []
-        order = np.argsort(cells, kind="stable")
-        sorted_cells = cells[order]
-        bounds = np.flatnonzero(np.diff(sorted_cells)) + 1
-        starts = np.concatenate([[0], bounds])
-        ends = np.concatenate([bounds, [len(sorted_cells)]])
-        if self.shard_trees is not None:
-            return self._probe_shard_trees(starts, ends, order, sorted_cells,
-                                           lon, lat)
-        for s, e in zip(starts, ends):
-            cand = self.buckets.get(int(sorted_cells[s]))
-            if not cand:
-                continue
-            ids = order[s:e]
-            sub_polys = [self.polygons[k] for k in cand]
-            pts, pls = pip_join_all(sub_polys, lon[ids], lat[ids])
-            if pts.size:
-                pt_idx_out.append(ids[pts])
-                poly_out.append(np.array([sub_polys[k].polygon_id for k in pls],
-                                         dtype=object))
-        if pt_idx_out:
-            return np.concatenate(pt_idx_out), np.concatenate(poly_out)
-        return np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
-
-    def _probe_shard_trees(self, starts, ends, order, sorted_cells, lon, lat):
-        """The R-tree-shard probe: per cell group, ONLY the packed-tree
-        descent runs (cheap vectorized bbox candidates); the exact
-        even-odd test then batches ONE call per unique candidate polygon
-        across the whole input batch, so pnpoly call count is bounded by
-        the polygon set, not #cells x #polygons. Candidates are an exact
-        superset of containment => rows equal the unindexed plan's."""
-        cand_pt, cand_poly = [], []
-        for s, e in zip(starts, ends):
-            shard = self.shard_trees.get(int(sorted_cells[s]))
-            if shard is None:
-                continue
-            members, tree = shard
-            ids = order[s:e]
-            cpt, cpoly = tree.query_points(lon[ids], lat[ids])
-            if cpt.size:
-                cand_pt.append(ids[cpt])
-                cand_poly.append(members[cpoly])
-        if not cand_pt:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
-        cpt = np.concatenate(cand_pt)
-        cpoly = np.concatenate(cand_poly)
-        o = np.argsort(cpoly, kind="stable")
-        cpt, cpoly = cpt[o], cpoly[o]
-        cuts = np.concatenate([[0], np.flatnonzero(np.diff(cpoly)) + 1,
-                               [cpoly.size]])
-        pt_parts, poly_parts = [], []
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            poly = self.polygons[int(cpoly[a])]
-            pts = cpt[a:b]
-            ins = poly.contains(lon[pts], lat[pts])
-            if np.any(ins):
-                hit = pts[ins]
-                pt_parts.append(hit)
-                poly_parts.append(np.full(hit.size, poly.polygon_id,
-                                          dtype=object))
-        if not pt_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=object)
-        return np.concatenate(pt_parts), np.concatenate(poly_parts)
