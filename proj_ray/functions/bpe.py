@@ -24,12 +24,12 @@ Two-level shape:
      O(K^2)).
 
 Semantics pinned to the published algorithm (and the independent
-scalar golden in tools/freeze_goldens.py): pair statistics count EVERY
+scalar reference in tests/test_bpe.py): pair statistics count EVERY
 adjacent occurrence including overlaps ('aaa' contributes ('a','a')
 twice), merges apply greedily left-to-right (so 'aaa' merges once into
 'aa'+'a'), ties on count break to the lexicographically smallest
 (left, right) string pair.  No end-of-word marker (documented choice,
-shared by golden and engine).
+shared by reference and engine).
 """
 
 from __future__ import annotations

@@ -284,16 +284,6 @@ def minhash_bands_batch(batch: pa.Table, text_col="text", id_col="doc_id",
     })
 
 
-def simhash_batch(batch: pa.Table, text_col="text", id_col="doc_id",
-                  k: int = 4) -> pa.Table:
-    """(doc_id, simhash-as-decimal-string) for a batch."""
-    h = simhash64_batch(batch[text_col], k=k)
-    return pa.table({
-        id_col: batch[id_col],
-        "simhash": pc.cast(pa.array(h, pa.uint64()), pa.string()),
-    })
-
-
 # ---------------------------------------------------------------------------
 # Connected components over a duplicate-candidate edge list: min-label
 # propagation.  Edges come from exact-hash groups, LSH buckets, or any
@@ -768,23 +758,6 @@ def keep_first_filter(ds, id_col="doc_id", text_col="text",
                            num_partitions=_adaptive_partitions(num_partitions),
                            on=(id_col,))
     return joined.select_columns([id_col])
-
-
-def exact_dup_edges(ds, id_col="doc_id", hash_col="text_hash"):
-    """Star edges (member -> group-min id) per equal-hash group:
-    map_batches partial min per hash, tiny groupby-min, then a second
-    pass emits (id, group_min) pairs.  Returns a Ray Dataset of
-    src/dst int64 edges (only for groups of size >= 2)."""
-    import pandas as pd
-
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        ids = np.sort(g[id_col].to_numpy(dtype=np.int64))
-        if len(ids) < 2:
-            return pd.DataFrame({"src": pd.Series(dtype="int64"),
-                                 "dst": pd.Series(dtype="int64")})
-        return pd.DataFrame({"src": ids[1:], "dst": ids[0]})
-
-    return ds.groupby(hash_col).map_groups(per_group, batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------

@@ -255,7 +255,6 @@ def mg_trim(counts: np.ndarray, k: int):
 
 HLL_P = 12
 HLL_M = 1 << HLL_P
-_U64_MASK = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def _bit_length_u64(v: np.ndarray) -> np.ndarray:

@@ -14,179 +14,6 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-TOKEN_RE = r"[A-Za-z0-9]+"
-# BPE-ish word/number/punct splitter (GPT-2 style, simplified to RE2)
-BPE_RE = r"[A-Za-z]+|[0-9]|[^A-Za-z0-9\s]+|\s+"
-
-STOPWORDS_EN = ("the", "and", "of", "a", "to", "in", "is", "for")
-
-LANG_MARKERS = [
-    # (lang, RE2 marker pattern) — checked in order, most counts wins,
-    # ties broken by list order (deterministic; SQL CASE replicates)
-    ("en", r"\b(the|and|of)\b"),
-    ("de", r"\b(der|die|das|und)\b"),
-    ("fr", r"\b(le|la|les|et)\b"),
-    ("es", r"\b(el|los|las|y)\b"),
-]
-
-
-def token_count(arr: pa.ChunkedArray, pattern: str = TOKEN_RE) -> pa.Array:
-    return pc.count_substring_regex(arr, pattern)
-
-
-def char_class_counts(arr):
-    """(n_alpha, n_digit, n_space, n_punct) int64 arrays."""
-    n_alpha = pc.count_substring_regex(arr, r"[A-Za-z]")
-    n_digit = pc.count_substring_regex(arr, r"[0-9]")
-    n_space = pc.count_substring_regex(arr, r"\s")
-    n_len = pc.utf8_length(arr)
-    n_punct = pc.subtract(n_len, pc.add(pc.add(n_alpha, n_digit), n_space))
-    return n_alpha, n_digit, n_space, n_punct, n_len
-
-
-def quality_batch(batch: pa.Table, text_col="text", id_col="doc_id") -> pa.Table:
-    """Per-doc quality features: all ratios are divisions of identical
-    integers => bit-identical to the SQL oracle."""
-    arr = batch[text_col]
-    n_alpha, n_digit, n_space, n_punct, n_len = char_class_counts(arr)
-    n_tok = token_count(arr)
-    n_stop = pc.count_substring_regex(arr, r"\b(?:%s)\b" % "|".join(STOPWORDS_EN))
-    lenf = pc.cast(n_len, pa.float64())
-    tokf = pc.cast(n_tok, pa.float64())
-    safe_len = pc.max_element_wise(lenf, pa.scalar(1.0))
-    safe_tok = pc.max_element_wise(tokf, pa.scalar(1.0))
-    return pa.table({
-        id_col: batch[id_col],
-        "n_chars_seen": pc.cast(n_len, pa.int64()),
-        "n_tokens": pc.cast(n_tok, pa.int64()),
-        "n_stopwords": pc.cast(n_stop, pa.int64()),
-        "alpha_ratio": pc.divide(pc.cast(n_alpha, pa.float64()), safe_len),
-        "digit_ratio": pc.divide(pc.cast(n_digit, pa.float64()), safe_len),
-        "punct_ratio": pc.divide(pc.cast(n_punct, pa.float64()), safe_len),
-        "stopword_ratio": pc.divide(pc.cast(n_stop, pa.float64()), safe_tok),
-        "avg_token_len": pc.divide(pc.cast(n_alpha, pa.float64()), safe_tok),
-    })
-
-
-def lang_id_batch(batch: pa.Table, text_col="text", id_col="doc_id") -> pa.Table:
-    """Marker-count language id; deterministic argmax with first-wins
-    tie-break — replicated by a SQL CASE over the same counts."""
-    arr = batch[text_col]
-    counts = [pc.count_substring_regex(arr, pat).to_numpy(zero_copy_only=False)
-              for _, pat in LANG_MARKERS]
-    mat = np.stack(counts, axis=1)
-    best = np.argmax(mat, axis=1)  # first max wins (list order)
-    langs = np.array([l for l, _ in LANG_MARKERS])
-    pred = langs[best]
-    pred = np.where(mat.max(axis=1) > 0, pred, "und")
-    out = {id_col: batch[id_col], "pred_lang": pa.array(pred, pa.string())}
-    for (l, _), c in zip(LANG_MARKERS, counts):
-        out[f"n_{l}"] = pa.array(c, pa.int64())
-    return pa.table(out)
-
-
-_M61 = np.uint64((1 << 61) - 1)
-_FP_BASE = np.uint64(1000003)
-
-
-def _mod61(x: np.ndarray) -> np.ndarray:
-    """Reduce values < 2^62 modulo the Mersenne prime 2^61-1."""
-    x = (x & _M61) + (x >> np.uint64(61))
-    return np.where(x >= _M61, x - _M61, x)
-
-
-def _mulmod_base61(acc: np.ndarray) -> np.ndarray:
-    """acc * 1000003 mod (2^61-1), acc < 2^61, without 128-bit ints:
-    split acc into 32-bit halves; the high product's *2^32 is folded
-    through 2^61 == 1 (Mersenne)."""
-    a_lo = acc & np.uint64(0xFFFFFFFF)
-    a_hi = acc >> np.uint64(32)
-    p_lo = a_lo * _FP_BASE                    # < 2^52
-    p_hi = a_hi * _FP_BASE                    # < 2^49
-    z_hi = p_hi >> np.uint64(29)
-    z_lo = p_hi & np.uint64((1 << 29) - 1)
-    # p_hi * 2^32 = z_hi * 2^61 + z_lo * 2^32  ==  z_hi + z_lo<<32 (mod M)
-    total = p_lo + z_hi + (z_lo << np.uint64(32))   # < 2^62
-    return _mod61(total)
-
-
-def _mulmod61(x: np.ndarray, v: int) -> np.ndarray:
-    """x * v mod (2^61-1) for x < 2^61 and a scalar v < 2^61, via
-    32-bit splitting of x and Mersenne folding of the partial shifts."""
-    v = int(v)
-    v_lo = np.uint64(v & 0xFFFFFFFF)
-    v_hi = np.uint64(v >> 32)
-    x_lo = x & np.uint64(0xFFFFFFFF)
-    x_hi = x >> np.uint64(32)
-    # x*v = x_lo*v_lo + (x_lo*v_hi + x_hi*v_lo)*2^32 + x_hi*v_hi*2^64
-    p0 = _mod61(x_lo * v_lo)                        # < 2^64? x_lo,v_lo<2^32 -> <2^64; fold twice
-    p0 = _mod61(p0)
-    mid = _mod61(_mod61(x_lo * v_hi) + _mod61(x_hi * v_lo))   # < M each
-    # mid * 2^32 mod M
-    m_hi = mid >> np.uint64(29)
-    m_lo = mid & np.uint64((1 << 29) - 1)
-    p1 = _mod61(m_hi + (m_lo << np.uint64(32)))
-    # x_hi*v_hi < 2^58; *2^64 == *2^3 (mod M, since 2^61==1)
-    p2 = _mod61((x_hi * v_hi) << np.uint64(3))
-    return _mod61(_mod61(p0 + p1) + p2)
-
-
-def rolling_fingerprints(texts, window: int = 32) -> np.ndarray:
-    """Per-doc min of rolling window polynomial hashes mod 2^61-1.
-
-    Vectorized ACROSS documents: one pass per byte position, all docs
-    advanced together with the O(1)-per-position rolling update (same
-    op count as the scalar Rabin-Karp, numpy-wide instead of per-doc).
-    Whole-doc hash for docs shorter than the window; 0 for empty.
-    Caveat: pass count = max doc length in the batch, so a single
-    huge outlier document degrades the batch — cap batch doc length
-    upstream if corpora carry multi-MB rows."""
-    from .dedup import _utf8_buffer
-
-    data, off = _utf8_buffer(texts)
-    n = len(off) - 1
-    if n == 0:
-        return np.zeros(0, dtype=np.uint64)
-    lens = off[1:] - off[:-1]
-    lo, hi = int(off[0]), int(off[-1])
-    b = data[lo:hi].astype(np.uint64)
-    starts = (off[:-1] - lo).astype(np.int64)
-    max_len = int(lens.max()) if n else 0
-    MOD = (1 << 61) - 1
-    P = pow(1000003, window - 1, MOD)  # BASE^(w-1) for the rolling drop
-
-    h = np.zeros(n, dtype=np.uint64)
-    best = np.full(n, np.iinfo(np.uint64).max, dtype=np.uint64)
-    last = max(b.size - 1, 0)
-    with np.errstate(over="ignore"):
-        for t in range(max_len):
-            act = t < lens
-            idx = np.minimum(starts + t, last)
-            inc = b[idx]
-            if t >= window:
-                # drop the outgoing byte: h -= b[t-w] * BASE^(w-1)
-                out = b[np.minimum(starts + (t - window), last)]
-                drop = _mulmod61(out, P)
-                h2 = _mod61(h + (_M61 - drop))
-            else:
-                h2 = h
-            h2 = _mod61(_mulmod_base61(h2) + inc)
-            h = np.where(act, h2, h)
-            if t >= window - 1:
-                upd = act & (lens > window)
-                np.minimum(best, np.where(upd, h, best), out=best)
-    return np.where(lens > window, best, np.where(lens > 0, h, 0)).astype(np.uint64)
-
-
-def fingerprint_batch(batch: pa.Table, text_col="text", id_col="doc_id",
-                      window=32) -> pa.Table:
-    """Rolling polynomial fingerprint (Rabin-Karp style, mod 2^61-1):
-    one fingerprint per document = min of rolling window hashes —
-    shift-invariant doc signature. Fully vectorized across the batch
-    (Mersenne mulmod passes + segmented min; no per-doc loop)."""
-    fps = rolling_fingerprints(batch[text_col], window=window)
-    return pa.table({id_col: batch[id_col], "fingerprint": pa.array(fps, pa.uint64())})
-
 
 def repetition_batch(batch: pa.Table, text_col="text",
                      id_col="doc_id") -> pa.Table:
@@ -312,31 +139,6 @@ def _doc_ngrams(batch: pa.Table, n: int, text_col: str, id_col: str):
     return grams[valid], wpar[: m][valid], ids
 
 
-def _doc_ngram_positions(batch: pa.Table, n: int, text_col: str,
-                         id_col: str):
-    """Like _doc_ngrams but also returns each gram's 0-based WORD
-    position within its document: (grams, gram->doc parent index,
-    positions, doc ids).  Positions are what span-merging dedup
-    (ExactSubstr family) needs; gram spelling is identical to
-    _doc_ngrams / the SQL ``ws[k] || ' ' || ...``."""
-    words, wpar, ids = _doc_words(batch, text_col, id_col)
-    m = words.size - (n - 1)
-    if m <= 0:
-        return (np.empty(0, dtype=object), np.empty(0, dtype=np.int64),
-                np.empty(0, dtype=np.int64), ids)
-    # word position within doc: arange minus each doc-run's start index
-    run_start = np.r_[True, wpar[1:] != wpar[:-1]]
-    start_idx = np.maximum.accumulate(
-        np.where(run_start, np.arange(wpar.size, dtype=np.int64), 0))
-    pos = np.arange(wpar.size, dtype=np.int64) - start_idx
-    valid = wpar[: m] == wpar[n - 1:]
-    grams = words[: m]
-    for k in range(1, n):
-        grams = grams + " "
-        grams = grams + words[k: m + k]
-    return grams[valid], wpar[: m][valid], pos[: m][valid], ids
-
-
 def merge_dup_spans(d: np.ndarray, p: np.ndarray, n: int) -> "pd.DataFrame":
     """Gaps-and-islands merge of length-``n`` gram hits into maximal
     spans: hits at positions p, p' of the SAME doc merge when
@@ -374,74 +176,6 @@ def doc_ngram_freqs(batch: pa.Table, n: int = 3, text_col="text",
         "doc_id": pa.array(g["doc_id"].to_numpy(np.int64), pa.int64()),
         "gram": pa.array(g["gram"].to_numpy(), pa.string()),
         "tf": pa.array(g["size"].to_numpy(np.int64), pa.int64()),
-    })
-
-
-def dup_ngram_stats_frame(doc_ids: np.ndarray, gpar: np.ndarray,
-                          dup_mask: np.ndarray, n_rows: int) -> pa.Table:
-    """Per-doc totals from a gram stream: n_ngrams, n_dup_ngrams (gram
-    positions whose gram is corpus-duplicated) and the guarded ratio —
-    one int->double division, bit-identical to the SQL twin."""
-    n_ngrams = np.bincount(gpar, minlength=n_rows).astype(np.int64)
-    n_dup = np.bincount(gpar[dup_mask], minlength=n_rows).astype(np.int64)
-    frac = n_dup.astype(np.float64) / np.maximum(n_ngrams, 1).astype(np.float64)
-    return pa.table({
-        "doc_id": pa.array(doc_ids, pa.int64()),
-        "n_ngrams": pa.array(n_ngrams, pa.int64()),
-        "n_dup_ngrams": pa.array(n_dup, pa.int64()),
-        "dup_ngram_frac": pa.array(frac, pa.float64()),
-    })
-
-
-def doc_term_freqs(batch: pa.Table, text_col="text",
-                   id_col="doc_id") -> pa.Table:
-    """Explode a batch into (doc_id, term, tf) rows — one row per
-    DISTINCT term per document (RE2 ``\\S+`` tokens, exact strings).
-    The per-doc counting is one pandas C-path groupby inside the batch;
-    a document's terms never straddle batches (docs are rows), so tf is
-    globally correct with no shuffle."""
-    import pandas as pd
-
-    wsplit = pc.split_pattern_regex(batch[text_col], r"\s+")
-    wflat = pc.list_flatten(wsplit)
-    wpar = pc.list_parent_indices(wsplit).to_numpy(zero_copy_only=False)
-    keep = pc.not_equal(pc.utf8_length(wflat), 0).to_numpy(zero_copy_only=False)
-    words = wflat.to_pandas().to_numpy()[keep]
-    wpar = wpar[keep]
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    g = (pd.DataFrame({"doc_id": ids[wpar], "term": words})
-         .groupby(["doc_id", "term"], as_index=False).size())
-    return pa.table({
-        "doc_id": pa.array(g["doc_id"].to_numpy(np.int64), pa.int64()),
-        "term": pa.array(g["term"].to_numpy(), pa.string()),
-        "tf": pa.array(g["size"].to_numpy(np.int64), pa.int64()),
-    })
-
-
-def tfidf_topk_frame(df, n_docs: int, topk: int) -> pa.Table:
-    """Rank a (doc_id, term, tf, df) frame by the deterministic tf-idf
-    score tf * (N / df) and keep the top-k terms per doc.
-
-    The score is exactly two IEEE f64 ops (divide then multiply) on
-    exact integers, so it is bit-identical to the SQL twin — no libm,
-    no rounding guard needed; ties break on term ascending (same
-    collation both engines for ASCII tokens)."""
-    import pandas as pd
-
-    score = df["tf"].to_numpy().astype(np.float64) * (
-        float(n_docs) / df["df"].to_numpy().astype(np.float64))
-    out = df.assign(score=score).sort_values(
-        ["doc_id", "score", "term"], ascending=[True, False, True],
-        kind="mergesort")
-    out = out.groupby("doc_id").head(topk).copy()
-    out["term_rank"] = out.groupby("doc_id").cumcount() + 1
-    return pa.table({
-        "doc_id": pa.array(out["doc_id"].to_numpy(np.int64), pa.int64()),
-        "term_rank": pa.array(out["term_rank"].to_numpy(np.int64), pa.int64()),
-        "term": pa.array(out["term"].to_numpy(), pa.string()),
-        "tf": pa.array(out["tf"].to_numpy(np.int64), pa.int64()),
-        "df": pa.array(out["df"].to_numpy(np.int64), pa.int64()),
-        "score": pa.array(out["score"].to_numpy(np.float64), pa.float64()),
     })
 
 

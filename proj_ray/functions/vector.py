@@ -138,19 +138,6 @@ def pack_embeddings(M: np.ndarray) -> pa.Array:
                                  [None, pa.py_buffer(M.tobytes())])
 
 
-def unpack_embeddings(col, dim: int) -> np.ndarray:
-    """Inverse of pack_embeddings: fixed-size-binary column -> (N, D)
-    float32 view of the Arrow buffer."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    buf = col.buffers()[1]
-    item = dim * 4
-    raw = np.frombuffer(buf, dtype=np.uint8)
-    start = col.offset * item
-    raw = raw[start:start + len(col) * item]
-    return raw.view(np.float32).reshape(len(col), dim)
-
-
 def dot_f64_ordered(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot of every row of ``M`` with ``v``, accumulated dimension by
     dimension in float64 IN INDEX ORDER.  BLAS matmuls (sgemm/dgemv)
@@ -201,13 +188,6 @@ def hyperplane_signatures_f64(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
         acc += M[:, d].astype(np.float64)[:, None] * P64[:, d][None, :]
     bits = acc > 0.0
     weights = (np.int64(1) << np.arange(planes.shape[0], dtype=np.int64))
-    return (bits.astype(np.int64) * weights[None, :]).sum(axis=1)
-
-
-def hyperplane_signatures(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
-    """LSH bucket ids: sign bits against ``planes`` (nbits, D) -> uint64."""
-    bits = (M @ planes.T) > 0  # (N, nbits)
-    weights = (1 << np.arange(bits.shape[1], dtype=np.int64))
     return (bits.astype(np.int64) * weights[None, :]).sum(axis=1)
 
 

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 
 def partial_group_sums(ds, key_cols, sum_cols, count_col="n", batch_size=None,
@@ -152,29 +151,3 @@ def or_by_key(keys: np.ndarray, masks: np.ndarray):
     head[1:] = k[1:] != k[:-1]
     starts = np.nonzero(head)[0]
     return k[starts], np.bitwise_or.reduceat(m, starts)
-
-
-def or_aggregate(ds, key_col: str, mask_col: str, num_buckets: int = 256):
-    """Distributed bitwise-OR groupby (Dataset -> Dataset): the
-    bucket_aggregate pattern with an OR combiner — per-batch partial
-    OR (or_by_key), one coarse-bucket shuffle keyed on hash(key) %%
-    num_buckets, then a vectorized in-bucket OR.  Ray's aggregate API
-    has no OR; a pandas callable agg would pay per-DISTINCT-KEY Python
-    in the reduce, which this avoids entirely.  Used for set-membership
-    bitmask rollups (e.g. which-sources-contain-this-gram)."""
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        k, m = or_by_key(df[key_col].to_numpy(np.int64),
-                         df[mask_col].to_numpy(np.int64))
-        out = pd.DataFrame({key_col: k, mask_col: m})
-        out["_bkt"] = (pd.util.hash_pandas_object(out[key_col], index=False)
-                       .to_numpy() % np.uint64(num_buckets)).astype(np.int64)
-        return out
-
-    def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        k, m = or_by_key(g[key_col].to_numpy(np.int64),
-                         g[mask_col].to_numpy(np.int64))
-        return pd.DataFrame({key_col: k, mask_col: m})
-
-    return (ds.map_batches(partial, batch_format="pandas", batch_size=None)
-            .groupby("_bkt").map_groups(reduce, batch_format="pandas"))

@@ -1,7 +1,6 @@
-"""dup_span_stats: island-merge kernel vs scalar + forced-path parity."""
+"""dup_span_stats: island-merge kernel vs scalar."""
 
 import numpy as np
-import pandas as pd
 
 from proj_ray.functions.text import merge_dup_spans
 
@@ -35,16 +34,3 @@ def test_merge_dup_spans_matches_scalar():
     for _, r in got.iterrows():
         ns, tok = want[r["doc_id"]]
         assert (r["n_spans"], r["dup_tokens"]) == (ns, tok)
-
-
-def test_forced_path_parity(ray_session):
-    from proj_ray.pipelines.queries import dup_span_stats
-
-    sf = "/root/testdata/sf0.001"
-    a = (dup_span_stats(sf, path="broadcast").to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    b = (dup_span_stats(sf, path="join").to_pandas()
-         .sort_values("doc_id").reset_index(drop=True))
-    pd.testing.assert_frame_equal(a, b)
-    assert (a["dup_tokens"] >= a["n_spans"] * 5).all()  # >= N per span
-    assert (a["dup_tokens"] <= a["n_words"]).all()

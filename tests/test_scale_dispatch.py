@@ -188,20 +188,6 @@ def test_segment_p90_matches_numpy_quantile(ray_session):
         assert int(row["n_customers"]) == len(v)
 
 
-def test_embedding_near_dups_paths_agree(ray_session):
-    """Driver-vectorized vs distributed-join branches of
-    embedding_near_dups produce the identical pair set and cosines."""
-    from proj_ray.pipelines.queries import embedding_near_dups
-
-    sf = "/root/testdata/sf0.001"
-    a = _sorted(embedding_near_dups(sf, driver_threshold=10**9).to_pandas(),
-                ["vec_a", "vec_b"])
-    b = _sorted(embedding_near_dups(sf, driver_threshold=0).to_pandas(),
-                ["vec_a", "vec_b"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    assert len(a) > 0
-
-
 def test_minhash_lsh_candidates_paths_agree(ray_session):
     """Driver pandas branch vs distributed Count-shuffle branch of
     minhash_lsh_candidates produce identical partner counts."""
@@ -240,25 +226,3 @@ def test_segment_median_paths_agree(ray_session):
         expect = int(np.floor(np.quantile(v, 0.5) * 1000.0 + 0.5))
         assert int(row["median_milli"]) == expect
         assert int(row["n_customers"]) == len(v)
-
-
-def test_embedding_near_dups_capped_paths_agree(ray_session):
-    """Forcing a tiny bucket cap exercises the recursive extension-
-    signature split (the hot-bucket mechanism) on BOTH branches; the
-    two must still produce the identical pair set — and capping must
-    only ever REMOVE pairs relative to the uncapped run."""
-    from proj_ray.pipelines.queries import embedding_near_dups
-
-    sf = "/root/testdata/sf0.001"
-    a = _sorted(embedding_near_dups(sf, driver_threshold=10**9,
-                                    bucket_cap=2).to_pandas(),
-                ["vec_a", "vec_b"])
-    b = _sorted(embedding_near_dups(sf, driver_threshold=0,
-                                    bucket_cap=2).to_pandas(),
-                ["vec_a", "vec_b"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    full = _sorted(embedding_near_dups(sf, driver_threshold=10**9).to_pandas(),
-                   ["vec_a", "vec_b"])
-    got = set(zip(a["vec_a"], a["vec_b"]))
-    allp = set(zip(full["vec_a"], full["vec_b"]))
-    assert got <= allp

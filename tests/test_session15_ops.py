@@ -1,6 +1,6 @@
-"""Session-15 operators: CSV container round-trip, Gopher word filters,
-DSIR selection, temperature mixture sampling, inverted-index retrieval.
-Each pinned against an independent scalar/pure-pandas reference."""
+"""Session-15 operators: CSV container round-trip and temperature
+mixture sampling.  Each pinned against an independent scalar/pure-pandas
+reference."""
 
 import math
 import os
@@ -54,92 +54,6 @@ def test_csv_roundtrip_byte_identity(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# Gopher word filters: scalar reference over the rule ladder
-# ---------------------------------------------------------------------------
-
-def _scalar_gopher(text, stopwords, block, min_words, wlo, whi, min_stop):
-    import re
-
-    words = text.split(" ")
-    n_words = len(words)
-    n_wchars = sum(len(w) for w in words)
-    stop_re = re.compile(r"\b(?:" + "|".join(stopwords) + r")\b")
-    block_re = re.compile(r"\b(?:" + "|".join(block) + r")\b")
-    n_stop = len(stop_re.findall(text))
-    n_block = len(block_re.findall(text))
-    mean_wlen = n_wchars / n_words
-    if n_words < min_words:
-        stage = 1
-    elif mean_wlen < wlo or mean_wlen > whi:
-        stage = 2
-    elif n_stop < min_stop:
-        stage = 3
-    elif n_block > 0:
-        stage = 4
-    else:
-        stage = 0
-    return n_words, n_stop, mean_wlen, stage
-
-
-def test_gopher_word_filters_scalar_parity(ray_session, sf_dir):
-    from proj_ray.pipelines.queries import (_GWF_BLOCK, _GWF_MIN_STOP,
-                                            _GWF_MIN_WORDS, _GWF_WLEN_HI,
-                                            _GWF_WLEN_LO, QUERIES)
-    from proj_ray.functions.text import STOPWORDS_EN
-    from proj_ray.sources import read_table
-
-    eng = (QUERIES["gopher_word_filters"]["fn"](sf_dir).to_pandas()
-           .sort_values("doc_id").reset_index(drop=True))
-    docs = (read_table(sf_dir, "documents", columns=["doc_id", "text"])
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    assert len(eng) == len(docs)
-    # every rule fires somewhere AND some docs survive (binding check)
-    assert set(eng["drop_stage"]) == {0, 1, 2, 3, 4}
-    for i in range(0, len(docs), 37):  # scalar spot-checks
-        nw, ns, mw, st = _scalar_gopher(
-            docs["text"][i], STOPWORDS_EN, _GWF_BLOCK, _GWF_MIN_WORDS,
-            _GWF_WLEN_LO, _GWF_WLEN_HI, _GWF_MIN_STOP)
-        row = eng.iloc[i]
-        assert row["n_words"] == nw and row["n_stop"] == ns
-        assert row["mean_wlen"] == mw  # single IEEE division: exact
-        assert row["drop_stage"] == st
-
-
-# ---------------------------------------------------------------------------
-# DSIR: independent dict-based scalar reference
-# ---------------------------------------------------------------------------
-
-def test_dsir_select_scalar_parity(ray_session, sf_dir):
-    from proj_ray.pipelines.queries import _DSIR_THRESH, QUERIES
-    from proj_ray.sources import read_table
-
-    docs = (read_table(sf_dir, "documents",
-                       columns=["doc_id", "lang", "text"])
-            .to_pandas().sort_values("doc_id").reset_index(drop=True))
-    ct, cr = {}, {}
-    for _, r in docs.iterrows():
-        for w in r["text"].split(" "):
-            cr[w] = cr.get(w, 0) + 1
-            if r["lang"] == "en":
-                ct[w] = ct.get(w, 0) + 1
-    T_t, T_r, V = sum(ct.values()), sum(cr.values()), len(cr)
-
-    eng = (QUERIES["dsir_select"]["fn"](sf_dir)
-           .sort_values("doc_id").reset_index(drop=True))
-    assert len(eng) == len(docs)
-    assert 0 < eng["keep"].sum() < len(eng)  # threshold binds both ways
-    for i in range(0, len(docs), 41):
-        ws = docs["text"][i].split(" ")
-        lam = [math.log((ct.get(w, 0) + 1.0) / (T_t + V))
-               - math.log((cr[w] + 1.0) / (T_r + V)) for w in ws]
-        want = math.floor((sum(lam) / len(lam)) * 1.0e6 + 0.5) / 1.0e6
-        row = eng.iloc[i]
-        assert row["n_tokens"] == len(ws)
-        assert row["weight"] == pytest.approx(want, abs=2e-6)
-        assert row["keep"] == (1 if row["weight"] >= _DSIR_THRESH else 0)
-
-
-# ---------------------------------------------------------------------------
 # Temperature mixture sampling: quota math + smallest-priority membership
 # ---------------------------------------------------------------------------
 
@@ -164,45 +78,6 @@ def test_temperature_mixture_scalar_parity(ray_session, sf_dir):
         eng.reset_index(drop=True), ref, check_dtype=False)
     # the quota binds for at least one language (a real sample, not id)
     assert len(eng) < len(docs)
-
-
-# ---------------------------------------------------------------------------
-# Inverted index: brute-force parity + pruned-read property
-# ---------------------------------------------------------------------------
-
-def test_inverted_index_parity_and_pruning(ray_session, sf_dir):
-    import ray.data as rd
-
-    from proj_ray.functions.index import (_bucket_files,
-                                          build_posting_index,
-                                          search_all_terms, word_hash64)
-    from proj_ray.sources import read_table
-
-    docs = read_table(sf_dir, "documents", columns=["doc_id", "text"])
-    idx = os.path.join(tempfile.gettempdir(), "postidx_test")
-    shutil.rmtree(idx, ignore_errors=True)
-    build_posting_index(docs, idx)
-
-    pdf = docs.to_pandas()
-    for terms in (["table"], ["table", "window"],
-                  ["table", "window", "slow"], ["zznosuchword"]):
-        got = search_all_terms(idx, terms)["doc_id"].tolist()
-        want = sorted(
-            int(r["doc_id"]) for _, r in pdf.iterrows()
-            if all(t in r["text"].split(" ") for t in terms))
-        assert got == want, terms
-
-    # pruning: a 1-term query must read only that term's bucket
-    q = word_hash64(["table"])
-    one = _bucket_files(idx, (q % np.uint64(256)).tolist())
-    all_b = _bucket_files(idx, range(256))
-    assert len(one) < len(all_b)
-
-    # duplicate terms in the query collapse (AND of one distinct term)
-    got_dup = search_all_terms(idx, ["table", "table"])["doc_id"].tolist()
-    got_one = search_all_terms(idx, ["table"])["doc_id"].tolist()
-    assert got_dup == got_one
-    shutil.rmtree(idx, ignore_errors=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
-"""Session-16 operators: web link-graph extraction, recrawl revisit
-diff, robust MAD, char-diversity (Simpson), association lift, and the
-feature-hashed quality classifier.  Each pinned against an independent
+"""Session-16 operators: web link-graph extraction, robust MAD,
+char-diversity (Simpson), association lift, and the feature-hashed
+quality classifier.  Each pinned against an independent
 scalar / pure-Python reference computed straight from the parquet —
 no shared code with the engine's vectorized path."""
 
@@ -72,31 +72,6 @@ def test_link_extraction_parses_real_href_bytes(ray_session, docs):
     mine = got[got["src_domain"] == did % _LINK_DOMS]
     for d in found:
         assert ((mine["dst_domain"] == d).any())
-
-
-# ---------------------------------------------------------------------------
-# crawl_revisit_diff: analytic change rule + length bookkeeping
-# ---------------------------------------------------------------------------
-
-def test_crawl_revisit_diff_scalar(ray_session, docs):
-    from proj_ray.pipelines.queries import (_LINK_DOMS, _REVISIT_MOD,
-                                            crawl_revisit_diff)
-
-    rows = {}
-    for did, text in zip(docs["doc_id"], docs["text"]):
-        did = int(did)
-        d = rows.setdefault(did % _LINK_DOMS, [0, 0, 0])
-        d[0] += 1
-        if did % _REVISIT_MOD == 0:
-            d[1] += 1
-        else:
-            d[2] += len(text)
-    want = (pd.DataFrame(
-        [(k, v[0], v[1], v[2]) for k, v in rows.items()],
-        columns=["domain", "n_urls", "n_changed", "bytes_saved"])
-        .sort_values("domain").reset_index(drop=True).astype(np.int64))
-    got = crawl_revisit_diff(SF)
-    pd.testing.assert_frame_equal(got, want)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
 """Round-5 session-17 operators: mod-p Horner hash kernel (the
-DuckDB-shareable hash), word-gram spans, Bloom-filter decontamination
-(oracle parity incl. identical false-positive behavior)."""
+DuckDB-shareable hash), word-gram spans."""
 
 import duckdb
 import numpy as np
@@ -90,8 +89,7 @@ def test_wordgram_spans_match_strings():
 
 
 # ---------------------------------------------------------------------------
-# bloom_decontaminate: oracle parity at sf0.001 (values AND the
-# flag set, i.e. shared false-positive behavior)
+# DuckDB oracle over the documents table
 # ---------------------------------------------------------------------------
 
 def _oracle(name):
@@ -103,88 +101,8 @@ def _oracle(name):
     return con.sql(QUERIES[name]["sql"]).fetchdf()
 
 
-def test_bloom_decontaminate_oracle(ray_session):
-    from proj_ray.pipelines.queries import bloom_decontaminate
-
-    got = bloom_decontaminate(SF).reset_index(drop=True)
-    want = (_oracle("bloom_decontaminate")
-            .sort_values("doc_id").reset_index(drop=True))
-    assert len(got) == len(want) > 0
-    for c in ["doc_id", "n_bloom_grams", "contaminated"]:
-        assert np.array_equal(got[c].to_numpy(np.int64),
-                              want[c].to_numpy(np.int64)), c
-    # the seeded contamination (doc_id % 7 == 3, % 97 != 0) must all
-    # be caught — Bloom filters have no false negatives
-    seeded = (got.doc_id % 7 == 3) & (got.doc_id % 97 != 0)
-    assert (got.contaminated[seeded] == 1).all()
-    assert got.contaminated.sum() >= seeded.sum()
-
-
 # ---------------------------------------------------------------------------
-# domain_minhash_pairs: oracle parity + scalar minhash ground truth
-# ---------------------------------------------------------------------------
-
-def _domain_sigs_scalar():
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import (_DMH_N, _DMH_ND, _DMH_NPERM,
-                                            _DMH_P)
-
-    docs = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    sigs = {}
-    for _, r in docs.iterrows():
-        did = int(r.doc_id)
-        ws = r.text.split(" ")
-        doms = [did % _DMH_ND]
-        if did % 7 != 0:
-            doms.append(_DMH_ND + did % _DMH_ND)
-        for i in range(len(ws) - _DMH_N + 1):
-            h = _scalar_modp(" ".join(ws[i:i + _DMH_N]), _DMH_P)
-            for j in range(_DMH_NPERM):
-                pj = ((2 * j + 3) * h + 5 * j + 1) % _DMH_P
-                for d in doms:
-                    cur = sigs.setdefault(d, [_DMH_P] * _DMH_NPERM)
-                    if pj < cur[j]:
-                        cur[j] = pj
-    return sigs
-
-
-def test_domain_minhash_pairs_scalar_and_oracle(ray_session):
-    from proj_ray.pipelines.queries import (_DMH_ND, _DMH_NPERM, _DMH_TH,
-                                            domain_minhash_pairs)
-
-    got = domain_minhash_pairs(SF)
-    want = (_oracle("domain_minhash_pairs")
-            .sort_values(["domain_a", "domain_b"]).reset_index(drop=True))
-    assert len(got) == len(want) > 0
-    for c in ["domain_a", "domain_b", "n_match_perms"]:
-        assert np.array_equal(got[c].to_numpy(np.int64),
-                              want[c].to_numpy(np.int64)), c
-    assert np.allclose(got.est_jaccard, want.est_jaccard)
-
-    # scalar ground truth: every reported pair's match count is the
-    # true signature agreement, and every mirror pair (d, d+25) whose
-    # true agreement >= threshold is reported
-    sigs = _domain_sigs_scalar()
-    reported = {(a, b): n for a, b, n in
-                zip(got.domain_a, got.domain_b, got.n_match_perms)}
-    for (a, b), n in reported.items():
-        nm = sum(x == y for x, y in zip(sigs[a], sigs[b]))
-        assert nm == n, (a, b)
-    for d in range(_DMH_ND):
-        m = _DMH_ND + d
-        if m in sigs:
-            nm = sum(x == y for x, y in zip(sigs[d], sigs[m]))
-            if nm == _DMH_NPERM:
-                # identical signatures always share every band:
-                # banding cannot miss them
-                assert (d, m) in reported
-            if (d, m) in reported:
-                assert reported[(d, m)] == nm
-
-
-# ---------------------------------------------------------------------------
-# or_by_key / or_aggregate: vectorized OR reduction invariants
+# or_by_key: vectorized OR reduction invariants
 # ---------------------------------------------------------------------------
 
 def test_or_by_key_matches_dict_reference():
@@ -214,50 +132,6 @@ def test_or_by_key_split_merge_invariance():
     kb, mb = or_by_key(keys[cut:], masks[cut:])
     k2, m2 = or_by_key(np.concatenate([ka, kb]), np.concatenate([ma, mb]))
     assert np.array_equal(k1, k2) and np.array_equal(m1, m2)
-
-
-# ---------------------------------------------------------------------------
-# source_jaccard_matrix: oracle parity + scalar set-arithmetic truth
-# ---------------------------------------------------------------------------
-
-def test_source_jaccard_matrix_scalar_and_oracle(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import (_SJM_FW, _SJM_N, _SJM_POOL,
-                                            source_jaccard_matrix)
-
-    got = source_jaccard_matrix(SF)
-    want = (_oracle("source_jaccard_matrix")
-            .sort_values(["source_a", "source_b"]).reset_index(drop=True))
-    assert len(got) == len(want) > 0
-    for c in ["source_a", "source_b"]:
-        assert got[c].tolist() == want[c].tolist(), c
-    for c in ["n_common_grams", "n_union_grams"]:
-        assert np.array_equal(got[c].to_numpy(np.int64),
-                              want[c].to_numpy(np.int64)), c
-    assert np.allclose(got.jaccard, want.jaccard)
-
-    # scalar ground truth: python set arithmetic over gram strings
-    docs = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text", "source"]).to_pandas()
-    pool = {int(r.doc_id): " ".join(r.text.split(" ")[:_SJM_FW])
-            for _, r in docs[docs.doc_id < _SJM_POOL].iterrows()}
-    gsets = {}
-    for _, r in docs.iterrows():
-        did = int(r.doc_id)
-        t = r.text + ((" " + pool[did * did % _SJM_POOL])
-                      if did % 3 == 0 else "")
-        ws = t.split(" ")
-        s = gsets.setdefault(r.source, set())
-        for i in range(len(ws) - _SJM_N + 1):
-            s.add(" ".join(ws[i:i + _SJM_N]))
-    by_pair = {(a, b): (nc, nu) for a, b, nc, nu in
-               zip(got.source_a, got.source_b,
-                   got.n_common_grams, got.n_union_grams)}
-    for (a, b), (nc, nu) in by_pair.items():
-        assert nc == len(gsets[a] & gsets[b]), (a, b)
-        assert nu == len(gsets[a] | gsets[b]), (a, b)
-    # the synthesized pool overlap must make at least one pair overlap
-    assert got.n_common_grams.max() > 0
 
 
 # ---------------------------------------------------------------------------
@@ -584,78 +458,6 @@ def test_minhash_index_append_equals_whole(ray_session, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# kmeans_lloyd: scalar replica at sf0.001 + quantized-sum invariance
-# ---------------------------------------------------------------------------
-
-def test_kmeans_lloyd_scalar_parity(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import _CENT_Q, kmeans_lloyd
-
-    k, iters = 8, 4
-    got = kmeans_lloyd(SF, k=k, iters=iters).reset_index(drop=True)
-
-    emb = pq.read_table(f"{SF}/embeddings.parquet",
-                        columns=["vec_id", "embedding"])
-    vid = emb["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = np.array(emb["embedding"].to_pylist(), dtype=np.float64)
-    order = np.argsort(vid)
-    mat = mat[order]
-    qm = np.floor(mat * _CENT_Q + 0.5).astype(np.int64)
-    cent = qm[:k].astype(np.float64) / _CENT_Q
-    dim = mat.shape[1]
-    for _ in range(iters):
-        qsum = np.zeros((k, dim), np.int64)
-        cnt = np.zeros(k, np.int64)
-        for i in range(len(mat)):
-            d = ((mat[i] - cent) ** 2).sum(axis=1)
-            j = int(np.argmin(d))
-            qsum[j] += qm[i]
-            cnt[j] += 1
-        for j in range(k):
-            if cnt[j] > 0:
-                cent[j] = qsum[j].astype(np.float64) / cnt[j] / _CENT_Q
-    want_n = np.repeat(cnt, dim)
-    assert np.array_equal(got["n"].to_numpy(np.int64), want_n)
-    assert np.array_equal(got["qsum"].to_numpy(np.int64), qsum.ravel())
-    # the loop actually moved the model: sizes are a real partition
-    assert cnt.sum() == len(mat) and (cnt > 0).sum() >= 2
-
-
-# ---------------------------------------------------------------------------
-# logreg_gd_train: scalar replica at sf0.001 (bit-identical weights)
-# ---------------------------------------------------------------------------
-
-def test_logreg_gd_scalar_parity(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import _LR_Q, logreg_gd_train
-
-    got = logreg_gd_train(SF).reset_index(drop=True)
-    t = pq.read_table(f"{SF}/documents.parquet",
-                      columns=["doc_id", "text", "n_chars"])
-    nch = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nw = np.array([s.count(" ") + 1 for s in t["text"].to_pylist()],
-                  np.int64)
-    n = len(nch)
-    thr = int(np.sort(nch)[(n - 1) // 2])
-    y = (nch > thr).astype(np.float64)
-    X = np.stack([np.ones(n), nw / 128.0, (nch - thr) / 1024.0], axis=1)
-    w = np.zeros(3)
-    for _ in range(20):
-        z = X[:, 0] * w[0] + X[:, 1] * w[1] + X[:, 2] * w[2]
-        p = 1.0 / (1.0 + np.exp(-z))
-        qg = np.floor(((p - y)[:, None] * X) * _LR_Q + 0.5).astype(np.int64)
-        w = w - 2.0 * qg.sum(axis=0).astype(np.float64) / n / _LR_Q
-    z = X[:, 0] * w[0] + X[:, 1] * w[1] + X[:, 2] * w[2]
-    correct = int(((1.0 / (1.0 + np.exp(-z)) >= 0.5) == (y == 1)).sum())
-    assert got["w_micro"].tolist() == np.floor(
-        w * (1 << 30) + 0.5).astype(np.int64).tolist()
-    assert (got["n_correct"] == correct).all()
-    assert (got["n_total"] == n).all()
-    # the probe actually learned the separable label
-    assert correct > 0.8 * n
-
-
-# ---------------------------------------------------------------------------
 # user_longest_streak + returnflag_price_gini: oracle + scalar checks
 # ---------------------------------------------------------------------------
 
@@ -754,75 +556,3 @@ def test_cms_no_undercount_and_oracle(ray_session):
     # the CMS guarantee: estimates never undercount
     assert (got.overcount >= 0).all()
     assert (got.cms_est >= got.true_count).all()
-
-
-# ---------------------------------------------------------------------------
-# setsim_join_exact: losslessness vs brute force at sf0.001
-# ---------------------------------------------------------------------------
-
-def test_setsim_join_lossless(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import _SSJ_T, setsim_join_exact
-
-    got = setsim_join_exact(SF).reset_index(drop=True)
-    docs = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    bsets = {}
-    for _, r in docs.iterrows():
-        ws = r.text.split(" ")
-        bsets[int(r.doc_id)] = {f"{a} {b}" for a, b in zip(ws, ws[1:])}
-    ids = sorted(bsets)
-    want = []
-    for i, a in enumerate(ids):
-        for b in ids[i + 1:]:
-            A, B = bsets[a], bsets[b]
-            inter = len(A & B)
-            if inter and inter / (len(A) + len(B) - inter) >= _SSJ_T:
-                want.append((a, b, inter, len(A), len(B)))
-    got_t = [tuple(r) for r in
-             got[["doc_a", "doc_b", "n_inter", "n_a", "n_b"]]
-             .itertuples(index=False)]
-    assert got_t == want           # lossless: exact same pair set
-    assert len(want) > 0           # the corpus has seeded near-dups
-
-
-# ---------------------------------------------------------------------------
-# kcore_nodes + degree_assortativity: scalar invariants at sf0.001
-# ---------------------------------------------------------------------------
-
-def test_kcore_properties(ray_session):
-    from proj_ray.pipelines.queries import kcore_nodes
-
-    # sf0.001's 30 km graph has no 3-core (verified by scalar peel)
-    out = kcore_nodes(SF)
-    assert len(out) == 0
-    assert list(out.columns) == ["pid", "core_degree"]
-    # k=1 core = all non-isolated nodes with their full degree
-    out1 = kcore_nodes(SF, k=1)
-    assert len(out1) > 0
-    assert (out1.core_degree >= 1).all()
-
-
-def test_degree_assortativity_scalar(ray_session):
-    from proj_ray.pipelines.queries import degree_assortativity
-    from proj_ray.pipelines.queries import _points_ds, _PAIR_RADIUS_M
-    from proj_ray.stages.pairjoin import radius_pair_join_stage
-
-    got = degree_assortativity(SF)
-    e = radius_pair_join_stage(_points_ds(SF), _PAIR_RADIUS_M).to_pandas()
-    a = e.pid_a.to_numpy(np.int64)
-    b = e.pid_b.to_numpy(np.int64)
-    ids = np.concatenate([a, b])
-    u, c = np.unique(ids, return_counts=True)
-    deg = dict(zip(u.tolist(), c.tolist()))
-    x = np.array([deg[i] for i in a] + [deg[i] for i in b], np.int64)
-    y = np.array([deg[i] for i in b] + [deg[i] for i in a], np.int64)
-    m2 = len(x)
-    assert int(got.m2.iloc[0]) == m2
-    assert int(got.sx.iloc[0]) == int(x.sum())
-    assert int(got.sxx.iloc[0]) == int((x * x).sum())
-    assert int(got.sxy.iloc[0]) == int((x * y).sum())
-    den = int(m2 * (x * x).sum() - x.sum() ** 2)
-    want_r = 0.0 if den == 0 else \
-        float(m2 * (x * y).sum() - x.sum() ** 2) / den
-    assert abs(got.assortativity.iloc[0] - want_r) < 1e-12

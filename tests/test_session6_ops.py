@@ -1,6 +1,5 @@
-"""Round-4 session-6 operators: sessionization, Bloom-prefiltered
-semi-join (both dispatch paths), Misra-Gries heavy hitters (sketch
-trim forced on, exactness invariants)."""
+"""Round-4 session-6 operators: sessionization and the Bloom-prefiltered
+semi-join (both dispatch paths)."""
 
 import duckdb
 import numpy as np
@@ -154,18 +153,6 @@ def test_per_key_reducers_match_oracle(ray_session, qname, keys):
 
 
 # ---------------------------------------------------------------------------
-# misra_gries_topk: forced trim stays exact; matches token_topk
-# ---------------------------------------------------------------------------
-
-def test_misra_gries_matches_token_topk(ray_session):
-    from proj_ray.pipelines.queries import misra_gries_topk, token_topk
-
-    want = token_topk(SF).reset_index(drop=True)
-    got = misra_gries_topk(SF).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
-# ---------------------------------------------------------------------------
 # traj_simplify_dp: engine DP vs an independent scalar recomputation
 # ---------------------------------------------------------------------------
 
@@ -226,15 +213,3 @@ def test_traj_simplify_matches_scalar(ray_session):
     pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
     # the tolerance actually simplifies (drops points) at this sf
     assert got["n_kept"].sum() < got["n_points"].sum()
-
-
-def test_misra_gries_forced_trim_exact(ray_session):
-    """mg_k far below the per-block vocabulary forces sub > 0 trimming
-    in every block; the candidate bound + exact pass must still return
-    the exact top-20 (or trip the provable-exactness fallback, which is
-    also exact)."""
-    from proj_ray.pipelines.queries import misra_gries_topk, token_topk
-
-    want = token_topk(SF).reset_index(drop=True)
-    got = misra_gries_topk(SF, mg_k=64).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))

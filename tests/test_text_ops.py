@@ -131,69 +131,6 @@ def test_hopping_window_agg_matches_scalar(ray_session):
     assert got["n_events"].sum() == K * len(ev)
 
 
-def _scalar_tfidf_topk(texts, ids, topk=3):
-    tf = {}
-    df = Counter()
-    for i, txt in zip(ids, texts):
-        c = Counter(re.findall(r"\S+", txt))
-        tf[i] = c
-        df.update(c.keys())
-    n = len(texts)
-    rows = []
-    for i in ids:
-        scored = sorted(
-            ((t, c, df[t], float(c) * (float(n) / float(df[t])))
-             for t, c in tf[i].items()),
-            key=lambda x: (-x[3], x[0]))[:topk]
-        for r, (t, c, d, s) in enumerate(scored, 1):
-            rows.append((i, r, t, c, d, s))
-    return rows
-
-
-def test_tfidf_both_paths_match_scalar(ray_session):
-    from proj_ray.pipelines.queries import QUERIES
-
-    fn = QUERIES["tfidf_top_terms"]["fn"]
-    sf = "/root/testdata/sf0.001"
-    got_b = fn(sf, path="broadcast").to_pandas()
-    got_j = fn(sf, path="join").to_pandas()
-    key = ["doc_id", "term_rank"]
-    got_b = got_b.sort_values(key).reset_index(drop=True)
-    got_j = got_j.sort_values(key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got_b, got_j[got_b.columns])
-
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["doc_id", "text"])
-    want = _scalar_tfidf_topk(docs["text"].tolist(), docs["doc_id"].tolist())
-    want_df = pd.DataFrame(want, columns=["doc_id", "term_rank", "term",
-                                          "tf", "df", "score"])
-    want_df = want_df.sort_values(key).reset_index(drop=True)
-    got = got_b[want_df.columns].astype(
-        {c: want_df[c].dtype for c in want_df.columns})
-    pd.testing.assert_frame_equal(got, want_df)
-
-
-def test_anti_join_both_paths_match(ray_session):
-    from proj_ray.pipelines.queries import QUERIES
-
-    fn = QUERIES["customers_no_urgent"]["fn"]
-    sf = "/root/testdata/sf0.001"
-    key = ["c_custkey"]
-    got_b = fn(sf, path="broadcast").to_pandas().sort_values(
-        key).reset_index(drop=True)
-    got_j = fn(sf, path="join").to_pandas().sort_values(
-        key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got_b, got_j[got_b.columns])
-
-    cust = pd.read_parquet(f"{sf}/customer.parquet")
-    orders = pd.read_parquet(f"{sf}/orders.parquet")
-    urgent = set(orders.loc[orders["o_orderpriority"] == "1-URGENT",
-                            "o_custkey"])
-    want = cust[~cust["c_custkey"].isin(urgent)]
-    assert sorted(got_b["c_custkey"]) == sorted(want["c_custkey"])
-    assert 0 < len(got_b) < len(cust)
-
-
 def test_rolling_7d_matches_scalar(ray_session):
     from proj_ray.pipelines.queries import QUERIES, _ROLL_WIN_US
 
@@ -211,51 +148,6 @@ def test_rolling_7d_matches_scalar(ray_session):
             (tu >= tu[row.Index] - _ROLL_WIN_US) & (tu <= tu[row.Index])
         assert got.loc[row.event_id, "roll_cents"] == cents[m].sum()
         assert got.loc[row.event_id, "n_in_window"] == m.sum()
-
-
-def _scalar_dup_ngram(texts, ids, n=3):
-    """Independent scalar twin: pure-Python dict counting."""
-    from collections import Counter
-
-    doc_grams = []
-    for t in texts:
-        ws = t.split()
-        doc_grams.append([" ".join(ws[k: k + n])
-                          for k in range(max(len(ws) - n + 1, 0))])
-    df = Counter()
-    for grams in doc_grams:
-        for g in set(grams):
-            df[g] += 1
-    rows = []
-    for did, grams in zip(ids, doc_grams):
-        nd = sum(1 for g in grams if df[g] >= 2)
-        rows.append((did, len(grams), nd,
-                     float(nd) / float(max(len(grams), 1))))
-    return rows
-
-
-def test_dup_ngram_frac_both_paths_match_scalar(ray_session):
-    from proj_ray.pipelines.queries import QUERIES
-
-    fn = QUERIES["dup_ngram_frac"]["fn"]
-    sf = "/root/testdata/sf0.001"
-    key = ["doc_id"]
-    got_b = fn(sf, path="broadcast").to_pandas().sort_values(
-        key).reset_index(drop=True)
-    got_j = fn(sf, path="join").to_pandas().sort_values(
-        key).reset_index(drop=True)
-    pd.testing.assert_frame_equal(got_b, got_j[got_b.columns])
-
-    docs = pd.read_parquet(f"{sf}/documents.parquet",
-                           columns=["doc_id", "text"])
-    want = pd.DataFrame(
-        _scalar_dup_ngram(docs["text"].tolist(), docs["doc_id"].tolist()),
-        columns=["doc_id", "n_ngrams", "n_dup_ngrams", "dup_ngram_frac"],
-    ).sort_values(key).reset_index(drop=True)
-    got = got_b[want.columns].astype(
-        {c: want[c].dtype for c in want.columns})
-    pd.testing.assert_frame_equal(got, want)
-    assert (want["n_dup_ngrams"] > 0).any()  # non-degenerate fixture
 
 
 def test_dup_ngram_zero_gram_docs_covered(ray_session):

@@ -3,34 +3,24 @@
 
 The driver's correctness gate compares queries() against oracle_sql()
 at sf=0.01.  Queries whose computation ANSI SQL cannot express
-(rolling-hash fingerprint, simhash, MinHash+LSH, Karney geodesics,
-real-NTv2 grid shifts, ANN top-k, the stubbed multimodal decode) are
+(simhash, MinHash+LSH, Karney geodesics, real-NTv2 grid shifts,
+product-quantized ANN top-k) are
 gated against frozen parquet goldens under proj_ray/data/goldens/,
 which the oracle SQL reads via ``SELECT ... FROM read_parquet(...)``.
 
 PROVENANCE — every golden here is generated by an implementation
 INDEPENDENT of the distributed engine path it gates:
 
-- doc_fingerprint / simhash_docs: per-doc scalar reference hashes
-  (this file) vs the engine's batch-segmented Arrow-buffer kernels.
-- minhash_lsh_candidates / minhash_verified_pairs /
-  minhash_dedup_clusters: per-doc scalar signatures + Python dict
-  buckets + union-find clustering (this file) vs the engine's
-  vectorized banding, distributed bucket groupby, join fallbacks and
-  min-label propagation.
+- minhash_lsh_candidates / minhash_dedup_clusters: per-doc scalar
+  signatures + Python dict buckets + union-find clustering (this file)
+  vs the engine's vectorized banding, distributed bucket groupby, join
+  fallbacks and min-label propagation.
 - geod_inverse_ellipsoidal: per-point scalar Karney port
   (tools/scalar_ref.py; paper-value-validated in
   tests/test_scalar_ref.py) vs the masked-vectorized kernel.
 - grid_shift_real / grid_shift_real_inv: per-point scalar NTv2
   reader + bilinear + fixed-point inverse (tools/scalar_ref.py) vs
   the engine's vectorized reader/kernels and fused Transform.
-- ann_cosine_topk / ann_lsh_buckets / ann_ivf_topk: single-process
-  numpy over the raw parquet (per-query loops, no Ray, no partial
-  top-k merge) vs the engine's streaming broadcast-partial pipelines.
-- multimodal_features: per-doc scalar recomputation of the
-  deterministic fake decode (payload synthesis + stripe means) vs the
-  actor-pool DecodeStage plumbing.  The CODEC itself is a disclosed
-  stub either way (stages/multimodal.py).
 
 Regenerate only if the driver's testdata generation changes:
     python tools/freeze_goldens.py
@@ -63,28 +53,6 @@ def mix64_s(x):
         x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _M
         x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _M
         return x ^ (x >> np.uint64(31))
-
-
-def ref_fingerprint(t, window=32):
-    MOD = (1 << 61) - 1
-    BASE = 1000003
-    b = np.frombuffer((t or "").encode("utf-8"), dtype=np.uint8)
-    if b.size == 0:
-        return 0
-    if b.size <= window:
-        h = 0
-        for v in b:
-            h = (h * BASE + int(v)) % MOD
-        return h
-    powers = pow(BASE, window - 1, MOD)
-    h = 0
-    for v in b[:window]:
-        h = (h * BASE + int(v)) % MOD
-    best = h
-    for j in range(window, b.size):
-        h = ((h - int(b[j - window]) * powers) * BASE + int(b[j])) % MOD
-        best = min(best, h)
-    return best
 
 
 def ref_shingles(t, k):
@@ -149,13 +117,6 @@ def ref_band_hashes(sig, bands=16):
     return out
 
 
-def ref_jaccard(ta, tb, k=5):
-    sa = set(ref_shingles(ta, k).tolist())
-    sb = set(ref_shingles(tb, k).tolist())
-    union = len(sa | sb)
-    return 1.0 if union == 0 else len(sa & sb) / union
-
-
 class _UnionFind:
     """Independent clustering algorithm (the engine uses min-label
     propagation; this is path-compressed union-find)."""
@@ -175,22 +136,6 @@ class _UnionFind:
         ra, rb = self.find(a), self.find(b)
         if ra != rb:
             self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def freeze_text_goldens(ids, texts):
-    # doc_fingerprint
-    fps = np.array([ref_fingerprint(t) for t in texts], dtype=np.uint64)
-    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                  "fingerprint": pa.array([str(v) for v in fps], pa.string())})
-    pq.write_table(t, os.path.join(OUT_DIR, "doc_fingerprint_sf001.parquet"))
-    print("doc_fingerprint golden written")
-
-    # simhash_docs
-    sh = [str(ref_simhash(t)) for t in texts]
-    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                  "simhash": pa.array(sh, pa.string())})
-    pq.write_table(t, os.path.join(OUT_DIR, "simhash_docs_sf001.parquet"))
-    print("simhash_docs golden written")
 
 
 def freeze_simhash_near_dups_golden(ids, texts, radius=3):
@@ -219,9 +164,8 @@ def freeze_simhash_near_dups_golden(ids, texts, radius=3):
 
 
 def freeze_minhash_goldens(ids, texts, num_perm=64, bands=16, k=5):
-    """All three LSH goldens from one scalar banding pass + dict
-    buckets + union-find."""
-    by_id = dict(zip(ids.tolist(), texts))
+    """Both LSH goldens from one scalar banding pass + dict buckets +
+    union-find."""
     buckets: dict = {}
     for did, text in zip(ids.tolist(), texts):
         sig = ref_minhash_sig(text, num_perm=num_perm, k=k)
@@ -247,29 +191,6 @@ def freeze_minhash_goldens(ids, texts, num_perm=64, bands=16, k=5):
     pq.write_table(t, os.path.join(OUT_DIR,
                                    "minhash_lsh_candidates_sf001.parquet"))
     print("minhash_lsh_candidates golden written (scalar)")
-
-    # candidate pairs (doc_a < doc_b) + band counts
-    pair_bands: dict = {}
-    for (_b, _h), members in buckets.items():
-        ms = sorted(set(members))
-        for i in range(len(ms)):
-            for j in range(i + 1, len(ms)):
-                key = (ms[i], ms[j])
-                pair_bands[key] = pair_bands.get(key, 0) + 1
-
-    # minhash_verified_pairs: exact k-shingle jaccard per candidate
-    pairs = sorted(pair_bands)
-    t = pa.table({
-        "doc_a": pa.array([p[0] for p in pairs], pa.int64()),
-        "doc_b": pa.array([p[1] for p in pairs], pa.int64()),
-        "n_bands": pa.array([pair_bands[p] for p in pairs], pa.int64()),
-        "jaccard_micro": pa.array(
-            [int(np.floor(ref_jaccard(by_id[p[0]], by_id[p[1]], k) * 1e6
-                          + 0.5)) for p in pairs], pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "minhash_verified_pairs_sf001.parquet"))
-    print(f"minhash_verified_pairs golden written (scalar, {len(pairs)} pairs)")
 
     # minhash_dedup_clusters: union-find over bucket co-membership
     uf = _UnionFind()
@@ -408,215 +329,6 @@ def freeze_grid_goldens():
                       "lat_shifted": pa.array(out_lat)})
         pq.write_table(t, os.path.join(OUT_DIR, fname))
         print(f"{fname} written (scalar NTv2, {pid.size} rows)")
-
-
-def freeze_ann_goldens():
-    """ANN goldens from single-process numpy over the raw parquet —
-    no Ray pipeline, no partial-top-k merge machinery.
-
-    Known tradeoff: these use float32 BLAS matmuls (as the engine's hot
-    path deliberately does — pinning accumulation order there would
-    slow the 100 TB scan), so golden/engine agreement relies on the
-    container's BLAS being the same for both sides, which it is: both
-    run in this image, and the gate re-verifies every round.  For the
-    one query family where sign/threshold decisions feed the golden
-    directly (embedding_near_dups), accumulation order IS pinned
-    (vector.dot_f64_ordered)."""
-    import duckdb
-
-    from proj_ray.functions.vector import kmeans_cosine, make_planes
-
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-
-    Q = M[np.isin(ids, [0, 1, 2])]
-    Qn = Q / np.maximum(np.linalg.norm(Q, axis=1, keepdims=True), 1e-30)
-    Qn = Qn.astype(np.float32)
-    norms = np.linalg.norm(M, axis=1)
-    norms = np.where(norms == 0, 1.0, norms)
-
-    # ann_cosine_topk: full scan, per-query sort
-    rows = {"qid": [], "vec_id": [], "rank": []}
-    sims_all = (M @ Qn.T) / norms[:, None]
-    for j in range(Qn.shape[0]):
-        s = sims_all[:, j]
-        top = np.lexsort((ids, -s))[:10]
-        rows["qid"].extend([j] * 10)
-        rows["vec_id"].extend(ids[top].tolist())
-        rows["rank"].extend(range(1, 11))
-    pq.write_table(pa.table({k: pa.array(v) for k, v in rows.items()}),
-                   os.path.join(OUT_DIR, "ann_cosine_topk_sf001.parquet"))
-    print("ann_cosine_topk golden written (numpy scan)")
-
-    # ann_lsh_buckets: per-row signature loop + dict histogram
-    planes = make_planes(64, nbits=8, seed=42)
-    hist: dict = {}
-    for i in range(M.shape[0]):
-        bits = (M[i] @ planes.T) > 0
-        b = int((bits.astype(np.int64)
-                 * (1 << np.arange(bits.size, dtype=np.int64))).sum())
-        hist[b] = hist.get(b, 0) + 1
-    bks = sorted(hist)
-    pq.write_table(pa.table({"bucket": pa.array(bks, pa.int64()),
-                             "n_vectors": pa.array([hist[b] for b in bks],
-                                                   pa.int64())}),
-                   os.path.join(OUT_DIR, "ann_lsh_buckets_sf001.parquet"))
-    print("ann_lsh_buckets golden written (per-row loop)")
-
-    # ann_ivf_topk: same quantizer (shared deterministic driver-side
-    # kmeans), scalar probe + masked scan without the pipeline
-    con = duckdb.connect()
-    sv = con.sql(f"SELECT embedding FROM '{SF_DIR}/embeddings.parquet' "
-                 f"WHERE vec_id % 7 = 0 ORDER BY vec_id LIMIT 1024").fetchall()
-    con.close()
-    S = np.array([list(r[0]) for r in sv], dtype=np.float32)
-    C = kmeans_cosine(S, 16)
-    Mn = M / np.maximum(np.linalg.norm(M, axis=1, keepdims=True), 1e-30)
-    cells = np.argmax(Mn @ C.T, axis=1).astype(np.int64)
-    probe = np.argsort(-(Qn @ C.T), axis=1)[:, :8]
-    rows = {"qid": [], "vec_id": [], "rank": []}
-    for j in range(Qn.shape[0]):
-        m = np.isin(cells, probe[j])
-        s = (M[m] @ Qn[j]) / norms[m]
-        top = np.lexsort((ids[m], -s))[:10]
-        rows["qid"].extend([j] * len(top))
-        rows["vec_id"].extend(ids[m][top].tolist())
-        rows["rank"].extend(range(1, len(top) + 1))
-    pq.write_table(pa.table({k: pa.array(v) for k, v in rows.items()}),
-                   os.path.join(OUT_DIR, "ann_ivf_topk_sf001.parquet"))
-    print("ann_ivf_topk golden written (scalar probe)")
-
-
-def freeze_embedding_near_dups_golden():
-    """embedding_near_dups from per-vector scalar loops: scalar
-    dimension-ordered projections (same pinned accumulation order the
-    engine uses — see vector.dot_f64_ordered), 8 independent 12-bit
-    tables as dict buckets, recursive scalar cap split (16-bit
-    extension signatures — same EMB_* parameters the engine declares),
-    pair-set union across tables, per-pair scalar cosine, threshold,
-    micro-round."""
-    from proj_ray.functions.vector import make_planes
-    from proj_ray.pipelines.queries import (EMB_BITS, EMB_CAP, EMB_DIM,
-                                            EMB_EXT_BITS, EMB_EXT_LEVELS,
-                                            EMB_TABLES, EMB_THRESH)
-
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    planes = make_planes(EMB_DIM, nbits=EMB_TABLES * EMB_BITS, seed=99)
-    ext_planes = [make_planes(EMB_DIM, nbits=EMB_EXT_BITS, seed=1001 + lv)
-                  for lv in range(EMB_EXT_LEVELS)]
-
-    def dot_s(a32, v32):
-        acc = 0.0
-        for d in range(a32.size):
-            acc += float(np.float64(a32[d])) * float(np.float64(v32[d]))
-        return acc
-
-    def sig_s(i, plane_rows):
-        b = 0
-        for p in range(plane_rows.shape[0]):
-            if dot_s(M[i], plane_rows[p]) > 0.0:
-                b |= 1 << p
-        return b
-
-    pair_set: set = set()
-
-    def emit_group(rows, level):
-        # rows: row indices, ascending by vec_id
-        if len(rows) < 2:
-            return
-        if len(rows) <= EMB_CAP or level >= EMB_EXT_LEVELS:
-            for x in range(len(rows)):
-                for y in range(x + 1, len(rows)):
-                    pair_set.add((rows[x], rows[y]))
-            return
-        sub: dict = {}
-        for i in rows:
-            sub.setdefault(sig_s(i, ext_planes[level]), []).append(i)
-        for _k, mem in sub.items():
-            emit_group(mem, level + 1)
-
-    order = np.argsort(ids, kind="mergesort")
-    for tab in range(EMB_TABLES):
-        tp = planes[tab * EMB_BITS:(tab + 1) * EMB_BITS]
-        buckets: dict = {}
-        for i in order.tolist():  # id-ascending insertion per bucket
-            buckets.setdefault(sig_s(i, tp), []).append(i)
-        for _b, members in buckets.items():
-            emit_group(members, 0)
-
-    out_pairs = []
-    for i, j in pair_set:
-        a, b = M[i], M[j]
-        dot = na = nb = 0.0
-        for d in range(a.size):
-            av = float(np.float64(a[d]))
-            bv = float(np.float64(b[d]))
-            dot += av * bv
-            na += av * av
-            nb += bv * bv
-        denom = np.sqrt(na) * np.sqrt(nb)
-        cos = dot / (denom if denom != 0.0 else 1.0)
-        if cos >= EMB_THRESH:
-            out_pairs.append((int(ids[i]), int(ids[j]),
-                              int(np.floor(cos * 1e6 + 0.5))))
-    rows = {"vec_a": [], "vec_b": [], "cosine_micro": []}
-    for a, b, c in sorted(out_pairs):
-        rows["vec_a"].append(a)
-        rows["vec_b"].append(b)
-        rows["cosine_micro"].append(c)
-    pq.write_table(pa.table({k: pa.array(v, pa.int64())
-                             for k, v in rows.items()}),
-                   os.path.join(OUT_DIR, "embedding_near_dups_sf001.parquet"))
-    print(f"embedding_near_dups golden written (scalar, "
-          f"{len(out_pairs)} pairs)")
-
-
-def freeze_multimodal_golden(ids, texts, n_features=4):
-    """Per-doc scalar recomputation of the deterministic fake decode
-    (attach_fake_media + DecodeStage formulas; the codec is a stub
-    either way)."""
-    f0 = np.empty(len(ids))
-    sizes = np.empty(len(ids), dtype=np.int64)
-    for i, t in enumerate(texts):
-        payload = (t or "").encode("utf-8")[:4096]
-        b = np.frombuffer(payload, dtype=np.uint8)
-        sizes[i] = b.size
-        if b.size:
-            stripe = np.array_split(b.astype(np.float32), n_features)[0]
-            f0[i] = np.round(np.float64(np.float32(stripe.mean())), 3)
-        else:
-            f0[i] = 0.0
-    t = pa.table({"doc_id": pa.array(ids, pa.int64()),
-                  "payload_bytes": pa.array(sizes, pa.int64()),
-                  "f0": pa.array(f0)})
-    pq.write_table(t, os.path.join(OUT_DIR, "multimodal_sf001.parquet"))
-    print("multimodal golden written (scalar fake-decode)")
-
-
-def freeze_multimodal_frames_golden(ids, texts, n_frames=4, frame_len=64):
-    """multimodal_frame_stats from per-doc scalar byte loops."""
-    rows = {"doc_id": [], "frame_idx": [], "frame_len": [], "byte_sum": []}
-    for did, t in zip(ids.tolist(), texts):
-        payload = (t or "").encode("utf-8")[:4096]
-        L = len(payload)
-        for f in range(n_frames):
-            start = f * L // n_frames
-            end = min(start + frame_len, L)
-            rows["doc_id"].append(int(did))
-            rows["frame_idx"].append(f)
-            rows["frame_len"].append(end - start)
-            rows["byte_sum"].append(sum(payload[start:end]))
-    pq.write_table(pa.table({k: pa.array(v, pa.int64())
-                             for k, v in rows.items()}),
-                   os.path.join(OUT_DIR, "multimodal_frames_sf001.parquet"))
-    print("multimodal_frames golden written (scalar byte loops)")
 
 
 def freeze_ann_pq_golden(k=10):
@@ -1057,27 +769,17 @@ def ref_cdc_chunks(t, k=16, bbits=6):
     return [bs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def freeze_cdc_goldens(ids, texts, k=16, bbits=6):
-    """cdc_chunk_stats (per-doc chunk count / min / max length) and
-    cdc_dedup_stats (corpus chunk-level dedup totals) from the scalar
-    substring-materializing reference."""
+def freeze_cdc_goldens(texts, k=16, bbits=6):
+    """cdc_dedup_stats (corpus chunk-level dedup totals) from the
+    scalar substring-materializing reference."""
     from collections import Counter
 
-    rows = {c: [] for c in ("doc_id", "n_chunks", "min_len", "max_len")}
     counts = Counter()
     lengths = {}
-    for did, t in zip(ids, texts):
-        chunks = ref_cdc_chunks(t, k, bbits)
-        ls = [len(c) for c in chunks]
-        rows["doc_id"].append(int(did))
-        rows["n_chunks"].append(len(chunks))
-        rows["min_len"].append(min(ls))
-        rows["max_len"].append(max(ls))
-        for c in chunks:
+    for t in texts:
+        for c in ref_cdc_chunks(t, k, bbits):
             counts[c] += 1
             lengths[c] = len(c)
-    t1 = pa.table({c: pa.array(v, pa.int64()) for c, v in rows.items()})
-    pq.write_table(t1, os.path.join(OUT_DIR, "cdc_chunk_stats_sf001.parquet"))
     n_total = sum(counts.values())
     n_distinct = len(counts)
     dup_chunks = sum(c - 1 for c in counts.values())
@@ -1089,125 +791,8 @@ def freeze_cdc_goldens(ids, texts, k=16, bbits=6):
         "dup_bytes": pa.array([dup_bytes], pa.int64()),
     })
     pq.write_table(t2, os.path.join(OUT_DIR, "cdc_dedup_stats_sf001.parquet"))
-    print(f"cdc goldens written ({n_total} chunks, {n_distinct} distinct, "
-          f"{dup_bytes} dup bytes)")
-
-
-def freeze_bpe_golden(ids, texts, num_merges=40):
-    """Independent scalar BPE (Sennrich 2016): dict-of-tuples vocab,
-    per-word Python merge loops — no flat arrays, no vectorized
-    kernel, no Ray.  Gates functions/bpe.py's driver AND distributed
-    paths.  Conventions shared with the engine (documented there):
-    whitespace words, character initial symbols, no end-of-word
-    marker, overlap-inclusive pair counts, greedy left-to-right merge,
-    count ties to the lexicographically smallest (left, right).
-
-    Word split is ASCII-whitespace-only, matching the engine's Arrow
-    RE2 ``\\s+`` ([\\t\\n\\f\\r ] — NO \\v, verified): Python's str.split() would also
-    split on Unicode whitespace (NBSP, \\x85, \\u2028 — common in
-    HTML-extracted crawl text) and silently diverge."""
-    import re as _re
-
-    _ws = _re.compile(r"[\t\n\f\r ]+")  # RE2 \s: no \v
-    vocab = {}
-    for t in texts:
-        for w in _ws.split(t):
-            if w:
-                vocab[w] = vocab.get(w, 0) + 1
-    seqs = {w: tuple(w) for w in vocab}
-
-    rows = []
-    for rank in range(1, num_merges + 1):
-        stats = {}
-        for w, seq in seqs.items():
-            n = vocab[w]
-            for i in range(len(seq) - 1):
-                p = (seq[i], seq[i + 1])
-                stats[p] = stats.get(p, 0) + n
-        if not stats:
-            break
-        best = min(stats.items(), key=lambda kv: (-kv[1], kv[0]))
-        (a, b), cnt = best
-        merged = a + b
-        rows.append((rank, a, b, merged, cnt))
-        new_seqs = {}
-        for w, seq in seqs.items():
-            out = []
-            i = 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
-                    out.append(merged)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            new_seqs[w] = tuple(out)
-        seqs = new_seqs
-    t = pa.table({
-        "rank": pa.array([r[0] for r in rows], pa.int64()),
-        "left": pa.array([r[1] for r in rows], pa.string()),
-        "right": pa.array([r[2] for r in rows], pa.string()),
-        "merged": pa.array([r[3] for r in rows], pa.string()),
-        "pair_count": pa.array([r[4] for r in rows], pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR, "bpe_merges_sf001.parquet"))
-    print(f"bpe_merges golden: {t.num_rows} merges")
-    return rows
-
-
-def freeze_bpe_encode_golden(ids, texts, merge_rows):
-    """Independent scalar BPE ENCODE: per-word min-rank-present merge
-    loop (the published GPT-2-tokenizer encode semantics — iteratively
-    merge the lowest-rank adjacent pair, greedy left-to-right, until
-    none remains).  Gates functions/bpe.py::bpe_encode_counts.  Words
-    split on ASCII whitespace like the train golden."""
-    import re as _re
-
-    ranks = {(r[1], r[2]): r[0] for r in merge_rows}
-    _ws = _re.compile(r"[\t\n\f\r ]+")  # RE2 \s: no \v
-    cache = {}
-
-    def encode_len(word):
-        n = cache.get(word)
-        if n is not None:
-            return n
-        seq = list(word)
-        while len(seq) >= 2:
-            cand = [(ranks[(seq[i], seq[i + 1])], i)
-                    for i in range(len(seq) - 1)
-                    if (seq[i], seq[i + 1]) in ranks]
-            if not cand:
-                break
-            best = min(r for r, _ in cand)
-            a, b = None, None
-            for (x, y), r in ranks.items():
-                if r == best:
-                    a, b = x, y
-                    break
-            out, i = [], 0
-            while i < len(seq):
-                if i + 1 < len(seq) and seq[i] == a and seq[i + 1] == b:
-                    out.append(a + b)
-                    i += 2
-                else:
-                    out.append(seq[i])
-                    i += 1
-            seq = out
-        cache[word] = len(seq)
-        return len(seq)
-
-    rows = []
-    for did, t in zip(ids, texts):
-        words = [w for w in _ws.split(t) if w]
-        rows.append((int(did), len(words),
-                     sum(encode_len(w) for w in words)))
-    t = pa.table({
-        "doc_id": pa.array([r[0] for r in rows], pa.int64()),
-        "n_words": pa.array([r[1] for r in rows], pa.int64()),
-        "n_bpe_tokens": pa.array([r[2] for r in rows], pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR, "bpe_encode_sf001.parquet"))
-    print(f"bpe_encode golden: {t.num_rows} docs")
+    print(f"cdc_dedup_stats golden written ({n_total} chunks, "
+          f"{n_distinct} distinct, {dup_bytes} dup bytes)")
 
 
 def freeze_incremental_neardup(ids, texts, num_perm=64, bands=16, k=5,
@@ -1362,81 +947,6 @@ def freeze_cluster_diameter_golden():
     print(f"cluster_diameter golden written ({t.num_rows} rows)")
 
 
-def freeze_kmeans_golden(k=8, iters=4, q=1048576.0):
-    """kmeans_lloyd: single-process scalar Lloyd over the embeddings
-    table — per-point argmin loop, quantized int64 component sums
-    (order-independent), deterministic init from the k smallest
-    vec_ids.  Independent of the engine's batch-partial/merge
-    machinery (its risk surface)."""
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    vid = emb["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    mat = np.array(emb["embedding"].to_pylist(), dtype=np.float64)
-    order = np.argsort(vid)
-    vid, mat = vid[order], mat[order]
-    qm = np.floor(mat * q + 0.5).astype(np.int64)
-    cent = qm[:k].astype(np.float64) / q              # init: k smallest ids
-    dim = mat.shape[1]
-    for _ in range(iters):
-        qsum = np.zeros((k, dim), np.int64)
-        cnt = np.zeros(k, np.int64)
-        for i in range(len(vid)):                      # scalar assignment
-            d = ((mat[i] - cent) ** 2).sum(axis=1)
-            j = int(np.argmin(d))                      # first-min tie-break
-            qsum[j] += qm[i]
-            cnt[j] += 1
-        for j in range(k):                             # empty keeps old
-            if cnt[j] > 0:
-                cent[j] = qsum[j].astype(np.float64) / cnt[j] / q
-    rows_c, rows_d, rows_n, rows_q = [], [], [], []
-    for j in range(k):
-        for dd in range(dim):
-            rows_c.append(j)
-            rows_d.append(dd)
-            rows_n.append(int(cnt[j]))
-            rows_q.append(int(qsum[j][dd]))
-    t = pa.table({"cluster": pa.array(rows_c, pa.int64()),
-                  "dim": pa.array(rows_d, pa.int64()),
-                  "n": pa.array(rows_n, pa.int64()),
-                  "qsum": pa.array(rows_q, pa.int64())})
-    pq.write_table(t, os.path.join(OUT_DIR, "kmeans_lloyd_sf001.parquet"))
-    print(f"kmeans_lloyd golden written (scalar, {t.num_rows} rows,"
-          f" sizes {sorted(set(int(c) for c in cnt), reverse=True)})")
-
-
-def freeze_logreg_golden(lr=2.0, steps=20, q=float(1 << 24)):
-    """logreg_gd_train: single-process scalar full-batch GD replica —
-    same exact-median threshold, same quantized-gradient updates; the
-    engine's risk surface is the distributed median + per-batch
-    gradient partials."""
-    t = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
-                      columns=["doc_id", "text", "n_chars"])
-    nch = t["n_chars"].to_numpy(zero_copy_only=False).astype(np.int64)
-    nw = np.array([s.count(" ") + 1 for s in t["text"].to_pylist()],
-                  np.int64)
-    n = len(nch)
-    thr = int(np.sort(nch)[(n - 1) // 2])      # exact lower median
-    y = (nch > thr).astype(np.float64)
-    X = np.stack([np.ones(n), nw / 128.0, (nch - thr) / 1024.0], axis=1)
-    w = np.zeros(3)
-    for _ in range(steps):
-        z = X[:, 0] * w[0] + X[:, 1] * w[1] + X[:, 2] * w[2]
-        p = 1.0 / (1.0 + np.exp(-z))
-        qg = np.floor(((p - y)[:, None] * X) * q + 0.5).astype(np.int64)
-        w = w - lr * qg.sum(axis=0).astype(np.float64) / n / q
-    z = X[:, 0] * w[0] + X[:, 1] * w[1] + X[:, 2] * w[2]
-    correct = int(((1.0 / (1.0 + np.exp(-z)) >= 0.5) == (y == 1)).sum())
-    out = pa.table({
-        "dim": pa.array([0, 1, 2], pa.int64()),
-        "w_micro": pa.array(np.floor(w * (1 << 30) + 0.5).astype(np.int64),
-                            pa.int64()),
-        "n_correct": pa.array([correct] * 3, pa.int64()),
-        "n_total": pa.array([n] * 3, pa.int64()),
-    })
-    pq.write_table(out, os.path.join(OUT_DIR, "logreg_gd_sf001.parquet"))
-    print(f"logreg_gd golden written (scalar, acc {correct}/{n})")
-
-
 def freeze_hard_negatives_golden(k=10):
     """hard_negatives_topk: single-process numpy replica — cosine
     against queries vec_id 0..2, candidates restricted to label !=
@@ -1473,56 +983,6 @@ def freeze_hard_negatives_golden(k=10):
     print(f"hard_negatives golden written ({t.num_rows} rows)")
 
 
-def freeze_pca_golden(k=2):
-    """embedding_pca_project from an INDEPENDENT decomposition: exact
-    per-pair integer moment sums (np.sum over whole columns — exact
-    int64 regardless of order, vs the engine's per-batch Gram matmul
-    partials), the same shared covariance double expression, an inline
-    sign convention (duplicated, not imported), and a per-row SCALAR
-    projection fold in ascending dimension order — the order the
-    engine's vectorized d-loop pins.  Micro-rounded int64 at 1e-6."""
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    Q = np.floor(M.astype(np.float64) * 10000.0 + 0.5).astype(np.int64)
-    n, d = Q.shape
-    nf = np.float64(n)
-    s = np.array([int(np.sum(Q[:, i])) for i in range(d)], dtype=np.int64)
-    cov = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            sij = np.float64(int(np.sum(Q[:, i] * Q[:, j])))
-            c = ((nf * sij - np.float64(s[i]) * np.float64(s[j]))
-                 / (nf * nf)) / 1.0e8
-            cov[i, j] = cov[j, i] = c
-    _, V = np.linalg.eigh(cov)
-    V = V[:, ::-1][:, :k]
-    for c_ in range(k):  # inline sign convention
-        am = int(np.argmax(np.abs(V[:, c_])))
-        if V[am, c_] < 0:
-            V[:, c_] = -V[:, c_]
-    mu = s.astype(np.float64) / nf
-    Qd = Q.astype(np.float64)
-    rows = {"vec_id": [], "pc1_micro": [], "pc2_micro": []}
-    order = np.argsort(ids, kind="mergesort")
-    for r in order.tolist():
-        micro = []
-        for c_ in range(k):
-            acc = 0.0
-            for dd in range(d):  # the engine's pinned fold order
-                acc = acc + (Qd[r, dd] - mu[dd]) * V[dd, c_]
-            micro.append(int(np.floor((acc / 1.0e4) * 1.0e6 + 0.5)))
-        rows["vec_id"].append(int(ids[r]))
-        rows["pc1_micro"].append(micro[0])
-        rows["pc2_micro"].append(micro[1])
-    pq.write_table(pa.table({kk: pa.array(v, pa.int64())
-                             for kk, v in rows.items()}),
-                   os.path.join(OUT_DIR,
-                                "embedding_pca_project_sf001.parquet"))
-    print(f"embedding_pca_project golden written (scalar, {n} rows)")
-
-
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
     docs = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
@@ -1531,19 +991,11 @@ def main():
     texts = docs["text"].to_pylist()
     print(f"{len(texts)} documents from {SF_DIR}")
 
-    freeze_text_goldens(ids, texts)
-    merge_rows = freeze_bpe_golden(ids, texts)
-    freeze_bpe_encode_golden(ids, texts, merge_rows)
     freeze_winnow_goldens(ids, texts)
-    freeze_cdc_goldens(ids, texts)
+    freeze_cdc_goldens(texts)
     freeze_simhash_near_dups_golden(ids, texts)
     freeze_minhash_goldens(ids, texts)
     freeze_incremental_neardup(ids, texts)
-    freeze_multimodal_golden(ids, texts)
-    freeze_multimodal_frames_golden(ids, texts)
-    freeze_ann_goldens()
-    freeze_pca_golden()
-    freeze_embedding_near_dups_golden()
     freeze_semdedup_golden()
     freeze_geod_golden()
     freeze_grid_goldens()
@@ -1552,8 +1004,6 @@ def main():
     freeze_spatial_clusters_golden()
     freeze_cluster_hull_golden()
     freeze_cluster_diameter_golden()
-    freeze_kmeans_golden()
-    freeze_logreg_golden()
     freeze_hard_negatives_golden()
     freeze_ann_pq_golden()
     freeze_ann_ivfpq_golden()
