@@ -6,8 +6,7 @@ algorithm; what a trainer needs from the DATA side is the exact
 doc -> window assignment and per-window occupancy, which is what this
 module computes distributedly.
 
-Distributed shape (the watermark_filter two-pass idiom,
-stages/watermark.py):
+Distributed shape (a two-pass carry-in prefix sum):
 
 1. sort by the order key (one range shuffle; doc_id here — packing
    REQUIRES a total order, and a key sort is the only all-to-all),
@@ -38,10 +37,10 @@ def global_token_offsets(ds, count_col: str, order_col: str):
     """Append ``g_start`` — each row's exclusive global prefix sum of
     ``count_col`` in ``order_col`` order.  Returns the sorted dataset.
 
-    ``order_col`` values must be UNIQUE (same contract and detection as
-    watermark_filter: the per-block carry is keyed by each block's
-    first key, so a duplicate straddling a block boundary would seed
-    the wrong offset — detected from the partials, raises)."""
+    ``order_col`` values must be UNIQUE: the per-block carry is keyed
+    by each block's first key, so a duplicate straddling a block
+    boundary would seed the wrong offset — detected from the partials,
+    raises."""
     ordered = ds.sort(order_col).materialize()
 
     def partial(t: pa.Table) -> pa.Table:

@@ -1,13 +1,13 @@
 """Mergeable sketches for holistic aggregates at scale.
 
 Exact holistic aggregates (quantiles) need every value of a group in
-one place — fine at small scale (`segment_acctbal_median` shuffles
-each group to one map_groups task), unworkable at 100 TB.  The scale
-path is a MERGEABLE sketch: map_batches emits one partial per batch,
-partials add elementwise (associative + commutative, so Ray can tree-
-reduce them), and a tiny final merge answers the quantile with bounded
-error.  ``HistogramSketch`` is the fixed-bin variant: error is bounded
-by the bin width ((hi-lo)/nbins), merge is exact (counts add)."""
+one place — fine at small scale (one map_groups task per group),
+unworkable at 100 TB.  The scale path is a MERGEABLE sketch:
+map_batches emits one partial per batch, partials add elementwise
+(associative + commutative, so Ray can tree-reduce them), and a tiny
+final merge answers the quantile with bounded error.
+``HistogramSketch`` is the fixed-bin variant: error is bounded by the
+bin width ((hi-lo)/nbins), merge is exact (counts add)."""
 
 from __future__ import annotations
 
@@ -277,55 +277,6 @@ def hll_idx_rho(hashes: np.ndarray):
     rest = h & ((np.uint64(1) << np.uint64(64 - HLL_P)) - np.uint64(1))
     rho = (64 - HLL_P) - _bit_length_u64(rest) + 1
     return idx, rho.astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# Bloom filter over int64 keys (mergeable: word arrays OR together)
-# ---------------------------------------------------------------------------
-
-_BLOOM_SEEDS = np.uint64([0x243F6A8885A308D3, 0x13198A2E03707344,
-                          0xA4093822299F31D0, 0x082EFA98EC4E6C89,
-                          0x452821E638D01377, 0xBE5466CF34E90C6C,
-                          0x3F84D5B5B5470917])  # pi/sqrt2 hex digits
-
-
-def bloom_positions(keys: np.ndarray, n_bits: int, k: int) -> np.ndarray:
-    """(n, k) bit positions for int64 keys: k independent splitmix64
-    streams (key XOR a fixed odd seed), reduced mod n_bits.  Fully
-    vectorized; deterministic across processes/platforms."""
-    from .dedup import mix64
-
-    assert k <= len(_BLOOM_SEEDS)
-    u = keys.astype(np.int64).view(np.uint64)
-    cols = [mix64(u ^ _BLOOM_SEEDS[i]) % np.uint64(n_bits) for i in range(k)]
-    return np.stack(cols, axis=1).astype(np.int64)
-
-
-def bloom_words_from_keys(keys: np.ndarray, n_bits: int, k: int) -> np.ndarray:
-    """Build one Bloom bitmap (uint64 word array, length n_bits/64) from
-    a key batch.  Partial bitmaps from different batches OR together
-    losslessly — the mergeable-sketch contract."""
-    assert n_bits % 64 == 0
-    words = np.zeros(n_bits // 64, np.uint64)
-    if keys.size:
-        pos = bloom_positions(keys, n_bits, k).ravel()
-        np.bitwise_or.at(words, pos >> 6,
-                         np.uint64(1) << (pos.astype(np.uint64)
-                                          & np.uint64(63)))
-    return words
-
-
-def bloom_might_contain(words: np.ndarray, keys: np.ndarray,
-                        k: int) -> np.ndarray:
-    """Vectorized membership test: True = maybe present (false positives
-    possible), False = definitely absent.  No false negatives."""
-    if not keys.size:
-        return np.zeros(0, bool)
-    n_bits = words.size * 64
-    pos = bloom_positions(keys, n_bits, k)
-    bit = np.uint64(1) << (pos.astype(np.uint64) & np.uint64(63))
-    hit = (words[pos >> 6] & bit) != 0
-    return hit.all(axis=1)
 
 
 def hll_estimate(regs: np.ndarray) -> float:

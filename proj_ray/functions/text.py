@@ -179,54 +179,6 @@ def doc_ngram_freqs(batch: pa.Table, n: int = 3, text_col="text",
     })
 
 
-def levenshtein_pairs(a, b) -> np.ndarray:
-    """Exact Levenshtein (unit-cost edit) distance for each aligned
-    pair ``(a[i], b[i])``, vectorized ACROSS the pair axis: the DP
-    table is walked once per character position (O(max_len_a x
-    max_len_b) iterations), each step an O(n_pairs) vector op — the
-    right shape for a fuzzy match over a bounded distinct domain,
-    where pair count dwarfs string length.
-
-    Matches DuckDB's ``levenshtein`` (and the classic Wagner-Fischer
-    recurrence) exactly; pinned against a scalar reference in
-    tests/test_session8_ops.py."""
-    n = len(a)
-    if n == 0:
-        return np.zeros(0, np.int64)
-    la = np.array([len(s) for s in a], np.int64)
-    lb = np.array([len(s) for s in b], np.int64)
-    ma, mb = int(la.max()), int(lb.max())
-    # padded char-code matrices; pad = -1 never equals a real char, and
-    # cells beyond a pair's true lengths are never read for its result
-    A = np.full((n, max(ma, 1)), -1, np.int64)
-    B = np.full((n, max(mb, 1)), -1, np.int64)
-    for i, s in enumerate(a):
-        if s:
-            A[i, :len(s)] = np.frombuffer(s.encode("utf-32-le"),
-                                          dtype=np.uint32)
-    for i, s in enumerate(b):
-        if s:
-            B[i, :len(s)] = np.frombuffer(s.encode("utf-32-le"),
-                                          dtype=np.uint32)
-    res = np.where(la == 0, lb, 0).astype(np.int64)
-    prev = np.tile(np.arange(mb + 1, dtype=np.int64), (n, 1))
-    for i in range(1, ma + 1):
-        cur = np.empty_like(prev)
-        cur[:, 0] = i
-        ai = A[:, i - 1][:, None]
-        sub = prev[:, :-1] + (ai != B)  # substitute (or match)
-        dele = prev[:, 1:] + 1          # delete from a
-        step = np.minimum(sub, dele)
-        # insertion needs a left-to-right scan: cur[j] may use cur[j-1]
-        for j in range(1, mb + 1):
-            cur[:, j] = np.minimum(step[:, j - 1], cur[:, j - 1] + 1)
-        done = la == i
-        if done.any():
-            res[done] = cur[done, lb[done]]
-        prev = cur
-    return res
-
-
 def winnow_selections(texts, k: int = 16, w: int = 8):
     """Winnowing fingerprint selection (Schleimer, Wilkerson & Aiken,
     SIGMOD 2003 — the MOSS document-fingerprinting algorithm): over
@@ -331,110 +283,3 @@ def cdc_chunk_spans(texts, k: int = 16, bbits: int = 6):
         ends[at] = cut_pos
     doc_of = np.repeat(np.arange(n, dtype=np.int64), n_chunks)
     return data, doc_of, starts, ends, n
-
-
-# --- Edit-distance candidate blocking (symmetric-delete) -------------------
-
-_DEL1_B = np.uint64(0x100000001B3)  # FNV-1a prime: odd => invertible mod 2^64
-
-
-def deletion1_keys(strings):
-    """Blocking keys for edit-distance <= 1 candidate generation (the
-    symmetric-delete / SymSpell family, depth 1): for each string emit
-    an int64 key per single-character deletion PLUS one for the string
-    itself.  Two distinct strings within Levenshtein distance 1 are
-    GUARANTEED to share at least one key (substitution: both delete the
-    differing position; insert/delete: the shorter string's identity
-    key equals one deletion key of the longer), so grouping by key is
-    an exact-superset candidate generator; sharing a key does NOT imply
-    distance <= 1 ('ab'/'ba' share deletion 'a'), so candidates require
-    exact Levenshtein verification — the same candidates-then-verify
-    shape as the MinHash-LSH dedup stack.
-
-    Keys are uint64-wraparound polynomial hashes of the variant strings
-    computed by PREFIX/SUFFIX ARITHMETIC over the concatenated
-    codepoint buffer — no variant string is ever materialized and no
-    per-string Python runs (one vectorized pass over all character
-    positions).  Hash collisions only ADD candidates (equal variants
-    always hash equal), never lose a true pair.
-
-    Returns ``(keys, owners)`` int64/int64 arrays, deduplicated per
-    owner (deleting either of a doubled character yields one key)."""
-    n = len(strings)
-    if n == 0:
-        z = np.zeros(0, np.int64)
-        return z, z
-    enc = [s.encode("utf-32-le") for s in strings]
-    lens = np.fromiter((len(e) >> 2 for e in enc), np.int64, n)
-    data = (np.frombuffer(b"".join(enc), dtype=np.uint32).astype(np.uint64)
-            + np.uint64(1))  # +1: no zero codes, so '' never aliases 'a\0'
-    off = np.zeros(n + 1, np.int64)
-    off[1:] = np.cumsum(lens)
-    total = int(off[-1])
-    # H[k] = hash(data[0:k]); P[k] = B^k   (all uint64 wraparound)
-    H = np.zeros(total + 1, np.uint64)
-    P = np.ones(total + 1, np.uint64)
-    if total:
-        P[1:] = np.cumprod(np.full(total, _DEL1_B, np.uint64))
-        # H via blocked Horner: H[k] = H[k-1]*B + c_k.  Equivalent
-        # closed form: H[k] = sum_{i<k} c_i * B^(k-1-i)
-        #            = (sum_{i<k} c_i * B^{-i}) * B^{k-1}  — B odd, so
-        # B is invertible mod 2^64 and the scan becomes one cumsum.
-        Binv = pow(int(_DEL1_B), -1, 1 << 64)
-        Pinv = np.ones(total, np.uint64)
-        Pinv[1:] = np.cumprod(np.full(total - 1, np.uint64(Binv),
-                                      np.uint64))
-        S = np.zeros(total + 1, np.uint64)
-        S[1:] = np.cumsum(data * Pinv, dtype=np.uint64)
-        H[1:] = S[1:] * P[:total]
-    s = np.repeat(off[:-1], lens)          # owner string start, per char
-    e = np.repeat(off[1:], lens)           # owner string end, per char
-    owners_del = np.repeat(np.arange(n, dtype=np.int64), lens)
-    j = np.arange(total, dtype=np.int64)   # deleted position (global)
-    # hash of string with data[j] deleted:
-    #   prefix  = H[j] - H[s]*P[j-s]
-    #   suffix  = H[e] - H[j+1]*P[e-j-1]
-    #   variant = prefix * P[e-1-j] + suffix
-    pe = P[e - 1 - j]
-    del_keys = ((H[j] - H[s] * P[j - s]) * pe
-                + (H[e] - H[j + 1] * pe))
-    id_keys = H[off[1:]] - H[off[:-1]] * P[lens]
-    keys = np.concatenate([del_keys, id_keys]).view(np.int64)
-    owners = np.concatenate([owners_del,
-                             np.arange(n, dtype=np.int64)])
-    # dedup (owner, key): doubled chars yield identical variants
-    o = np.lexsort((keys, owners))
-    ko, oo = keys[o], owners[o]
-    keep = np.empty(len(o), bool)
-    keep[:1] = True
-    keep[1:] = (oo[1:] != oo[:-1]) | (ko[1:] != ko[:-1])
-    return ko[keep], oo[keep]
-
-
-def key_group_pairs(keys: np.ndarray, owners: np.ndarray):
-    """All unordered within-key owner pairs ``(oa, ob)`` with
-    ``oa < ob``, deduplicated across keys — the verification feed for
-    deletion1_keys blocking.  Pair emission is the shared
-    vector.segment_all_pairs core (one Python iteration per distinct
-    segment size).  Input rows are (owner, key)-unique per
-    deletion1_keys' own dedup, and owners sort ascending within each
-    key segment (the lexsort below), so every emitted pair already has
-    oa < ob — only the cross-key pair dedup remains."""
-    from .vector import segment_all_pairs
-
-    if len(keys) == 0:
-        z = np.zeros(0, np.int64)
-        return z, z
-    o = np.lexsort((owners, keys))
-    k = keys[o]
-    st = np.flatnonzero(np.r_[True, k[1:] != k[:-1]])
-    ln = np.diff(np.r_[st, len(k)])
-    out_a, out_b = segment_all_pairs(owners[o], st, ln)
-    if not out_a:
-        z = np.zeros(0, np.int64)
-        return z, z
-    a = np.concatenate(out_a)
-    b = np.concatenate(out_b)
-    pk = a * np.int64(int(owners.max()) + 1) + b
-    _, first = np.unique(pk, return_index=True)
-    return a[first], b[first]

@@ -199,8 +199,8 @@ def segment_all_pairs(order, st, ln):
     """All within-segment index pairs over ``order`` (segment starts
     ``st``, lengths ``ln``), batched by segment SIZE so the Python
     loop runs once per distinct size, never once per segment.  The
-    shared pair-emission core of capped_bucket_pairs and
-    text.key_group_pairs.  Returns (a_parts, b_parts) array lists."""
+    pair-emission core of capped_bucket_pairs.  Returns (a_parts,
+    b_parts) array lists."""
     out_a, out_b = [], []
     for size in np.unique(ln):
         if size < 2:

@@ -206,15 +206,24 @@ def id_at_level(ids, level: int):
 
 
 def cell_id_from_lonlat(lon_deg, lat_deg, level: int = MAX_LEVEL):
-    """Vectorized lon/lat (degrees) -> S2 cell id at ``level`` (uint64)."""
-    x, y, z = lonlat_to_xyz(lon_deg, lat_deg)
+    """Vectorized lon/lat (degrees) -> S2 cell id at ``level`` (uint64).
+
+    A lane with a non-finite lon or lat gets id 0 (S2's invalid
+    ``CellId::None``) at every level.  Such lanes run the math on
+    (0, 0) instead, so no NaN reaches the float -> uint64 cast, whose
+    result is CPU-defined."""
+    lon = np.asarray(lon_deg, dtype=np.float64)
+    lat = np.asarray(lat_deg, dtype=np.float64)
+    ok = np.isfinite(lon) & np.isfinite(lat)
+    x, y, z = lonlat_to_xyz(np.where(ok, lon, 0.0), np.where(ok, lat, 0.0))
     face, u, v = xyz_to_face_uv(x, y, z)
     i = st_to_ij(uv_to_st(u))
     j = st_to_ij(uv_to_st(v))
     ids = leaf_id(face, i, j)
-    if level >= MAX_LEVEL:
-        return ids
-    return id_at_level(ids, level)
+    if level < MAX_LEVEL:
+        ids = id_at_level(ids, level)
+    # [()] keeps a scalar input's result a numpy scalar
+    return np.where(ok, ids, np.uint64(0))[()]
 
 
 def level_of(ids):

@@ -56,7 +56,7 @@ def _sorted_lookup(sorted_keys: np.ndarray, probe: np.ndarray):
     unique key array.  ``idx`` is clamped in-range so payload gathers
     like ``values[idx]`` are always safe; ``hit`` is the inner-join
     mask (all False when the lookup side is empty).  One shared guard
-    for the idiom the q-pack pipelines repeat."""
+    for the broadcast-probe idiom the pipelines repeat."""
     if len(sorted_keys) == 0:
         return (np.zeros(len(probe), np.int64),
                 np.zeros(len(probe), bool))
@@ -2703,7 +2703,7 @@ def minhash_lsh_candidates(sf_dir, driver_threshold: int = 200_000):
     return lsh_partner_counts(bands, docs=ds)
 
 
-_SAMPLE_MOD = 33554467  # prime (same range guard as the watermark key)
+_SAMPLE_MOD = 33554467  # prime
 
 
 @query("events_user_hll", sql=_golden_sql("events_user_hll_sf001.parquet"))
@@ -2999,8 +2999,8 @@ def salted_cell_agg(sf_dir):
 
 
 # ===========================================================================
-# Relational part 3: trailing-range window, holistic per-group quantile,
-# product-quantized ANN (the second scale path)
+# Relational part 3: trailing-range window, product-quantized ANN (the
+# second scale path)
 # ===========================================================================
 
 _ROLL_WIN_US = 7 * 86400 * 1_000_000  # 7-day event-time window
@@ -3052,126 +3052,6 @@ def user_rolling_7d(sf_dir):
     # one output row per event (corpus-proportional): stays a Dataset;
     # per-key work runs inside coarse buckets, not one Ray group per key
     return _bucket_per_key(ds, "user_id", per_user)
-
-
-@query(
-    "segment_acctbal_median",
-    sql="""
-    SELECT c_mktsegment,
-           CAST(floor(quantile_cont(c_acctbal, 0.5) * 1000.0 + 0.5) AS BIGINT)
-             AS median_milli,
-           COUNT(*) AS n_customers
-    FROM customer GROUP BY c_mktsegment
-    """,
-)
-def segment_acctbal_median(sf_dir, group_shuffle_threshold: int = 2_000_000,
-                           path: str | None = None):
-    """Holistic per-group quantile (exact median), size-dispatched:
-
-    - at or below ``group_shuffle_threshold`` rows the exact
-      whole-group shuffle runs (each segment's values to one
-      map_groups task — cheapest at bench scale, unworkable at 100 TB
-      where one segment is ~20% of the corpus);
-    - above it, the SAME mergeable sparse-cent-histogram sketch
-      segment_acctbal_p90 always uses computes the exact median by
-      rank interpolation on the merged histogram (bounded by
-      |domain| x |segments|, never corpus-proportional).
-
-    Both paths are EXACT (money is discrete cents; the interpolated
-    midpoint of 2-decimal money is a multiple of 0.0005, so milli
-    rounding is boundary-safe on both engines); the parity pytest
-    forces each (tests/test_scale_dispatch.py).  ``path`` forces
-    'group' or 'hist'."""
-    ds = read_table(sf_dir, "customer", columns=["c_mktsegment", "c_acctbal"])
-    if path is None:
-        path = "group" if ds.count() <= group_shuffle_threshold else "hist"
-    elif path not in ("group", "hist"):
-        raise ValueError(f"segment_acctbal_median: unknown path {path!r}")
-    if path == "hist":
-        return _segment_quantile_hist(ds, tenths=5, out_col="median_milli")
-
-    def per_seg(g: pd.DataFrame) -> pd.DataFrame:
-        v = g["c_acctbal"].to_numpy()
-        med = float(np.quantile(v, 0.5))  # linear interpolation, like quantile_cont
-        return pd.DataFrame({
-            "c_mktsegment": [g["c_mktsegment"].iloc[0]],
-            "median_milli": np.floor(np.float64(med) * 1000.0 + 0.5).astype(np.int64),
-            "n_customers": [np.int64(len(v))],
-        })
-
-    return ds.groupby("c_mktsegment").map_groups(per_seg, batch_format="pandas")
-
-
-def _segment_quantile_hist(ds, tenths: int, out_col: str) -> pd.DataFrame:
-    """Exact per-segment quantile q = tenths/10 from the mergeable
-    sparse-cent-histogram sketch: per-batch (segment, cents, n)
-    partials, size-dispatched groupby-sum merge (combine_partials),
-    then rank interpolation on the merged histogram.  With 0-based
-    rank r = q*(n-1) = (10*lo + k)/10, the interpolated value x
-    satisfies x*1000 = cents_lo*10 + k*(cents_hi - cents_lo) — an
-    exact int64, equal to quantile_cont after milli rounding."""
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tmp = pd.DataFrame({
-            "c_mktsegment": df["c_mktsegment"].to_numpy(),
-            "cents": _cents(df["c_acctbal"].to_numpy()),
-            "n": 1,
-        })
-        return tmp.groupby(["c_mktsegment", "cents"], as_index=False).sum()
-
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    from ..stages.agg import combine_partials
-
-    hist = combine_partials(partials, ["c_mktsegment", "cents"],
-                            {"n": "sum"})
-    rows = []
-    for seg, g in hist.groupby("c_mktsegment"):
-        g = g.sort_values("cents")
-        c = g["cents"].to_numpy(np.int64)
-        w = g["n"].to_numpy(np.int64)
-        n = int(w.sum())
-        lo_rank, k = divmod(tenths * (n - 1), 10)
-        cum = np.cumsum(w)
-        v_lo = int(c[np.searchsorted(cum, lo_rank, side="right")])
-        if k == 0:
-            milli = v_lo * 10
-        else:
-            v_hi = int(c[np.searchsorted(cum, lo_rank + 1, side="right")])
-            milli = v_lo * 10 + k * (v_hi - v_lo)
-        rows.append((seg, milli, n))
-    out = pd.DataFrame(rows, columns=["c_mktsegment", out_col,
-                                      "n_customers"])
-    return _sorted_pdf(out, ["c_mktsegment"])
-
-
-@query(
-    "segment_acctbal_p90",
-    sql="""
-    SELECT c_mktsegment,
-           CAST(floor(quantile_cont(c_acctbal, 0.9) * 1000.0 + 0.5) AS BIGINT)
-             AS p90_milli,
-           COUNT(*) AS n_customers
-    FROM customer GROUP BY c_mktsegment
-    """,
-)
-def segment_acctbal_p90(sf_dir):
-    """Holistic per-group quantile through the 100-TB MERGEABLE-SKETCH
-    path (unlike segment_acctbal_median's whole-group shuffle): money is
-    a discrete domain (exact cents), so the sketch is a SPARSE HISTOGRAM
-    — per-batch (segment, cents, n) counts, merged by a distributed
-    groupby-sum whose cardinality is bounded by |domain| x |segments|
-    (~5.5M rows), NEVER corpus-proportional.  The driver reconstructs
-    the exact order statistics from the merged histogram, so the result
-    equals quantile_cont bit-for-bit after milli rounding: with
-    0-based rank r = 0.9*(n-1) = (10*lo + k)/10, the interpolated value
-    x satisfies x*1000 = cents_lo*10 + k*(cents_hi - cents_lo) — an
-    exact int64 (the continuous-range variant of this sketch is
-    functions.sketch.HistogramSketch / TDigest, pytest-verified with
-    error bounds; this query gates the same map-partial -> mergeable
-    -> tiny-final shape with an exact oracle; the rank interpolation
-    lives in _segment_quantile_hist, shared with the median's scale
-    path)."""
-    ds = read_table(sf_dir, "customer", columns=["c_mktsegment", "c_acctbal"])
-    return _segment_quantile_hist(ds, tenths=9, out_col="p90_milli")
 
 
 @query("ann_pq_topk", sql=_golden_sql("ann_pq_topk_sf001.parquet"))
@@ -3281,8 +3161,7 @@ def minhash_dedup_keep(sf_dir):
 
 
 # ===========================================================================
-# Round-4 session-6: sessionization, Bloom-prefiltered semi-join,
-# per-key reducers
+# Sessionization, per-key reducers
 # ===========================================================================
 
 _SESS_GAP_US = 1800 * 1_000_000  # 30-minute inactivity gap
@@ -3330,9 +3209,8 @@ def sessionize_events(sf_dir):
     Python runs #buckets times, not #users times.  No global sort;
     each user's events visit one task once; output is bounded by
     #sessions.  At 100 TB a single pathological user is still one
-    group — the watermark/windowed machinery (stages/watermark.py) is
-    the streaming alternative for unbounded keys; for web sessions
-    (minutes-long) group sizes are naturally tiny."""
+    group; for web sessions (minutes-long) group sizes are naturally
+    tiny."""
     ds = read_table(sf_dir, "events",
                     columns=["event_id", "user_id", "ts", "value"])
 
@@ -3379,143 +3257,6 @@ def sessionize_events(sf_dir):
                               batch_size=None, zero_copy_batch=True)
     return (bucketed.groupby("bucket")
             .map_groups(per_bucket, batch_format="pandas"))
-
-
-@query(
-    "bloom_semi_join",
-    sql=f"""
-    SELECT l_returnflag, CAST(COUNT(*) AS BIGINT) AS n_rows,
-           {SUM_BIG(CENTS_SQL.format(e='l_extendedprice'))} AS price_cents
-    FROM lineitem
-    WHERE l_orderkey IN (SELECT o_orderkey FROM orders
-                         WHERE o_orderpriority = '1-URGENT')
-    GROUP BY l_returnflag
-    """,
-)
-def bloom_semi_join(sf_dir, n_bits: int = 1 << 20, k_hashes: int = 5,
-                    broadcast_threshold: int = 5_000_000,
-                    num_partitions: int = 16, path: str | None = None):
-    """Bloom-prefiltered distributed semi-join: lineitem rows whose order
-    is urgent, aggregated per returnflag.  The scale pattern for a
-    big-probe/medium-build join:
-
-    1. build a mergeable Bloom bitmap of the build-side keys — each
-       map_batches task emits a partial bitmap (128 KiB at 2^20 bits),
-       partials OR together (first within Ray blocks, then a bounded
-       driver OR), so the driver never sees the key stream;
-    2. PREFILTER the probe side with vectorized Bloom membership inside
-       map_batches — definitely-absent rows (the bulk, zero false
-       negatives) never reach the join shuffle;
-    3. EXACT-verify the surviving rows (Bloom false positives removed):
-       size-dispatched like customers_no_urgent — broadcast np.isin
-       below ``broadcast_threshold`` keys, inner hash join above it.
-
-    ``path`` forces 'broadcast' or 'join' (parity tests).  Partial
-    per-batch aggregation before a 3-group groupby finishes it."""
-    from ray.data.aggregate import Sum
-
-    from ..functions.dedup import _adaptive_partitions
-    from ..functions.sketch import bloom_might_contain, bloom_words_from_keys
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_orderpriority"])
-    line = read_table(sf_dir, "lineitem",
-                      columns=["l_orderkey", "l_returnflag",
-                               "l_extendedprice"])
-
-    def urgent_keys(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["o_orderpriority"], "1-URGENT")
-        keys = pc.unique(pc.filter(t["o_orderkey"], m))
-        return pa.table({"o_orderkey": pc.cast(keys, pa.int64()),
-                         "hit": pa.array(np.ones(len(keys), np.int64))})
-
-    keys_ds = orders.map_batches(urgent_keys, batch_format="pyarrow",
-                                 batch_size=None, zero_copy_batch=True)
-    from ..stages.agg import bucket_aggregate
-
-    keys_ds = bucket_aggregate(keys_ds, ["o_orderkey"],
-                               {"hit": "max"}).materialize()
-
-    def build_partial(t: pa.Table) -> pa.Table:
-        keys = t["o_orderkey"].to_numpy(zero_copy_only=False)
-        words = bloom_words_from_keys(keys, n_bits, k_hashes)
-        return pa.table({"words": pa.array([words.tobytes()],
-                                           pa.large_binary())})
-
-    # bitmap partials over the (already materialized) distinct keys;
-    # two-level OR-reduce when the key stream spans many blocks —
-    # partial bitmaps first OR inside repartitioned blocks, the driver
-    # then ORs a handful of fixed 128-KiB rows, never key-proportional
-    def or_block(t: pa.Table) -> pa.Table:
-        acc = np.zeros(n_bits // 64, np.uint64)
-        for b in t["words"]:
-            acc |= np.frombuffer(b.as_py(), np.uint64)
-        return pa.table({"words": pa.array([acc.tobytes()],
-                                           pa.large_binary())})
-
-    parts = keys_ds.map_batches(build_partial, batch_format="pyarrow",
-                                batch_size=None, zero_copy_batch=True)
-    if keys_ds.num_blocks() > 64:
-        parts = parts.repartition(4).map_batches(
-            or_block, batch_format="pyarrow", batch_size=None)
-    reduced = parts.to_pandas()
-    words = np.zeros(n_bits // 64, np.uint64)
-    for b in reduced["words"]:
-        words |= np.frombuffer(b, np.uint64)
-
-    def prefilter(t: pa.Table) -> pa.Table:
-        lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
-        maybe = bloom_might_contain(words, lk, k_hashes)
-        return pa.table({
-            "l_orderkey": pc.cast(t["l_orderkey"], pa.int64()).filter(
-                pa.array(maybe)),
-            "l_returnflag": t["l_returnflag"].filter(pa.array(maybe)),
-            "price_cents": pa.array(
-                _cents(t["l_extendedprice"].to_numpy(
-                    zero_copy_only=False))[maybe], pa.int64()),
-        })
-
-    survivors = line.map_batches(prefilter, batch_format="pyarrow",
-                                 batch_size=None, zero_copy_batch=True)
-
-    if path is None:
-        path = ("broadcast" if keys_ds.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"bloom_semi_join: unknown path {path!r}")
-
-    if path == "broadcast":
-        keys = np.sort(keys_ds.to_pandas()["o_orderkey"].to_numpy())
-
-        def verify(t: pa.Table) -> pa.Table:
-            lk = t["l_orderkey"].to_numpy(zero_copy_only=False)
-            keep = pa.array(np.isin(lk, keys))
-            return pa.table({"l_returnflag": t["l_returnflag"].filter(keep),
-                             "price_cents": t["price_cents"].filter(keep)})
-
-        exact = survivors.map_batches(verify, batch_format="pyarrow",
-                                      batch_size=None)
-    else:
-        joined = survivors.join(
-            keys_ds, join_type="inner",
-            num_partitions=_adaptive_partitions(num_partitions),
-            on=("l_orderkey",), right_on=("o_orderkey",))
-        exact = joined.select_columns(["l_returnflag", "price_cents"])
-
-    def partial_agg(df: pd.DataFrame) -> pd.DataFrame:
-        g = df.groupby("l_returnflag", as_index=False).agg(
-            n_rows=("price_cents", "size"),
-            price_cents=("price_cents", "sum"))
-        g["n_rows"] = g["n_rows"].astype(np.int64)
-        g["price_cents"] = g["price_cents"].astype(np.int64)
-        return g
-
-    agg = (exact.map_batches(partial_agg, batch_format="pandas",
-                             batch_size=None)
-           .groupby("l_returnflag")
-           .aggregate(Sum("n_rows", alias_name="n_rows"),
-                      Sum("price_cents", alias_name="price_cents")))
-    return _sorted_pdf(agg, ["l_returnflag"])
 
 
 @query(
@@ -3709,7 +3450,7 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
     return _bucket_per_key(ds, "user_id", per_user)
 
 
-# -- session-7: focal raster stats, outer-join enrichment, weighted sample --
+# -- focal raster stats, outer-join enrichment, weighted sample ----------
 
 
 @query(
@@ -3798,15 +3539,12 @@ def raster_focal_mean(sf_dir):
 def customer_order_stats(sf_dir, broadcast_threshold: int = 5_000_000,
                          num_partitions: int = 16, path: str | None = None):
     """Big x big LEFT OUTER join with zero-fill: every customer keeps a
-    row even with no orders (TPC-H leaves ~1/3 of custkeys orderless) —
-    the enrichment-join surface the inner (orders_by_segment), anti
-    (customers_no_urgent) and semi (bloom_semi_join) queries don't
-    cover.
+    row even with no orders (TPC-H leaves ~1/3 of custkeys orderless).
 
     The order stream is pre-reduced per custkey INSIDE map_batches
     (count + cents-sum partials), so everything downstream moves
     key-cardinality rows, never the raw order stream.  The enrichment
-    itself size-dispatches like customers_no_urgent:
+    itself size-dispatches:
 
     - broadcast (key count <= ``broadcast_threshold``): the sorted
       (key, n, cents) arrays ride to every task; searchsorted lookup +
@@ -4000,123 +3738,6 @@ def events_type_hour_pivot(sf_dir):
     return out.sort_values("hour_of_day").reset_index(drop=True)
 
 
-_TPK_PER_GROUP = 3
-
-
-@query(
-    "top_orders_per_priority",
-    sql=f"""
-    SELECT o_orderpriority, o_orderkey,
-           {CENTS_SQL.format(e='o_totalprice')} AS price_cents
-    FROM orders
-    QUALIFY row_number() OVER (
-        PARTITION BY o_orderpriority
-        ORDER BY {CENTS_SQL.format(e='o_totalprice')} DESC, o_orderkey
-    ) <= {_TPK_PER_GROUP}
-    ORDER BY o_orderpriority, price_cents DESC, o_orderkey
-    """,
-)
-def top_orders_per_priority(sf_dir, k: int = _TPK_PER_GROUP):
-    """Top-k PER GROUP (the windowed row_number() <= k surface — unlike
-    top_orders' single global top-k): the k most expensive orders in
-    each priority class, ties broken by orderkey.
-
-    Scale shape: per-group top-k is associative, so each block trims to
-    k rows per group locally (one vectorized lexsort + grouped head),
-    a repartition-merged second level re-trims, and the driver's final
-    trim sees k x #groups x #post-merge-blocks rows — never the order
-    stream.  Group count is the partition-bounded cardinality (5
-    priorities here)."""
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_orderpriority", "o_orderkey", "o_totalprice"])
-
-    def trim(t: pa.Table) -> pa.Table:
-        prio = t["o_orderpriority"].to_numpy(zero_copy_only=False)
-        okey = t["o_orderkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if "price_cents" in t.column_names:    # merge pass
-            cents = t["price_cents"].to_numpy(
-                zero_copy_only=False).astype(np.int64)
-        else:
-            cents = _cents(t["o_totalprice"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({"o_orderpriority": prio, "o_orderkey": okey,
-                           "price_cents": cents})
-        df = df.sort_values(
-            ["o_orderpriority", "price_cents", "o_orderkey"],
-            ascending=[True, False, True])
-        df = df.groupby("o_orderpriority", as_index=False,
-                        sort=False).head(k)
-        return pa.Table.from_pandas(df, preserve_index=False)
-
-    parts = ds.map_batches(trim, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True)
-    merged = parts.repartition(8).map_batches(trim, batch_format="pyarrow",
-                                              batch_size=None)
-    df = merged.to_pandas()
-    df = df.sort_values(["o_orderpriority", "price_cents", "o_orderkey"],
-                        ascending=[True, False, True])
-    return (df.groupby("o_orderpriority", as_index=False, sort=False)
-            .head(k).reset_index(drop=True))
-
-
-@query(
-    "lineitem_rollup",
-    sql=f"""
-    SELECT COALESCE(l_returnflag, 'ALL') AS returnflag,
-           COALESCE(l_linestatus, 'ALL') AS linestatus,
-           CAST(COUNT(*) AS BIGINT) AS n_items,
-           CAST(SUM(CAST(l_quantity AS BIGINT)) AS BIGINT) AS sum_qty,
-           {SUM_BIG(CENTS_SQL.format(e='l_extendedprice'))} AS sum_price_cents
-    FROM lineitem
-    GROUP BY ROLLUP (l_returnflag, l_linestatus)
-    ORDER BY 1, 2
-    """,
-)
-def lineitem_rollup(sf_dir):
-    """ROLLUP / grouping-sets aggregate (the OLAP subtotal surface):
-    (flag, status), (flag) and grand-total levels in one result, NULL
-    levels rendered as the 'ALL' sentinel on both sides (the raw flag
-    domain A/N/R x F/O can never collide with it).
-
-    Scale shape: the corpus is reduced ONCE at the finest level
-    (per-batch pandas groupby partials -> size-dispatched combine);
-    the coarser levels re-aggregate that key-cardinality-bounded frame
-    driver-side — subtotals are derived, never re-scanned."""
-    from ..stages.agg import combine_partials
-
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_returnflag", "l_linestatus", "l_quantity",
-                             "l_extendedprice"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        tmp = pd.DataFrame({
-            "returnflag": df["l_returnflag"].to_numpy(),
-            "linestatus": df["l_linestatus"].to_numpy(),
-            "n_items": np.int64(1),
-            "sum_qty": df["l_quantity"].to_numpy().astype(np.int64),
-            "sum_price_cents": _cents(df["l_extendedprice"].to_numpy()),
-        })
-        return tmp.groupby(["returnflag", "linestatus"],
-                           as_index=False).sum()
-
-    partials = ds.map_batches(partial, batch_format="pandas",
-                              batch_size=None)
-    fine = combine_partials(partials, ["returnflag", "linestatus"],
-                            {"n_items": "sum", "sum_qty": "sum",
-                             "sum_price_cents": "sum"})
-    measures = ["n_items", "sum_qty", "sum_price_cents"]
-    lvl1 = fine.groupby("returnflag", as_index=False)[measures].sum()
-    lvl1["linestatus"] = "ALL"
-    lvl0 = fine[measures].sum().to_frame().T
-    lvl0["returnflag"] = "ALL"
-    lvl0["linestatus"] = "ALL"
-    cols = ["returnflag", "linestatus"] + measures
-    out = pd.concat([fine[cols], lvl1[cols], lvl0[cols]], ignore_index=True)
-    for m in measures:
-        out[m] = out[m].astype(np.int64)
-    return out.sort_values(["returnflag", "linestatus"]).reset_index(
-        drop=True)
-
-
 # warp target grid: 32 x 64 Web-Mercator cells over lon [-180, 180),
 # lat (-80, 80); Y bounds / steps are engine-computed constants pasted
 # into the SQL as repr literals (the module's exactness idiom)
@@ -4211,482 +3832,6 @@ def raster_warp(sf_dir):
                     on=["sr", "sc"], how="inner")
     out["n"] = out["n"].astype(np.int64)
     return out.sort_values(["tr", "tc"]).reset_index(drop=True)
-
-
-_Q3_DATE = "1998-06-01"
-_Q3_K = 10
-
-
-@query(
-    "q3_shipping_priority",
-    sql=f"""
-    SELECT l.l_orderkey,
-           CAST(SUM({CENTS_SQL.format(e='l.l_extendedprice')}
-                    * {CENTS_SQL.format(e='1.0 - l.l_discount')})
-                AS BIGINT) AS revenue_cents2,
-           CAST(epoch_us(o.o_orderdate) AS BIGINT) AS orderdate_us,
-           o.o_orderpriority
-    FROM customer c
-    JOIN orders o ON o.o_custkey = c.c_custkey
-    JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-    WHERE c.c_mktsegment = 'BUILDING'
-      AND o.o_orderdate < TIMESTAMP '{_Q3_DATE}'
-      AND l.l_shipdate > TIMESTAMP '{_Q3_DATE}'
-    GROUP BY l.l_orderkey, o.o_orderdate, o.o_orderpriority
-    ORDER BY revenue_cents2 DESC, orderdate_us, l_orderkey
-    LIMIT {_Q3_K}
-    """,
-)
-def q3_shipping_priority(sf_dir, broadcast_threshold: int = 5_000_000,
-                         num_partitions: int = 16, path: str | None = None):
-    """TPC-H Q3 shape (shipping priority): the classic three-table
-    pipeline — segment-filtered customers semi-join the date-filtered
-    order stream, per-order revenue partials reduce the date-filtered
-    lineitem stream, one big-big hash join marries them, and a
-    two-level top-k keeps the 10 highest-revenue unshipped orders.
-    Money is exact integer cents^2 (the q1 idiom), dates exact
-    epoch-microsecond integers.
-
-    Scale shape: the BUILDING custkey set is corpus-proportional
-    (~1/5 of customers), so the semi-join size-dispatches like
-    customers_no_urgent — broadcast np.isin below ``broadcast_threshold``
-    keys, distributed inner hash join above (``path`` forces either;
-    parity test).  Lineitem never joins raw: it is pre-reduced to
-    per-orderkey revenue partials first, so the big-big join moves
-    key-cardinality rows on both sides.  The final top-k is the
-    block-trim -> repartition-merge -> bounded-driver-finish pattern."""
-
-    from ..functions.dedup import _adaptive_partitions
-
-    if path not in (None, "broadcast", "join"):
-        raise ValueError(f"path must be 'broadcast', 'join' or None, "
-                         f"got {path!r}")
-    cutoff = np.datetime64(f"{_Q3_DATE}T00:00:00", "us")
-
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_mktsegment"])
-
-    def building_keys(t: pa.Table) -> pa.Table:
-        m = pc.equal(t["c_mktsegment"], "BUILDING")
-        return pa.table({"c_custkey": pc.cast(
-            pc.unique(pc.filter(t["c_custkey"], m)), pa.int64())})
-
-    keys_ds = cust.map_batches(building_keys, batch_format="pyarrow",
-                               batch_size=None,
-                               zero_copy_batch=True).materialize()
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                                 "o_orderpriority"])
-
-    def order_filter(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["o_orderdate"].to_numpy() < cutoff]
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].to_numpy().astype(np.int64),
-            "o_custkey": df["o_custkey"].to_numpy().astype(np.int64),
-            "orderdate_us": df["o_orderdate"].astype("int64").to_numpy(),
-            "o_orderpriority": df["o_orderpriority"].to_numpy(),
-        })
-
-    ofil = orders.map_batches(order_filter, batch_format="pandas",
-                              batch_size=None)
-    if path is None:
-        path = ("broadcast" if keys_ds.count() <= broadcast_threshold
-                else "join")
-    if path == "broadcast":
-        keys = np.unique(keys_ds.to_pandas()["c_custkey"].to_numpy(np.int64))
-
-        def semi(df: pd.DataFrame) -> pd.DataFrame:
-            m = np.isin(df["o_custkey"].to_numpy(np.int64), keys)
-            return df[m].drop(columns=["o_custkey"])
-
-        osel = ofil.map_batches(semi, batch_format="pandas",
-                                batch_size=None)
-    else:
-        osel = ofil.join(
-            keys_ds, join_type="inner",
-            num_partitions=_adaptive_partitions(num_partitions),
-            on=("o_custkey",), right_on=("c_custkey",)
-        ).drop_columns(["o_custkey"])
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_extendedprice", "l_discount",
-                             "l_shipdate"])
-
-    from ..stages.agg import bucket_aggregate
-
-    sort_cols = ["revenue_cents2", "orderdate_us", "l_orderkey"]
-    out_cols = ["l_orderkey", "revenue_cents2", "orderdate_us",
-                "o_orderpriority"]
-
-    # lineitem-side semi-join pushdown, size-dispatched on the
-    # qualified order slice (BUILDING x date window): broadcast the
-    # orderkey -> (date, priority) lookup and pre-filter the revenue
-    # partials to qualified orders only — the per-orderkey aggregate
-    # shrinks from every shipped-late line to the windowed slice and
-    # the big-big join disappears; the 100-TB fallback keeps the
-    # distributed hash join.  A forced ``path`` governs both sides.
-    osel = osel.materialize()
-    lpath = path if path in ("broadcast", "join") else \
-        ("broadcast" if osel.count() <= broadcast_threshold else "join")
-
-    if lpath == "broadcast":
-        odf = osel.to_pandas()
-        okeys = odf["o_orderkey"].to_numpy(np.int64)
-        o = np.argsort(okeys)
-        okeys = okeys[o]
-        odate = odf["orderdate_us"].to_numpy(np.int64)[o]
-        oprio = odf["o_orderpriority"].to_numpy()[o]
-
-        def rev_qualified(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["l_shipdate"].to_numpy() > cutoff]
-            ok = df["l_orderkey"].to_numpy().astype(np.int64)
-            _, m = _sorted_lookup(okeys, ok)
-            rev = (_cents(df["l_extendedprice"].to_numpy()[m])
-                   * _cents(1.0 - df["l_discount"].to_numpy()[m]))
-            tmp = pd.DataFrame({"l_orderkey": ok[m],
-                                "revenue_cents2": rev})
-            return tmp.groupby("l_orderkey", as_index=False).sum()
-
-        rev = bucket_aggregate(
-            li.map_batches(rev_qualified, batch_format="pandas",
-                           batch_size=None),
-            ["l_orderkey"], {"revenue_cents2": "sum"})
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            ok = df["l_orderkey"].to_numpy(np.int64)
-            idx, _ = _sorted_lookup(okeys, ok)  # every key qualifies
-            df = df.copy()
-            df["orderdate_us"] = odate[idx]
-            df["o_orderpriority"] = oprio[idx]
-            df = df.sort_values(sort_cols, ascending=[False, True, True])
-            return df.head(_Q3_K)[out_cols]
-
-        parts = rev.map_batches(attach, batch_format="pandas",
-                                batch_size=None)
-    else:
-        def rev_partial(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["l_shipdate"].to_numpy() > cutoff]
-            rev = (_cents(df["l_extendedprice"].to_numpy())
-                   * _cents(1.0 - df["l_discount"].to_numpy()))
-            tmp = pd.DataFrame({
-                "l_orderkey": df["l_orderkey"].to_numpy().astype(np.int64),
-                "revenue_cents2": rev,
-            })
-            return tmp.groupby("l_orderkey", as_index=False).sum()
-
-        rev = bucket_aggregate(
-            li.map_batches(rev_partial, batch_format="pandas",
-                           batch_size=None),
-            ["l_orderkey"], {"revenue_cents2": "sum"})
-
-        joined = rev.join(osel, join_type="inner",
-                          num_partitions=_adaptive_partitions(num_partitions),
-                          on=("l_orderkey",), right_on=("o_orderkey",))
-
-        parts = joined.map_batches(
-            lambda df: df.sort_values(
-                sort_cols, ascending=[False, True, True]).head(
-                    _Q3_K)[out_cols],
-            batch_format="pandas", batch_size=None)
-
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(sort_cols, ascending=[False, True, True])
-        return df.head(_Q3_K)[out_cols]
-    merged = parts.repartition(4).map_batches(trim, batch_format="pandas",
-                                              batch_size=None)
-    df = merged.to_pandas()
-    df = df.sort_values(sort_cols, ascending=[False, True, True])
-    return df.head(_Q3_K).reset_index(drop=True)
-
-
-_Q5_REGION = "ASIA"
-_Q5_LO, _Q5_HI = "1996-01-01", "1997-01-01"
-
-
-@query(
-    "q5_local_supplier_volume",
-    sql=f"""
-    SELECT n.n_name,
-           CAST(SUM({CENTS_SQL.format(e='l.l_extendedprice')}
-                    * {CENTS_SQL.format(e='1.0 - l.l_discount')})
-                AS BIGINT) AS revenue_cents2
-    FROM customer c
-    JOIN orders o   ON o.o_custkey = c.c_custkey
-    JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-    JOIN supplier s ON s.s_suppkey = l.l_suppkey
-    JOIN nation n   ON n.n_nationkey = s.s_nationkey
-    JOIN region r   ON r.r_regionkey = n.n_regionkey
-    WHERE r.r_name = '{_Q5_REGION}'
-      AND c.c_nationkey = s.s_nationkey
-      AND o.o_orderdate >= TIMESTAMP '{_Q5_LO}'
-      AND o.o_orderdate <  TIMESTAMP '{_Q5_HI}'
-    GROUP BY n.n_name
-    ORDER BY revenue_cents2 DESC, n.n_name
-    """,
-)
-def q5_local_supplier_volume(sf_dir, num_partitions: int = 16,
-                             broadcast_threshold: int = 5_000_000,
-                             path: str | None = None):
-    """TPC-H Q5 shape (local supplier volume): the full six-table join
-    — region/nation are TINY dims resolved driver-side and broadcast
-    (25 rows); supplier rides as a size-dispatched suppkey ->
-    nationkey lookup; customer and orders hash-join big-big; lineitem
-    joins the supplier nation per row, reduces to per-(orderkey,
-    supplier-nation) revenue partials, joins the order stream and
-    keeps only local rows (customer nation == supplier nation) before
-    the final 5-row aggregate.  Money is exact integer cents^2.
-
-    Scale shape: every corpus-proportional stream (lineitem, orders,
-    customer) moves through hash joins or pre-reduced partials; the
-    only broadcasts are the 25-row nation/region map and the supplier
-    lookup, whose 100-TB fallback is the same hash join the customer
-    side already uses (supplier is 1/15 of customer in TPC-H; the
-    dispatch threshold mirrors customers_no_urgent)."""
-
-    from ..functions.dedup import _adaptive_partitions
-
-    nat = read_table(sf_dir, "nation",
-                     columns=["n_nationkey", "n_name",
-                              "n_regionkey"]).to_pandas()
-    reg = read_table(sf_dir, "region",
-                     columns=["r_regionkey", "r_name"]).to_pandas()
-    asia = nat.merge(reg, left_on="n_regionkey", right_on="r_regionkey")
-    asia = asia[asia["r_name"] == _Q5_REGION]
-    asia_keys = np.sort(asia["n_nationkey"].to_numpy(np.int64))
-    name_of = dict(zip(asia["n_nationkey"].astype(int),
-                       asia["n_name"]))
-
-    sup_keys, sup_nat = _supplier_nat_lookup(sf_dir)
-
-    lo = np.datetime64(f"{_Q5_LO}T00:00:00", "us")
-    hi = np.datetime64(f"{_Q5_HI}T00:00:00", "us")
-
-    # orders in window -> join customer (big-big) -> (orderkey, c_nation)
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def owin(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["o_orderdate"].to_numpy()
-        df = df[(d >= lo) & (d < hi)]
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].to_numpy().astype(np.int64),
-            "o_custkey": df["o_custkey"].to_numpy().astype(np.int64)})
-
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey"])
-
-    # customer-side pushdown, size-dispatched on the ASIA customer
-    # slice: below the threshold the (custkey -> nationkey) lookup
-    # broadcasts and the windowed order stream rekeys inline — the
-    # orders x customer hash join disappears; above it (or when
-    # ``path`` forces 'join'), the distributed big-big join.
-    def asia_cust(t: pa.Table) -> pa.Table:
-        nk = t["c_nationkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = np.isin(nk, asia_keys)
-        return pa.table({
-            "c_custkey": pc.cast(t["c_custkey"], pa.int64()).filter(
-                pa.array(m)),
-            "c_nationkey": pa.array(nk[m], pa.int64())})
-
-    cust_asia = cust.map_batches(asia_cust, batch_format="pyarrow",
-                                 batch_size=None).materialize()
-    cpath = path if path in ("broadcast", "join") else \
-        ("broadcast" if cust_asia.count() <= broadcast_threshold
-         else "join")
-
-    if cpath == "broadcast":
-        cdf = cust_asia.to_pandas()
-        ckeys = cdf["c_custkey"].to_numpy(np.int64)
-        o = np.argsort(ckeys)
-        ckeys, cnatl = ckeys[o], cdf["c_nationkey"].to_numpy(np.int64)[o]
-
-        def owin_nat(df: pd.DataFrame) -> pd.DataFrame:
-            df = owin(df)
-            ck = df["o_custkey"].to_numpy(np.int64)
-            idx, m = _sorted_lookup(ckeys, ck)
-            return pd.DataFrame({
-                "o_orderkey": df["o_orderkey"].to_numpy(np.int64)[m],
-                "c_nationkey": cnatl[idx[m]]})
-
-        oc = orders.map_batches(owin_nat, batch_format="pandas",
-                                batch_size=None).materialize()
-    else:
-        oc = (orders.map_batches(owin, batch_format="pandas",
-                                 batch_size=None)
-              .join(cust_asia, join_type="inner",
-                    num_partitions=_adaptive_partitions(num_partitions),
-                    on=("o_custkey",), right_on=("c_custkey",))
-              .select_columns(["o_orderkey", "c_nationkey"])
-              .materialize())
-
-    # lineitem -> supplier nation (broadcast lookup), asia-only revenue
-    # partials per (orderkey, supplier nation)
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_suppkey", "l_extendedprice",
-                             "l_discount"])
-
-    from ..stages.agg import bucket_aggregate, combine_partials
-
-    # lineitem-side semi-join pushdown, size-dispatched on the
-    # asia-customer order slice (window x asia ~ a few % of orders):
-    # broadcast the orderkey -> customer-nation lookup so each lineitem
-    # batch filters to qualified orders, applies the LOCAL predicate
-    # (supplier nation == customer nation) inline and reduces straight
-    # to the 5-row nation partials — no per-orderkey aggregate, no
-    # big-big join.  Above the threshold, the distributed hash-join
-    # path (``path`` forces either; parity test).
-    if path is None:
-        path = ("broadcast" if oc.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"q5_local_supplier_volume: unknown path {path!r}")
-
-    if path == "broadcast":
-        ocdf = oc.to_pandas()
-        okeys = ocdf["o_orderkey"].to_numpy(np.int64)
-        o = np.argsort(okeys)
-        okeys, cnat = okeys[o], ocdf["c_nationkey"].to_numpy(np.int64)[o]
-
-        def local_rev(df: pd.DataFrame) -> pd.DataFrame:
-            sk = df["l_suppkey"].to_numpy().astype(np.int64)
-            sidx, shit = _sorted_lookup(sup_keys, sk)
-            snat = np.full(len(sk), -1, np.int64)
-            snat[shit] = sup_nat[sidx[shit]]  # hit-only gather
-            ok = df["l_orderkey"].to_numpy().astype(np.int64)
-            oi, hit = _sorted_lookup(okeys, ok)
-            cn = np.full(len(ok), -2, np.int64)
-            cn[hit] = cnat[oi[hit]]          # hit-only gather
-            m = hit & (snat == cn) & np.isin(snat, asia_keys)
-            rev = (_cents(df["l_extendedprice"].to_numpy()[m])
-                   * _cents(1.0 - df["l_discount"].to_numpy()[m]))
-            tmp = pd.DataFrame({"s_nationkey": snat[m],
-                                "revenue_cents2": rev})
-            return tmp.groupby("s_nationkey", as_index=False).sum()
-
-        partials = li.map_batches(local_rev, batch_format="pandas",
-                                  batch_size=None)
-        out = combine_partials(partials, ["s_nationkey"],
-                               {"revenue_cents2": "sum"})
-        out["n_name"] = out["s_nationkey"].map(name_of)
-        out = out[["n_name", "revenue_cents2"]]
-        out["revenue_cents2"] = out["revenue_cents2"].astype(np.int64)
-        return out.sort_values(["revenue_cents2", "n_name"],
-                               ascending=[False, True]).reset_index(drop=True)
-
-    def rev_partial(df: pd.DataFrame) -> pd.DataFrame:
-        sk = df["l_suppkey"].to_numpy().astype(np.int64)
-        sidx, shit = _sorted_lookup(sup_keys, sk)
-        snat = np.full(len(sk), -1, np.int64)
-        snat[shit] = sup_nat[sidx[shit]]     # hit-only gather
-        m = np.isin(snat, asia_keys)
-        rev = (_cents(df["l_extendedprice"].to_numpy()[m])
-               * _cents(1.0 - df["l_discount"].to_numpy()[m]))
-        tmp = pd.DataFrame({
-            "l_orderkey": df["l_orderkey"].to_numpy().astype(np.int64)[m],
-            "s_nationkey": snat[m],
-            "revenue_cents2": rev})
-        return tmp.groupby(["l_orderkey", "s_nationkey"],
-                           as_index=False).sum()
-
-    rev = bucket_aggregate(
-        li.map_batches(rev_partial, batch_format="pandas",
-                       batch_size=None),
-        ["l_orderkey", "s_nationkey"], {"revenue_cents2": "sum"})
-
-    joined = rev.join(oc, join_type="inner",
-                      num_partitions=_adaptive_partitions(num_partitions),
-                      on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def local_partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = df[df["s_nationkey"].to_numpy() ==
-                df["c_nationkey"].to_numpy()]
-        tmp = pd.DataFrame({
-            "s_nationkey": df["s_nationkey"].to_numpy(np.int64),
-            "revenue_cents2": df["revenue_cents2"].to_numpy(np.int64)})
-        return tmp.groupby("s_nationkey", as_index=False).sum()
-
-    partials = joined.map_batches(local_partial, batch_format="pandas",
-                                  batch_size=None)
-
-    out = combine_partials(partials, ["s_nationkey"],
-                           {"revenue_cents2": "sum"})
-    out["n_name"] = out["s_nationkey"].map(name_of)
-    out = out[["n_name", "revenue_cents2"]]
-    out["revenue_cents2"] = out["revenue_cents2"].astype(np.int64)
-    return out.sort_values(["revenue_cents2", "n_name"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-_Q14_LO, _Q14_HI = "1997-01-01", "1997-02-01"
-
-
-@query(
-    "q14_promo_revenue",
-    sql=f"""
-    SELECT CAST(SUM(CASE WHEN p.p_type = 'PROMO'
-                    THEN {CENTS_SQL.format(e='l.l_extendedprice')}
-                         * {CENTS_SQL.format(e='1.0 - l.l_discount')}
-                    ELSE 0 END) AS BIGINT) AS promo_cents2,
-           CAST(SUM({CENTS_SQL.format(e='l.l_extendedprice')}
-                    * {CENTS_SQL.format(e='1.0 - l.l_discount')})
-                AS BIGINT) AS total_cents2,
-           CAST(COUNT(*) AS BIGINT) AS n_items
-    FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-    WHERE l.l_shipdate >= TIMESTAMP '{_Q14_LO}'
-      AND l.l_shipdate <  TIMESTAMP '{_Q14_HI}'
-    """,
-)
-def q14_promo_revenue(sf_dir):
-    """TPC-H Q14 shape (promotion effect): one month of lineitem
-    revenue split promo vs total through the part-type dimension —
-    the conditional-aggregation-over-a-join surface.  The ratio's
-    numerator and denominator ship as exact integer cents^2 (the
-    division belongs to the reader; a float ratio would be the only
-    inexact value in the registry).
-
-    Scale shape: part rides as a broadcast partkey -> is-promo BIT
-    lookup (np.searchsorted over the sorted key array — part is
-    1/10 of customer in TPC-H; the 100-TB fallback is the same hash
-    join the Q3/Q5 pipelines already exercise); lineitem reduces to
-    THREE scalars per batch, so the final combine is a driver sum of
-    #blocks partial rows."""
-    part = read_table(sf_dir, "part",
-                      columns=["p_partkey", "p_type"]).to_pandas()
-    part = part.sort_values("p_partkey")
-    pkeys = part["p_partkey"].to_numpy(np.int64)
-    promo = (part["p_type"].to_numpy() == "PROMO")
-
-    lo = np.datetime64(f"{_Q14_LO}T00:00:00", "us")
-    hi = np.datetime64(f"{_Q14_HI}T00:00:00", "us")
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_partkey", "l_extendedprice", "l_discount",
-                             "l_shipdate"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["l_shipdate"].to_numpy()
-        df = df[(d >= lo) & (d < hi)]
-        pk = df["l_partkey"].to_numpy().astype(np.int64)
-        idx, hit = _sorted_lookup(pkeys, pk)
-        rev = (_cents(df["l_extendedprice"].to_numpy())
-               * _cents(1.0 - df["l_discount"].to_numpy()))
-        rev = np.where(hit, rev, 0)          # inner-join semantics
-        is_p = np.zeros(len(pk), bool)
-        is_p[hit] = promo[idx[hit]]          # hit-only gather
-        return pd.DataFrame({
-            "promo_cents2": [np.int64(rev[is_p].sum())],
-            "total_cents2": [np.int64(rev[hit].sum())],
-            "n_items": [np.int64(hit.sum())],
-        })
-
-    parts = li.map_batches(partial, batch_format="pandas", batch_size=None)
-    df = parts.to_pandas()                   # #blocks rows of 3 ints
-    return pd.DataFrame({
-        "promo_cents2": [np.int64(df["promo_cents2"].sum())],
-        "total_cents2": [np.int64(df["total_cents2"].sum())],
-        "n_items": [np.int64(df["n_items"].sum())],
-    })
 
 
 _FUNNEL_WIN_US = 7 * 24 * 3600 * 1_000_000  # 7-day conversion window
@@ -4894,8 +4039,7 @@ def retention_cohorts(sf_dir, num_partitions: int = 16):
 
 
 # ---------------------------------------------------------------------------
-# session-8: full-outer join, set ops, rank functions, CUBE, LAG,
-# iterative PageRank
+# set ops, CUBE
 # ---------------------------------------------------------------------------
 
 _DAY_US = 86_400_000_000
@@ -5010,8 +4154,7 @@ def click_and_purchase_days(sf_dir):
     """,
 )
 def events_type_dow_cube(sf_dir):
-    """CUBE grouping sets (the 2-D OLAP sibling of lineitem_rollup's
-    linear ROLLUP): all four grouping sets {(type, dow), (type),
+    """CUBE grouping sets: all four grouping sets {(type, dow), (type),
     (dow), ()} in one result, aggregated-away levels rendered as the
     'ALL' / -1 sentinels on both sides.
 
@@ -5052,69 +4195,6 @@ def events_type_dow_cube(sf_dir):
     for m in ["dow"] + measures:
         out[m] = out[m].astype(np.int64)
     return out.sort_values(["event_type", "dow"]).reset_index(drop=True)
-
-
-@query(
-    "priority_month_growth",
-    sql=f"""
-    WITH m AS (
-      SELECT o_orderpriority AS priority,
-             CAST(date_part('year', o_orderdate) * 12
-                  + date_part('month', o_orderdate) AS BIGINT) AS month_idx,
-             {SUM_BIG(CENTS_SQL.format(e='o_totalprice'))} AS rev_cents
-      FROM orders GROUP BY 1, 2
-    )
-    SELECT priority, month_idx, rev_cents,
-           CAST(rev_cents - COALESCE(LAG(rev_cents) OVER (
-                  PARTITION BY priority ORDER BY month_idx), 0)
-                AS BIGINT) AS mom_delta_cents
-    FROM m ORDER BY 1, 2
-    """,
-)
-def priority_month_growth(sf_dir):
-    """LAG/LEAD window family: month-over-month revenue delta per order
-    priority (first month's delta is vs 0, SQL's COALESCE(LAG, 0)).
-
-    Scale shape: the corpus reduces ONCE to the (priority, month)
-    frame — bounded by key cardinality, not corpus size — via
-    per-batch partials + size-dispatched combine; the LAG itself runs
-    vectorized on that bounded frame (sort + per-key shift), the same
-    derived-from-the-fine-level pattern as the ROLLUP/CUBE queries.
-    Exact integer cents on both sides."""
-    from ..stages.agg import combine_partials
-
-    ds = read_table(sf_dir, "orders",
-                    columns=["o_orderpriority", "o_orderdate",
-                             "o_totalprice"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        od = t["o_orderdate"].to_numpy(zero_copy_only=False).astype(
-            "datetime64[M]")
-        yr = od.astype("datetime64[Y]").astype(np.int64) + 1970
-        mo = od.astype(np.int64) % 12 + 1
-        df = pd.DataFrame({
-            "priority": t["o_orderpriority"].to_numpy(zero_copy_only=False),
-            "month_idx": yr * 12 + mo,
-            "rev_cents": _cents(t["o_totalprice"].to_numpy(
-                zero_copy_only=False)),
-        })
-        g = df.groupby(["priority", "month_idx"], as_index=False).sum()
-        return pa.Table.from_pandas(g, preserve_index=False)
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    fine = combine_partials(partials, ["priority", "month_idx"],
-                            {"rev_cents": "sum"})
-    fine = fine.sort_values(["priority", "month_idx"]).reset_index(drop=True)
-    rev = fine["rev_cents"].to_numpy(np.int64)
-    prev = np.concatenate([[0], rev[:-1]])
-    same = np.concatenate([[False],
-                           fine["priority"].to_numpy()[1:]
-                           == fine["priority"].to_numpy()[:-1]])
-    fine["rev_cents"] = rev
-    fine["mom_delta_cents"] = rev - np.where(same, prev, 0)
-    fine["month_idx"] = fine["month_idx"].astype(np.int64)
-    return fine
 
 
 _CENT_Q = 1048576.0  # 2^20: a power of two, so v * _CENT_Q is EXACT
@@ -5184,126 +4264,6 @@ def label_centroids(sf_dir):
     out["centroid_q"] = out["qsum"].to_numpy(np.float64) \
         / out["n"].to_numpy(np.float64)
     return out.sort_values(["label", "dim"]).reset_index(drop=True)
-
-
-_EDIT_MAX = 1
-
-
-@query(
-    "brand_edit_pairs",
-    sql=f"""
-    WITH b AS (SELECT DISTINCT p_brand FROM part)
-    SELECT a.p_brand AS brand_a, c.p_brand AS brand_b,
-           CAST(levenshtein(a.p_brand, c.p_brand) AS BIGINT) AS dist
-    FROM b a JOIN b c ON a.p_brand < c.p_brand
-    WHERE levenshtein(a.p_brand, c.p_brand) <= {_EDIT_MAX}
-    ORDER BY 1, 2
-    """,
-)
-def brand_edit_pairs(sf_dir, driver_threshold: int = 200_000,
-                     path: str | None = None, num_buckets: int = 256):
-    """Fuzzy string matching (edit-distance self-join): all unordered
-    pairs of DISTINCT brand strings within Levenshtein distance
-    {_EDIT_MAX} — the typo/variant-merging surface of a text cleaning
-    pipeline, run on the distinct-reduced domain, never the corpus.
-
-    Scale shape (candidates-then-verify, the LSH-dedup idiom): the
-    corpus-proportional work is ONE distributed distinct; pair
-    generation is deletion-neighborhood BLOCKING
-    (functions.text.deletion1_keys — symmetric-delete, an exact
-    superset for distance <= 1, no string pair outside a shared block
-    is ever enumerated), then the exact Wagner-Fischer DP verifies
-    candidates only (levenshtein_pairs, vectorized across the pair
-    axis).  Candidate volume is linear in vocabulary x string length —
-    never V^2 (a 25-brand domain: 828 candidates vs 40k all-pairs on a
-    284-string test vocabulary).
-
-    Size-dispatched: a vocabulary at or under ``driver_threshold``
-    runs blocking + verify vectorized on the driver; above it (or
-    ``path='distributed'``) key rows shuffle by coarse key bucket,
-    per-bucket segment pair emission feeds a (brand_a, brand_b) dedup
-    groupby and a distributed verify — forced-path parity is pinned in
-    tests/test_session12_ops.py."""
-    from ray.data.aggregate import Count
-
-    from ..functions.text import (deletion1_keys, key_group_pairs,
-                                  levenshtein_pairs)
-
-    if _EDIT_MAX != 1:  # deletion1_keys is the depth-1 generator
-        raise NotImplementedError("blocking implemented for distance 1")
-
-    ds = read_table(sf_dir, "part", columns=["p_brand"])
-
-    def distinct_partial(t: pa.Table) -> pa.Table:
-        u = np.unique(t["p_brand"].to_numpy(zero_copy_only=False))
-        return pa.table({"p_brand": pa.array(u, pa.string())})
-
-    brands_ds = ds.map_batches(distinct_partial, batch_format="pyarrow",
-                               batch_size=None, zero_copy_batch=True) \
-        .groupby("p_brand").aggregate(Count()) \
-        .materialize()  # vocabulary-bounded; count() below is then
-    #                     metadata, not a second pipeline execution
-
-    if path != "distributed" and brands_ds.count() <= driver_threshold:
-        # driver branch: the vocabulary is bounded; blocking keeps the
-        # pair axis near-linear even here (no triu over the domain)
-        brands = np.sort(brands_ds.to_pandas()["p_brand"].to_numpy())
-        keys, owners = deletion1_keys(list(brands))
-        ca, cb = key_group_pairs(keys, owners)
-        dist = levenshtein_pairs(list(brands[ca]), list(brands[cb]))
-        m = dist <= _EDIT_MAX
-        return pd.DataFrame({"brand_a": brands[ca][m],
-                             "brand_b": brands[cb][m],
-                             "dist": dist[m].astype(np.int64)}) \
-            .sort_values(["brand_a", "brand_b"]).reset_index(drop=True)
-
-    # distributed branch: each distinct brand appears in exactly one
-    # batch (post-distinct), so its key rows are generated once; rows
-    # shuffle on a coarse bucket of the variant-hash key and pairs are
-    # emitted per key segment inside each bucket (vectorized, batched
-    # by segment size) — traffic is key rows (~vocab x avg_len), never
-    # the pair matrix.
-    def key_rows(t: pa.Table) -> pa.Table:
-        b = t["p_brand"].to_numpy(zero_copy_only=False)
-        keys, owners = deletion1_keys(list(b))
-        return pa.table({
-            "bucket": pa.array((keys.view(np.uint64)
-                                % np.uint64(num_buckets)).astype(np.int64)),
-            "key": pa.array(keys, pa.int64()),
-            "p_brand": pa.array(b[owners], pa.string()),
-        })
-
-    rows = brands_ds.map_batches(key_rows, batch_format="pyarrow",
-                                 batch_size=None)
-
-    def per_bucket(g: pd.DataFrame) -> pa.Table:
-        k = g["key"].to_numpy(np.int64)
-        b = g["p_brand"].to_numpy()
-        # owner ids = rank of the brand string within this bucket:
-        # key_group_pairs orders pairs oa < ob, which then IS a < b
-        ub, inv = np.unique(b, return_inverse=True)
-        ca, cb = key_group_pairs(k, inv.astype(np.int64))
-        return pa.table({"brand_a": pa.array(ub[ca], pa.string()),
-                         "brand_b": pa.array(ub[cb], pa.string())})
-
-    pairs = rows.groupby("bucket").map_groups(per_bucket,
-                                              batch_format="pandas")
-    from ..stages.agg import bucket_aggregate
-
-    # a pair can collide under several variant keys (and in several
-    # buckets) — dedup over VERIFY-INPUT pairs, then verify exactly
-    uniq = bucket_aggregate(pairs, ["brand_a", "brand_b"], {"n": "count"})
-
-    def verify(df: pd.DataFrame) -> pd.DataFrame:
-        a = df["brand_a"].to_numpy()
-        c = df["brand_b"].to_numpy()
-        dist = levenshtein_pairs(list(a), list(c))
-        m = dist <= _EDIT_MAX
-        return pd.DataFrame({"brand_a": a[m], "brand_b": c[m],
-                             "dist": dist[m].astype(np.int64)})
-
-    out = uniq.map_batches(verify, batch_format="pandas", batch_size=None)
-    return _sorted_pdf(out, ["brand_a", "brand_b"])
 
 
 @query(
@@ -5628,76 +4588,6 @@ def skew_split_join(sf_dir, hot_k: int = _SKEW_HOT_K,
     return _sorted_pdf(out, ["event_id"])
 
 
-@query(
-    "lineitem_unpivot_stats",
-    sql=f"""
-    SELECT measure, CAST(COUNT(*) AS BIGINT) AS n,
-           {SUM_BIG('cents')} AS sum_cents,
-           MIN(cents) AS min_cents, MAX(cents) AS max_cents
-    FROM (
-      SELECT 'discount' AS measure,
-             {CENTS_SQL.format(e='l_discount')} AS cents FROM lineitem
-      UNION ALL
-      SELECT 'extendedprice', {CENTS_SQL.format(e='l_extendedprice')}
-      FROM lineitem
-      UNION ALL
-      SELECT 'quantity', CAST(l_quantity AS BIGINT) * 100 FROM lineitem
-      UNION ALL
-      SELECT 'tax', {CENTS_SQL.format(e='l_tax')} FROM lineitem
-    ) GROUP BY measure ORDER BY measure
-    """,
-)
-def lineitem_unpivot_stats(sf_dir):
-    """UNPIVOT / melt (the inverse of events_type_hour_pivot's wide
-    conditional aggregate): the four lineitem measures turn into
-    (measure, value) long form — all scaled to exact integer cents —
-    and aggregate per measure.
-
-    Scale shape: the melt is a per-batch column stack (no row
-    explosion ever leaves the task: each batch pre-reduces its 4xN
-    long rows to AT MOST 4 partial rows before the combine), so the
-    shuffle moves O(#measures x #blocks) rows."""
-    from ..stages.agg import combine_partials
-
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_quantity", "l_extendedprice", "l_discount",
-                             "l_tax"])
-
-    def partial(t: pa.Table) -> pa.Table:
-        melted = {
-            "discount": _cents(t["l_discount"].to_numpy(
-                zero_copy_only=False)),
-            "extendedprice": _cents(t["l_extendedprice"].to_numpy(
-                zero_copy_only=False)),
-            "quantity": t["l_quantity"].to_numpy(
-                zero_copy_only=False).astype(np.int64) * 100,
-            "tax": _cents(t["l_tax"].to_numpy(zero_copy_only=False)),
-        }
-        rows = [(m, np.int64(len(v)), v.sum(), v.min(), v.max())
-                for m, v in melted.items() if len(v)]
-        if not rows:
-            return pa.table({"measure": pa.array([], pa.string()),
-                             "n": pa.array([], pa.int64()),
-                             "sum_cents": pa.array([], pa.int64()),
-                             "min_cents": pa.array([], pa.int64()),
-                             "max_cents": pa.array([], pa.int64())})
-        m, n, s, lo, hi = zip(*rows)
-        return pa.table({"measure": pa.array(m, pa.string()),
-                         "n": pa.array(n, pa.int64()),
-                         "sum_cents": pa.array(s, pa.int64()),
-                         "min_cents": pa.array(lo, pa.int64()),
-                         "max_cents": pa.array(hi, pa.int64())})
-
-    partials = ds.map_batches(partial, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    out = combine_partials(partials, ["measure"],
-                           {"n": "sum", "sum_cents": "sum",
-                            "min_cents": "min", "max_cents": "max"})
-    for c in ("n", "sum_cents", "min_cents", "max_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("measure").reset_index(drop=True)
-
-
 # Two shared 8-word boilerplate lines (cookie banner / follow bar) are
 # prepended to residue classes of docs so the line-duplication signal is
 # non-degenerate by construction: pseudo-lines are 8-word runs from the
@@ -6012,413 +4902,6 @@ def hex_cell_agg(sf_dir):
     return _sorted_pdf(out, ["hex_q", "hex_r"])
 
 
-# ===========================================================================
-# Session-11 classic query pack: the remaining TPC-H query shapes the
-# registry had not yet exercised — pure scalar filter-agg (Q6), the
-# returned-item top-k over a 4-table join (Q10), HAVING over a grouped
-# stream (Q18), OR-of-ANDs bracket predicates across a dimension join
-# (Q19), EXISTS semi-join counting (Q4) and the global-scalar-subquery
-# + anti-join shape (Q22).  All money/quantity comparisons run in exact
-# integer cents on both sides (the q1 idiom).
-# ===========================================================================
-
-_Q6_LO, _Q6_HI = "1996-01-01", "1997-01-01"
-
-
-@query(
-    "q6_forecast_revenue",
-    sql=f"""
-    SELECT CAST(COALESCE(SUM({CENTS_SQL.format(e='l_extendedprice')}
-                    * {CENTS_SQL.format(e='l_discount')}), 0) AS BIGINT)
-               AS revenue_cents2,
-           CAST(COUNT(*) AS BIGINT) AS n_items
-    FROM lineitem
-    WHERE l_shipdate >= TIMESTAMP '{_Q6_LO}'
-      AND l_shipdate <  TIMESTAMP '{_Q6_HI}'
-      AND {CENTS_SQL.format(e='l_discount')} BETWEEN 5 AND 7
-      AND {CENTS_SQL.format(e='l_quantity')} < 2400
-    """,
-)
-def q6_forecast_revenue(sf_dir):
-    """TPC-H Q6 shape (forecasting revenue change): the pure
-    filter-and-scalar-aggregate query — one year of shipments in a
-    discount band below a quantity cap, revenue = price x discount.
-    Every comparison runs on exact integer cents (float-literal
-    BETWEEN on a stored double is a classic cross-engine trap; cents
-    are identical by construction on both sides).
-
-    Scale shape: no shuffle at all — each batch reduces to ONE row of
-    two ints and the driver sums #blocks partials.  The 100-TB cost is
-    exactly one streaming pass over three pruned columns."""
-    lo = np.datetime64(f"{_Q6_LO}T00:00:00", "us")
-    hi = np.datetime64(f"{_Q6_HI}T00:00:00", "us")
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_quantity", "l_extendedprice", "l_discount",
-                             "l_shipdate"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["l_shipdate"].to_numpy()
-        dc = _cents(df["l_discount"].to_numpy())
-        qc = _cents(df["l_quantity"].to_numpy())
-        m = ((d >= lo) & (d < hi) & (dc >= 5) & (dc <= 7) & (qc < 2400))
-        rev = _cents(df["l_extendedprice"].to_numpy()[m]) * dc[m]
-        return pd.DataFrame({"revenue_cents2": [np.int64(rev.sum())],
-                             "n_items": [np.int64(m.sum())]})
-
-    df = ds.map_batches(partial, batch_format="pandas",
-                        batch_size=None).to_pandas()
-    return pd.DataFrame({
-        "revenue_cents2": [np.int64(df["revenue_cents2"].sum())],
-        "n_items": [np.int64(df["n_items"].sum())]})
-
-
-_Q10_LO, _Q10_HI = "1996-07-01", "1996-10-01"
-_Q10_K = 20
-
-
-@query(
-    "q10_returned_items",
-    sql=f"""
-    SELECT c.c_custkey, c.c_name, n.n_name,
-           CAST(SUM({CENTS_SQL.format(e='l.l_extendedprice')}
-                    * {CENTS_SQL.format(e='1.0 - l.l_discount')})
-                AS BIGINT) AS revenue_cents2
-    FROM customer c
-    JOIN orders o   ON o.o_custkey = c.c_custkey
-    JOIN lineitem l ON l.l_orderkey = o.o_orderkey
-    JOIN nation n   ON n.n_nationkey = c.c_nationkey
-    WHERE o.o_orderdate >= TIMESTAMP '{_Q10_LO}'
-      AND o.o_orderdate <  TIMESTAMP '{_Q10_HI}'
-      AND l.l_returnflag = 'R'
-    GROUP BY 1, 2, 3
-    ORDER BY revenue_cents2 DESC, c.c_custkey
-    LIMIT {_Q10_K}
-    """,
-)
-def q10_returned_items(sf_dir, num_partitions: int = 16,
-                       broadcast_threshold: int = 5_000_000,
-                       path: str | None = None):
-    """TPC-H Q10 shape (returned item reporting): revenue lost to
-    returns per customer over one quarter, top 20 — the classic
-    4-table join finished by a bounded top-k.
-
-    Scale shape: the date-windowed order slice is the SMALL side, so
-    the orderkey -> custkey map size-dispatches — below
-    ``broadcast_threshold`` rows it broadcasts as sorted lookup arrays
-    and the 'R' lineitem slice semi-filters + rekeys to custkey in ONE
-    pass (the semi-join pushdown: the per-orderkey aggregate then runs
-    over window-qualified lines only, and there is no Dataset join at
-    all); above it, per-orderkey revenue partials hash-join the order
-    slice big-big (``path`` forces either; parity test).  Either way
-    per-custkey partials reduce through the coarse-bucket aggregate
-    before the block-trim -> repartition-merge -> driver-finish top-k.
-    Only the WINNING 20 custkeys touch the customer table (broadcast
-    isin filter over one streaming pass) and the 25-row nation dim
-    resolves driver-side."""
-    from ..functions.dedup import _adaptive_partitions
-    from ..stages.agg import bucket_aggregate
-
-    lo = np.datetime64(f"{_Q10_LO}T00:00:00", "us")
-    hi = np.datetime64(f"{_Q10_HI}T00:00:00", "us")
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate"])
-
-    def owin(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["o_orderdate"].to_numpy()
-        df = df[(d >= lo) & (d < hi)]
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].to_numpy().astype(np.int64),
-            "o_custkey": df["o_custkey"].to_numpy().astype(np.int64)})
-
-    osel = orders.map_batches(owin, batch_format="pandas",
-                              batch_size=None).materialize()
-
-    if path is None:
-        path = ("broadcast" if osel.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"q10_returned_items: unknown path {path!r}")
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_returnflag",
-                             "l_extendedprice", "l_discount"])
-
-    if path == "broadcast":
-        odf = osel.to_pandas()
-        okeys = odf["o_orderkey"].to_numpy(np.int64)
-        o = np.argsort(okeys)
-        okeys, ocust = okeys[o], odf["o_custkey"].to_numpy(np.int64)[o]
-
-        def rev_by_cust(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["l_returnflag"].to_numpy() == "R"]
-            ok = df["l_orderkey"].to_numpy().astype(np.int64)
-            idx, m = _sorted_lookup(okeys, ok)
-            rev = (_cents(df["l_extendedprice"].to_numpy()[m])
-                   * _cents(1.0 - df["l_discount"].to_numpy()[m]))
-            tmp = pd.DataFrame({"o_custkey": ocust[idx[m]],
-                                "revenue_cents2": rev})
-            return tmp.groupby("o_custkey", as_index=False).sum()
-
-        percust = bucket_aggregate(
-            li.map_batches(rev_by_cust, batch_format="pandas",
-                           batch_size=None),
-            ["o_custkey"], {"revenue_cents2": "sum"})
-    else:
-        def rev_partial(df: pd.DataFrame) -> pd.DataFrame:
-            df = df[df["l_returnflag"].to_numpy() == "R"]
-            rev = (_cents(df["l_extendedprice"].to_numpy())
-                   * _cents(1.0 - df["l_discount"].to_numpy()))
-            tmp = pd.DataFrame({
-                "l_orderkey": df["l_orderkey"].to_numpy().astype(np.int64),
-                "revenue_cents2": rev})
-            return tmp.groupby("l_orderkey", as_index=False).sum()
-
-        rev = bucket_aggregate(
-            li.map_batches(rev_partial, batch_format="pandas",
-                           batch_size=None),
-            ["l_orderkey"], {"revenue_cents2": "sum"})
-
-        joined = rev.join(osel, join_type="inner",
-                          num_partitions=_adaptive_partitions(num_partitions),
-                          on=("l_orderkey",), right_on=("o_orderkey",))
-
-        def cust_partial(df: pd.DataFrame) -> pd.DataFrame:
-            return (df[["o_custkey", "revenue_cents2"]]
-                    .groupby("o_custkey", as_index=False).sum())
-
-        percust = bucket_aggregate(
-            joined.map_batches(cust_partial, batch_format="pandas",
-                               batch_size=None),
-            ["o_custkey"], {"revenue_cents2": "sum"})
-
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["revenue_cents2", "o_custkey"],
-                            ascending=[False, True])
-        return df.head(_Q10_K)
-
-    parts = percust.map_batches(trim, batch_format="pandas",
-                                batch_size=None)
-    merged = parts.repartition(4).map_batches(trim, batch_format="pandas",
-                                              batch_size=None)
-    top = trim(merged.to_pandas()).reset_index(drop=True)
-
-    # only the winning <=20 custkeys touch customer; nation is 25 rows
-    keys = top["o_custkey"].to_numpy(np.int64)
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_name", "c_nationkey"])
-
-    def pick(t: pa.Table) -> pa.Table:
-        ck = t["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        m = np.isin(ck, keys)
-        return pa.table({
-            "c_custkey": pa.array(ck[m], pa.int64()),
-            "c_name": t["c_name"].filter(pa.array(m)),
-            "c_nationkey": pc.cast(t["c_nationkey"], pa.int64()).filter(
-                pa.array(m))})
-
-    cdf = cust.map_batches(pick, batch_format="pyarrow",
-                           batch_size=None).to_pandas()
-    nat = read_table(sf_dir, "nation",
-                     columns=["n_nationkey", "n_name"]).to_pandas()
-    out = top.merge(cdf, left_on="o_custkey", right_on="c_custkey")
-    out = out.merge(nat, left_on="c_nationkey", right_on="n_nationkey")
-    out = out[["c_custkey", "c_name", "n_name", "revenue_cents2"]]
-    out["revenue_cents2"] = out["revenue_cents2"].astype(np.int64)
-    return out.sort_values(["revenue_cents2", "c_custkey"],
-                           ascending=[False, True]).reset_index(drop=True)
-
-
-_Q18_MIN_QTY_CENTS = 20_000  # sum(l_quantity) > 200
-_Q18_K = 100
-
-
-@query(
-    "q18_large_orders",
-    sql=f"""
-    SELECT t.l_orderkey, o.o_custkey,
-           CAST(epoch_us(o.o_orderdate) AS BIGINT) AS orderdate_us,
-           {CENTS_SQL.format(e='o.o_totalprice')} AS totalprice_cents,
-           t.qty_cents_sum
-    FROM (
-      SELECT l_orderkey,
-             {SUM_BIG(CENTS_SQL.format(e='l_quantity'))} AS qty_cents_sum
-      FROM lineitem GROUP BY l_orderkey
-      HAVING SUM({CENTS_SQL.format(e='l_quantity')}) > {_Q18_MIN_QTY_CENTS}
-    ) t
-    JOIN orders o ON o.o_orderkey = t.l_orderkey
-    ORDER BY totalprice_cents DESC, t.l_orderkey
-    LIMIT {_Q18_K}
-    """,
-)
-def q18_large_orders(sf_dir, num_partitions: int = 16,
-                     broadcast_threshold: int = 5_000_000,
-                     path: str | None = None):
-    """TPC-H Q18 shape (large volume customers): orders whose summed
-    line quantity clears a threshold — the grouped-HAVING surface —
-    joined back to the order header, top 100 by price.
-
-    Scale shape: quantity partials reduce per batch, the coarse-bucket
-    aggregate makes them exact per orderkey, and the HAVING filter
-    prunes to the rare heavy orders BEFORE they meet the order stream.
-    That meeting is size-dispatched: the heavy (orderkey, qty) table
-    broadcasts as sorted lookup arrays into one streaming pass over
-    orders below ``broadcast_threshold`` rows (no orders shuffle at
-    all); above it, the distributed hash join (``path`` forces either;
-    parity test).  The finish is the two-level bounded top-k."""
-    from ..functions.dedup import _adaptive_partitions
-    from ..stages.agg import bucket_aggregate
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_quantity"])
-
-    def qty_partial(df: pd.DataFrame) -> pd.DataFrame:
-        tmp = pd.DataFrame({
-            "l_orderkey": df["l_orderkey"].to_numpy().astype(np.int64),
-            "qty_cents_sum": _cents(df["l_quantity"].to_numpy())})
-        return tmp.groupby("l_orderkey", as_index=False).sum()
-
-    qty = bucket_aggregate(
-        li.map_batches(qty_partial, batch_format="pandas", batch_size=None),
-        ["l_orderkey"], {"qty_cents_sum": "sum"})
-
-    def having(df: pd.DataFrame) -> pd.DataFrame:
-        return df[df["qty_cents_sum"].to_numpy() > _Q18_MIN_QTY_CENTS]
-
-    heavy = qty.map_batches(having, batch_format="pandas",
-                            batch_size=None).materialize()
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_orderkey", "o_custkey", "o_orderdate",
-                                 "o_totalprice"])
-
-    def oproj(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "o_orderkey": df["o_orderkey"].to_numpy().astype(np.int64),
-            "o_custkey": df["o_custkey"].to_numpy().astype(np.int64),
-            "orderdate_us": df["o_orderdate"].astype("int64").to_numpy(),
-            "totalprice_cents": _cents(df["o_totalprice"].to_numpy())})
-
-    if path is None:
-        path = ("broadcast" if heavy.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"q18_large_orders: unknown path {path!r}")
-
-    out_cols = ["l_orderkey", "o_custkey", "orderdate_us",
-                "totalprice_cents", "qty_cents_sum"]
-
-    if path == "broadcast":
-        hdf = heavy.to_pandas()
-        hk = hdf["l_orderkey"].to_numpy(np.int64)
-        o = np.argsort(hk)
-        hk, hv = hk[o], hdf["qty_cents_sum"].to_numpy(np.int64)[o]
-
-        def attach(df: pd.DataFrame) -> pd.DataFrame:
-            df = oproj(df)
-            ok = df["o_orderkey"].to_numpy(np.int64)
-            idx, m = _sorted_lookup(hk, ok)
-            df = df[m].rename(columns={"o_orderkey": "l_orderkey"})
-            df["qty_cents_sum"] = hv[idx[m]]
-            return df
-
-        joined = orders.map_batches(attach, batch_format="pandas",
-                                    batch_size=None)
-    else:
-        joined = heavy.join(
-            orders.map_batches(oproj, batch_format="pandas",
-                               batch_size=None),
-            join_type="inner",
-            num_partitions=_adaptive_partitions(num_partitions),
-            on=("l_orderkey",), right_on=("o_orderkey",))
-
-    def trim(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values(["totalprice_cents", "l_orderkey"],
-                            ascending=[False, True])
-        return df.head(_Q18_K)[out_cols]
-
-    parts = joined.map_batches(trim, batch_format="pandas", batch_size=None)
-    merged = parts.repartition(4).map_batches(trim, batch_format="pandas",
-                                              batch_size=None)
-    df = trim(merged.to_pandas()).reset_index(drop=True)
-    for c in out_cols:
-        df[c] = df[c].astype(np.int64)
-    return df
-
-
-_Q19_BRACKETS = (  # (brand, size_lo, size_hi, qty_cents_lo, qty_cents_hi)
-    ("Brand#12", 1, 5, 100, 1100),
-    ("Brand#23", 1, 10, 1000, 2000),
-    ("Brand#34", 1, 15, 2000, 3000),
-)
-# the bclass assignment below is last-writer-wins per brand: two
-# brackets sharing a brand would silently drop the earlier one's
-# size/qty window from the OR-of-ANDs
-assert len({b for b, *_ in _Q19_BRACKETS}) == len(_Q19_BRACKETS)
-
-
-@query(
-    "q19_bracket_revenue",
-    sql=f"""
-    SELECT CAST(COALESCE(SUM({CENTS_SQL.format(e='l.l_extendedprice')}
-                    * {CENTS_SQL.format(e='1.0 - l.l_discount')}), 0)
-                AS BIGINT) AS revenue_cents2,
-           CAST(COUNT(*) AS BIGINT) AS n_items
-    FROM lineitem l JOIN part p ON p.p_partkey = l.l_partkey
-    WHERE """ + "\n       OR ".join(
-        f"""(p.p_brand = '{b}' AND p.p_size BETWEEN {slo} AND {shi}
-            AND {CENTS_SQL.format(e='l.l_quantity')}
-                BETWEEN {qlo} AND {qhi})"""
-        for b, slo, shi, qlo, qhi in _Q19_BRACKETS),
-)
-def q19_bracket_revenue(sf_dir):
-    """TPC-H Q19 shape (discounted revenue): the OR-of-ANDs bracket
-    predicate spanning a dimension join — three (brand, size-range,
-    quantity-range) brackets, any of which qualifies a line.
-
-    Scale shape: part rides as a broadcast partkey -> (bracket-class,
-    size) lookup (sorted searchsorted arrays, the q14 idiom; 100-TB
-    fallback is the same hash join Q3/Q5 exercise); lineitem reduces
-    to ONE two-int row per batch, driver sums #blocks partials.
-    Quantity/size/revenue all compare in exact integers."""
-    part = read_table(sf_dir, "part",
-                      columns=["p_partkey", "p_brand", "p_size"]).to_pandas()
-    part = part.sort_values("p_partkey")
-    pkeys = part["p_partkey"].to_numpy(np.int64)
-    psize = part["p_size"].to_numpy(np.int64)
-    brand = part["p_brand"].to_numpy()
-    bclass = np.zeros(len(part), np.int64)  # 1-based bracket id, 0 = none
-    for i, (b, slo, shi, _, _) in enumerate(_Q19_BRACKETS):
-        bclass[(brand == b)] = i + 1
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_partkey", "l_quantity", "l_extendedprice",
-                             "l_discount"])
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        pk = df["l_partkey"].to_numpy().astype(np.int64)
-        idx, hit = _sorted_lookup(pkeys, pk)
-        qc = _cents(df["l_quantity"].to_numpy())
-        cls = np.zeros(len(pk), np.int64)
-        cls[hit] = bclass[idx[hit]]          # hit-only gathers
-        sz = np.zeros(len(pk), np.int64)
-        sz[hit] = psize[idx[hit]]
-        m = np.zeros(len(df), bool)
-        for i, (_, slo, shi, qlo, qhi) in enumerate(_Q19_BRACKETS):
-            m |= ((cls == i + 1) & (sz >= slo) & (sz <= shi)
-                  & (qc >= qlo) & (qc <= qhi))
-        rev = (_cents(df["l_extendedprice"].to_numpy()[m])
-               * _cents(1.0 - df["l_discount"].to_numpy()[m]))
-        return pd.DataFrame({"revenue_cents2": [np.int64(rev.sum())],
-                             "n_items": [np.int64(m.sum())]})
-
-    df = li.map_batches(partial, batch_format="pandas",
-                        batch_size=None).to_pandas()
-    return pd.DataFrame({
-        "revenue_cents2": [np.int64(df["revenue_cents2"].sum())],
-        "n_items": [np.int64(df["n_items"].sum())]})
-
-
 # ---------------------------------------------------------------------------
 # Winnowing (MOSS) document fingerprinting — Schleimer/Wilkerson/Aiken
 # SIGMOD 2003.  The dedup family the registry lacked: position-aware
@@ -6597,84 +5080,6 @@ def cdc_dedup_stats(sf_dir):
     return pd.DataFrame({c: [np.int64(df[c].sum())] for c in
                          ("n_chunks_total", "n_distinct", "dup_chunks",
                           "dup_bytes")})
-
-
-@query(
-    "orders_above_cust_avg",
-    sql=f"""
-    WITH g AS (
-      SELECT o_custkey,
-             {SUM_BIG(CENTS_SQL.format(e='o_totalprice'))} AS s,
-             CAST(COUNT(*) AS BIGINT) AS n
-      FROM orders GROUP BY o_custkey
-    )
-    SELECT o.o_orderpriority,
-           CAST(COUNT(*) AS BIGINT) AS n_orders,
-           {SUM_BIG(CENTS_SQL.format(e='o.o_totalprice'))} AS sum_price_cents
-    FROM orders o JOIN g ON g.o_custkey = o.o_custkey
-    WHERE {CENTS_SQL.format(e='o.o_totalprice')} * g.n > g.s
-    GROUP BY 1 ORDER BY 1
-    """,
-)
-def orders_above_cust_avg(sf_dir, num_partitions: int = 16):
-    """Correlated-aggregate filter (the self-join-aggregate surface):
-    orders strictly above their OWN customer's average order value,
-    rolled up by priority.  The average never exists as a float — the
-    comparison is the exact integer cross-multiplication
-    cents x n > sum, so both engines agree bit-for-bit.
-
-    Scale shape: per-custkey (sum, count) reduces through per-batch
-    partials + the coarse-bucket aggregate; the order stream then
-    hash-joins that key-cardinality table big-big, filters inline, and
-    the priority rollup is a 5-row combine."""
-    from ..functions.dedup import _adaptive_partitions
-    from ..stages.agg import bucket_aggregate, combine_partials
-
-    orders = read_table(sf_dir, "orders",
-                        columns=["o_custkey", "o_totalprice",
-                                 "o_orderpriority"])
-
-    def cust_partial(df: pd.DataFrame) -> pd.DataFrame:
-        tmp = pd.DataFrame({
-            "o_custkey": df["o_custkey"].to_numpy().astype(np.int64),
-            "s": _cents(df["o_totalprice"].to_numpy()),
-            "n": np.ones(len(df), np.int64)})
-        return tmp.groupby("o_custkey", as_index=False).sum()
-
-    g = bucket_aggregate(
-        orders.map_batches(cust_partial, batch_format="pandas",
-                           batch_size=None),
-        ["o_custkey"], {"s": "sum", "n": "sum"})
-
-    def oproj(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "cust": df["o_custkey"].to_numpy().astype(np.int64),
-            "price_cents": _cents(df["o_totalprice"].to_numpy()),
-            "o_orderpriority": df["o_orderpriority"].to_numpy()})
-
-    joined = orders.map_batches(oproj, batch_format="pandas",
-                                batch_size=None).join(
-        g, join_type="inner",
-        num_partitions=_adaptive_partitions(num_partitions),
-        on=("cust",), right_on=("o_custkey",))
-
-    def above(df: pd.DataFrame) -> pd.DataFrame:
-        m = (df["price_cents"].to_numpy(np.int64)
-             * df["n"].to_numpy(np.int64)) > df["s"].to_numpy(np.int64)
-        df = df[m]
-        tmp = pd.DataFrame({
-            "o_orderpriority": df["o_orderpriority"].to_numpy(),
-            "n_orders": np.ones(len(df), np.int64),
-            "sum_price_cents": df["price_cents"].to_numpy(np.int64)})
-        return tmp.groupby("o_orderpriority", as_index=False).sum()
-
-    parts = joined.map_batches(above, batch_format="pandas",
-                               batch_size=None)
-    out = combine_partials(parts, ["o_orderpriority"],
-                           {"n_orders": "sum", "sum_price_cents": "sum"})
-    for c in ("n_orders", "sum_price_cents"):
-        out[c] = out[c].astype(np.int64)
-    return out.sort_values("o_orderpriority").reset_index(drop=True)
 
 
 # --- leakage-controlled corpus splitting -----------------------------------
@@ -7348,12 +5753,12 @@ def events_value_mad(sf_dir):
     """Robust dispersion per group: median absolute deviation of
     events.value per event_type — the outlier-resistant scale
     statistic quality pipelines prefer over stddev — as TWO chained
-    exact mergeable-histogram passes (the segment_acctbal_median scale
-    machinery): pass 1 builds the per-(type, cents) histogram and
-    rank-interpolates the exact median; the median (a handful of ints)
-    broadcasts into pass 2, which histograms |value - median| and
-    rank-interpolates again.  Driver state is histogram-bounded
-    (|value domain| x |types|), never corpus-proportional.
+    exact mergeable-histogram passes: pass 1 builds the per-(type,
+    cents) histogram and rank-interpolates the exact median; the median
+    (a handful of ints) broadcasts into pass 2, which histograms |value
+    - median| and rank-interpolates again.  Driver state is
+    histogram-bounded (|value domain| x |types|), never
+    corpus-proportional.
 
     Exactness: values are 2-decimal, so cents are exact ints; the
     interpolated median in milli-units and the deviation median in
@@ -7378,7 +5783,8 @@ def events_value_mad(sf_dir):
 
     def _interp_median(c: np.ndarray, w: np.ndarray, scale: int) -> int:
         """Exact interpolated median of the (value c, count w) histogram
-        in c-units x ``scale`` (the _segment_quantile_hist rank walk)."""
+        in c-units x ``scale``: walk the cumulative counts to the
+        two ranks quantile_cont interpolates between."""
         n = int(w.sum())
         lo_rank, k = divmod(5 * (n - 1), 10)
         cum = np.cumsum(w)
@@ -8138,90 +6544,6 @@ def user_longest_streak(sf_dir):
     return _sorted_pdf(out.to_pandas(), ["user_id"])
 
 
-# -- Exact Gini concentration per group ---------------------------------------
-
-
-@query(
-    "returnflag_price_gini",
-    sql="""
-    WITH x AS (
-      SELECT l_returnflag AS rf,
-             CAST(floor(l_extendedprice * 100.0 + 0.5) AS BIGINT) AS v
-      FROM lineitem
-    ),
-    h AS (SELECT rf, v, COUNT(*) AS c FROM x GROUP BY rf, v),
-    s AS (
-      SELECT rf, v, c,
-             COALESCE(SUM(c) OVER (
-               PARTITION BY rf ORDER BY v
-               ROWS BETWEEN UNBOUNDED PRECEDING AND 1 PRECEDING), 0) AS sm
-      FROM h
-    ),
-    agg AS (
-      SELECT rf, CAST(SUM(c) AS BIGINT) AS n,
-             CAST(SUM(c * v) AS BIGINT) AS t,
-             CAST(SUM(v * (c * sm + (c * (c + 1)) // 2)) AS BIGINT) AS r
-      FROM s GROUP BY rf
-    )
-    SELECT rf AS l_returnflag, n, t AS sum_cents,
-           CAST(2 * r - (n + 1) * t AS BIGINT) AS gini_num,
-           CAST(n * t AS BIGINT) AS gini_den,
-           CAST(2 * r - (n + 1) * t AS DOUBLE) / CAST(n * t AS DOUBLE)
-               AS gini
-    FROM agg ORDER BY l_returnflag
-    """)
-def returnflag_price_gini(sf_dir):
-    """EXACT Gini concentration of extended price per return flag —
-    the inequality statistic (revenue concentration, domain skew
-    audits) computed without any sort of the raw rows: Gini needs
-    rank-weighted sums, and over a BOUNDED integer domain (prices are
-    cents) the ranks fall out of the value-count histogram — for value
-    v with count c and sm items below it, the rank sum is
-    c*sm + c(c+1)/2, all integers.
-
-    Shape: per-batch (flag, cents) value counts, one bucket_aggregate
-    (the shuffle carries the histogram, bounded by the price domain,
-    NOT the row count), then integer rank arithmetic on the driver's
-    domain-bounded frame.  gini = (2R - (n+1)T) / (nT) exactly, with
-    the int64 headroom documented: R <= n^2 * max_cents needs n <=
-    ~6e5 per group at 10^7-cent prices; beyond that the same
-    arithmetic runs in 128-bit (DuckDB already does)."""
-    from ..stages.agg import bucket_aggregate
-
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_returnflag", "l_extendedprice"])
-
-    def vc(t: pa.Table) -> pd.DataFrame:
-        rf = t["l_returnflag"].to_pandas()
-        v = _cents(t["l_extendedprice"].to_numpy(zero_copy_only=False))
-        df = pd.DataFrame({"rf": rf, "v": v})
-        return (df.groupby(["rf", "v"], as_index=False).size()
-                .rename(columns={"size": "c"}))
-
-    hist = bucket_aggregate(
-        ds.map_batches(vc, batch_format="pyarrow", batch_size=None,
-                       zero_copy_batch=True),
-        ["rf", "v"], {"c": "sum"}).to_pandas()
-    hist = hist.sort_values(["rf", "v"]).reset_index(drop=True)
-    rows = []
-    for rf, g in hist.groupby("rf", sort=True):
-        v = g["v"].to_numpy(np.int64)
-        c = g["c"].to_numpy(np.int64)
-        sm = np.concatenate([[0], np.cumsum(c)[:-1]])
-        n = int(c.sum())
-        t = int((c * v).sum())
-        r = int((v * (c * sm + c * (c + 1) // 2)).sum())
-        num = 2 * r - (n + 1) * t
-        den = n * t
-        assert abs(r) < (1 << 62)  # documented headroom bound
-        rows.append((rf, n, t, num, den, num / den))
-    out = pd.DataFrame(rows, columns=["l_returnflag", "n", "sum_cents",
-                                      "gini_num", "gini_den", "gini"])
-    for col in ["n", "sum_cents", "gini_num", "gini_den"]:
-        out[col] = out[col].astype(np.int64)
-    return out.reset_index(drop=True)
-
-
 # -- Hard-negative mining for contrastive training ---------------------------
 
 
@@ -8319,7 +6641,7 @@ _CMS_W = 1024
 def cms_user_counts(sf_dir):
     """Count-Min sketch (Cormode & Muthukrishnan 2005) — the
     frequency-estimation sketch completing the mergeable family (HLL,
-    t-digest, Misra-Gries, Bloom, MinHash, SimHash all shipped): d=4
+    t-digest, Misra-Gries, MinHash, SimHash all shipped): d=4
     rows x w=1024 counters, universal hashes (2d+3)x + 5d+1 mod p mod
     w, point estimate = min over rows.  Counters are plain integer
     SUMS, so per-batch partial sketches merge exactly (the defining
@@ -8369,412 +6691,6 @@ def cms_user_counts(sf_dir):
                          "cms_est": est, "overcount": est - true})
 
 
-def _supplier_nat_lookup(sf_dir):
-    """(sorted s_suppkey, aligned s_nationkey) broadcast lookup —
-    supplier is the smallest corpus-proportional dim (1/15 of customer
-    in TPC-H); the disclosed 100-TB fallback is the same hash join the
-    orders side uses."""
-    sup = read_table(sf_dir, "supplier",
-                     columns=["s_suppkey", "s_nationkey"]).to_pandas()
-    sup = sup.sort_values("s_suppkey")
-    return (sup["s_suppkey"].to_numpy(np.int64),
-            sup["s_nationkey"].to_numpy(np.int64))
-
-
-_Q15_LO, _Q15_HI = "1996-04-01", "1996-07-01"
-
-
-@query(
-    "q15_top_supplier",
-    sql=f"""
-    WITH rev AS (
-      SELECT CAST(l_suppkey AS BIGINT) AS supplier_no,
-             CAST(SUM({CENTS_SQL.format(e='l_extendedprice')}
-                      * {CENTS_SQL.format(e='1.0 - l_discount')})
-                  AS BIGINT) AS total_revenue_cents2
-      FROM lineitem
-      WHERE l_shipdate >= TIMESTAMP '{_Q15_LO}'
-        AND l_shipdate <  TIMESTAMP '{_Q15_HI}'
-      GROUP BY 1
-    )
-    SELECT CAST(s.s_suppkey AS BIGINT) AS s_suppkey, s.s_name,
-           r.total_revenue_cents2
-    FROM supplier s JOIN rev r ON s.s_suppkey = r.supplier_no
-    WHERE r.total_revenue_cents2 = (SELECT MAX(total_revenue_cents2)
-                                    FROM rev)
-    ORDER BY s_suppkey
-    """,
-)
-def q15_top_supplier(sf_dir):
-    """TPC-H Q15 shape (top supplier): the supplier(s) with the maximum
-    quarterly revenue — the view + scalar-max-subquery surface.
-
-    Scale shape: lineitem filters the quarter FIRST and pre-reduces per
-    batch to (suppkey, revenue) partials; the combine is bounded by
-    supplier cardinality; the global max and the winner filter run on
-    that bounded frame; the name attaches by a tiny driver lookup of
-    the winner keys only (ties preserved, as the SQL's equality
-    keeps)."""
-    from ..stages.agg import combine_partials
-
-    lo = np.datetime64(f"{_Q15_LO}T00:00:00", "us")
-    hi = np.datetime64(f"{_Q15_HI}T00:00:00", "us")
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_suppkey", "l_shipdate",
-                             "l_extendedprice", "l_discount"])
-
-    def rev_partial(df: pd.DataFrame) -> pd.DataFrame:
-        d = df["l_shipdate"].to_numpy()
-        df = df[(d >= lo) & (d < hi)]
-        tmp = pd.DataFrame({
-            "supplier_no": df["l_suppkey"].to_numpy().astype(np.int64),
-            "total_revenue_cents2": (
-                _cents(df["l_extendedprice"].to_numpy())
-                * _cents(1.0 - df["l_discount"].to_numpy()))})
-        return tmp.groupby("supplier_no", as_index=False).sum()
-
-    rev = combine_partials(
-        li.map_batches(rev_partial, batch_format="pandas",
-                       batch_size=None),
-        ["supplier_no"], {"total_revenue_cents2": "sum"})
-    if len(rev) == 0:
-        return pd.DataFrame({"s_suppkey": pd.Series([], dtype=np.int64),
-                             "s_name": pd.Series([], dtype=object),
-                             "total_revenue_cents2": pd.Series(
-                                 [], dtype=np.int64)})
-    best = np.int64(rev["total_revenue_cents2"].max())
-    winners = rev[rev["total_revenue_cents2"].to_numpy(np.int64) == best]
-
-    sup = read_table(sf_dir, "supplier",
-                     columns=["s_suppkey", "s_name"]).to_pandas()
-    out = winners.merge(sup, left_on="supplier_no", right_on="s_suppkey")
-    out["s_suppkey"] = out["s_suppkey"].astype(np.int64)
-    out["total_revenue_cents2"] = \
-        out["total_revenue_cents2"].astype(np.int64)
-    return out[["s_suppkey", "s_name", "total_revenue_cents2"]] \
-        .sort_values("s_suppkey").reset_index(drop=True)
-
-
-_NOSALES_CUTOFF = "2001-11-01"
-
-
-@query(
-    "suppliers_no_recent_sales",
-    sql=f"""
-    SELECT CAST(s.s_suppkey AS BIGINT) AS s_suppkey, s.s_name,
-           CAST(s.s_nationkey AS BIGINT) AS s_nationkey
-    FROM supplier s
-    WHERE NOT EXISTS (SELECT 1 FROM lineitem l
-                      WHERE l.l_suppkey = s.s_suppkey
-                        AND l.l_shipdate >= TIMESTAMP '{_NOSALES_CUTOFF}')
-    ORDER BY s_suppkey
-    """,
-)
-def suppliers_no_recent_sales(sf_dir, broadcast_threshold: int = 5_000_000,
-                              num_buckets: int = 64,
-                              path: str | None = None):
-    """NOT-EXISTS anti-join: suppliers with no shipment on or after the
-    cutoff.  The recent-shipper keyset is made distinct FIRST (per-batch
-    unique + coarse-bucket distinct — the shuffle moves keys, not
-    lines), then size-dispatches: broadcast ``~np.isin`` below
-    ``broadcast_threshold`` keys, the engine's distributed
-    ``bucket_hash_join(how='left_anti')`` above (``path`` forces
-    either; parity test) — the left_anti mode exists precisely because
-    Ray's builtin left joins crash on sparse sides and the broadcast
-    idiom stops fitting when the keyset outgrows a worker heap."""
-    from ..stages.agg import bucket_aggregate
-    from ..stages.hashjoin import bucket_hash_join
-
-    cutoff = np.datetime64(f"{_NOSALES_CUTOFF}T00:00:00", "us")
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_suppkey", "l_shipdate"])
-
-    def recent_keys(t: pa.Table) -> pa.Table:
-        m = pc.greater_equal(t["l_shipdate"], pa.scalar(cutoff))
-        keys = pc.unique(pc.filter(t["l_suppkey"], m))
-        return pa.table({"l_suppkey": pc.cast(keys, pa.int64()),
-                         "hit": pa.array(np.ones(len(keys), np.int64))})
-
-    keys_ds = bucket_aggregate(
-        li.map_batches(recent_keys, batch_format="pyarrow",
-                       batch_size=None, zero_copy_batch=True),
-        ["l_suppkey"], {"hit": "max"}).materialize()
-
-    sup = read_table(sf_dir, "supplier",
-                     columns=["s_suppkey", "s_name", "s_nationkey"])
-
-    if path is None:
-        path = ("broadcast" if keys_ds.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(
-            f"suppliers_no_recent_sales: unknown path {path!r}")
-
-    if path == "broadcast":
-        keys = np.sort(keys_ds.to_pandas()["l_suppkey"].to_numpy(np.int64))
-
-        def anti(df: pd.DataFrame) -> pd.DataFrame:
-            m = ~np.isin(df["s_suppkey"].to_numpy(np.int64), keys)
-            return df[m]
-
-        out = sup.map_batches(anti, batch_format="pandas",
-                              batch_size=None).to_pandas()
-    else:
-        out = bucket_hash_join(
-            sup, keys_ds.map_batches(
-                lambda df: df[["l_suppkey"]],
-                batch_format="pandas", batch_size=None),
-            ["s_suppkey"], ["l_suppkey"], num_buckets=num_buckets,
-            how="left_anti").to_pandas()
-
-    out = out[["s_suppkey", "s_name", "s_nationkey"]].copy()
-    out["s_suppkey"] = out["s_suppkey"].astype(np.int64)
-    out["s_nationkey"] = out["s_nationkey"].astype(np.int64)
-    return out.sort_values("s_suppkey").reset_index(drop=True)
-
-
-_LARGE_QTY = 49
-
-
-@query(
-    "parts_with_large_orders",
-    sql=f"""
-    SELECT CAST(p.p_partkey AS BIGINT) AS p_partkey, p.p_brand,
-           CAST(p.p_size AS BIGINT) AS p_size
-    FROM part p
-    WHERE EXISTS (SELECT 1 FROM lineitem l
-                  WHERE l.l_partkey = p.p_partkey
-                    AND l.l_quantity >= {_LARGE_QTY}.0)
-    ORDER BY p_partkey
-    """,
-)
-def parts_with_large_orders(sf_dir, broadcast_threshold: int = 5_000_000,
-                            num_buckets: int = 64,
-                            path: str | None = None):
-    """EXISTS semi-join: parts that have at least one near-max-quantity
-    line — completing the how-mode trio (suppliers_no_recent_sales is
-    the anti, supplier_recent_revenue_all the outer).  The qualifying
-    partkey set is made distinct per batch + coarse-bucket distinct,
-    then size-dispatches: broadcast ``np.isin`` below
-    ``broadcast_threshold`` keys, distributed
-    ``bucket_hash_join(how='left_semi')`` above (``path`` forces
-    either; parity test)."""
-    from ..stages.agg import bucket_aggregate
-    from ..stages.hashjoin import bucket_hash_join
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_partkey", "l_quantity"])
-
-    def big_keys(t: pa.Table) -> pa.Table:
-        m = pc.greater_equal(t["l_quantity"], float(_LARGE_QTY))
-        keys = pc.unique(pc.filter(t["l_partkey"], m))
-        return pa.table({"l_partkey": pc.cast(keys, pa.int64()),
-                         "hit": pa.array(np.ones(len(keys), np.int64))})
-
-    keys_ds = bucket_aggregate(
-        li.map_batches(big_keys, batch_format="pyarrow",
-                       batch_size=None, zero_copy_batch=True),
-        ["l_partkey"], {"hit": "max"}).materialize()
-
-    part = read_table(sf_dir, "part",
-                      columns=["p_partkey", "p_brand", "p_size"])
-
-    if path is None:
-        path = ("broadcast" if keys_ds.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"parts_with_large_orders: unknown path {path!r}")
-
-    if path == "broadcast":
-        keys = np.sort(keys_ds.to_pandas()["l_partkey"].to_numpy(np.int64))
-
-        def semi(df: pd.DataFrame) -> pd.DataFrame:
-            m = np.isin(df["p_partkey"].to_numpy(np.int64), keys)
-            return df[m]
-
-        out = part.map_batches(semi, batch_format="pandas",
-                               batch_size=None).to_pandas()
-    else:
-        out = bucket_hash_join(
-            part, keys_ds.map_batches(
-                lambda df: df[["l_partkey"]],
-                batch_format="pandas", batch_size=None),
-            ["p_partkey"], ["l_partkey"], num_buckets=num_buckets,
-            how="left_semi").to_pandas()
-
-    out = out[["p_partkey", "p_brand", "p_size"]].copy()
-    out["p_partkey"] = out["p_partkey"].astype(np.int64)
-    out["p_size"] = out["p_size"].astype(np.int64)
-    return out.sort_values("p_partkey").reset_index(drop=True)
-
-
-@query(
-    "acctbal_percent_rank",
-    sql="""
-    SELECT CAST(c_custkey AS BIGINT) AS c_custkey,
-           PERCENT_RANK() OVER (ORDER BY c_acctbal) AS pr
-    FROM customer ORDER BY c_custkey
-    """,
-)
-def acctbal_percent_rank(sf_dir):
-    """Global PERCENT_RANK over every customer's balance WITHOUT a
-    global sort: balances are 2-decimal money on a fixed range, so the
-    exact cents-value histogram is domain-bounded (the same
-    sparse-cent-histogram trick the exact median/p90 queries use) —
-    one coarse-bucket aggregate builds (value, count), the driver
-    cumsums the bounded frame into count-of-strictly-less per value,
-    and a broadcast sorted lookup rewrites every row.  pr =
-    count_less/(n-1) is ONE bigint/bigint double division, the same
-    op sequence PERCENT_RANK = (rank-1)/(n-1) runs — bit-identical.
-
-    Scale shape: the shuffle carries the value domain (bounded
-    constant), never the rows; the row stream maps once, embarrassingly
-    parallel.  Ties get identical pr on both engines (rank = first
-    peer's rank)."""
-    from ..stages.agg import bucket_aggregate
-
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_acctbal"])
-
-    def hist_partial(df: pd.DataFrame) -> pd.DataFrame:
-        v, c = np.unique(_cents(df["c_acctbal"].to_numpy()),
-                         return_counts=True)
-        return pd.DataFrame({"v": v, "cnt": c.astype(np.int64)})
-
-    hist = bucket_aggregate(
-        cust.map_batches(hist_partial, batch_format="pandas",
-                         batch_size=None),
-        ["v"], {"cnt": "sum"}).to_pandas().sort_values("v")
-    vals = hist["v"].to_numpy(np.int64)
-    cnts = hist["cnt"].to_numpy(np.int64)
-    n = np.int64(cnts.sum())
-    less = np.concatenate([[np.int64(0)], np.cumsum(cnts)[:-1]])
-    denom = float(n - 1) if n > 1 else 1.0  # single row: pr = 0
-
-    def pr_map(df: pd.DataFrame) -> pd.DataFrame:
-        v = _cents(df["c_acctbal"].to_numpy())
-        idx = np.searchsorted(vals, v)  # every v exists in the domain
-        return pd.DataFrame({
-            "c_custkey": df["c_custkey"].to_numpy().astype(np.int64),
-            "pr": less[idx].astype(np.float64) / denom})
-
-    out = cust.map_batches(pr_map, batch_format="pandas",
-                           batch_size=None).to_pandas()
-    return out.sort_values("c_custkey").reset_index(drop=True)
-
-
-_DISC_CENTS_SQL = "CAST(floor(l_discount * 100.0 + 0.5) AS BIGINT)"
-_QTY_SQL = "CAST(l_quantity AS BIGINT)"
-
-
-@query(
-    "returnflag_qty_discount_corr",
-    sql=f"""
-    WITH s AS (
-      SELECT l_returnflag,
-             CAST(COUNT(*) AS BIGINT) AS n,
-             {SUM_BIG(_QTY_SQL)} AS sx,
-             {SUM_BIG(_DISC_CENTS_SQL)} AS sy,
-             {SUM_BIG(f'{_QTY_SQL} * {_QTY_SQL}')} AS sxx,
-             {SUM_BIG(f'{_DISC_CENTS_SQL} * {_DISC_CENTS_SQL}')} AS syy,
-             {SUM_BIG(f'{_QTY_SQL} * {_DISC_CENTS_SQL}')} AS sxy
-      FROM lineitem GROUP BY 1
-    )
-    SELECT l_returnflag, n, sx, sy,
-           (CAST(n AS DOUBLE) * CAST(sxy AS DOUBLE)
-              - CAST(sx AS DOUBLE) * CAST(sy AS DOUBLE))
-           / (sqrt(CAST(n AS DOUBLE) * CAST(sxx AS DOUBLE)
-                   - CAST(sx AS DOUBLE) * CAST(sx AS DOUBLE))
-              * sqrt(CAST(n AS DOUBLE) * CAST(syy AS DOUBLE)
-                     - CAST(sy AS DOUBLE) * CAST(sy AS DOUBLE)))
-             AS corr_qd
-    FROM s ORDER BY 1
-    """,
-)
-def returnflag_qty_discount_corr(sf_dir):
-    """Exact Pearson correlation of (quantity, discount) per return
-    flag from INTEGER moment sums: per-batch partials carry (n, sx,
-    sy, sxx, syy, sxy) — all exact int64, domains bounded (qty <= 50,
-    discount cents <= 10, so even 10^12 rows stay under 2^63) — and
-    the final correlation runs the IDENTICAL double expression the SQL
-    twin runs on the identical integers, so the float result is
-    bit-identical.  The shuffle moves 3 partial rows per block
-    (SQL corr() builtins use a different accumulation order and are
-    NOT reproducible across engines; the explicit-sums form is)."""
-    from ..stages.agg import combine_partials
-
-    li = read_table(sf_dir, "lineitem",
-                    columns=["l_returnflag", "l_quantity", "l_discount"])
-
-    def moments(df: pd.DataFrame) -> pd.DataFrame:
-        x = df["l_quantity"].to_numpy().astype(np.int64)
-        y = _cents(df["l_discount"].to_numpy())
-        tmp = pd.DataFrame({
-            "l_returnflag": df["l_returnflag"].to_numpy(),
-            "n": np.ones(len(x), np.int64),
-            "sx": x, "sy": y, "sxx": x * x, "syy": y * y, "sxy": x * y})
-        return tmp.groupby("l_returnflag", as_index=False).sum()
-
-    s = combine_partials(
-        li.map_batches(moments, batch_format="pandas", batch_size=None),
-        ["l_returnflag"],
-        {c: "sum" for c in ("n", "sx", "sy", "sxx", "syy", "sxy")})
-    n = s["n"].to_numpy(np.int64).astype(np.float64)
-    sx = s["sx"].to_numpy(np.int64).astype(np.float64)
-    sy = s["sy"].to_numpy(np.int64).astype(np.float64)
-    sxx = s["sxx"].to_numpy(np.int64).astype(np.float64)
-    syy = s["syy"].to_numpy(np.int64).astype(np.float64)
-    sxy = s["sxy"].to_numpy(np.int64).astype(np.float64)
-    corr = (n * sxy - sx * sy) / (np.sqrt(n * sxx - sx * sx)
-                                  * np.sqrt(n * syy - sy * sy))
-    out = pd.DataFrame({
-        "l_returnflag": s["l_returnflag"],
-        "n": s["n"].astype(np.int64),
-        "sx": s["sx"].astype(np.int64),
-        "sy": s["sy"].astype(np.int64),
-        "corr_qd": corr})
-    return out.sort_values("l_returnflag").reset_index(drop=True)
-
-
-@query(
-    "nation_customer_csv",
-    sql="""
-    SELECT CAST(c_nationkey AS BIGINT) AS c_nationkey,
-           STRING_AGG(c_name, ',' ORDER BY c_custkey) AS names_csv,
-           CAST(COUNT(*) AS BIGINT) AS n_custs
-    FROM customer GROUP BY 1 ORDER BY 1
-    """,
-)
-def nation_customer_csv(sf_dir):
-    """Ordered STRING_AGG / collect_list surface: every customer name
-    per nation, comma-joined in custkey order — byte-exact against the
-    SQL twin because the order key is explicit and total.
-
-    Scale shape: the shuffle is one groupby over the 25-key nation
-    domain; each group's sort is bounded by customers-per-nation
-    (disclosed: a collect_list is inherently group-sized — the 100-TB
-    variant shards the group by custkey range and concatenates shard
-    strings in range order, same machinery as pack_sequences' prefix
-    carry)."""
-    cust = read_table(sf_dir, "customer",
-                      columns=["c_custkey", "c_nationkey", "c_name"])
-
-    def collect(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.sort_values("c_custkey")
-        return pd.DataFrame({
-            "c_nationkey": [np.int64(df["c_nationkey"].iloc[0])],
-            "names_csv": [",".join(df["c_name"])],
-            "n_custs": [np.int64(len(df))]})
-
-    out = (cust.groupby("c_nationkey")
-           .map_groups(collect, batch_format="pandas").to_pandas())
-    out["c_nationkey"] = out["c_nationkey"].astype(np.int64)
-    out["n_custs"] = out["n_custs"].astype(np.int64)
-    return out.sort_values("c_nationkey").reset_index(drop=True)
-
-
 # ---------------------------------------------------------------------------
 # Driver-gate registration order.  The correctness driver records the
 # FIRST 50 registrations only (observed across rounds 1-3), so queries
@@ -8788,10 +6704,6 @@ def nation_customer_csv(sf_dir):
 # the local gate replica (tools/check_oracle.py) each round.
 # ---------------------------------------------------------------------------
 _DRIVER_PRIORITY = [
-    # Session-18 q-pack (new this round, never driver-checked):
-    "q15_top_supplier", "suppliers_no_recent_sales",
-    "parts_with_large_orders", "acctbal_percent_rank",
-    "returnflag_qty_discount_corr",
     # Round-5 window: every name here has NEVER had a driver row in
     # CORRECTNESS_r01-r04 (the r4 window covered the previous priority
     # list — all 50 green).  New session-15 operators first, then the
@@ -8801,22 +6713,17 @@ _DRIVER_PRIORITY = [
     "temperature_mixture_sample", "triangle_count_per_node",
     # -- named in the r4 verdict's ask #5:
     "minhash_dedup_keep", "semdedup_keep", "skew_split_join",
-    "q6_forecast_revenue", "q10_returned_items", "q18_large_orders",
-    "q19_bracket_revenue",
     # -- session-17 operators (new this round, never driver-checked;
     # each locally gated + scalar/golden-pinned in
     # tests/test_session17_ops.py):
     "incremental_neardup_new", "rendezvous_shard", "cluster_convex_hull",
     "tile_pyramid_counts",
     # -- the remaining never-driver-checked queries (r4 sessions 7-14):
-    "top_orders_per_priority", "lineitem_rollup", "raster_warp",
-    "funnel_signup_purchase", "retention_cohorts",
+    "raster_warp", "funnel_signup_purchase", "retention_cohorts",
     "click_and_purchase_days", "events_type_dow_cube",
-    "priority_month_growth",
-    # label_centroids, brand_edit_pairs and token_cooccurrence also
-    # demoted to rest, as were dedup_events_window, line_dedup_docs,
-    # winnow_fingerprints, click_no_purchase_days, events_type_hour_pivot,
-    # lineitem_unpivot_stats and split_by_domain
+    # label_centroids and token_cooccurrence also demoted to rest, as
+    # were dedup_events_window, line_dedup_docs, winnow_fingerprints,
+    # click_no_purchase_days, events_type_hour_pivot and split_by_domain
     # (each with a same-machinery sibling inside the window; all stay
     # locally gated) — plus weighted_sample_topk in the tail.
 ]

@@ -41,6 +41,34 @@ def test_scalar_parity_bitwise():
         assert (vec == sc).all(), level
 
 
+def test_nonfinite_lanes_get_id_zero():
+    """NaN and +-inf in lon or lat give id 0 (CellId::None) at every
+    level, with no RuntimeWarning, and the finite lanes of the same
+    batch keep their scalar-reference ids bit-for-bit."""
+    import warnings
+
+    lon, lat = _grid_points(300, seed=9)
+    bad_lon = np.array([np.nan, np.inf, -np.inf, 0.0, 10.0, np.nan])
+    bad_lat = np.array([0.0, 10.0, 45.0, np.nan, -np.inf, np.inf])
+    perm = np.random.default_rng(2).permutation(len(lon) + len(bad_lon))
+    lon = np.concatenate([lon, bad_lon])[perm]
+    lat = np.concatenate([lat, bad_lat])[perm]
+    fin = np.isfinite(lon) & np.isfinite(lat)
+    assert (~fin).sum() == len(bad_lon)
+    for level in (30, 17, 7, 0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ids = s2.cell_id_from_lonlat(lon, lat, level)
+        assert ids.dtype == np.uint64
+        assert (ids[~fin] == 0).all(), level
+        sc = np.array([s2_cell_id_scalar(a, b, level)
+                       for a, b in zip(lon[fin], lat[fin])], dtype=np.uint64)
+        assert (ids[fin] == sc).all(), level
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert s2.cell_id_from_lonlat(np.nan, 0.0) == 0
+
+
 def test_center_scalar_parity_and_roundtrip():
     lon, lat = _grid_points(1500, seed=11)
     leaf = s2.cell_id_from_lonlat(lon, lat)

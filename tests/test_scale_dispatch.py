@@ -168,26 +168,6 @@ def test_lsh_candidate_pairs_paths_agree(ray_session):
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
 
 
-def test_segment_p90_matches_numpy_quantile(ray_session):
-    """The sparse-histogram reconstruction equals np.quantile (linear
-    interpolation — quantile_cont semantics) on the same data."""
-    from proj_ray.pipelines.queries import QUERIES
-
-    sf = "/root/testdata/sf0.001"
-    out = QUERIES["segment_acctbal_p90"]["fn"](sf)
-    import duckdb
-
-    ref = duckdb.sql(
-        f"SELECT c_mktsegment, c_acctbal FROM '{sf}/customer.parquet'"
-    ).fetchdf()
-    for _, row in out.iterrows():
-        v = ref.loc[ref["c_mktsegment"] == row["c_mktsegment"],
-                    "c_acctbal"].to_numpy()
-        expect = int(np.floor(np.quantile(v, 0.9) * 1000.0 + 0.5))
-        assert int(row["p90_milli"]) == expect
-        assert int(row["n_customers"]) == len(v)
-
-
 def test_minhash_lsh_candidates_paths_agree(ray_session):
     """Driver pandas branch vs distributed Count-shuffle branch of
     minhash_lsh_candidates produce identical partner counts."""
@@ -200,29 +180,3 @@ def test_minhash_lsh_candidates_paths_agree(ray_session):
                 ["doc_id"])
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
     assert len(a) > 0
-
-
-def test_segment_median_paths_agree(ray_session):
-    """Exact whole-group-shuffle branch vs mergeable sparse-cent-
-    histogram branch of segment_acctbal_median: both are exact, so the
-    results must be identical (and match numpy's quantile directly)."""
-    from proj_ray.pipelines.queries import segment_acctbal_median
-
-    sf = "/root/testdata/sf0.001"
-    a = _sorted(segment_acctbal_median(sf, path="group"),
-                ["c_mktsegment"])
-    b = _sorted(segment_acctbal_median(sf, path="hist"),
-                ["c_mktsegment"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    assert len(a) > 0
-    import duckdb
-
-    ref = duckdb.sql(
-        f"SELECT c_mktsegment, c_acctbal FROM '{sf}/customer.parquet'"
-    ).fetchdf()
-    for _, row in b.iterrows():
-        v = ref.loc[ref["c_mktsegment"] == row["c_mktsegment"],
-                    "c_acctbal"].to_numpy()
-        expect = int(np.floor(np.quantile(v, 0.5) * 1000.0 + 0.5))
-        assert int(row["median_milli"]) == expect
-        assert int(row["n_customers"]) == len(v)

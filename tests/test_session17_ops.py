@@ -458,7 +458,7 @@ def test_minhash_index_append_equals_whole(ray_session, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# user_longest_streak + returnflag_price_gini: oracle + scalar checks
+# user_longest_streak: scalar check
 # ---------------------------------------------------------------------------
 
 def test_user_longest_streak_scalar(ray_session):
@@ -477,26 +477,6 @@ def test_user_longest_streak_scalar(ray_session):
             best = max(best, cur)
         assert int(got.loc[uid, "longest_streak"]) == best, uid
         assert int(got.loc[uid, "n_active_days"]) == len(days), uid
-
-
-def test_gini_scalar(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import returnflag_price_gini
-
-    got = returnflag_price_gini(SF).set_index("l_returnflag")
-    li = pq.read_table(f"{SF}/lineitem.parquet",
-                       columns=["l_returnflag", "l_extendedprice"]
-                       ).to_pandas()
-    li["v"] = np.floor(li.l_extendedprice * 100.0 + 0.5).astype(np.int64)
-    for rf, g in li.groupby("l_returnflag"):
-        x = np.sort(g["v"].to_numpy(np.int64))
-        n = len(x)
-        r = int((np.arange(1, n + 1, dtype=np.int64) * x).sum())
-        t = int(x.sum())
-        assert int(got.loc[rf, "gini_num"]) == 2 * r - (n + 1) * t, rf
-        assert int(got.loc[rf, "gini_den"]) == n * t, rf
-        # sanity: Gini of a positive distribution lies in [0, 1)
-        assert 0.0 <= got.loc[rf, "gini"] < 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Round-4 session-6 operators: sessionization and the Bloom-prefiltered
-semi-join (both dispatch paths)."""
+"""Sessionization, per-key reducers and Douglas-Peucker trajectory
+simplification."""
 
 import duckdb
 import numpy as np
@@ -13,92 +13,6 @@ def _sorted(df, by):
     if not isinstance(df, pd.DataFrame):
         df = df.to_pandas()
     return df.sort_values(by).reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# Bloom filter primitive
-# ---------------------------------------------------------------------------
-
-def test_bloom_no_false_negatives_and_low_fp():
-    from proj_ray.functions.sketch import (bloom_might_contain,
-                                           bloom_words_from_keys)
-
-    rng = np.random.default_rng(7)
-    present = rng.choice(10**9, 5000, replace=False).astype(np.int64)
-    absent = (rng.choice(10**9, 20000, replace=False).astype(np.int64)
-              + 10**9)
-    words = bloom_words_from_keys(present, 1 << 17, 5)
-    assert bloom_might_contain(words, present, 5).all()
-    fp = bloom_might_contain(words, absent, 5).mean()
-    # 5k keys in 131072 bits, k=5 -> theoretical fp ~ 0.6%
-    assert fp < 0.03
-
-
-def test_bloom_partials_or_merge():
-    from proj_ray.functions.sketch import (bloom_might_contain,
-                                           bloom_words_from_keys)
-
-    a = np.arange(0, 500, dtype=np.int64)
-    b = np.arange(500, 1000, dtype=np.int64)
-    merged = (bloom_words_from_keys(a, 1 << 14, 4)
-              | bloom_words_from_keys(b, 1 << 14, 4))
-    whole = bloom_words_from_keys(np.arange(1000, dtype=np.int64),
-                                  1 << 14, 4)
-    assert (merged == whole).all()
-    assert bloom_might_contain(merged, np.arange(1000, dtype=np.int64),
-                               4).all()
-
-
-def test_bloom_empty_batch():
-    from proj_ray.functions.sketch import (bloom_might_contain,
-                                           bloom_words_from_keys)
-
-    words = bloom_words_from_keys(np.array([], np.int64), 1 << 10, 3)
-    assert words.sum() == 0
-    assert bloom_might_contain(words, np.array([], np.int64), 3).size == 0
-
-
-# ---------------------------------------------------------------------------
-# bloom_semi_join: forced paths agree with each other and with DuckDB
-# ---------------------------------------------------------------------------
-
-def _bloom_oracle():
-    from proj_ray.pipelines.queries import QUERIES
-
-    con = duckdb.connect()
-    for t in ("orders", "lineitem"):
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
-    out = con.sql(QUERIES["bloom_semi_join"]["sql"]).fetchdf()
-    con.close()
-    return _sorted(out, ["l_returnflag"])
-
-
-def test_bloom_semi_join_paths_agree(ray_session):
-    from proj_ray.pipelines.queries import bloom_semi_join
-
-    want = _bloom_oracle()
-    got_b = _sorted(bloom_semi_join(SF, path="broadcast"), ["l_returnflag"])
-    got_j = _sorted(bloom_semi_join(SF, path="join"), ["l_returnflag"])
-    pd.testing.assert_frame_equal(got_b, want.astype(got_b.dtypes.to_dict()))
-    pd.testing.assert_frame_equal(got_j, want.astype(got_j.dtypes.to_dict()))
-
-
-def test_bloom_semi_join_tiny_filter_still_exact(ray_session):
-    """A deliberately undersized bitmap (high fp rate) must not change
-    the result — the exact verify pass owns correctness."""
-    from proj_ray.pipelines.queries import bloom_semi_join
-
-    want = _bloom_oracle()
-    got = _sorted(bloom_semi_join(SF, n_bits=256, k_hashes=2),
-                  ["l_returnflag"])
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
-def test_bloom_semi_join_bad_path(ray_session):
-    from proj_ray.pipelines.queries import bloom_semi_join
-
-    with pytest.raises(ValueError):
-        bloom_semi_join(SF, path="nope")
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Round-4 session-7 operators: raster focal stencil, left-outer
-enrichment join with zero-fill, weighted (sequential-Poisson) sampling."""
+"""Raster focal stencil, left-outer enrichment join with zero-fill,
+weighted (sequential-Poisson) sampling, the event-hour pivot, raster
+warp, the signup-to-purchase funnel and retention cohorts."""
 
 import duckdb
 import numpy as np
@@ -193,14 +194,11 @@ def test_weighted_sample_determinism_and_bias(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# OLAP surface: pivot, per-group top-k, rollup
+# OLAP surface: pivot
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("qname,keys,tables", [
     ("events_type_hour_pivot", ["hour_of_day"], ["events"]),
-    ("top_orders_per_priority",
-     ["o_orderpriority", "o_orderkey"], ["orders"]),
-    ("lineitem_rollup", ["returnflag", "linestatus"], ["lineitem"]),
 ])
 def test_olap_queries_match_oracle(ray_session, qname, keys, tables):
     from proj_ray.pipelines.queries import QUERIES
@@ -224,32 +222,6 @@ def test_pivot_row_sums(ray_session):
     assert (df["n_total"].to_numpy()
             == sum(df[f"n_{t}"].to_numpy() for t in _EVT_TYPES)).all()
     assert df["hour_of_day"].between(0, 23).all()
-
-
-def test_top_per_group_k_and_order(ray_session):
-    from proj_ray.pipelines.queries import (_TPK_PER_GROUP,
-                                            top_orders_per_priority)
-
-    df = top_orders_per_priority(SF)
-    for _, g in df.groupby("o_orderpriority"):
-        assert len(g) <= _TPK_PER_GROUP
-        c = g["price_cents"].to_numpy()
-        assert (np.diff(c) <= 0).all()
-
-
-def test_rollup_levels_consistent(ray_session):
-    from proj_ray.pipelines.queries import lineitem_rollup
-
-    df = lineitem_rollup(SF)
-    fine = df[(df["returnflag"] != "ALL") & (df["linestatus"] != "ALL")]
-    lvl1 = df[(df["returnflag"] != "ALL") & (df["linestatus"] == "ALL")]
-    total = df[(df["returnflag"] == "ALL") & (df["linestatus"] == "ALL")]
-    assert len(total) == 1
-    for m in ["n_items", "sum_qty", "sum_price_cents"]:
-        assert fine[m].sum() == total[m].iloc[0]
-        per_flag = fine.groupby("returnflag")[m].sum()
-        got = lvl1.set_index("returnflag")[m]
-        assert (per_flag.sort_index() == got.sort_index()).all()
 
 
 # ---------------------------------------------------------------------------
@@ -286,79 +258,6 @@ def test_raster_warp_mapping_properties(ray_session):
     mid = df[df["tr"].isin([15, 16])]
     if len(mid):
         assert mid["sr"].between(14, 17).all()
-
-
-# ---------------------------------------------------------------------------
-# q3_shipping_priority (three-table pipeline)
-# ---------------------------------------------------------------------------
-
-def test_q3_matches_oracle_both_paths(ray_session):
-    from proj_ray.pipelines.queries import q3_shipping_priority
-
-    want = _oracle("q3_shipping_priority",
-                   ["customer", "orders", "lineitem"])
-    for path in ("broadcast", "join"):
-        got = q3_shipping_priority(SF, path=path)
-        assert len(got) == len(want), path
-        for col in got.columns:
-            assert (got[col].to_numpy() == want[col].to_numpy()).all(), \
-                (path, col)
-
-
-def test_q3_revenue_descends(ray_session):
-    from proj_ray.pipelines.queries import _Q3_K, q3_shipping_priority
-
-    df = q3_shipping_priority(SF)
-    assert len(df) <= _Q3_K
-    rev = df["revenue_cents2"].to_numpy()
-    assert (np.diff(rev) <= 0).all()
-    assert (rev > 0).all()
-
-
-# ---------------------------------------------------------------------------
-# q5_local_supplier_volume (six-table pipeline)
-# ---------------------------------------------------------------------------
-
-def test_q5_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import q5_local_supplier_volume
-
-    got = q5_local_supplier_volume(SF)
-    want = _oracle("q5_local_supplier_volume",
-                   ["customer", "orders", "lineitem", "supplier",
-                    "nation", "region"])
-    assert len(got) == len(want)
-    assert (got["n_name"].to_numpy() == want["n_name"].to_numpy()).all()
-    assert (got["revenue_cents2"].to_numpy(np.int64)
-            == want["revenue_cents2"].to_numpy(np.int64)).all()
-
-
-def test_q5_only_asia_nations(ray_session):
-    from proj_ray.pipelines.queries import q5_local_supplier_volume
-
-    df = q5_local_supplier_volume(SF)
-    con = duckdb.connect()
-    asia = {r[0] for r in con.sql(
-        f"""SELECT n_name FROM '{SF}/nation.parquet' n
-            JOIN '{SF}/region.parquet' r
-              ON r.r_regionkey = n.n_regionkey
-            WHERE r.r_name = 'ASIA'""").fetchall()}
-    assert set(df["n_name"]) <= asia
-    assert (df["revenue_cents2"] > 0).all()
-
-
-# ---------------------------------------------------------------------------
-# q14_promo_revenue (conditional aggregate over a join)
-# ---------------------------------------------------------------------------
-
-def test_q14_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import q14_promo_revenue
-
-    got = q14_promo_revenue(SF)
-    want = _oracle("q14_promo_revenue", ["lineitem", "part"])
-    for col in ["promo_cents2", "total_cents2", "n_items"]:
-        assert int(got[col].iloc[0]) == int(want[col].iloc[0]), col
-    assert 0 < int(got["promo_cents2"].iloc[0]) \
-        <= int(got["total_cents2"].iloc[0])
 
 
 # ---------------------------------------------------------------------------
