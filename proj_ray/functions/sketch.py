@@ -225,70 +225,3 @@ def ds_quantile_tdigest(ds, val_col: str, qs, delta: int = 200,
         for m, w in zip(b["means"].to_pylist(), b["weights"].to_pylist()):
             acc = acc.merge(TDigest(delta, m, w))
     return [acc.quantile(q) for q in np.atleast_1d(qs)]
-
-
-# ---------------------------------------------------------------------------
-# HyperLogLog cardinality sketch (Flajolet et al. 2007) — the third
-# mergeable-sketch family next to the sparse cent-histogram and the
-# t-digest: per-batch register partials merge by elementwise MAX, so
-# the distributed shape is map_batches partials + one bounded-key
-# combine (never a corpus-wide distinct shuffle).  Everything is
-# deterministic: splitmix64 hashing, integer rank arithmetic, and a
-# fixed-length fixed-order float64 estimator, so the engine and the
-# scalar golden agree bit-for-bit.
-# ---------------------------------------------------------------------------
-
-def mg_trim(counts: np.ndarray, k: int):
-    """Misra-Gries block trim (the shared core of misra_gries_topk and
-    skew_split_join's hot-key detection): subtract the (k+1)-th largest
-    count from all and keep the strictly-positive remainder — at most k
-    counters survive, and the subtracted value bounds this block's
-    per-key undercount.  Returns ``(sub, keep_mask)``; the caller emits
-    counts[keep] - sub plus a sentinel row carrying ``sub`` so merged
-    subtractions bound the total undercount D."""
-    counts = counts.astype(np.int64, copy=False)
-    if counts.size <= k:
-        return np.int64(0), np.ones(counts.size, bool)
-    sub = np.partition(counts, counts.size - k - 1)[counts.size - k - 1]
-    return np.int64(sub), counts > sub
-
-
-HLL_P = 12
-HLL_M = 1 << HLL_P
-
-
-def _bit_length_u64(v: np.ndarray) -> np.ndarray:
-    """Vectorized integer bit_length for uint64 (no float round-trip —
-    a float64 cast can carry the exponent at 2^53+ and misreport by 1)."""
-    v = v.copy()
-    out = np.zeros(v.shape, dtype=np.int64)
-    for s in (32, 16, 8, 4, 2, 1):
-        m = v >= (np.uint64(1) << np.uint64(s))
-        out[m] += s
-        v = np.where(m, v >> np.uint64(s), v)
-    return out + v.astype(np.int64)
-
-
-def hll_idx_rho(hashes: np.ndarray):
-    """(register index, rank) per hash: index = top p bits, rank = 1 +
-    leading zeros of the remaining 64-p bits (capped when they are 0)."""
-    h = hashes.astype(np.uint64)
-    idx = (h >> np.uint64(64 - HLL_P)).astype(np.int64)
-    rest = h & ((np.uint64(1) << np.uint64(64 - HLL_P)) - np.uint64(1))
-    rho = (64 - HLL_P) - _bit_length_u64(rest) + 1
-    return idx, rho.astype(np.int64)
-
-
-def hll_estimate(regs: np.ndarray) -> float:
-    """Classic HLL estimate with the small-range linear-counting
-    correction (large-range skipped: n << 2^32 here).  regs is the full
-    m-length int64 register array; the 2^-reg sum runs over a FIXED
-    length in a fixed order, so both engines produce identical bits."""
-    m = float(HLL_M)
-    alpha = 0.7213 / (1.0 + 1.079 / m)
-    s = float(np.sum(np.power(2.0, -regs.astype(np.float64))))
-    e = alpha * m * m / s
-    zeros = int((regs == 0).sum())
-    if e <= 2.5 * m and zeros:
-        e = m * float(np.log(m / zeros))
-    return e

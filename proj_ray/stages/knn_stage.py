@@ -73,10 +73,12 @@ def knn_topk(ds, queries, k=5, lon_col="lon", lat_col="lat", id_col="pid",
     """``queries`` = [(qid, qlon, qlat), ...] (small). Returns a pyarrow
     Table with rank 1..k per query by (distance, id):
     (qid, id, rank, d2) for ``metric="planar"``,
-    (qid, id, rank, s12_mm) for ``metric="geodesic"``."""
+    (qid, id, rank, s12_mm) for ``metric="geodesic"``.  Points with a
+    non-finite lon or lat are never neighbours."""
     if metric not in ("planar", "geodesic"):
         raise ValueError(f"unknown metric {metric!r}")
-    q = np.asarray([[ql, qa] for _, ql, qa in queries], dtype=np.float64)
+    q = np.asarray([[ql, qa] for _, ql, qa in queries],
+                   dtype=np.float64).reshape(-1, 2)
     qids = [qid for qid, _, _ in queries]
     nq = len(qids)
 
@@ -84,6 +86,9 @@ def knn_topk(ds, queries, k=5, lon_col="lon", lat_col="lat", id_col="pid",
         lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+        ok = np.isfinite(lon) & np.isfinite(lat)
+        if not ok.all():
+            lon, lat, ids = lon[ok], lat[ok], ids[ok]
         n = lon.size
         if metric == "planar":
             dl = lon[:, None] - q[None, :, 0]

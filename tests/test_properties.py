@@ -161,29 +161,7 @@ def test_s2_parent_contains_leaf(pts, level):
     assert ((leaf >= lo) & (leaf <= hi)).all()
 
 
-# --- session-12 kernels: BPE merge loop and WARC record layout -------------
-
-_word_st = st.text(alphabet="abcdef", min_size=1, max_size=8)
-
-
-@settings(max_examples=40, deadline=None)
-@given(st.dictionaries(_word_st, st.integers(min_value=1, max_value=9),
-                       min_size=1, max_size=12),
-       st.integers(min_value=1, max_value=10))
-def test_bpe_driver_matches_dict_reference(word_counts, k):
-    """The flat-numpy merge loop == the dict/loop published algorithm
-    on arbitrary small vocabularies (overlap counting, greedy merge,
-    lexicographic tie-breaks)."""
-    from proj_ray.functions.bpe import bpe_merges_driver
-    from tests.test_bpe import _scalar_bpe
-
-    got = bpe_merges_driver(np.array(list(word_counts)),
-                            list(word_counts.values()), k)
-    want = _scalar_bpe(word_counts, k)
-    assert got["left"].tolist() == want["left"].tolist()
-    assert got["right"].tolist() == want["right"].tolist()
-    assert got["pair_count"].tolist() == want["pair_count"].tolist()
-
+# --- session-12 kernels: WARC record layout --------------------------------
 
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(

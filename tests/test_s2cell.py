@@ -346,6 +346,42 @@ def test_knn_geodesic_matches_scalar_karney(ray_session):
         assert sub["s12_mm"].tolist() == want_mm
 
 
+def test_knn_non_finite_lanes_and_zero_queries(ray_session):
+    """Lanes with a NaN or +-inf lon or lat are never neighbours under
+    either metric: ranks run 1..n_finite when k exceeds it, and the rows
+    equal the run on the finite lanes alone.  Zero queries give an
+    empty table with the metric's schema."""
+    import pandas as pd
+    import ray.data as rd
+
+    from proj_ray.stages.knn_stage import knn_topk
+
+    lon = np.array([0.0, 1.0, np.nan, np.inf, 2.0, -np.inf, 3.0, 1.0])
+    lat = np.array([0.0, np.nan, 0.0, 0.0, 1.0, 5.0, np.inf, -2.0])
+    df = pd.DataFrame({"pid": np.arange(lon.size, dtype=np.int64),
+                       "lon": lon, "lat": lat})
+    finite = np.isfinite(lon) & np.isfinite(lat)
+    n_finite = int(finite.sum())
+    queries = [(7, 0.0, 0.0), (8, 10.0, -5.0)]
+    for metric, dcol in (("planar", "d2"), ("geodesic", "s12_mm")):
+        got = knn_topk(rd.from_pandas(df), queries, k=n_finite + 2,
+                       id_col="pid", metric=metric)
+        want = knn_topk(rd.from_pandas(df[finite].reset_index(drop=True)),
+                        queries, k=n_finite + 2, id_col="pid",
+                        metric=metric)
+        g = got.to_pandas()
+        assert set(g["id"]) <= set(np.flatnonzero(finite).tolist())
+        for qid, _, _ in queries:
+            ranks = g.loc[g["qid"] == qid, "rank"].tolist()
+            assert ranks == list(range(1, n_finite + 1))
+        assert g.equals(want.to_pandas())
+        empty = knn_topk(rd.from_pandas(df), [], k=3, id_col="pid",
+                         metric=metric)
+        assert empty.num_rows == 0
+        assert empty.column_names == ["qid", "id", "rank", dcol]
+        assert empty.schema == got.schema
+
+
 def test_geodesic_radius_box_is_exact_superset():
     """Property: every point within R Karney metres of q lies inside
     the (dlat, dlon) box from geodesic_radius_box — across equatorial,

@@ -1,5 +1,4 @@
-"""Winnowing (MOSS) fingerprints, content-defined chunking and the shared
-broadcast-probe helper."""
+"""Winnowing (MOSS) fingerprints and content-defined chunking."""
 
 import numpy as np
 
@@ -142,27 +141,3 @@ def test_cdc_dedup_stats_invariants(ray_session):
     assert int(df["n_distinct"][0]) + int(df["dup_chunks"][0]) \
         == int(df["n_chunks_total"][0])
     assert int(df["dup_bytes"][0]) >= int(df["dup_chunks"][0]) * 0
-
-
-# ---------------------------------------------------------------------------
-# broadcast-probe helper
-# ---------------------------------------------------------------------------
-
-
-def test_sorted_lookup_edges():
-    """The shared broadcast-probe helper: empty lookup side must yield
-    an all-miss mask with in-range (gatherable) indices; hit-only
-    gathers on idx[hit] stay safe even against empty payload arrays."""
-    from proj_ray.pipelines.queries import _sorted_lookup
-
-    keys = np.array([], np.int64)
-    idx, hit = _sorted_lookup(keys, np.array([3, 7], np.int64))
-    assert not hit.any() and idx.tolist() == [0, 0]
-    payload = np.array([], np.int64)
-    assert payload[idx[hit]].size == 0  # hit-only gather never raises
-
-    keys = np.array([2, 5, 9], np.int64)
-    idx, hit = _sorted_lookup(keys, np.array([1, 2, 6, 9, 12], np.int64))
-    assert hit.tolist() == [False, True, False, True, False]
-    assert (keys[idx[hit]] == np.array([2, 9])).all()
-    assert idx.max() <= len(keys) - 1  # clamped even past the end

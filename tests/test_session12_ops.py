@@ -1,11 +1,9 @@
-"""Scale hardening of two operators that were weak at scale, plus the
-codec adapter and the jsonl float round-trip fix.
+"""Scale hardening of semdedup_keep, plus the jsonl float round-trip
+fix and the leakage-controlled split.
 
 - semdedup_keep: oversized cells split via capped_bucket_pairs;
   forced-split parity against a driver recomputation of the same
   capped rule.
-- skew_split_join: Misra-Gries bounded hot-key detection; forced-path
-  parity against the exact-count path.
 """
 
 import duckdb
@@ -102,66 +100,7 @@ def test_semdedup_capped_is_keep_superset(ray_session):
     assert (m["kept_c"].to_numpy() >= m["kept_f"].to_numpy()).all()
 
 
-# --- skew join bounded hot-key detection ------------------------------------
-
-
-def test_skew_split_join_mg_detection_parity(ray_session):
-    """Forcing the Misra-Gries detection path (threshold 0) must yield
-    the identical join output as the exact-count path — the hot set is
-    routing, not semantics."""
-    from proj_ray.pipelines.queries import skew_split_join
-
-    exact = skew_split_join(SF).reset_index(drop=True)
-    mg = skew_split_join(SF, detect_rows_threshold=0).reset_index(drop=True)
-    for c in ("event_id", "user_id", "acctbal_cents"):
-        assert (exact[c].to_numpy(np.int64) == mg[c].to_numpy(np.int64)).all()
-
-
-def test_hot_keys_mg_bounded_and_exact_census(ray_session):
-    """With no trimming (D == 0) the MG summary is an exact census and
-    cold_exists is exact; with tiny mg_k, trimming forces
-    cold_exists=True via the pigeonhole argument."""
-    import ray.data as rd
-
-    from proj_ray.pipelines.queries import _hot_keys_mg
-
-    uid = np.r_[np.repeat(7, 100), np.arange(50)].astype(np.int64)
-    ds = rd.from_arrow(pa.table({"user_id": pa.array(uid, pa.int64()),
-                                 "event_id": pa.array(
-                                     np.arange(len(uid)), pa.int64())}))
-    hot, cold = _hot_keys_mg(ds, hot_k=1, mg_k=4096)
-    assert list(hot) == [7]
-    assert cold
-    # all keys hot, exact census => no cold side
-    hot, cold = _hot_keys_mg(ds, hot_k=64, mg_k=4096)
-    assert len(hot) == 50 and not cold  # 50 distinct keys (7 repeats)
-    # forced trimming: mg_k smaller than per-block distinct keys
-    hot, cold = _hot_keys_mg(ds, hot_k=1, mg_k=4)
-    assert 7 in set(hot.tolist())
-    assert cold
-
-
-# --- codec adapter & jsonl precision ----------------------------------------
-
-
-def test_decode_stage_adapter_schema():
-    """Fake path always runs; the real path runs when PIL is present
-    (not in this container) — both must emit the identical schema."""
-    from proj_ray.stages.multimodal import DecodeStage, _pil_image
-
-    t = pa.table({"doc_id": pa.array([1, 2], pa.int64()),
-                  "payload": pa.array([b"abcdefgh" * 4, None], pa.binary()),
-                  "media_type": pa.array(["image/png"] * 2, pa.string())})
-    fake = DecodeStage(deterministic_fake=True)(t)
-    assert fake.column_names == ["doc_id", "media_type",
-                                 "payload_bytes", "features"]
-    assert fake["features"].type == pa.list_(pa.float32(), 8)
-    if _pil_image() is None:
-        with pytest.raises(NotImplementedError):
-            DecodeStage(deterministic_fake=False)
-    else:  # pragma: no cover - PIL not in this container
-        real = DecodeStage(deterministic_fake=False)(t)
-        assert real.schema == fake.schema
+# --- jsonl precision -------------------------------------------------------
 
 
 def test_jsonl_float64_roundtrip(ray_session, tmp_path):

@@ -1,6 +1,6 @@
-"""Session-16 operators: web link-graph extraction, robust MAD,
-char-diversity (Simpson), association lift, and the feature-hashed
-quality classifier.  Each pinned against an independent
+"""Session-16 operators: web link-graph extraction, char-diversity
+(Simpson), association lift, and the feature-hashed quality
+classifier.  Each pinned against an independent
 scalar / pure-Python reference computed straight from the parquet —
 no shared code with the engine's vectorized path."""
 
@@ -72,28 +72,6 @@ def test_link_extraction_parses_real_href_bytes(ray_session, docs):
     mine = got[got["src_domain"] == did % _LINK_DOMS]
     for d in found:
         assert ((mine["dst_domain"] == d).any())
-
-
-# ---------------------------------------------------------------------------
-# events_value_mad: np.quantile scalar reference
-# ---------------------------------------------------------------------------
-
-def test_events_value_mad_scalar(ray_session):
-    from proj_ray.pipelines.queries import events_value_mad
-
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_type", "value"]).to_pandas()
-    got = events_value_mad(SF).set_index("event_type")
-    for ty, g in ev.groupby("event_type"):
-        v = g["value"].to_numpy()
-        med_milli = int(np.floor(np.quantile(v, 0.5) * 1000.0 + 0.5))
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        dev = np.abs(cents * 10 - med_milli)
-        mad_cmilli = int(np.floor(np.quantile(dev, 0.5) * 10.0 + 0.5))
-        row = got.loc[ty]
-        assert int(row["med_milli"]) == med_milli
-        assert int(row["mad_cmilli"]) == mad_cmilli
-        assert int(row["n_events"]) == len(v)
 
 
 # ---------------------------------------------------------------------------
@@ -233,26 +211,3 @@ def test_link_reciprocity_scalar(ray_session, docs):
     for u in out_edges:
         assert int(got.loc[u, "n_out_edges"]) == out_edges[u]
         assert int(got.loc[u, "n_reciprocal"]) == recip[u]
-
-
-# ---------------------------------------------------------------------------
-# robust_outlier_filter: scalar quantile + threshold reference
-# ---------------------------------------------------------------------------
-
-def test_robust_outlier_scalar(ray_session):
-    from proj_ray.pipelines.queries import _OUTLIER_K, robust_outlier_filter
-
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["event_id", "event_type", "value"]
-                       ).to_pandas()
-    want_ids = []
-    for ty, g in ev.groupby("event_type"):
-        v = g["value"].to_numpy()
-        med_milli = int(np.floor(np.quantile(v, 0.5) * 1000.0 + 0.5))
-        cents = np.floor(v * 100.0 + 0.5).astype(np.int64)
-        dev = np.abs(cents * 10 - med_milli)
-        mad_cmilli = int(np.floor(np.quantile(dev, 0.5) * 10.0 + 0.5))
-        m = dev * 10 > _OUTLIER_K * mad_cmilli
-        want_ids.extend(g["event_id"].to_numpy()[m].tolist())
-    got = robust_outlier_filter(SF)
-    assert sorted(want_ids) == got["event_id"].tolist()

@@ -458,28 +458,6 @@ def test_minhash_index_append_equals_whole(ray_session, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# user_longest_streak: scalar check
-# ---------------------------------------------------------------------------
-
-def test_user_longest_streak_scalar(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import user_longest_streak
-
-    got = user_longest_streak(SF).set_index("user_id")
-    ev = pq.read_table(f"{SF}/events.parquet",
-                       columns=["user_id", "ts"]).to_pandas()
-    ev["day"] = (ev.ts.astype("int64") // 86_400_000_000).astype(int)
-    for uid, g in list(ev.groupby("user_id"))[:100]:
-        days = sorted(set(g["day"]))
-        best = cur = 1
-        for a, b in zip(days, days[1:]):
-            cur = cur + 1 if b == a + 1 else 1
-            best = max(best, cur)
-        assert int(got.loc[uid, "longest_streak"]) == best, uid
-        assert int(got.loc[uid, "n_active_days"]) == len(days), uid
-
-
-# ---------------------------------------------------------------------------
 # hard_negatives_topk: label exclusion + scalar replica at sf0.001
 # ---------------------------------------------------------------------------
 
@@ -515,24 +493,3 @@ def test_hard_negatives_excludes_own_label(ray_session):
         want = ids[sel].tolist()
         assert got[got.qid == j].sort_values("rank").vec_id.tolist() \
             == want, j
-
-
-# ---------------------------------------------------------------------------
-# cms_user_counts: CMS invariants (no undercount; merge = whole)
-# ---------------------------------------------------------------------------
-
-def test_cms_no_undercount_and_oracle(ray_session):
-    from proj_ray.pipelines.queries import cms_user_counts
-
-    got = cms_user_counts(SF).reset_index(drop=True)
-    con = duckdb.connect()
-    con.execute(f"CREATE VIEW events AS SELECT * FROM "
-                f"read_parquet('{SF}/events.parquet')")
-    from proj_ray.pipelines.queries import QUERIES
-    want = con.sql(QUERIES["cms_user_counts"]["sql"]).fetchdf()
-    for c in ["user_id", "true_count", "cms_est", "overcount"]:
-        assert np.array_equal(got[c].to_numpy(np.int64),
-                              want[c].to_numpy(np.int64)), c
-    # the CMS guarantee: estimates never undercount
-    assert (got.overcount >= 0).all()
-    assert (got.cms_est >= got.true_count).all()

@@ -1,10 +1,7 @@
-"""Sessionization, per-key reducers and Douglas-Peucker trajectory
-simplification."""
+"""Douglas-Peucker trajectory simplification."""
 
-import duckdb
 import numpy as np
 import pandas as pd
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -13,57 +10,6 @@ def _sorted(df, by):
     if not isinstance(df, pd.DataFrame):
         df = df.to_pandas()
     return df.sort_values(by).reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# sessionize_events: invariants + oracle parity at sf0.001
-# ---------------------------------------------------------------------------
-
-def test_sessionize_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import QUERIES, sessionize_events
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
-    want = _sorted(con.sql(QUERIES["sessionize_events"]["sql"]).fetchdf(),
-                   ["user_id", "session_no"])
-    con.close()
-    got = _sorted(sessionize_events(SF).to_pandas(),
-                  ["user_id", "session_no"])
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-
-
-def test_sessionize_invariants(ray_session):
-    from proj_ray.pipelines.queries import _SESS_GAP_US, sessionize_events
-
-    df = sessionize_events(SF).to_pandas()
-    assert (df["n_events"] >= 1).all()
-    assert (df["end_us"] >= df["start_us"]).all()
-    # consecutive sessions of one user are separated by > gap
-    for _, g in df.groupby("user_id"):
-        g = g.sort_values("session_no")
-        assert g["session_no"].tolist() == list(range(1, len(g) + 1))
-        gaps = g["start_us"].to_numpy()[1:] - g["end_us"].to_numpy()[:-1]
-        assert (gaps > _SESS_GAP_US).all()
-
-
-# ---------------------------------------------------------------------------
-# latest_event_per_user / user_top_event_type: oracle parity at sf0.001
-# ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize("qname,keys", [
-    ("latest_event_per_user", ["user_id"]),
-    ("user_top_event_type", ["user_id"]),
-])
-def test_per_key_reducers_match_oracle(ray_session, qname, keys):
-    from proj_ray.pipelines.queries import QUERIES
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
-    want = _sorted(con.sql(QUERIES[qname]["sql"]).fetchdf(), keys)
-    con.close()
-    got = _sorted(QUERIES[qname]["fn"](SF).to_pandas(), keys)
-    got = got[want.columns.tolist()]
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
 
 
 # ---------------------------------------------------------------------------

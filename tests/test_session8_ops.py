@@ -1,6 +1,5 @@
-"""Distinct set ops (EXCEPT/INTERSECT), CUBE grouping sets, label
-centroids, token co-occurrence, windowed dedup, the skew-split join and
-the bucket_aggregate groupby primitive."""
+"""Label centroids, token co-occurrence and the bucket_aggregate
+groupby primitive."""
 
 import duckdb
 import numpy as np
@@ -23,47 +22,6 @@ def _oracle(qname, tables):
     for t in tables:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
     return con.sql(QUERIES[qname]["sql"]).fetchdf()
-
-
-# ---------------------------------------------------------------------------
-# set ops
-# ---------------------------------------------------------------------------
-
-def test_set_ops_partition_click_days(ray_session):
-    """EXCEPT and INTERSECT partition the distinct click keys."""
-    from proj_ray.pipelines.queries import (click_and_purchase_days,
-                                            click_no_purchase_days)
-
-    exc = click_no_purchase_days(SF)
-    inter = click_and_purchase_days(SF)
-    k_exc = set(zip(exc["user_id"], exc["day_idx"]))
-    k_int = set(zip(inter["user_id"], inter["day_idx"]))
-    assert not (k_exc & k_int)
-
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW events AS SELECT * FROM '{SF}/events.parquet'")
-    n_click = con.sql(
-        "SELECT COUNT(*) FROM (SELECT DISTINCT user_id, "
-        "CAST(floor(epoch_us(ts)/86400000000) AS BIGINT) FROM events "
-        "WHERE event_type='click')").fetchone()[0]
-    assert len(k_exc) + len(k_int) == n_click
-
-
-# ---------------------------------------------------------------------------
-# CUBE derived levels
-# ---------------------------------------------------------------------------
-
-def test_cube_levels_consistent(ray_session):
-    from proj_ray.pipelines.queries import events_type_dow_cube
-
-    got = events_type_dow_cube(SF)
-    fine = got[(got["event_type"] != "ALL") & (got["dow"] >= 0)]
-    total = got[(got["event_type"] == "ALL") & (got["dow"] == -1)]
-    assert len(total) == 1
-    assert total["n_events"].iloc[0] == fine["n_events"].sum()
-    assert total["sum_cents"].iloc[0] == fine["sum_cents"].sum()
-    by_type = got[(got["event_type"] != "ALL") & (got["dow"] == -1)]
-    assert by_type["n_events"].sum() == fine["n_events"].sum()
 
 
 # ---------------------------------------------------------------------------
@@ -102,41 +60,6 @@ def test_token_cooccurrence_matches_oracle(ray_session):
         " + greatest(len(regexp_extract_all(text, '\\S+')) - 2, 0)) "
         "FROM documents").fetchone()[0]
     assert got["n_cooc"].sum() == mass
-
-
-# ---------------------------------------------------------------------------
-# windowed dedup
-# ---------------------------------------------------------------------------
-
-def test_dedup_events_window_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import dedup_events_window
-
-    got = _sorted(dedup_events_window(SF), ["event_id"])
-    want = _sorted(_oracle("dedup_events_window", ["events"]), ["event_id"])
-    assert len(got) == len(want)
-    assert (got["event_id"].to_numpy(np.int64)
-            == want["event_id"].to_numpy(np.int64)).all()
-    # keys are unique after dedup and every key of the input survives once
-    keys = list(zip(got["user_id"], got["event_type"], got["win"]))
-    assert len(keys) == len(set(keys))
-
-
-# ---------------------------------------------------------------------------
-# skew-split join
-# ---------------------------------------------------------------------------
-
-def test_skew_split_join_forced_paths_agree(ray_session):
-    """all-broadcast, all-shuffle and the hot/cold split produce the
-    identical joined rows."""
-    from proj_ray.pipelines.queries import skew_split_join
-
-    a = _sorted(skew_split_join(SF, path="all_hot"), ["event_id"])
-    b = _sorted(skew_split_join(SF, path="all_cold"), ["event_id"])
-    c = _sorted(skew_split_join(SF, hot_k=7), ["event_id"])  # true split
-    assert len(a) == len(b) == len(c) and len(a) > 0
-    for col in ("event_id", "user_id", "acctbal_cents"):
-        assert (a[col].to_numpy(np.int64) == b[col].to_numpy(np.int64)).all()
-        assert (a[col].to_numpy(np.int64) == c[col].to_numpy(np.int64)).all()
 
 
 # ---------------------------------------------------------------------------

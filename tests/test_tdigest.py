@@ -77,48 +77,3 @@ def test_tdigest_distributed(ray_session, sf_dir):
     for q, est in zip([0.1, 0.5, 0.9], got):
         rank = (x <= est).mean()
         assert abs(rank - q) < 0.02, (q, rank)
-
-
-def test_hll_idx_rho_matches_pure_python():
-    """Vectorized binary-search bit_length == int.bit_length ranks,
-    across the full value range incl. rest == 0 and huge hashes."""
-    from proj_ray.functions.dedup import mix64
-    from proj_ray.functions.sketch import HLL_P, hll_idx_rho
-
-    vals = np.array([0, 1, 2, 3, 2**52 - 1, 2**52, 2**63, 2**64 - 1,
-                     0x9E3779B97F4A7C15] + list(range(1000, 1100)),
-                    dtype=np.uint64)
-    idx, rho = hll_idx_rho(vals)
-    for v, i, r in zip(vals.tolist(), idx.tolist(), rho.tolist()):
-        assert i == (v >> (64 - HLL_P))
-        rest = v & ((1 << (64 - HLL_P)) - 1)
-        assert r == (64 - HLL_P) - rest.bit_length() + 1
-
-    h = mix64(np.arange(5000, dtype=np.int64))
-    idx, rho = hll_idx_rho(h)
-    assert idx.min() >= 0 and idx.max() < 2**HLL_P and rho.min() >= 1
-
-
-def test_events_user_hll_within_error_bound(ray_session):
-    """HLL estimate lands within 5 sigma (sigma = 1.04/sqrt(m)) of the
-    exact distinct (user, hour) count per event type (batching cannot
-    change the estimate — register max is order-free — and the frozen
-    golden pins exact equality at the gate)."""
-    import duckdb
-
-    from proj_ray.functions.sketch import HLL_M
-    from proj_ray.pipelines.queries import QUERIES
-
-    sf = "/root/testdata/sf0.01"
-    got = QUERIES["events_user_hll"]["fn"](sf)
-    exact = dict(duckdb.sql(f"""
-        SELECT event_type,
-               COUNT(DISTINCT user_id * 16777216
-                     + epoch_us(ts) // 3600000000)
-        FROM read_parquet('{sf}/events.parquet') GROUP BY event_type
-        """).fetchall())
-    sigma = 1.04 / np.sqrt(HLL_M)
-    for _, row in got.iterrows():
-        n = exact[row["event_type"]]
-        assert abs(row["est_distinct"] - n) <= 5 * sigma * n, \
-            (row["event_type"], row["est_distinct"], n)

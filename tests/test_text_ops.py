@@ -1,10 +1,9 @@
-"""Scalar-reference tests for the round-4 text/window additions:
-Gopher-style repetition signals (functions.text.repetition_batch) and
-the hopping-window aggregate (pipelines.queries.events_hopping_agg).
+"""Scalar-reference tests for the round-4 text additions: Gopher-style
+repetition signals (functions.text.repetition_batch).
 
-Both also carry full SQL oracles in the query registry; these tests pin
-the kernels against INDEPENDENT per-row Python implementations so the
-vectorized paths can't drift together with their oracle."""
+These tests pin the kernel against INDEPENDENT per-row Python
+implementations so the vectorized path can't drift together with its
+oracle."""
 
 import re
 from collections import Counter
@@ -96,58 +95,6 @@ def test_repetition_batch_boundary_independence():
                        repetition_batch(t.slice(7)).to_pandas()],
                       ignore_index=True)
     pd.testing.assert_frame_equal(whole, parts)
-
-
-HOP_US = 900_000_000
-K = 4
-
-
-def _scalar_hopping(ts_us, etypes, cents):
-    acc = {}
-    for t, e, c in zip(ts_us, etypes, cents):
-        b = t // HOP_US
-        for k in range(K):
-            key = (e, b - k)
-            n, s = acc.get(key, (0, 0))
-            acc[key] = (n + 1, s + c)
-    return acc
-
-
-def test_hopping_window_agg_matches_scalar(ray_session):
-    from proj_ray.pipelines.queries import QUERIES
-
-    fn = QUERIES["events_hopping_agg"]["fn"]
-    got = fn("/root/testdata/sf0.001")
-    ev = pd.read_parquet("/root/testdata/sf0.001/events.parquet",
-                         columns=["event_type", "ts", "value"])
-    ts_us = ev["ts"].astype("int64").to_numpy()
-    cents = np.floor(ev["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    want = _scalar_hopping(ts_us, ev["event_type"].to_numpy(), cents)
-    assert len(got) == len(want)
-    for row in got.itertuples(index=False):
-        n, s = want[(row.event_type, row.win_idx)]
-        assert (row.n_events, row.sum_value_cents) == (n, s)
-    # every event really lands in K windows
-    assert got["n_events"].sum() == K * len(ev)
-
-
-def test_rolling_7d_matches_scalar(ray_session):
-    from proj_ray.pipelines.queries import QUERIES, _ROLL_WIN_US
-
-    fn = QUERIES["user_rolling_7d"]["fn"]
-    sf = "/root/testdata/sf0.001"
-    got = fn(sf).to_pandas().set_index("event_id")
-    ev = pd.read_parquet(f"{sf}/events.parquet",
-                         columns=["event_id", "user_id", "ts", "value"])
-    tu = ev["ts"].astype("int64").to_numpy()
-    cents = np.floor(ev["value"].to_numpy() * 100.0 + 0.5).astype(np.int64)
-    assert len(got) == len(ev)
-    # brute-force per-row reference (value-based inclusive window)
-    for row in ev.sample(n=300, random_state=7).itertuples():
-        m = (ev["user_id"].to_numpy() == row.user_id) & \
-            (tu >= tu[row.Index] - _ROLL_WIN_US) & (tu <= tu[row.Index])
-        assert got.loc[row.event_id, "roll_cents"] == cents[m].sum()
-        assert got.loc[row.event_id, "n_in_window"] == m.sum()
 
 
 def test_dup_ngram_zero_gram_docs_covered(ray_session):

@@ -453,42 +453,6 @@ def freeze_polygon_area_golden():
     print(f"polygon_area_geodesic golden written ({len(rows)} rings)")
 
 
-def freeze_events_user_hll_golden():
-    """events_user_hll: pure-Python per-row register loop (dict
-    registers, int.bit_length rank — independent of the engine's
-    vectorized binary-search bit_length, batch partials and the
-    max-combine); shares only the definitional constants/estimator."""
-    from proj_ray.functions.sketch import HLL_M, HLL_P, hll_estimate
-
-    ev = pq.read_table(os.path.join(SF_DIR, "events.parquet"),
-                       columns=["event_type", "user_id", "ts"])
-    et = ev["event_type"].to_pylist()
-    uid = ev["user_id"].to_numpy().astype(np.int64)
-    tu = ev["ts"].cast(pa.int64()).to_numpy()
-    regs: dict = {}
-    for i in range(len(et)):
-        key = int(uid[i]) * 16777216 + int(tu[i]) // 3600_000_000
-        h = int(mix64_s(key))
-        idx = h >> (64 - HLL_P)
-        rest = h & ((1 << (64 - HLL_P)) - 1)
-        rho = (64 - HLL_P) - rest.bit_length() + 1
-        r = regs.setdefault(et[i], {})
-        if rho > r.get(idx, 0):
-            r[idx] = rho
-    rows = []
-    for t in sorted(regs):
-        arr = np.zeros(HLL_M, dtype=np.int64)
-        for k, v in regs[t].items():
-            arr[k] = v
-        rows.append((t, hll_estimate(arr)))
-    pq.write_table(
-        pa.table({"event_type": pa.array([r[0] for r in rows], pa.string()),
-                  "est_distinct": pa.array([r[1] for r in rows],
-                                           pa.float64())}),
-        os.path.join(OUT_DIR, "events_user_hll_sf001.parquet"))
-    print(f"events_user_hll golden written: {rows}")
-
-
 def freeze_spatial_clusters_golden(radius_m=30000.0):
     """spatial_clusters: single-process brute-force edge scan (chunked
     full O(n^2) haversine over the DISTINCT derived points — no cells,
@@ -1007,7 +971,6 @@ def main():
     freeze_hard_negatives_golden()
     freeze_ann_pq_golden()
     freeze_ann_ivfpq_golden()
-    freeze_events_user_hll_golden()
     freeze_polygon_area_golden()
     freeze_traj_simplify_golden()
 
