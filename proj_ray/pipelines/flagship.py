@@ -1,15 +1,16 @@
 """The flagship pipeline: the full north-star DAG.
 
-lineitem keys -> synth Common-Crawl-style pages (url, warc_ts, html,
-text-with-coordinate-mentions, lang) -> geoparse (RE2 extract) ->
-reproject WGS84 -> Web Mercator (fused 14-step transform) -> tile
-assign (zoom 12) -> PIP join against the broadcast polygon set ->
-per-cell aggregate (partial combine, then tiny groupby).
+lineitem keys -> synth pages (pid, text-with-coordinate-mentions) ->
+geoparse (RE2 extract) -> reproject WGS84 -> Web Mercator (fused
+14-step transform) -> tile assign (zoom 12) -> PIP join against the
+broadcast polygon set -> per-cell aggregate.
 
 Streaming end-to-end: no take_all/to_pandas/materialize on the big
 stream; the only materialized result is the final per-cell aggregate
-(bounded by cell count). The wide ``html`` column is dropped right
-after synthesis (select_columns) so the point pipeline never ships it.
+(bounded by cell count). Only what the output reads rides the stream:
+pages carry ``pid`` and ``text``, extraction keeps ``pid``, and the
+aggregate joins and groups on one int64 key per (parent cell, polygon
+index), so ``polygon_id`` strings are built once, at the sink.
 """
 
 from __future__ import annotations
@@ -18,8 +19,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from ..kernels.pip import PolygonSet
+from ..kernels.tiling import parent_cell
 from ..sources import read_table
-from ..stages.geoparse import GeoparseStage, synth_pages_batch
+from ..stages.geoparse import GeoparseStage, page_text
 from ..stages.tile_stage import tile_stage
 from ..stages.pip_stage import PIPJoinActor
 from ..stages.transform_stage import transform_points_stage
@@ -36,16 +39,16 @@ FLAGSHIP_POLYGONS = [
 ]
 
 
-def pages_dataset(sf_dir: str, batch_size: int = 65536, mult: int = 1):
-    """lineitem keys -> pages table (volume source for the web-scale
-    shape). ``mult`` > 1 fans each key out to ``mult`` distinct pages
-    (distinct pids) — the bench knob that scales the point stream without
-    changing the pipeline shape."""
+def pages_dataset(sf_dir: str, mult: int = 1):
+    """lineitem keys -> pages (pid, text): the volume source for the
+    web-scale shape. ``mult`` > 1 fans each key out to ``mult`` distinct
+    pages (distinct pids) — the bench knob that scales the point stream
+    without changing the pipeline shape."""
     import ray
 
-    # split the single-file key read so the producer isn't serial
-    # (real inputs are many files/row-groups and split for free)
-    nblocks = max(32, 4 * int(ray.cluster_resources().get("CPU", 8)))
+    # four read tasks per cluster CPU: enough to keep every CPU busy and
+    # balanced, few enough that per-task overhead does not dominate
+    nblocks = 4 * int(ray.cluster_resources().get("CPU", 8))
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"],
                     override_num_blocks=nblocks)
 
@@ -62,53 +65,71 @@ def pages_dataset(sf_dir: str, batch_size: int = 65536, mult: int = 1):
             pid = (pid[:, None] * mult + np.arange(mult, dtype=np.int64)[None, :]
                    ).reshape(-1)
         for lo in range(0, pid.size, chunk_rows):
-            yield synth_pages_batch(
-                pa.table({"pid": pa.array(pid[lo:lo + chunk_rows], pa.int64())}),
-                "pid")
+            chunk = pid[lo:lo + chunk_rows]
+            yield pa.table({"pid": pa.array(chunk, pa.int64()),
+                            "text": page_text(chunk)})
 
     return ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
 
 
-def flagship_points(sf_dir: str, zoom: int = 12, batch_size: int = 65536,
-                    mult: int = 1):
-    """The flagship POINT stream (pages -> geoparse -> web-mercator ->
-    tile -> PIP join) as a Dataset — the write/aggregate consumers
-    branch from here (flagship_pipeline, jobs/flagship_job.py)."""
-    pages = pages_dataset(sf_dir, batch_size=batch_size, mult=mult)
-    # drop the wide html column before the point pipeline (prune early)
-    pages = pages.select_columns(["pid", "url", "text"])
+def _tiled_points(sf_dir: str, zoom: int, mult: int):
+    """pages -> geoparse -> web-mercator -> tile: (pid, lat, lon, xm, ym,
+    cell_id)."""
     # GeoparseStage instance => stateless task pool (scales with CPUs,
-    # no actor startup); the class form stays available for heavy state
-    # NOTE: no batch_size on the chain stages — a row-count batch_size
-    # becomes min-rows-per-task-bundle on the fused operator and
-    # collapses parallelism (observed: 600k-row input -> 9 tasks)
-    points = pages.map_batches(GeoparseStage(), batch_format="pyarrow",
-                               batch_size=None)
+    # no actor startup). The chain stages take batch_size=None: a
+    # row-count batch_size becomes min-rows-per-task-bundle on the fused
+    # operator and collapses parallelism (observed: 600k-row input ->
+    # 9 tasks)
+    points = pages_dataset(sf_dir, mult=mult).map_batches(
+        GeoparseStage(keep=("pid",)), batch_format="pyarrow", batch_size=None)
     merc = transform_points_stage(points, "+init=epsg:4326", "+init=epsg:3857",
                                   lon_col="lon", lat_col="lat",
                                   out_x="xm", out_y="ym", batch_size=None)
-    tiled = tile_stage(merc, zoom, out="cell_id")
-    return tiled.map_batches(
+    return tile_stage(merc, zoom, out="cell_id")
+
+
+def flagship_points(sf_dir: str, zoom: int = 12, mult: int = 1):
+    """The flagship POINT stream (pages -> geoparse -> web-mercator ->
+    tile -> PIP join) as a Dataset of (pid, cell_id, polygon_id), one row
+    per (point, containing polygon) — the stream jobs/flagship_job.py
+    writes."""
+    return _tiled_points(sf_dir, zoom, mult).map_batches(
         PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid", "cell_id")),
         batch_format="pyarrow", batch_size=None)
 
 
+class _CellPolygonPartial:
+    """PIP join + per-batch partial aggregate on one int64 key,
+    ``parent_cell * n_polygons + polygon_index``: (key, n_points,
+    min_pid), one row per key present in the batch, keys ascending."""
+
+    def __init__(self, zoom: int, agg_zoom: int):
+        self.polygons = PolygonSet(FLAGSHIP_POLYGONS)
+        self.zoom = zoom
+        self.agg_zoom = agg_zoom
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
+        pt, poly = self.polygons.join(batch["lon"].to_numpy(), batch["lat"].to_numpy())
+        cell = parent_cell(batch["cell_id"].to_numpy()[pt], self.zoom, self.agg_zoom)
+        key = cell * len(self.polygons.ids) + poly
+        pid = batch["pid"].to_numpy()[pt]
+        order = np.lexsort((pid, key))
+        key = key[order]
+        first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+        return pa.table({"key": key[first],
+                         "n_points": np.diff(first, append=key.size),
+                         "min_pid": pid[order[first]]})
+
+
 def flagship_pipeline(sf_dir: str, zoom: int = 12, agg_zoom: int = 4,
-                      batch_size: int = 65536, mult: int = 1):
+                      mult: int = 1):
     """Returns the per-(cell, polygon) aggregate as a pandas frame
-    (key-cardinality-bounded; the combine is size-dispatched)."""
-    joined = flagship_points(sf_dir, zoom=zoom, batch_size=batch_size,
-                             mult=mult)
-
-    from ..kernels.tiling import parent_cell
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df["parent_cell"] = parent_cell(df["cell_id"].to_numpy(), zoom, agg_zoom)
-        return df.groupby(["parent_cell", "polygon_id"], as_index=False).agg(
-            n_points=("pid", "size"), min_pid=("pid", "min"))
-
-    partials = joined.map_batches(partial, batch_format="pandas", batch_size=None)
+    (parent_cell, polygon_id, n_points, min_pid), ordered by
+    (parent_cell, polygon_id); key-cardinality-bounded."""
+    partial = _CellPolygonPartial(zoom, agg_zoom)
+    partials = _tiled_points(sf_dir, zoom, mult).map_batches(
+        partial, batch_format="pyarrow", batch_size=None)
     # final combine: the key space (cells at agg_zoom x polygons) is tiny,
     # so below the size threshold the all-to-all groupby shuffle (seconds
     # of fixed latency) is replaced by a driver-side reduce over the small
@@ -116,5 +137,13 @@ def flagship_pipeline(sf_dir: str, zoom: int = 12, agg_zoom: int = 4,
     # helper falls back to the distributed groupby (stages.agg).
     from ..stages.agg import combine_partials
 
-    return combine_partials(partials, ["parent_cell", "polygon_id"],
-                            {"n_points": "sum", "min_pid": "min"})
+    agg = combine_partials(partials, ["key"], {"n_points": "sum", "min_pid": "min"})
+    key = agg["key"].to_numpy(np.int64)
+    ids = np.asarray(partial.polygons.ids, dtype=object)
+    out = pd.DataFrame({
+        "parent_cell": key // ids.size,
+        "polygon_id": ids[key % ids.size],
+        "n_points": agg["n_points"].to_numpy(np.int64),
+        "min_pid": agg["min_pid"].to_numpy(np.int64),
+    })
+    return out.sort_values(["parent_cell", "polygon_id"], ignore_index=True)

@@ -38,25 +38,30 @@ def _fixed2_str(centi: np.ndarray) -> pa.Array:
     return pc.binary_join_element_wise(sign, ip, ".", frac, "")
 
 
-def synth_pages_batch(batch: pa.Table, pid_col: str, text_col=None) -> pa.Table:
-    """One page per input row. text = [base text +] ' Coordinates: (lat, lon)'.
+def page_text(pid: np.ndarray, base=None) -> pa.Array:
+    """Page text per int64 pid: [base text +] ' Coordinates: (lat, lon)'.
 
     All string assembly is Arrow-native (binary_join_element_wise /
     casts) — ~20x faster than numpy.char; the coordinate decimals are
-    byte-identical to printf('%.2f') by integer construction."""
-    pid = batch[pid_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    byte-identical to printf('%.2f') by integer construction. ``base``
+    is a string array without nulls, or None for no base text."""
     lon_centi = pid * 104729 % 36000 - 18000
     lat_centi = pid * 7919 % 16000 - 8000
-    lat_s = _fixed2_str(lat_centi)
-    lon_s = _fixed2_str(lon_centi)
+    return pc.binary_join_element_wise(
+        "" if base is None else base, " Coordinates: (",
+        _fixed2_str(lat_centi), ", ", _fixed2_str(lon_centi), ")", "")
+
+
+def synth_pages_batch(batch: pa.Table, pid_col: str, text_col=None) -> pa.Table:
+    """One page per input row, in the pages shape; ``text`` is
+    ``page_text`` over the ``text_col`` base text (nulls read as '')."""
+    pid = batch[pid_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    base = None
     if text_col is not None:
         base = pc.fill_null(batch[text_col], "")
         if isinstance(base, pa.ChunkedArray):
             base = base.combine_chunks()
-    else:
-        base = pa.nulls(len(pid), pa.string()).fill_null("")
-    text = pc.binary_join_element_wise(
-        base, " Coordinates: (", lat_s, ", ", lon_s, ")", "")
+    text = page_text(pid, base)
     url = pc.binary_join_element_wise(
         "https://site", pc.cast(pa.array(pid % 1000, pa.int64()), pa.string()),
         ".example/page/", pc.cast(pa.array(pid, pa.int64()), pa.string()), "")

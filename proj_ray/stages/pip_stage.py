@@ -8,8 +8,8 @@ stage to each worker, and each batch probes only the polygons its
 points' cells hit. No shuffle of the point stream at all.
 
 For polygon sets too large to broadcast, co-partition instead:
-``groupby(cell)`` both sides and PIP per group (see
-pipelines.flagship notes); the kernel is identical.
+``groupby(cell)`` both sides and PIP per group; the kernel is
+identical.
 
 Join semantics: ALL containing polygons (overlaps => multiple rows),
 matching the SQL even-odd oracle exactly (north rule: exact rows).
