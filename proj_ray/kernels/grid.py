@@ -5,13 +5,20 @@ Replicates:
   float32 (d_lam, d_phi) radian pairs, lower-left origin ``ll``, cell
   size ``del``, dims ``lim``; NTv2-style child subgrids as a tree.
 - ``nad_intr`` bilinear interpolation with edge snapping
-  (src/nad_intr.c:5-62)
-- ``nad_cvt`` forward shift + fixed-point inverse (<=9 retries,
-  TOL 1e-12, first-order fallback at grid edge) (src/nad_cvt.c:6-68)
+  (src/nad_intr.c:5-62): one flat index per lane into a lazily built
+  float64 copy of the grid's shifts (``ShiftGrid.flat``, not pickled),
+  four ``take`` calls for the corners, and the snaps run only on lanes
+  in the first or last column or row
+- ``nad_cvt`` forward shift + fixed-point inverse (src/nad_cvt.c:6-68):
+  at most MAX_TRY + 1 = 10 passes, TOL 1e-12, first-order fallback at
+  the grid edge; a lane still iterating on its tenth pass is HUGE, as
+  the C's ``while (i-- && ...)`` then ``if (i < 0)`` makes it
 - ``pj_apply_gridshift_3`` ordered first-match multi-grid apply with
   epsilon-inflated bboxes and child-subgrid descent
   (src/pj_apply_gridshift.c:116-254); unmatched points pass through
-  unshifted (the reference's non-severe fallback, line ~236).
+  unshifted (the reference's non-severe fallback, line ~236). A
+  childless first grid that covers the whole batch (``@null``) is
+  applied without gathers.
 - the ``@null`` no-op world grid (src/pj_gridlist.c:109-151) and
   ``@optional`` missing-grid semantics (src/pj_gridlist.c:185-190).
 
@@ -38,9 +45,17 @@ class ShiftGrid:
         self.delta = (float(delta[0]), float(delta[1]))  # (dlam, dphi) radians
         self.lim = (int(lim[0]), int(lim[1]))            # (nlam, nphi)
         cvs = np.asarray(cvs, dtype=np.float32)
-        assert cvs.shape == (self.lim[1], self.lim[0], 2), cvs.shape
+        want = (self.lim[1], self.lim[0], 2)
+        if cvs.shape != want:
+            raise ValueError(f"grid {self.id!r}: shift array has shape "
+                             f"{cvs.shape}, expected (nphi, nlam, 2) = {want}")
         self.cvs = cvs
         self.children = list(children or [])
+
+    def __getstate__(self):
+        # the lazily built caches (``_is_zero``, ``_flat``) are rebuilt on
+        # first use: a grid shipped to a Ray worker carries only its nodes
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     @property
     def epsilon(self):
@@ -71,6 +86,19 @@ class ShiftGrid:
             self.__dict__["_is_zero"] = z
         return z
 
+    @property
+    def flat(self):
+        """``(d_lam, d_phi)`` node shifts as two flat float64 arrays,
+        node (j, i) at ``j*nlam + i``.  Widening float32 is exact, and it
+        is the widening nad_intr.c's double arithmetic does.  Built on
+        first use and cached."""
+        f = self.__dict__.get("_flat")
+        if f is None:
+            f = tuple(self.cvs[..., c].astype(np.float64, order="C").ravel()
+                      for c in (0, 1))
+            self.__dict__["_flat"] = f
+        return f
+
     @staticmethod
     def null_grid():
         """The '@null' 3x3 zero world grid (src/pj_gridlist.c:109-151)."""
@@ -84,8 +112,9 @@ class ShiftGrid:
 
 
 def _locate(t_lam, t_phi, grid: ShiftGrid):
-    """Cell index + fraction + in-grid mask for nad_intr's lookup,
-    including the edge snapping (src/nad_intr.c:17-43)."""
+    """In-grid mask, cell index and cell fraction of each lane for
+    nad_intr's lookup, including the edge snapping
+    (src/nad_intr.c:17-43)."""
     dl, dp = grid.delta
     nlam, nphi = grid.lim
     tl = t_lam / dl
@@ -95,49 +124,88 @@ def _locate(t_lam, t_phi, grid: ShiftGrid):
     fl = tl - il
     fp = tp - ip
 
-    snap_lo_l = (il == -1) & (fl > 0.99999999999)
-    il = np.where(snap_lo_l, il + 1, il)
-    fl = np.where(snap_lo_l, 0.0, fl)
-    snap_hi_l = (il + 1 == nlam) & (fl < 1e-11)
-    il = np.where(snap_hi_l, il - 1, il)
-    fl = np.where(snap_hi_l, 1.0, fl)
-    snap_lo_p = (ip == -1) & (fp > 0.99999999999)
-    ip = np.where(snap_lo_p, ip + 1, ip)
-    fp = np.where(snap_lo_p, 0.0, fp)
-    snap_hi_p = (ip + 1 == nphi) & (fp < 1e-11)
-    ip = np.where(snap_hi_p, ip - 1, ip)
-    fp = np.where(snap_hi_p, 1.0, fp)
+    # the four snaps can only fire in the first or last column or row;
+    # they run, in the C's order, on those lanes alone
+    edge = np.flatnonzero((il == -1) | (il == nlam - 1) | (ip == -1) | (ip == nphi - 1))
+    if edge.size:
+        el, ef, ep, eg = il[edge], fl[edge], ip[edge], fp[edge]
+        s = (el == -1) & (ef > 0.99999999999)
+        el[s] += 1
+        ef[s] = 0.0
+        s = (el + 1 == nlam) & (ef < 1e-11)
+        el[s] -= 1
+        ef[s] = 1.0
+        s = (ep == -1) & (eg > 0.99999999999)
+        ep[s] += 1
+        eg[s] = 0.0
+        s = (ep + 1 == nphi) & (eg < 1e-11)
+        ep[s] -= 1
+        eg[s] = 1.0
+        il[edge], fl[edge], ip[edge], fp[edge] = el, ef, ep, eg
 
+    # NaN fails every bound and +-inf fails one, so non-finite lanes are out
     ok = (il >= 0) & (il + 1 < nlam) & (ip >= 0) & (ip + 1 < nphi)
-    ok &= np.isfinite(tl) & np.isfinite(tp)
-    ii = np.where(ok, il, 0).astype(np.int64)
-    jj = np.where(ok, ip, 0).astype(np.int64)
-    return ok, ii, jj, fl, fp
+    return ok, il, ip, fl, fp
 
 
 def nad_intr(t_lam, t_phi, grid: ShiftGrid):
     """Vectorized bilinear lookup; inputs are offsets from grid ll in
-    radians. Returns (d_lam, d_phi) with inf outside. src/nad_intr.c:5-62."""
-    ok, ii, jj, fl, fp = _locate(t_lam, t_phi, grid)
-    cvs = grid.cvs
-    f00 = cvs[jj, ii]
-    f10 = cvs[jj, ii + np.where(ok, 1, 0)]
-    f01 = cvs[jj + np.where(ok, 1, 0), ii]
-    f11 = cvs[jj + np.where(ok, 1, 0), ii + np.where(ok, 1, 0)]
+    radians. Returns (d_lam, d_phi) with inf outside. src/nad_intr.c:5-62.
 
+    Each corner is one ``take`` from the grid's flat float64 cache
+    (``ShiftGrid.flat``) at ``k``, ``k+1``, ``k+nlam`` and ``k+nlam+1``.
+    ``mode="clip"`` keeps the discarded lanes of a one-row or one-column
+    grid in bounds."""
+    ok, il, ip, fl, fp = _locate(t_lam, t_phi, grid)
+    nlam = grid.lim[0]
+    k = np.where(ok, ip * nlam + il, 0.0).astype(np.int64)
+    k10 = k + 1
+    k01 = k + nlam
+    k11 = k01 + 1
+
+    gl = 1.0 - fl
+    gp = 1.0 - fp
     m11 = fl * fp
-    m10 = fl * (1.0 - fp)
-    m01 = (1.0 - fl) * fp
-    m00 = (1.0 - fl) * (1.0 - fp)
-    # match the reference's accumulation order (nad_intr.c:50-59)
-    val_lam = m00 * f00[..., 0] + m10 * f10[..., 0] + m01 * f01[..., 0] + m11 * f11[..., 0]
-    val_phi = m00 * f00[..., 1] + m10 * f10[..., 1] + m01 * f01[..., 1] + m11 * f11[..., 1]
-    return np.where(ok, val_lam, HUGE), np.where(ok, val_phi, HUGE)
+    m10 = fl * gp
+    m01 = gl * fp
+    m00 = gl * gp
+    out = []
+    for f in grid.flat:
+        # match the reference's accumulation order (nad_intr.c:50-59)
+        v = m00 * f.take(k, mode="clip")
+        v += m10 * f.take(k10, mode="clip")
+        v += m01 * f.take(k01, mode="clip")
+        v += m11 * f.take(k11, mode="clip")
+        out.append(v)
+    if not ok.all():
+        bad = ~ok
+        for v in out:
+            v[bad] = HUGE
+    return out[0], out[1]
+
+
+def _settle(go, t_lam, t_phi, idx, cl, cp, *rest):
+    """Write the stopping lanes' iterate (``~go``) back to
+    ``t_lam``/``t_phi`` at ``idx`` and return the compacted remaining
+    lanes of ``idx, cl, cp, *rest``.  Integer indices, not boolean
+    masks: a scattered mask costs several times a ``take``."""
+    keep = np.flatnonzero(go)
+    stop = np.flatnonzero(~go)
+    t_lam[idx.take(stop)] = cl.take(stop)
+    t_phi[idx.take(stop)] = cp.take(stop)
+    return tuple(a.take(keep) for a in (idx, cl, cp, *rest))
 
 
 def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
     """Vectorized nad_cvt (src/nad_cvt.c:6-68). Returns shifted (lam, phi)
-    with inf where the grid doesn't apply / iteration diverged."""
+    with inf where the grid doesn't apply / iteration diverged.
+
+    The inverse is the C's fixed point: at most ``MAX_TRY + 1`` passes
+    of ``do {...} while (i-- && |dif| > TOL)`` from ``i = MAX_TRY``.  A
+    lane still iterating on the last pass leaves the loop with ``i < 0``
+    and is inf, even when that pass meets TOL; a lane that steps off the
+    grid keeps its first-order approximation.  The loop works on the
+    compacted active lanes and writes each lane back when it stops."""
     lam = np.asarray(lam, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     ll_lam, ll_phi = grid.ll
@@ -151,11 +219,10 @@ def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
         # point converges on its first pass, so only the containment
         # mask and the reference's exact op chain remain — bit-identical
         # to the full path, without gathers or iteration
-        ok, _, _, _, _ = _locate(tb_lam, tb_phi, grid)
+        ok = _locate(tb_lam, tb_phi, grid)[0]
         if not inverse:
             return (np.where(ok, lam - 0.0, HUGE),
                     np.where(ok, phi + 0.0, HUGE))
-        ll_lam, ll_phi = grid.ll
         out_lam = adjlon((tb_lam + 0.0) + ll_lam)
         out_phi = (tb_phi - 0.0) + ll_phi
         return (np.where(ok, out_lam, HUGE),
@@ -169,36 +236,34 @@ def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
         out_phi = np.where(outside, HUGE, phi + t_phi)
         return out_lam, out_phi
 
-    # inverse: fixed point iteration, MAX_TRY 9, TOL 1e-12
-    TOL = 1e-12
+    MAX_TRY, TOL = 9, 1e-12
     t_lam = np.where(outside, HUGE, tb_lam + t_lam)
     t_phi = np.where(outside, HUGE, tb_phi - t_phi)
-    active = ~outside & np.isfinite(lam)
-    diverged = np.zeros_like(active)
-    for _ in range(10):
-        if not np.any(active):
+    bad = outside.copy()
+    idx = np.flatnonzero(~outside)
+    cl, cp, bl, bp = t_lam[idx], t_phi[idx], tb_lam[idx], tb_phi[idx]
+    for i in range(MAX_TRY, -1, -1):
+        if idx.size == 0:
             break
-        dl, dp = nad_intr(t_lam[np.flatnonzero(active)], t_phi[np.flatnonzero(active)], grid)
-        idx = np.flatnonzero(active)
-        edge = ~np.isfinite(dl)
-        # grid-edge: keep first-order approximation (nad_cvt.c:29-45)
-        keep = idx[edge]
-        active[keep] = False
-        idx2 = idx[~edge]
-        if idx2.size:
-            dif_lam = t_lam[idx2] - dl[~edge] - tb_lam[idx2]
-            dif_phi = t_phi[idx2] + dp[~edge] - tb_phi[idx2]
-            t_lam[idx2] = t_lam[idx2] - dif_lam
-            t_phi[idx2] = t_phi[idx2] - dif_phi
-            done = ~((np.abs(dif_lam) > TOL) & (np.abs(dif_phi) > TOL))
-            active[idx2[done]] = False
-    # elements still active after 10 passes diverged (i < 0 in the C)
-    diverged |= active
+        dl, dp = nad_intr(cl, cp, grid)
+        inner = np.isfinite(dl)
+        if not inner.all():
+            # grid edge: keep the first-order approximation (nad_cvt.c:29-45)
+            idx, cl, cp, bl, bp, dl, dp = _settle(
+                inner, t_lam, t_phi, idx, cl, cp, bl, bp, dl, dp)
+        if i == 0:
+            bad[idx] = True  # out of tries: i < 0 in the C
+            break
+        dif_lam = cl - dl - bl
+        dif_phi = cp + dp - bp
+        cl = cl - dif_lam
+        cp = cp - dif_phi
+        go = (np.abs(dif_lam) > TOL) & (np.abs(dif_phi) > TOL)
+        if not go.all():
+            idx, cl, cp, bl, bp = _settle(go, t_lam, t_phi, idx, cl, cp, bl, bp)
     out_lam = adjlon(t_lam + ll_lam)
     out_phi = t_phi + ll_phi
-    out_lam = np.where(outside | diverged, HUGE, out_lam)
-    out_phi = np.where(outside | diverged, HUGE, out_phi)
-    return out_lam, out_phi
+    return np.where(bad, HUGE, out_lam), np.where(bad, HUGE, out_phi)
 
 
 def _descend(grid: ShiftGrid, lam, phi):
@@ -227,10 +292,27 @@ def _descend(grid: ShiftGrid, lam, phi):
 
 def apply_gridshift(grids, inverse: bool, lam, phi):
     """Ordered first-match multi-grid apply (pj_apply_gridshift_3,
-    src/pj_apply_gridshift.c:116-254). Unmatched points pass through."""
-    lam = np.asarray(lam, dtype=np.float64).copy()
-    phi = np.asarray(phi, dtype=np.float64).copy()
+    src/pj_apply_gridshift.c:116-254). Unmatched points pass through.
+
+    When the first grid has no children and covers every lane (the
+    '@null' world grid), the whole batch goes through one nad_cvt call
+    with no gather or scatter; lanes that grid cannot shift go on to the
+    later grids as in the general loop."""
+    lam = np.asarray(lam, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
     done = ~np.isfinite(lam)  # error lanes stay untouched
+    if grids and not grids[0].children and (grids[0].contains(lam, phi) | done).all():
+        ol, op = nad_cvt(lam, phi, grids[0], inverse)
+        moved = np.isfinite(ol)  # never true on an error lane
+        if moved.all():
+            return ol, op
+        lam = np.where(moved, ol, lam)
+        phi = np.where(moved, op, phi)
+        done |= moved
+        grids = grids[1:]
+    else:
+        lam = lam.copy()
+        phi = phi.copy()
     for grid in grids:
         todo = np.flatnonzero(~done)
         if todo.size == 0:
