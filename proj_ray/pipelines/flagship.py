@@ -47,15 +47,18 @@ def pages_dataset(sf_dir: str, mult: int = 1):
     import ray
 
     # four read tasks per cluster CPU: enough to keep every CPU busy and
-    # balanced, few enough that per-task overhead does not dominate
+    # balanced, few enough that per-task overhead does not dominate. Each
+    # task reads one contiguous group of part files into ONE block (32
+    # files on 1 CPU: 4 blocks of 8 files)
     nblocks = 4 * int(ray.cluster_resources().get("CPU", 8))
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"],
                     override_num_blocks=nblocks)
 
-    # generator UDF: one whole key block in, pages YIELDED in ~64k-row
-    # chunks — each downstream fused-stage call sees a decently sized
-    # batch (per-call overhead amortized) while the expansion transient
-    # stays bounded, independent of input bundling
+    # generator UDF: called once per key block, it YIELDS pages in
+    # 65,536-row chunks (65,536 + 59,464 for a 125k-key block), so the
+    # page-synthesis transient stays bounded. The fused operator's output
+    # buffer joins the chunks again: each later stage gets the block's
+    # pages whole, in one call
     chunk_rows = 65536
 
     def mk(batch: pa.Table):
@@ -77,10 +80,11 @@ def _tiled_points(sf_dir: str, zoom: int, mult: int):
     """pages -> geoparse -> web-mercator -> tile: (pid, lat, lon, xm, ym,
     cell_id)."""
     # GeoparseStage instance => stateless task pool (scales with CPUs,
-    # no actor startup). The chain stages take batch_size=None: a
-    # row-count batch_size becomes min-rows-per-task-bundle on the fused
-    # operator and collapses parallelism (observed: 600k-row input ->
-    # 9 tasks)
+    # no actor startup). The chain stages take batch_size=None, so each
+    # call gets the pages of one read block whole (125k for 500k keys on
+    # 1 CPU): a row-count batch_size becomes min-rows-per-task-bundle on
+    # the fused operator and collapses parallelism (observed: 600k-row
+    # input -> 9 tasks)
     points = pages_dataset(sf_dir, mult=mult).map_batches(
         GeoparseStage(keep=("pid",)), batch_format="pyarrow", batch_size=None)
     merc = transform_points_stage(points, "+init=epsg:4326", "+init=epsg:3857",

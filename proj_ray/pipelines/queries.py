@@ -1171,6 +1171,28 @@ def knn_s2_geodesic(sf_dir):
 _RADIUS_M = 300000.0
 
 
+def _radius_hits(t: pa.Table, qid, qx, qy, radius_m) -> pa.Table:
+    """(qid, id, s12_mm) of the points of ``t`` within ``radius_m``
+    Karney metres of site (qx, qy). A point with a non-finite lon or lat
+    is never a hit, as in ``knn_topk``."""
+    from ..kernels.geodesic import geod_inverse
+
+    lon = t["lon"].to_numpy(zero_copy_only=False)
+    lat = t["lat"].to_numpy(zero_copy_only=False)
+    pid = t["pid"].to_numpy(zero_copy_only=False)
+    ok = np.isfinite(lon) & np.isfinite(lat)
+    if not ok.all():
+        lon, lat, pid = lon[ok], lat[ok], pid[ok]
+    s12, _, _, _ = geod_inverse(lon, lat, np.full(lon.size, qx),
+                                np.full(lon.size, qy))
+    m = s12 <= radius_m
+    return pa.table({
+        "qid": pa.array(np.full(int(m.sum()), qid, dtype=np.int64)),
+        "id": pa.array(pid[m].astype(np.int64)),
+        "s12_mm": pa.array(np.floor(s12[m] * 1e3 + 0.5).astype(np.int64)),
+    })
+
+
 def radius_search_geodesic(index_dir, queries, radius_m, shard_level):
     """Geodesic radius search (spatial range join): all points within
     ``radius_m`` Karney metres of each query site, answered from the
@@ -1186,7 +1208,6 @@ def radius_search_geodesic(index_dir, queries, radius_m, shard_level):
     the vectorized Karney inverse per batch.  Result size is bounded by
     point density x R^2, not corpus size; at 10^12 rows each site reads
     O(R^2 / shard area) shards."""
-    from ..kernels.geodesic import geod_inverse
     from ..stages.knn_stage import geodesic_radius_box
     from ..stages.s2_stage import s2_shard_boxes_read
 
@@ -1208,22 +1229,9 @@ def radius_search_geodesic(index_dir, queries, radius_m, shard_level):
         ds, _ = s2_shard_boxes_read(index_dir, boxes, shard_level)
         if ds is None:
             continue
-
-        def fn(t: pa.Table, qid=qid, qx=qx, qy=qy) -> pa.Table:
-            lon = t["lon"].to_numpy(zero_copy_only=False)
-            lat = t["lat"].to_numpy(zero_copy_only=False)
-            pid = t["pid"].to_numpy(zero_copy_only=False)
-            s12, _, _, _ = geod_inverse(lon, lat, np.full(lon.size, qx),
-                                        np.full(lon.size, qy))
-            m = s12 <= radius_m
-            return pa.table({
-                "qid": pa.array(np.full(int(m.sum()), qid, dtype=np.int64)),
-                "id": pa.array(pid[m].astype(np.int64)),
-                "s12_mm": pa.array(
-                    np.floor(s12[m] * 1e3 + 0.5).astype(np.int64)),
-            })
-
-        hits = ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
+        hits = ds.map_batches(_radius_hits, fn_kwargs=dict(
+                                  qid=qid, qx=qx, qy=qy, radius_m=radius_m),
+                              batch_format="pyarrow", batch_size=None,
                               zero_copy_batch=True)
         chunks = list(hits.iter_batches(batch_size=1 << 20,
                                         batch_format="pyarrow"))
@@ -2795,26 +2803,38 @@ def geod_inverse_ellipsoidal(sf_dir):
     """Ellipsoidal geodesic inverse (Karney order-6 series, the
     reference's geod_inverse, src/geodesic.c:944): distance + azimuths
     per derived pair; exact everywhere incl. near-antipodal."""
+    pts = _points_ds(sf_dir)
+    return pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
+                           batch_size=None, zero_copy_batch=True)
+
+
+def _geod_inverse_rows(t: pa.Table) -> pa.Table:
+    """(pid, s12_mm, azi1_udeg, converged) from each point to its derived
+    partner. A point with a non-finite lon or lat keeps its row, with
+    ``converged`` false and null ``s12_mm`` and ``azi1_udeg``: the kernel
+    flags such a lane converged, with a meaningless (for a NaN longitude,
+    finite) answer."""
     from ..kernels.geodesic import geod_inverse
 
-    pts = _points_ds(sf_dir)
-
-    def fn(t: pa.Table) -> pa.Table:
-        pid = t["pid"].to_numpy(zero_copy_only=False)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
-        lon2 = (pid * LAT_MUL % 36000 - 18000) / 1.0e2
-        lat2 = (pid * LON_MUL % 16000 - 8000) / 1.0e2
-        s12, azi1, azi2, ok = geod_inverse(lon, lat, lon2, lat2)
-        return pa.table({
-            "pid": pa.array(pid, pa.int64()),
-            "s12_mm": pa.array(np.floor(s12 * 1e3 + 0.5).astype(np.int64)),
-            "azi1_udeg": pa.array(np.floor(azi1 * 1e6 + 0.5).astype(np.int64)),
-            "converged": pa.array(ok),
-        })
-
-    return pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True)
+    pid = t["pid"].to_numpy(zero_copy_only=False)
+    lon = t["lon"].to_numpy(zero_copy_only=False)
+    lat = t["lat"].to_numpy(zero_copy_only=False)
+    lon2 = (pid * LAT_MUL % 36000 - 18000) / 1.0e2
+    lat2 = (pid * LON_MUL % 16000 - 8000) / 1.0e2
+    fin = np.isfinite(lon) & np.isfinite(lat)
+    s12_mm = np.zeros(pid.size, np.int64)
+    azi1_udeg = np.zeros(pid.size, np.int64)
+    ok = np.zeros(pid.size, bool)
+    s12, azi1, _, ok[fin] = geod_inverse(lon[fin], lat[fin], lon2[fin], lat2[fin])
+    s12_mm[fin] = np.floor(s12 * 1e3 + 0.5)
+    azi1_udeg[fin] = np.floor(azi1 * 1e6 + 0.5)
+    null = None if fin.all() else ~fin
+    return pa.table({
+        "pid": pa.array(pid, pa.int64()),
+        "s12_mm": pa.array(s12_mm, mask=null),
+        "azi1_udeg": pa.array(azi1_udeg, mask=null),
+        "converged": pa.array(ok),
+    })
 
 
 # ===========================================================================

@@ -36,7 +36,9 @@ SEC2RAD = DEG_TO_RAD / 3600.0
 # ---------------------------------------------------------------------------
 
 def _ntv2_rec(name: bytes, payload: bytes) -> bytes:
-    assert len(name) == 8 and len(payload) == 8
+    if len(name) != 8 or len(payload) != 8:
+        raise ValueError(f"NTv2 record {name!r}: name and payload must be 8 "
+                         f"bytes each, got {len(name)} and {len(payload)}")
     return name + payload
 
 
@@ -218,7 +220,10 @@ class VShiftGrid:
         self.delta = (float(delta[0]), float(delta[1]))
         self.lim = (int(lim[0]), int(lim[1]))
         values = np.asarray(values, dtype=np.float32)
-        assert values.shape == (self.lim[1], self.lim[0]), values.shape
+        want = (self.lim[1], self.lim[0])
+        if values.shape != want:
+            raise ValueError(f"grid {self.id!r}: value array has shape "
+                             f"{values.shape}, expected (nphi, nlam) = {want}")
         self.values = values
 
     def contains(self, lam, phi):

@@ -251,3 +251,14 @@ def test_nad2bin_cli(tmp_path, capsys):
     assert nad2bin_main(["-f", "bogus", out],
                         stdin=io.StringIO(_synth_lla()),
                         stdout=io.StringIO(), stderr=io.StringIO()) == 3
+
+
+def test_bad_shapes_raise_value_error_naming_both():
+    from proj_ray.sources.grids import _ntv2_rec
+
+    with pytest.raises(ValueError, match=r"\(3, 4\).*\(4, 3\)"):
+        VShiftGrid("V", (0.0, 0.0), (0.1, 0.1), (3, 4), np.zeros((3, 4)))
+    with pytest.raises(ValueError, match=r"'NUM_OREC'.*got 8 and 4"):
+        _ntv2_rec(b"NUM_OREC", b"\0" * 4)
+    with pytest.raises(ValueError, match=r"got 7 and 8"):
+        _ntv2_rec(b"GS_TYPE", b"SECONDS ")

@@ -187,3 +187,42 @@ def test_polygon_area_vector_matches_scalar_bitwise():
         pv = geod_polygon_area(lons, lats, a, f)
         ps = polygon_area_scalar(lons, lats, a, f)
         assert pv[0] == ps[0] and pv[1] == ps[1]
+
+
+def test_stages_never_pass_a_non_finite_lane_as_a_distance():
+    """The kernel gives a NaN-longitude lane a finite distance (9,985 km
+    from (NaN, 0) to (1, 1); 0 m to a site on the same parallel) and flags
+    it ``ok``. ``geod_inverse_ellipsoidal`` keeps such a row with
+    ``converged`` false and null distance and azimuth, with no cast
+    warning; the radius search drops it, as ``knn_topk`` does."""
+    import warnings
+
+    import pyarrow as pa
+
+    from proj_ray.pipelines.queries import _geod_inverse_rows, _radius_hits
+
+    lon = [np.nan, 5.0, 0.0, np.inf, 3.0]
+    lat = [0.0, np.inf, 1.0, 2.0, 4.0]
+    t = pa.table({"pid": pa.array([11, 12, 13, 14, 15], pa.int64()),
+                  "lon": lon, "lat": lat})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = _geod_inverse_rows(t)
+    assert out["pid"].to_pylist() == [11, 12, 13, 14, 15]
+    assert out["converged"].to_pylist() == [False, False, True, False, True]
+    for col in ("s12_mm", "azi1_udeg"):
+        assert out[col].type == pa.int64()
+        assert out[col].is_null().to_pylist() == [True, True, False, True, False]
+    # finite lanes are unchanged by their non-finite neighbours
+    clean = _geod_inverse_rows(t.take([2, 4]))
+    assert all(c.null_count == 0 for c in clean.columns)
+    assert clean.to_pylist() == out.take([2, 4]).to_pylist()
+
+    pts = pa.table({"pid": pa.array([1, 2, 3, 4], pa.int64()),
+                    "lon": [np.nan, 10.2, 1.0, 10.0],
+                    "lat": [50.0, 50.0, np.nan, np.inf]})
+    hits = _radius_hits(pts, 7, 10.0, 50.0, 300000.0)
+    assert hits["id"].to_pylist() == [2]
+    assert hits["qid"].to_pylist() == [7]
+    hits = _radius_hits(pts, 7, 0.0, 0.0, 300000.0)
+    assert hits.num_rows == 0
