@@ -54,23 +54,15 @@ def pages_dataset(sf_dir: str, mult: int = 1):
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"],
                     override_num_blocks=nblocks)
 
-    # generator UDF: called once per key block, it YIELDS pages in
-    # 65,536-row chunks (65,536 + 59,464 for a 125k-key block), so the
-    # page-synthesis transient stays bounded. The fused operator's output
-    # buffer joins the chunks again: each later stage gets the block's
-    # pages whole, in one call
-    chunk_rows = 65536
-
-    def mk(batch: pa.Table):
+    # called once per key block: one table of pages, which every later
+    # fused stage gets whole, in one call
+    def mk(batch: pa.Table) -> pa.Table:
         pid = pid_numpy(batch["l_orderkey"].to_numpy(zero_copy_only=False),
                         batch["l_linenumber"].to_numpy(zero_copy_only=False))
         if mult > 1:
             pid = (pid[:, None] * mult + np.arange(mult, dtype=np.int64)[None, :]
                    ).reshape(-1)
-        for lo in range(0, pid.size, chunk_rows):
-            chunk = pid[lo:lo + chunk_rows]
-            yield pa.table({"pid": pa.array(chunk, pa.int64()),
-                            "text": page_text(chunk)})
+        return pa.table({"pid": pa.array(pid, pa.int64()), "text": page_text(pid)})
 
     return ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)

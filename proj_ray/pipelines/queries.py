@@ -1037,9 +1037,9 @@ def _pip_sql():
 
 @query("pip_join", sql=_pip_sql())
 def pip_join(sf_dir):
-    """Broadcast PIP join: the packed polygon set rides with the task,
-    even-odd ray casting per point (pnpoly semantics,
-    src/PJ_healpix.c:103-138). Exact rows (north rule)."""
+    """Broadcast PIP join: the packed polygon set goes into the object
+    store once per operator; even-odd ray casting per point (pnpoly
+    semantics, src/PJ_healpix.c:103-138). Exact rows (north rule)."""
     pts = _points_ds(sf_dir)
     joined = pts.map_batches(
         PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",)),

@@ -3,9 +3,10 @@
 The polygon side is small relative to the point stream (countries /
 admin regions / AOIs), so the scalable plan is a BROADCAST spatial
 join: the polygons are packed once into a ``PolygonSet`` (CSR rings,
-bboxes and a one-degree cell grid), the packed set rides with the
-stage to each worker, and each batch probes only the polygons its
-points' cells hit. No shuffle of the point stream at all.
+bboxes and a one-degree cell grid with sub-cells for crowded cells),
+Ray Data puts the stage into the object store once per operator, and
+each batch probes only the polygons its points' cells hit. No shuffle
+of the point stream at all.
 
 For polygon sets too large to broadcast, co-partition instead:
 ``groupby(cell)`` both sides and PIP per group; the kernel is
@@ -45,9 +46,12 @@ class PIPJoinActor:
     """PIP join stage: usable BOTH as an actor-pool class (pass the class
     to map_batches with fn_constructor_kwargs — state built once per
     actor) and as a prebuilt instance (map_batches(PIPJoinActor(...)) —
-    a stateless task fn whose small state pickles with the task). The
-    instance form avoids actor startup latency and scales with the task
-    pool. Emits one output row per (point, containing polygon):
+    a stateless task fn). Ray Data 2.49 puts the instance into the object
+    store once per operator and passes each task that reference; the
+    1,500-polygon benchmark set pickles to about 0.8 MB in about a
+    millisecond, so there is nothing to gain from shipping it another
+    way. The instance form avoids actor startup latency and scales with
+    the task pool. Emits one output row per (point, containing polygon):
     ``id_cols`` + ``polygon_id``.
 
     ``zoom`` and ``index`` are accepted and ignored: they chose among

@@ -2,8 +2,9 @@
 (src/pj_transform.c:87-370) fused into one vectorized map_batches UDF.
 
 The compiled :class:`proj_ray.transform.Transform` is built once on the
-driver and captured by closure — small and picklable, so Ray ships it
-to workers with the task, not per batch. Stateless => task pool (cheap,
+driver and captured by closure — small and picklable; Ray Data puts the
+closure into the object store once per operator, and each task gets that
+reference, not a copy per batch. Stateless => task pool (cheap,
 elastic); use :class:`TransformStage` as an actor-pool class only when
 the transform needs grids loaded from files in ``__init__``.
 """

@@ -13,9 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proj_ray.kernels.pip import PolygonSet
+from proj_ray.kernels.pip import N_LON, SPLIT_AT, SUB, PolygonSet
 from proj_ray.stages.pip_stage import PIPJoinActor
-from tests.test_kernels import scalar_pip_rows
+from tests.test_kernels import scalar_pip_rows, scalar_pnpoly
 
 EMPTY_SCHEMA = pa.schema([("pid", pa.int64()), ("polygon_id", pa.string())])
 SQUARE = ("sq", [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)])
@@ -80,6 +80,14 @@ def test_ring_with_nan_vertex_matches_nothing():
     assert got == [(0, "sq")]
 
 
+def test_null_lanes_match_nothing_and_spare_neighbours():
+    # as in the SQL twin, where a comparison with NULL is never true
+    t = pa.table({"pid": pa.array([0, 1, 2, 3, 4], pa.int64()),
+                  "lon": pa.array([5.0, None, 5.0, None, 5.0], pa.float64()),
+                  "lat": pa.array([5.0, 5.0, None, None, 5.0], pa.float64())})
+    assert _rows([SQUARE], t) == [(0, "sq"), (4, "sq")]
+
+
 def test_polygon_past_the_antimeridian_still_matches():
     wide = ("wide", [(150.0, -5.0), (200.0, -5.0), (200.0, 5.0), (150.0, 5.0)])
     got = _rows([wide], _points([185.0, 179.5, 160.0, 201.0, -175.0],
@@ -119,8 +127,8 @@ centre = st.tuples(st.sampled_from([0.0, 37.3, 179.5, -179.75]),
 
 
 @st.composite
-def rings(draw):
-    cx, cy = draw(centre)
+def rings(draw, at=centre):
+    cx, cy = draw(at)
     n = draw(st.integers(3, 10))
     if draw(st.booleans()):  # star-shaped: convex for equal radii, else concave
         steps = sorted(draw(st.lists(st.integers(0, 15), min_size=n,
@@ -156,6 +164,99 @@ def test_pip_join_matches_scalar_pnpoly(ring_list, offsets, data):
     lon = np.array([p[0] for p in pts])
     lat = np.array([p[1] for p in pts])
     assert _rows(polys, _points(lon, lat)) == scalar_pip_rows(polys, lon, lat)
+
+
+# -- crowded cells: more than SPLIT_AT polygons, split into sub-cells ----------
+
+def _brute_force_pairs(polys, lon, lat):
+    """All-pairs scalar join in the kernel's order: by point, then polygon."""
+    return [(k, j) for k, (x, y) in enumerate(zip(lon, lat))
+            for j, (_, ring) in enumerate(polys) if scalar_pnpoly(ring, x, y)]
+
+
+def _crowded_polygons():
+    """Crowds of small rings, with vertices on 1/SUB-degree sub-cell
+    borders, over the four cells of 10..12 x 20..22, and past the
+    antimeridian in the 179..180 cell; plus rings spanning several
+    crowded cells."""
+    u = 1.0 / SUB
+    polys = []
+    for k in range(5 * SPLIT_AT):
+        x0 = 10.0 + (5 * k % 29) * u
+        y0 = 20.0 + (7 * k % 29) * u
+        w, h = (1 + k % 4) * u, (1 + k % 3) * u
+        if k % 2:  # concave notch on the right side
+            ring = [(x0, y0), (x0 + w, y0), (x0 + w / 2, y0 + h / 2),
+                    (x0 + w, y0 + h), (x0, y0 + h)]
+        else:
+            ring = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+        polys.append((f"c{k}", ring))
+    polys.append(("span", [(10.25, 20.5), (11.75, 20.5), (11.75, 21.5), (10.25, 21.5)]))
+    polys.append(("tri", [(9.5, 19.5), (12.5, 20.0), (11.0, 22.5)]))
+    for k in range(SPLIT_AT + 2):
+        x0 = 179.0 + (3 * k % 13) * u
+        polys.append((f"am{k}", [(x0, -0.5), (x0 + 1.0 + k * u, -0.5),
+                                 (x0 + 0.5, 0.5 + k * u)]))
+    return polys
+
+
+def test_crowded_cells_match_scalar_and_brute_force_order():
+    polys = _crowded_polygons()
+    ps = PolygonSet(polys)
+    crowded = [(lat + 90) * N_LON + lon + 180
+               for lon, lat in [(10, 20), (11, 20), (10, 21), (11, 21), (179, -1), (179, 0)]]
+    assert set(crowded) <= set(ps.split_cells.tolist())
+    # a lattice of 1/(2 SUB) steps: every other line is a sub-cell border
+    g = 9.75 + np.arange(81) / (2 * SUB)
+    lon, lat = [a.ravel() for a in np.meshgrid(g, g + 10.0)]
+    g = 178.75 + np.arange(97) / (2 * SUB)  # runs past +180 into col 359
+    alon, alat = [a.ravel() for a in np.meshgrid(g, np.arange(-24, 25) / (2 * SUB))]
+    verts = np.array([v for _, ring in polys for v in ring])
+    odd = np.array([(np.nan, 20.5), (10.5, np.nan), (np.inf, 20.5), (10.5, np.inf),
+                    (-np.inf, 20.5), (10.5, -np.inf), (180.25, 0.0), (181.0, 0.0),
+                    (200.0, 0.0), (-180.5, 0.0), (np.inf, 0.0), (np.nan, 0.0)])
+    lon = np.concatenate([lon, alon, verts[:, 0], odd[:, 0]])
+    lat = np.concatenate([lat, alat, verts[:, 1], odd[:, 1]])
+    pt, poly = ps.join(lon, lat)
+    assert list(zip(pt.tolist(), poly.tolist())) == _brute_force_pairs(polys, lon, lat)
+    assert len(pt) > 500 and (lon[pt] > 180.0).any()
+    assert not np.isin(pt, np.flatnonzero(~np.isfinite(lon + lat))).any()
+    assert _rows(polys, _points(lon, lat)) == scalar_pip_rows(polys, lon, lat)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_crowded_join_matches_scalar_pnpoly(data):
+    cx, cy = data.draw(centre)
+    ring_list = data.draw(st.lists(rings(at=st.just((cx, cy))),
+                                   min_size=SPLIT_AT + 1, max_size=SPLIT_AT + 5))
+    polys = [(f"p{k}", ring) for k, ring in enumerate(ring_list)]
+    sub_coord = st.integers(-4 * SUB, 4 * SUB).map(lambda k: k / SUB)
+    offsets = data.draw(st.lists(st.tuples(sub_coord, sub_coord), max_size=60))
+    pts = [v for ring in ring_list for v in ring]
+    pts += [(cx + dx, cy + dy) for dx, dy in offsets]
+    lon = np.array([p[0] for p in pts])
+    lat = np.array([p[1] for p in pts])
+    pt, poly = PolygonSet(polys).join(lon, lat)
+    assert list(zip(pt.tolist(), poly.tolist())) == _brute_force_pairs(polys, lon, lat)
+
+
+def test_split_cell_point_gets_only_its_sub_cell_polygons():
+    # the smallest crowd that splits a cell: one tiny square per diagonal
+    # sub-cell of the 0..1 x 0..1 cell, and one square over the whole cell
+    u = 1.0 / SUB
+    polys = [(f"d{k}", [(k * u, k * u), ((k + 0.5) * u, k * u),
+                        ((k + 0.5) * u, (k + 0.5) * u), (k * u, (k + 0.5) * u)])
+             for k in range(SPLIT_AT)]
+    polys.append(("cell", [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]))
+    ps = PolygonSet(polys)
+    px = (np.arange(SPLIT_AT) + 0.25) * u
+    pt, poly = ps.candidates(px, px)
+    assert list(zip(pt.tolist(), poly.tolist())) == [
+        (i, j) for i in range(SPLIT_AT) for j in (i, SPLIT_AT)]
+    # off the diagonal only the whole-cell square is listed
+    pt, poly = ps.candidates(px, px[::-1])
+    assert poly.tolist() == [SPLIT_AT] * SPLIT_AT
 
 
 def test_polygon_set_is_csr_packed():
