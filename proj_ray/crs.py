@@ -3,8 +3,8 @@
 Replicates the init semantics of the reference:
 - param list with first-wins lookup (src/pj_init.c:389-421 via pj_param
   scan order; later duplicates never override earlier ones)
-- ``+init=<file>:<key>`` expansion from a built-in EPSG subset
-  (src/pj_init.c:244-291 keyed-text-DB lookup, here a curated dict)
+- ``+init=<file>:<key>`` expansion from PROJ_LIB or the bundled keyed
+  init DB (src/pj_init.c:244-291 keyed-text-DB lookup)
 - per-projection defaults + general ``ellps=WGS84`` default appended
   last (src/pj_init.c:443-444 + nad/proj_def.dat)
 - datum expansion appending ellps/towgs84 (src/pj_datum_set.c:40-153)
@@ -23,6 +23,8 @@ closures), never rebuilt per batch.
 
 from __future__ import annotations
 
+import functools
+import gzip
 import math
 import os
 
@@ -211,81 +213,37 @@ PROJ_DEFAULTS = {
 }
 GENERAL_DEFAULTS = ["ellps=WGS84"]
 
-# Curated ``+init=epsg:NNNN`` subset (public EPSG definitions; full DB lives
-# in the reference's nad/epsg keyed-text file, parsed by src/pj_init.c:244-291)
-EPSG_INIT = {
-    "4326": "+proj=longlat +datum=WGS84 +no_defs",
-    "4258": "+proj=longlat +ellps=GRS80 +no_defs",  # ETRS89
-    "4267": "+proj=longlat +datum=NAD27 +no_defs",
-    "4269": "+proj=longlat +datum=NAD83 +no_defs",
-    "4277": "+proj=longlat +datum=OSGB36 +no_defs",
-    "3857": "+proj=merc +a=6378137 +b=6378137 +lat_ts=0.0 +lon_0=0.0 +x_0=0.0 "
-            "+y_0=0 +k=1.0 +units=m +nadgrids=@null +no_defs",
-    "900913": "+proj=merc +a=6378137 +b=6378137 +lat_ts=0.0 +lon_0=0.0 +x_0=0.0 "
-              "+y_0=0 +k=1.0 +units=m +nadgrids=@null +no_defs",
-    "27700": "+proj=tmerc +lat_0=49 +lon_0=-2 +k=0.9996012717 +x_0=400000 "
-             "+y_0=-100000 +datum=OSGB36 +units=m +no_defs",
-    "2154": "+proj=lcc +lat_1=49 +lat_2=44 +lat_0=46.5 +lon_0=3 +x_0=700000 "
-            "+y_0=6600000 +ellps=GRS80 +towgs84=0,0,0,0,0,0,0 +units=m +no_defs",
-    "25832": "+proj=utm +zone=32 +ellps=GRS80 +towgs84=0,0,0,0,0,0,0 +units=m +no_defs",
-    "32633": "+proj=utm +zone=33 +datum=WGS84 +units=m +no_defs",
-    "32610": "+proj=utm +zone=10 +datum=WGS84 +units=m +no_defs",
-    "26915": "+proj=utm +zone=15 +datum=NAD83 +units=m +no_defs",
-    "4978": "+proj=geocent +datum=WGS84 +units=m +no_defs",
-}
-
-# Mechanical EPSG families (public definitions; curated entries above win)
-for _z in range(1, 61):
-    EPSG_INIT.setdefault(
-        str(32600 + _z), f"+proj=utm +zone={_z} +datum=WGS84 +units=m +no_defs")
-    EPSG_INIT.setdefault(
-        str(32700 + _z),
-        f"+proj=utm +zone={_z} +south +datum=WGS84 +units=m +no_defs")
-for _z in range(28, 39):  # ETRS89 / UTM 25828-25838
-    EPSG_INIT.setdefault(
-        str(25800 + _z),
-        f"+proj=utm +zone={_z} +ellps=GRS80 +towgs84=0,0,0,0,0,0,0 "
-        f"+units=m +no_defs")
-for _z in range(1, 24):  # NAD83 / UTM 26901-26923
-    EPSG_INIT.setdefault(
-        str(26900 + _z), f"+proj=utm +zone={_z} +datum=NAD83 +units=m +no_defs")
-for _z in range(3, 23):  # NAD27 / UTM 26703-26722
-    EPSG_INIT.setdefault(
-        str(26700 + _z), f"+proj=utm +zone={_z} +datum=NAD27 +units=m +no_defs")
-del _z
-
-
-_INIT_DB: dict | None = None
+@functools.cache
+def _init_db() -> tuple[dict, frozenset]:
+    """The bundled DB as ``{(file, key): defn}`` plus its set of file
+    names, read once from data/init_db.tsv.gz (one
+    ``file<TAB>key<TAB>defn`` line per entry)."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        "data", "init_db.tsv.gz")
+    with open(path, "rb") as f:
+        text = gzip.decompress(f.read()).decode("utf-8")
+    db = {}
+    for line in text.splitlines():
+        fname, key, defn = line.split("\t")
+        db[(fname, key)] = defn
+    return db, frozenset(fname for fname, _ in db)
 
 
 def init_db_lookup(fname: str, key: str) -> str | None:
     """Bundled keyed-init lookup: the reference's public init databases
     (nad/epsg 5,006 codes, IGNF, esri(+extra), nad27/nad83 state
-    planes, world, GL27, CH) parsed into proj_ray/data/init_db.parquet
-    by tools/build_init_db.py and loaded lazily into one dict.  Serves
-    the role of pj_open_lib+get_init (src/pj_init.c:97-291) when no
-    PROJ_LIB override is present."""
-    global _INIT_DB
-    if _INIT_DB is None:
-        path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
-                            "data", "init_db.parquet")
-        db: dict = {}
-        if os.path.isfile(path):
-            import pyarrow.parquet as _pq
-
-            t = _pq.read_table(path)
-            for f, k, d in zip(t["file"].to_pylist(), t["key"].to_pylist(),
-                               t["defn"].to_pylist()):
-                db[(f, k)] = d
-        _INIT_DB = db
-    return _INIT_DB.get((fname, key))
+    planes, world, GL27, CH) parsed into proj_ray/data/init_db.tsv.gz
+    by tools/build_init_db.py and loaded on first use into one dict
+    with the standard library only.  Serves the role of
+    pj_open_lib+get_init (src/pj_init.c:97-291) when no PROJ_LIB
+    override is present."""
+    return _init_db()[0].get((fname, key))
 
 
 def init_db_has_file(fname: str) -> bool:
     """Whether the bundled DB carries the named init file at all (the
     pj_open_lib existence question, distinct from key lookup)."""
-    init_db_lookup("epsg", "4326")  # ensure loaded
-    return any(f == fname for f, _ in _INIT_DB)
+    return fname in _init_db()[1]
 
 
 def read_init_file(path: str, section: str) -> str | None:
@@ -544,10 +502,8 @@ class CRS:
                 # keyed files, parsed at build time by
                 # tools/build_init_db.py) — PROJ_LIB wins if present
                 defn_str = init_db_lookup(fname, key)
-            if defn_str is None and fname == "epsg":
-                defn_str = EPSG_INIT.get(key)
             if defn_str is None:
-                file_known = init_db_has_file(fname) or fname == "epsg"
+                file_known = init_db_has_file(fname)
                 if proj_lib and os.path.isfile(
                         os.path.join(proj_lib, fname)):
                     file_known = True

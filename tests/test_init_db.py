@@ -1,13 +1,16 @@
 """Bundled +init database: full epsg/IGNF/esri/nad27/nad83/world keyed
 files resolve without PROJ_LIB (tools/build_init_db.py ->
-proj_ray/data/init_db.parquet)."""
+proj_ray/data/init_db.tsv.gz)."""
 
+import hashlib
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from proj_ray.crs import CRS, init_db_lookup
+from proj_ray.crs import CRS, _init_db, init_db_lookup
 from proj_ray.transform import make_transform
 
 # (init key, expected substrings of the resolved definition) — spot
@@ -54,17 +57,22 @@ def test_init_db_spot_checks():
 
 def test_init_db_counts():
     """The bundle carries the reference's full corpora."""
-    import pyarrow.parquet as pq
-
-    path = os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "proj_ray", "data", "init_db.parquet")
-    t = pq.read_table(path)
-    files = t["file"].to_pylist()
+    files = [fname for fname, _ in _init_db()[0]]
     assert files.count("epsg") == 5006
     assert files.count("IGNF") == 344
     assert files.count("esri") == 2954
     assert files.count("nad27") == 134
     assert files.count("nad83") == 123
+
+
+def test_init_db_rows_digest():
+    """All 9,105 (file, key, defn) rows, sorted, hash to the digest of
+    the corpus parsed from the reference's keyed files."""
+    rows = sorted((f, k, d) for (f, k), d in _init_db()[0].items())
+    assert len(rows) == 9105
+    text = "".join(f"{f}\t{k}\t{d}\n" for f, k, d in rows)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "abe6992209b54d3da9a753fec31000f07974a312af3bfae1cb0d900c5855e1c2")
 
 
 def test_init_epsg_2154_compiles_and_matches_explicit():
@@ -103,6 +111,28 @@ def test_init_reference_parity_failures():
         CRS("+init=world:india-I")       # ellps=everest not in pj_ellps
     with pytest.raises(ValueError, match=r"-2"):
         CRS("+init=epsg:999999999")      # unknown key
+
+
+def test_init_epsg_900913_is_not_an_epsg_key():
+    """900913 is absent from the reference's nad/epsg, so get_init
+    rejects it (-2); the definition lives in other.extra."""
+    with pytest.raises(ValueError, match=r"-2"):
+        CRS("+init=epsg:900913")
+    assert CRS("+init=other.extra:900913").proj_name == "merc"
+
+
+def test_init_db_load_imports_no_pyarrow_or_pandas():
+    """The first +init lookup reads the bundled DB with the standard
+    library: a cold interpreter that resolves epsg and IGNF keys loads
+    neither pyarrow nor pandas."""
+    code = ("import sys\n"
+            "from proj_ray import make_transform\n"
+            "make_transform('+init=epsg:4326', '+init=epsg:31467')\n"
+            "make_transform('+init=epsg:4326', '+init=IGNF:LAMB93')\n"
+            "loaded = sorted({'pyarrow', 'pandas'} & set(sys.modules))\n"
+            "sys.exit(f'loaded {loaded}' if loaded else 0)\n")
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    subprocess.run([sys.executable, "-c", code], cwd=root, check=True)
 
 
 def test_proj_lib_still_wins(tmp_path):

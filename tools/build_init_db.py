@@ -4,19 +4,19 @@
 Parses the reference distribution's public keyed init files (the
 ``nad/epsg`` format consumed by src/pj_init.c get_init/get_opt:97-291 —
 EPSG / IGN / ESRI-published CRS definitions, i.e. data, not code) into
-one parquet table (file, key, defn) shipped as
-``proj_ray/data/init_db.parquet`` so ``+init=epsg:2154`` /
-``+init=IGNF:LAMB93`` / ``+init=nad27:3001`` resolve without PROJ_LIB.
+``proj_ray/data/init_db.tsv.gz``: UTF-8 text, one ``file<TAB>key<TAB>defn``
+line per entry, gzip-compressed with ``mtime=0`` so a rebuild is
+byte-stable.  ``+init=epsg:2154`` / ``+init=IGNF:LAMB93`` /
+``+init=nad27:3001`` then resolve without PROJ_LIB.  Standard library
+only, like the loader (``proj_ray.crs.init_db_lookup``).
 
 Usage: python tools/build_init_db.py [--nad /root/reference/nad]
 """
 
 import argparse
+import gzip
 import os
 import sys
-
-import pyarrow as pa
-import pyarrow.parquet as pq
 
 FILES = ["epsg", "epsg-deprecated", "IGNF", "esri", "esri.extra",
          "other.extra", "nad27", "nad83", "world", "GL27", "CH"]
@@ -47,38 +47,47 @@ def iter_init_entries(path):
         yield key, " ".join(words)
 
 
+def write_init_db(rows, out):
+    """Write (file, key, defn) rows, in the given order, as the gzipped
+    TSV the loader reads."""
+    lines = []
+    for row in rows:
+        line = "\t".join(row)
+        # the loader splits on str.splitlines() and then on tabs
+        if len(line.split("\t")) != 3 or line.splitlines() != [line]:
+            raise ValueError(f"tab or line break in init entry {row!r}")
+        lines.append(line + "\n")
+    data = gzip.compress("".join(lines).encode("utf-8"), compresslevel=9,
+                         mtime=0)
+    os.makedirs(os.path.dirname(out), exist_ok=True)
+    with open(out, "wb") as f:
+        f.write(data)
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--nad", default="/root/reference/nad")
     ap.add_argument("--out", default=os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-        "proj_ray", "data", "init_db.parquet"))
+        "proj_ray", "data", "init_db.tsv.gz"))
     args = ap.parse_args()
 
-    files, keys, defns = [], [], []
+    rows = []
     for fname in FILES:
         path = os.path.join(args.nad, fname)
         if not os.path.isfile(path):
             print(f"skip (missing): {fname}", file=sys.stderr)
             continue
         seen = set()
-        n = 0
         for key, defn in iter_init_entries(path):
             if key in seen:  # first occurrence wins (get_init contract)
                 continue
             seen.add(key)
-            files.append(fname)
-            keys.append(key)
-            defns.append(defn)
-            n += 1
-        print(f"{fname}: {n} entries")
+            rows.append((fname, key, defn))
+        print(f"{fname}: {len(seen)} entries")
 
-    os.makedirs(os.path.dirname(args.out), exist_ok=True)
-    t = pa.table({"file": pa.array(files, pa.string()),
-                  "key": pa.array(keys, pa.string()),
-                  "defn": pa.array(defns, pa.string())})
-    pq.write_table(t, args.out, compression="zstd")
-    print(f"wrote {len(files)} total entries -> {args.out}")
+    write_init_db(rows, args.out)
+    print(f"wrote {len(rows)} total entries -> {args.out}")
 
 
 if __name__ == "__main__":
