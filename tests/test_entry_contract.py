@@ -28,6 +28,21 @@ def test_registry_consistency():
         assert callable(fn)
 
 
+def test_grid_shift_real_refuses_without_grid(monkeypatch, tmp_path):
+    """Without ntf_r93.gsb the two real-grid queries raise up front
+    instead of returning a full row count of inf lanes, and keep their
+    golden oracle registered."""
+    from proj_ray.pipelines import queries
+
+    monkeypatch.setattr(queries, "_NTF_GRID", str(tmp_path / "ntf_r93.gsb"))
+    qs = entrymod.queries()
+    sqls = entrymod.oracle_sql()
+    for name in ("grid_shift_real", "grid_shift_real_inv"):
+        with pytest.raises(FileNotFoundError, match="ntf_r93.gsb"):
+            qs[name](SF)
+        assert name in sqls
+
+
 def test_every_oracle_sql_compiles():
     con = duckdb.connect()
     for t in TABLES:

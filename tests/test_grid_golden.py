@@ -13,6 +13,15 @@ from proj_ray.cli import cs2cs_main
 
 NAD = "/root/reference/nad"
 
+# The snapshot's grids are not in the repo: each test runs wherever the
+# grid it opens is present, and is skipped naming it where it is not.
+needs_ntf = pytest.mark.skipif(
+    not os.path.isfile(os.path.join(NAD, "ntf_r93.gsb")),
+    reason="ntf_r93.gsb absent")
+needs_ntv1 = pytest.mark.skipif(
+    not os.path.isfile(os.path.join(NAD, "ntv1_can.dat")),
+    reason="ntv1_can.dat absent")
+
 
 @pytest.fixture()
 def proj_lib_nad():
@@ -59,6 +68,7 @@ TD_INV = [
 ]
 
 
+@needs_ntf
 def test_ntf_r93_edge_cases_forward(proj_lib_nad):
     """Grid used even right on the mesh corner / within epsilon outside
     (pj_apply_gridshift.c:131-254 + NTv2 subgrid reader), matching
@@ -69,6 +79,7 @@ def test_ntf_r93_edge_cases_forward(proj_lib_nad):
     assert _tokens(got) == _tokens(TD_FWD)
 
 
+@needs_ntf
 def test_ntf_r93_edge_cases_inverse(proj_lib_nad):
     got = _run(["+proj=latlong", "+datum=WGS84",
                 "+to", "+proj=latlong", "+ellps=WGS84",
@@ -84,6 +95,7 @@ def test_ntf_r93_edge_cases_inverse(proj_lib_nad):
 # "falls back to NTv1" block actually flowed through the unshipped
 # ntv2_0.gsb, which precedes ntv1 in first-match list order —
 # pj_apply_gridshift.c:143-156).
+@needs_ntf
 def test_nadgrids_list_order_precedence_e2e(proj_lib_nad):
     """+nadgrids list ORDER is the precedence (first containing grid
     wins, src/pj_apply_gridshift.c:143-156; '@null' is the world-
@@ -107,6 +119,7 @@ def test_nadgrids_list_order_precedence_e2e(proj_lib_nad):
     assert _tokens(grid_first) == _tokens(TD_FWD)
 
 
+@needs_ntv1
 def test_ntv1_real_grid_golden(proj_lib_nad):
     """NAD27->NAD83 through the real ntv1_can.dat (NTv1 reader +
     bilinear + gridlist @optional handling), matching td_out.dist."""

@@ -90,6 +90,11 @@ def split_sections(lines):
 SKIP_SECTIONS: dict = {}
 
 
+_MISSING = [n for n in ("testvarious", "tv_out.dist")
+            if not os.path.isfile(os.path.join(NAD, n))]
+
+
+@pytest.mark.skipif(bool(_MISSING), reason=f"{', '.join(_MISSING)} absent")
 def test_testvarious_corpus():
     os.environ.pop("PROJ_LIB", None)
     items = parse_script(os.path.join(NAD, "testvarious"))
