@@ -23,37 +23,14 @@ def entry() -> Any:
     return flagship_pipeline("/root/testdata/sf0.001")
 
 
-def _never_checked_first(names):
-    """Order query names so those without a driver CORRECTNESS row from
-    any prior round come first — if the driver's per-round check window
-    samples in dict order, this rotates coverage onto the unchecked
-    tail; if it samples randomly, ordering is a no-op."""
-    import glob
-    import json
-    import os
-
-    checked: set = set()
-    here = os.path.dirname(os.path.abspath(__file__))
-    for p in sorted(glob.glob(os.path.join(here, "CORRECTNESS_r*.json"))):
-        try:
-            with open(p) as f:
-                checked |= set(json.load(f).keys())
-        except Exception:
-            pass
-    return ([n for n in names if n not in checked]
-            + [n for n in names if n in checked])
-
-
 def queries() -> dict[str, Callable[[str], Any]]:
     from proj_ray.pipelines.queries import QUERIES
 
-    return {name: QUERIES[name]["fn"]
-            for name in _never_checked_first(list(QUERIES))}
+    return {name: q["fn"] for name, q in QUERIES.items()}
 
 
 def oracle_sql() -> dict[str, str]:
     from proj_ray.pipelines.queries import QUERIES
 
-    return {name: QUERIES[name]["sql"]
-            for name in _never_checked_first(list(QUERIES))
-            if QUERIES[name]["sql"] is not None}
+    return {name: q["sql"] for name, q in QUERIES.items()
+            if q["sql"] is not None}

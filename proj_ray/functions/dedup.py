@@ -263,11 +263,6 @@ def jaccard_ngrams(a: str, b: str, k: int = 5) -> float:
 # batch-level wrappers (map_batches bodies)
 # ---------------------------------------------------------------------------
 
-def add_text_hash(batch: pa.Table, text_col="text", out="text_hash") -> pa.Table:
-    h = text_hash64(batch[text_col])
-    return batch.append_column(out, pa.array(h.astype(np.int64), pa.int64()))
-
-
 def minhash_bands_batch(batch: pa.Table, text_col="text", id_col="doc_id",
                         num_perm=64, bands=16, k=5) -> pa.Table:
     """Explode each doc into (band_id, band_hash, id) rows — the LSH

@@ -127,17 +127,6 @@ def ann_cosine_topk(ds, queries: np.ndarray, k=10, id_col="vec_id",
     return finalize_topk(collect_topk(cand, k), k)
 
 
-def pack_embeddings(M: np.ndarray) -> pa.Array:
-    """(N, D) float32 -> fixed-size-binary(4D) Arrow array, zero-copy
-    from the row-major buffer.  Ray's hash join rejects list<float>
-    non-key columns; packed bytes ride through joins and unpack back
-    to a matrix without any per-row Python."""
-    M = np.ascontiguousarray(M, dtype=np.float32)
-    n, dim = M.shape
-    return pa.Array.from_buffers(pa.binary(dim * 4), n,
-                                 [None, pa.py_buffer(M.tobytes())])
-
-
 def dot_f64_ordered(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Dot of every row of ``M`` with ``v``, accumulated dimension by
     dimension in float64 IN INDEX ORDER.  BLAS matmuls (sgemm/dgemv)
@@ -151,25 +140,6 @@ def dot_f64_ordered(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     for d in range(M.shape[1]):
         acc += M[:, d].astype(np.float64) * np.float64(v[d])
     return acc
-
-
-def cosine_pairs_f64(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact-order cosine for row-aligned pairs: dimension-ordered
-    float64 accumulation of dot and both norms (see dot_f64_ordered
-    for why order is pinned)."""
-    n, dim = A.shape
-    dot = np.zeros(n, dtype=np.float64)
-    na = np.zeros(n, dtype=np.float64)
-    nb = np.zeros(n, dtype=np.float64)
-    for d in range(dim):
-        a = A[:, d].astype(np.float64)
-        b = B[:, d].astype(np.float64)
-        dot += a * b
-        na += a * a
-        nb += b * b
-    denom = np.sqrt(na) * np.sqrt(nb)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    return dot / denom
 
 
 def hyperplane_signatures_f64(M: np.ndarray, planes: np.ndarray) -> np.ndarray:
@@ -458,14 +428,12 @@ def ivf_search_partitioned(index_dir: str, queries: np.ndarray, k: int = 10,
     return finalize_topk(collect_topk(cand, k), k)
 
 
-# --- product quantization (PQ) ANN ----------------------------------------
+# --- product quantization (PQ) -------------------------------------------
 
 def kmeans_l2(X: np.ndarray, k: int, iters: int = 8) -> np.ndarray:
     """Deterministic plain-L2 k-means (PQ sub-codebooks; Jegou et al.
     2011): float64, evenly-strided init, argmin ties to the lowest
-    index, empty clusters keep their previous centroid.  Shared by the
-    engine and the golden freezer — like kmeans_cosine, provenance
-    independence lives in the scan/merge pipeline, not the trainer."""
+    index, empty clusters keep their previous centroid."""
     X = np.asarray(X, dtype=np.float64)
     idx = (np.arange(k, dtype=np.int64) * X.shape[0]) // max(k, 1)
     C = X[idx].copy()
@@ -493,8 +461,7 @@ def pq_train(S: np.ndarray, m: int = 8, ks: int = 16,
 
 def pq_encode(M: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
     """(n, m) int64 codes: per subspace, the L2-nearest codeword
-    ((x-c)^2 spelled identically in the engine batches and the scalar
-    golden — row-independent, so batching cannot change a code)."""
+    (row-independent, so batching cannot change a code)."""
     M = np.asarray(M, dtype=np.float64)
     m, _ks, dsub = codebooks.shape
     codes = np.empty((M.shape[0], m), dtype=np.int64)
@@ -502,118 +469,3 @@ def pq_encode(M: np.ndarray, codebooks: np.ndarray) -> np.ndarray:
         diff = M[:, None, j * dsub:(j + 1) * dsub] - codebooks[j][None, :, :]
         codes[:, j] = np.argmin((diff * diff).sum(axis=2), axis=1)
     return codes
-
-
-def pq_adist(qrow: np.ndarray, codebooks: np.ndarray,
-             codes: np.ndarray) -> np.ndarray:
-    """Asymmetric PQ distances of one float64 query to coded rows:
-    per-subspace LUT then FIXED-ORDER accumulation over subspaces, so
-    equal codes give bit-equal distances and the (adist, vec_id)
-    comparator stays tie-free across engines."""
-    m, _ks, dsub = codebooks.shape
-    acc = np.zeros(codes.shape[0], dtype=np.float64)
-    for j in range(m):
-        diff = qrow[None, j * dsub:(j + 1) * dsub] - codebooks[j]
-        lut = (diff * diff).sum(axis=1)
-        acc += lut[codes[:, j]]
-    return acc
-
-
-def pq_topk_partial(batch: pa.Table, Q64: np.ndarray, codebooks: np.ndarray,
-                    k: int, id_col="vec_id", vec_col="embedding") -> pa.Table:
-    """Encode one batch and emit local top-k (qj, vec_id, sim) rows with
-    sim = -adist, reusing the associative (-sim, vec_id) reduce."""
-    M = batch_matrix(batch, vec_col)
-    ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    codes = pq_encode(M, codebooks)
-    out_q, out_id, out_s = [], [], []
-    kk = min(k, M.shape[0])
-    for j in range(Q64.shape[0]):
-        s = -pq_adist(Q64[j], codebooks, codes)
-        part = np.lexsort((ids, -s))[:kk]
-        out_q.append(np.full(kk, j, dtype=np.int64))
-        out_id.append(ids[part])
-        out_s.append(s[part])
-    return pa.table({
-        "qj": pa.array(np.concatenate(out_q), pa.int64()),
-        "vec_id": pa.array(np.concatenate(out_id), pa.int64()),
-        "sim": pa.array(np.concatenate(out_s), pa.float64()),
-    })
-
-
-def ann_pq_topk(ds, queries: np.ndarray, sample: np.ndarray, k: int = 10,
-                m: int = 8, ks: int = 16, id_col="vec_id",
-                vec_col="embedding", batch_size=None) -> pa.Table:
-    """PQ ANN top-k: codebooks train once on the driver sample and
-    BROADCAST to every task (closure capture -> object store, one copy
-    per node); each batch encodes itself and reduces to k rows per
-    query; the merge is the same two-level associative top-k as the
-    cosine scan.  At 100 TB the codes (m bytes/vector) are the only
-    per-corpus state — 8 bytes vs 256 for the raw float32x64 row — and
-    a deployment persists them as a coded column; here encode+scan fuse
-    into one streaming pass.  Returns (qid, vec_id, rank, adist)."""
-    books = pq_train(sample, m=m, ks=ks)
-    Q64 = np.asarray(queries, dtype=np.float64)
-
-    def part(b):
-        return pq_topk_partial(b, Q64, books, k, id_col=id_col,
-                               vec_col=vec_col)
-
-    cand = ds.map_batches(part, batch_format="pyarrow",
-                          batch_size=batch_size, zero_copy_batch=True)
-    out = finalize_topk(collect_topk(cand, k), k)
-    return pa.table({"qid": out["qid"], "vec_id": out["vec_id"],
-                     "rank": out["rank"],
-                     "adist": pa.array(
-                         -out["sim"].to_numpy(zero_copy_only=False),
-                         pa.float64())})
-
-
-def ann_ivfpq_topk(ds, queries: np.ndarray, sample: np.ndarray, k: int = 10,
-                   ncells: int = 16, nprobe: int = 8, m: int = 8,
-                   ks: int = 16, id_col="vec_id",
-                   vec_col="embedding") -> pa.Table:
-    """IVF + PQ composed — the full production ANN shape (Jegou et al.
-    2011): the coarse quantizer prunes to each query's nprobe cells
-    (at scale, partition-pruned I/O — ivf_build_index's layout), and
-    within the probed rows distances come from 8-byte PQ codes instead
-    of raw vectors.  Both the quantizer and the codebooks train once
-    on the driver sample and broadcast; the merge is the associative
-    two-level top-k.  Returns (qid, vec_id, rank, adist)."""
-    C = kmeans_cosine(sample, ncells)
-    books = pq_train(sample, m=m, ks=ks)
-    Qn = _normalize_rows(queries.astype(np.float32))
-    probe = np.argsort(-(Qn @ C.T), axis=1)[:, :nprobe]
-    probe_sets = [p.tolist() for p in probe]
-    Q64 = np.asarray(queries, dtype=np.float64)
-
-    def part(b: pa.Table) -> pa.Table:
-        M = batch_matrix(b, vec_col)
-        ids = b[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        cells = ivf_assign(M, C)
-        codes = pq_encode(M, books)
-        out_q, out_id, out_s = [], [], []
-        for j in range(Q64.shape[0]):
-            msk = np.isin(cells, probe_sets[j])
-            if not msk.any():
-                continue
-            s = -pq_adist(Q64[j], books, codes[msk])
-            kk = min(k, s.shape[0])
-            top = np.lexsort((ids[msk], -s))[:kk]
-            out_q.append(np.full(kk, j, dtype=np.int64))
-            out_id.append(ids[msk][top])
-            out_s.append(s[top])
-        if not out_q:
-            return _CAND_SCHEMA.empty_table()
-        return pa.table({"qj": pa.array(np.concatenate(out_q), pa.int64()),
-                         "vec_id": pa.array(np.concatenate(out_id), pa.int64()),
-                         "sim": pa.array(np.concatenate(out_s), pa.float64())})
-
-    cand = ds.map_batches(part, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
-    out = finalize_topk(collect_topk(cand, k), k)
-    return pa.table({"qid": out["qid"], "vec_id": out["vec_id"],
-                     "rank": out["rank"],
-                     "adist": pa.array(
-                         -out["sim"].to_numpy(zero_copy_only=False),
-                         pa.float64())})

@@ -223,21 +223,8 @@ def test_lsh_partner_counts_parity(ray_session, sf_dir):
 
 
 # ---------------------------------------------------------------------------
-# SimHash banded near-dup search: pigeonhole-exact recall at radius
-# n_bands - 1, verified against brute-force all-pairs hamming.
+# SimHash bands and hamming distance.
 # ---------------------------------------------------------------------------
-
-def _brute_hamming_pairs(ids, sims, radius):
-    order = np.argsort(ids, kind="mergesort")
-    sids, ssh = np.asarray(ids)[order], np.asarray(sims, np.uint64)[order]
-    out = set()
-    for i in range(len(sids)):
-        x = ssh[i] ^ ssh[i + 1:]
-        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8),
-                            axis=1).sum(axis=1)
-        for j in np.flatnonzero(ham <= radius):
-            out.add((int(sids[i]), int(sids[i + 1 + j]), int(ham[j])))
-    return out
 
 
 def test_simhash_bands_roundtrip_and_hamming():
@@ -258,24 +245,6 @@ def test_simhash_bands_roundtrip_and_hamming():
     assert got.tolist() == want
     with pytest.raises(ValueError):
         simhash_bands(u, n_bands=5)
-
-
-def test_simhash_near_dups_matches_brute_force(ray_session, sf_dir):
-    """Engine banded search == brute-force all-pairs at radius 3 on the
-    real sf0.001 documents (exact recall by pigeonhole)."""
-    import pyarrow.parquet as pq
-
-    from proj_ray.pipelines.queries import simhash_near_dups
-
-    got = simhash_near_dups(sf_dir).to_pandas()
-    got_set = set(map(tuple, got[["doc_a", "doc_b", "hamming"]]
-                      .astype(int).itertuples(index=False)))
-    t = pq.read_table(f"{sf_dir}/documents.parquet",
-                      columns=["doc_id", "text"])
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    sims = simhash64_batch(t["text"])
-    assert got_set == _brute_hamming_pairs(ids, sims, 3)
-    assert len(got) == len(got_set)  # no duplicate pairs
 
 
 def test_scalar_jaccard_and_band_hash_views_match_batch_kernels():

@@ -444,3 +444,47 @@ def test_radius_search_pruned_matches_brute_force(tmp_path, ray_session):
     want = pd2.DataFrame(rows).sort_values(["qid", "id"]).reset_index(drop=True)
     assert len(want) > 0 and all(want.groupby("qid").size() > 0)
     assert got.astype("int64").equals(want.astype("int64"))
+
+
+@pytest.mark.parametrize("case", ["empty", "no_shard", "every_shard"])
+def test_s2_shard_bbox_degenerate_coverings(case, tmp_path, ray_session):
+    """s2_shard_bbox returns its oracle's rows (the full-scan bbox
+    filter) when the point table is empty, when the bbox covering
+    touches none of the written shards, and when it touches all of
+    them."""
+    import duckdb
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from proj_ray.pipelines.derive import lonlat_numpy, pid_numpy
+    from proj_ray.pipelines.queries import (QUERIES, _S2_BBOX,
+                                            _S2_SHARD_LEVEL, s2_shard_bbox)
+
+    ok = np.arange(1, 100_000, dtype=np.int64)
+    ln = np.ones_like(ok)
+    lon, lat = lonlat_numpy(pid_numpy(ok, ln))
+    shard = s2.id_at_level(s2.cell_id_from_lonlat(lon, lat),
+                           _S2_SHARD_LEVEL).view(np.int64)
+    cover = s2.bbox_covering(*_S2_BBOX, _S2_SHARD_LEVEL).view(np.int64)
+    covered = np.isin(shard, cover)
+    keep = {"empty": np.zeros(len(ok), bool),
+            "no_shard": ~covered,
+            "every_shard": covered}[case]
+    keep &= np.cumsum(keep) <= 200
+    pq.write_table(pa.table({"l_orderkey": ok[keep],
+                             "l_linenumber": ln[keep].astype(np.int32)}),
+                   str(tmp_path / "lineitem.parquet"))
+
+    got = s2_shard_bbox(str(tmp_path))
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW lineitem AS SELECT * FROM "
+            f"'{tmp_path}/lineitem.parquet'")
+    want = con.sql(QUERIES["s2_shard_bbox"]["sql"]).fetchdf()
+    want = want.sort_values("pid").reset_index(drop=True)
+    assert list(got.dtypes) == list(want.dtypes)
+    assert got.equals(want)
+    if case == "every_shard":
+        # covered shards also hold points outside the bbox
+        assert 0 < len(want) < keep.sum()
+    else:
+        assert len(want) == 0

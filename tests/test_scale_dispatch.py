@@ -168,15 +168,3 @@ def test_lsh_candidate_pairs_paths_agree(ray_session):
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
 
 
-def test_minhash_lsh_candidates_paths_agree(ray_session):
-    """Driver pandas branch vs distributed Count-shuffle branch of
-    minhash_lsh_candidates produce identical partner counts."""
-    from proj_ray.pipelines.queries import minhash_lsh_candidates
-
-    sf = "/root/testdata/sf0.001"
-    a = _sorted(minhash_lsh_candidates(sf, driver_threshold=10**9),
-                ["doc_id"])
-    b = _sorted(minhash_lsh_candidates(sf, driver_threshold=0).to_pandas(),
-                ["doc_id"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    assert len(a) > 0

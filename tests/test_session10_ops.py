@@ -1,4 +1,4 @@
-"""Round-4 session-10 operators: corpus line dedup, hex spatial
+"""Round-4 session-10 operators: line and word-gram hashes, hex spatial
 index."""
 
 import numpy as np
@@ -59,33 +59,6 @@ def test_wordgram_hashes_match_joined_strings():
 # -- queries ----------------------------------------------------------------
 
 
-def test_line_dedup_docs_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import line_dedup_docs
-
-    got = _sorted(line_dedup_docs(SF01), ["doc_id"])
-    want = _sorted(_oracle("line_dedup_docs", ["documents"]), ["doc_id"])
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-    # the prepended boilerplate lines are duplicated BY CONSTRUCTION:
-    # every doc_id%11==4 doc shares its first line
-    bp = got[got.doc_id % 11 == 4]
-    assert len(bp) > 1 and (bp["n_dup_lines"] >= 1).all()
-    # and clean docs keep everything
-    clean = got[(got.doc_id % 11 != 4) & (got.doc_id % 13 != 6)]
-    assert (clean["n_dup_lines"] == 0).any()  # most are unique
-    # exact-duplicate docs (the dedup_exact signal) retain nothing;
-    # everything else retains a positive remainder
-    assert (got["retained_chars"] > 0).sum() > 400
-    assert (got["retained_chars"] == 0).any()
-
-
-def test_line_dedup_paths_agree(ray_session):
-    from proj_ray.pipelines.queries import line_dedup_docs
-
-    a = _sorted(line_dedup_docs(SF, path="driver"), ["doc_id"])
-    b = _sorted(line_dedup_docs(SF, path="distributed"), ["doc_id"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-
-
 def test_hex_cell_agg_matches_oracle(ray_session):
     from proj_ray.pipelines.queries import hex_cell_agg
 
@@ -105,31 +78,3 @@ def test_hex_cube_rounding_invariant(ray_session):
     assert ((got["hex_q"] + got["hex_r"]).abs() < 10_000).all()
     # cells are contiguous-ish ints, not garbage floats
     assert got["hex_q"].dtype == np.int64 and got["hex_r"].dtype == np.int64
-
-
-def test_semdedup_keep_matches_golden(ray_session):
-    from proj_ray.pipelines.queries import semdedup_keep
-
-    got = _sorted(semdedup_keep(SF01), ["vec_id"])
-    want = _sorted(_oracle("semdedup_keep", ["embeddings"]), ["vec_id"])
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-    # drops really happen, most of the corpus survives
-    assert got["kept"].sum() == 346
-    assert got["kept"].eq(0).sum() == 154
-    # the first member of every cluster is always kept
-    first = got.sort_values("vec_id").groupby("cell").head(1)
-    assert (first["kept"] == 1).all()
-
-
-def test_minhash_dedup_keep_matches_golden(ray_session):
-    from proj_ray.pipelines.queries import minhash_dedup_keep
-
-    got = _sorted(minhash_dedup_keep(SF01), ["doc_id"])
-    want = _sorted(_oracle("minhash_dedup_keep", ["documents"]), ["doc_id"])
-    pd.testing.assert_frame_equal(got, want.astype(got.dtypes.to_dict()))
-    # clusters really collapse: fewer survivors than docs, one keeper
-    # per cluster, and the keeper is the min member
-    assert got["kept"].sum() == got["cluster"].nunique()
-    assert got["kept"].sum() < len(got)
-    keepers = got[got.kept == 1]
-    assert (keepers["doc_id"] == keepers["cluster"]).all()

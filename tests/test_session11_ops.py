@@ -1,7 +1,5 @@
 """Winnowing (MOSS) fingerprints and content-defined chunking."""
 
-import numpy as np
-
 SF = "/root/testdata/sf0.001"
 
 
@@ -57,37 +55,6 @@ def test_winnow_short_and_empty_docs():
     assert list(pos) == [0, 0, 0]
 
 
-def test_winnow_dup_pairs_both_paths(ray_session):
-    from proj_ray.pipelines.queries import winnow_dup_pairs
-
-    got_b = winnow_dup_pairs(SF, path="broadcast")
-    got_j = winnow_dup_pairs(SF, path="join")
-    for col in ("doc_a", "doc_b", "n_shared"):
-        assert (got_b[col].to_numpy(np.int64)
-                == got_j[col].to_numpy(np.int64)).all(), col
-    # symmetric-pair sanity: a < b, shared count >= threshold
-    assert (got_b["doc_a"].to_numpy() < got_b["doc_b"].to_numpy()).all()
-    assert (got_b["n_shared"].to_numpy() >= 3).all()
-
-
-def test_winnow_fingerprints_query(ray_session):
-    from proj_ray.pipelines.queries import winnow_fingerprints
-
-    df = winnow_fingerprints(SF)
-    assert (df["n_selected"].to_numpy() >= 1).all()
-    assert (df["n_selected"].to_numpy()
-            <= df["n_grams"].to_numpy()).all()
-    # per-doc scalar spot check on the first three docs
-    import pyarrow.parquet as pq
-    docs = pq.read_table(f"{SF}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    for _, row in docs.head(3).iterrows():
-        sels, g = _scalar_winnow(row["text"])
-        mine = df[df["doc_id"] == row["doc_id"]].iloc[0]
-        assert int(mine["n_grams"]) == g
-        assert int(mine["n_selected"]) == len(sels)
-
-
 # ---------------------------------------------------------------------------
 # content-defined chunking
 # ---------------------------------------------------------------------------
@@ -134,10 +101,3 @@ def test_cdc_edit_shift_robustness():
     assert (c0 - {first}) <= c1
 
 
-def test_cdc_dedup_stats_invariants(ray_session):
-    from proj_ray.pipelines.queries import cdc_dedup_stats
-
-    df = cdc_dedup_stats(SF)
-    assert int(df["n_distinct"][0]) + int(df["dup_chunks"][0]) \
-        == int(df["n_chunks_total"][0])
-    assert int(df["dup_bytes"][0]) >= int(df["dup_chunks"][0]) * 0

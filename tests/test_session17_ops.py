@@ -5,7 +5,6 @@ import duckdb
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 SF = "/root/testdata/sf0.001"
 
@@ -89,19 +88,6 @@ def test_wordgram_spans_match_strings():
 
 
 # ---------------------------------------------------------------------------
-# DuckDB oracle over the documents table
-# ---------------------------------------------------------------------------
-
-def _oracle(name):
-    con = duckdb.connect()
-    for t in ["documents"]:
-        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
-                    f"read_parquet('{SF}/{t}.parquet')")
-    from proj_ray.pipelines.queries import QUERIES
-    return con.sql(QUERIES[name]["sql"]).fetchdf()
-
-
-# ---------------------------------------------------------------------------
 # or_by_key: vectorized OR reduction invariants
 # ---------------------------------------------------------------------------
 
@@ -135,63 +121,8 @@ def test_or_by_key_split_merge_invariance():
 
 
 # ---------------------------------------------------------------------------
-# incremental_neardup_new: persisted MinHash index probe vs the scalar
-# reference (independent per-doc sigs + dict buckets), at sf0.001
+# persisted MinHash index: empty probe shard, incremental appends
 # ---------------------------------------------------------------------------
-
-def _neardup_scalar_expect(sf):
-    import math
-
-    import pyarrow.parquet as pq
-    from tools.freeze_goldens import ref_band_hashes, ref_minhash_sig
-
-    docs = pq.read_table(f"{sf}/documents.parquet",
-                         columns=["doc_id", "text"]).to_pandas()
-    by_id = dict(zip(docs.doc_id.astype(int), docs.text))
-    corpus = {d: t for d, t in by_id.items() if d % 5 != 0}
-    shard = {}
-    for d, t in by_id.items():
-        if d % 5 != 0:
-            continue
-        if d % 15 == 0 and (d + 1) in by_id:
-            dt = by_id[d + 1]
-            shard[d] = "zz" + str(d) + (dt[dt.index(" "):]
-                                        if " " in dt else "")
-        else:
-            shard[d] = t
-    buckets, sig_c = {}, {}
-    for d, t in corpus.items():
-        sig = ref_minhash_sig(t)
-        sig_c[d] = sig
-        for b, h in enumerate(ref_band_hashes(sig)):
-            buckets.setdefault((b, int(h)), []).append(d)
-    need = int(math.ceil(0.5 * 64))
-    rows = []
-    for d in sorted(shard):
-        sig = ref_minhash_sig(shard[d])
-        cands = set()
-        for b, h in enumerate(ref_band_hashes(sig)):
-            cands.update(buckets.get((b, int(h)), []))
-        nm = sum(1 for c in cands if int((sig == sig_c[c]).sum()) >= need)
-        rows.append((d, len(cands), nm, 1 if nm > 0 else 0))
-    return rows
-
-
-def test_incremental_neardup_scalar_parity(ray_session, tmp_path):
-    import os
-
-    from proj_ray.pipelines.queries import incremental_neardup_new
-
-    idx = str(tmp_path / "ndidx")
-    got = incremental_neardup_new(SF, index_dir=idx)
-    want = _neardup_scalar_expect(SF)
-    assert [tuple(r) for r in got.itertuples(index=False)] == want
-    assert got.is_dup.sum() > 0          # seeded near-dups were caught
-    # the persisted layout is the two pruned-probe partitionings
-    assert any(d.startswith("band_bucket=")
-               for d in os.listdir(os.path.join(idx, "bands")))
-    assert any(d.startswith("id_bucket=")
-               for d in os.listdir(os.path.join(idx, "sigs")))
 
 
 def test_neardup_empty_shard(ray_session, tmp_path):
@@ -209,26 +140,6 @@ def test_neardup_empty_shard(ray_session, tmp_path):
     assert len(out) == 0
     assert list(out.columns) == ["doc_id", "n_candidates", "n_matched",
                                  "is_dup"]
-
-
-# ---------------------------------------------------------------------------
-# rendezvous_shard: oracle parity + the HRW stability invariant
-# ---------------------------------------------------------------------------
-
-def test_rendezvous_shard_oracle_and_stability(ray_session):
-    from proj_ray.pipelines.queries import _HRW_S, rendezvous_shard
-
-    got = rendezvous_shard(SF).reset_index(drop=True)
-    want = _oracle("rendezvous_shard").reset_index(drop=True)
-    for c in ["doc_id", "shard", "shard_no0"]:
-        assert np.array_equal(got[c].to_numpy(np.int64),
-                              want[c].to_numpy(np.int64)), c
-    # HRW stability: removing shard 0 reassigns ONLY shard-0 docs
-    moved = got.shard != got.shard_no0
-    assert (got.shard[moved] == 0).all()
-    assert (got.shard[moved].count() == (got.shard == 0).sum())
-    # every shard sees traffic (sanity of the score distribution)
-    assert set(got.shard.unique()) == set(range(_HRW_S))
 
 
 # ---------------------------------------------------------------------------
@@ -340,26 +251,6 @@ def test_cluster_diameter_empty_sf_keeps_schema(ray_session):
 
 
 # ---------------------------------------------------------------------------
-# triangle_count_per_node: forced-path parity (broadcast vs join)
-# ---------------------------------------------------------------------------
-
-def test_triangle_paths_agree(ray_session):
-    from proj_ray.pipelines.queries import triangle_count_per_node
-
-    # sf0.001's radius graph is triangle-free: both paths typed-empty
-    b = triangle_count_per_node(SF, path="broadcast")
-    j = triangle_count_per_node(SF, path="join")
-    assert b.equals(j) and len(b) == 0
-    # sf0.01 has real triangles: exact parity
-    sf01 = "/root/testdata/sf0.01"
-    b = triangle_count_per_node(sf01, path="broadcast")
-    j = triangle_count_per_node(sf01, path="join")
-    assert len(b) > 0 and b.equals(j)
-    with pytest.raises(ValueError):
-        triangle_count_per_node(SF, path="nope")
-
-
-# ---------------------------------------------------------------------------
 # geohash_cell_agg: oracle parity + reference geohash encoding check
 # ---------------------------------------------------------------------------
 
@@ -455,41 +346,3 @@ def test_minhash_index_append_equals_whole(ray_session, tmp_path):
     probe = rd.from_pandas(docs.iloc[100:120])
     assert neardup_new_against_index(probe, whole).equals(
         neardup_new_against_index(probe, appended))
-
-
-# ---------------------------------------------------------------------------
-# hard_negatives_topk: label exclusion + scalar replica at sf0.001
-# ---------------------------------------------------------------------------
-
-def test_hard_negatives_excludes_own_label(ray_session):
-    import pyarrow.parquet as pq
-    from proj_ray.pipelines.queries import hard_negatives_topk
-
-    got = hard_negatives_topk(SF).to_pandas()
-    emb = pq.read_table(f"{SF}/embeddings.parquet",
-                        columns=["vec_id", "label"]).to_pandas()
-    lab_of = dict(zip(emb.vec_id.astype(int), emb.label.astype(int)))
-    qlab = {j: lab_of[j] for j in range(3)}
-    assert len(got) == 30
-    for _, r in got.iterrows():
-        assert lab_of[int(r.vec_id)] != qlab[int(r.qid)]
-        assert int(r.vec_id) != int(r.qid)
-    # scalar replica: full matrix argsort with the same comparator
-    M = np.array(pq.read_table(f"{SF}/embeddings.parquet")
-                 .to_pandas().sort_values("vec_id").embedding.tolist(),
-                 dtype=np.float32)
-    vid = np.arange(len(M))
-    lab = np.array([lab_of[i] for i in vid])
-    Q = M[:3]
-    Qn = (Q / np.maximum(np.linalg.norm(Q, axis=1, keepdims=True),
-                         1e-30)).astype(np.float32)
-    norms = np.where(np.linalg.norm(M, axis=1) == 0, 1.0,
-                     np.linalg.norm(M, axis=1))
-    sims = (M @ Qn.T) / norms[:, None]
-    for j in range(3):
-        ok = (lab != lab[j]) & (vid != j)
-        s, ids = sims[:, j][ok], vid[ok]
-        sel = np.lexsort((ids, -s))[:10]
-        want = ids[sel].tolist()
-        assert got[got.qid == j].sort_values("rank").vec_id.tolist() \
-            == want, j

@@ -1,5 +1,4 @@
-"""Raster focal stencil, weighted (sequential-Poisson) sampling and
-raster warp."""
+"""Raster focal stencil and raster warp."""
 
 import duckdb
 import numpy as np
@@ -70,45 +69,6 @@ def test_focal_stencil_small_grid():
     assert fs[1, 1] == 15 and fc[1, 1] == 2
     assert fs[1, 2] == 15 and fc[1, 2] == 2
     assert fs[3, 4] == 7 and fc[3, 4] == 1
-
-
-# ---------------------------------------------------------------------------
-# weighted_sample_topk (sequential Poisson sampling)
-# ---------------------------------------------------------------------------
-
-def test_weighted_sample_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import weighted_sample_topk
-
-    got = weighted_sample_topk(SF)
-    want = _oracle("weighted_sample_topk", ["documents"])
-    assert len(got) == len(want)
-    assert (got["doc_id"].to_numpy(np.int64)
-            == want["doc_id"].to_numpy(np.int64)).all()
-    assert (got["n_chars"].to_numpy(np.int64)
-            == want["n_chars"].to_numpy(np.int64)).all()
-    # single IEEE division on both sides -> bitwise equal priorities
-    assert (got["priority"].to_numpy(np.float64)
-            == want["priority"].to_numpy(np.float64)).all()
-
-
-def test_weighted_sample_determinism_and_bias(ray_session):
-    """Stable across runs; long documents are over-represented relative
-    to a uniform draw (the point of weight-proportional sampling)."""
-    import pyarrow.parquet as pq
-
-    from proj_ray.pipelines.queries import _WS_K, weighted_sample_topk
-
-    a = weighted_sample_topk(SF)
-    b = weighted_sample_topk(SF)
-    assert (a["doc_id"].to_numpy() == b["doc_id"].to_numpy()).all()
-    assert len(a) == _WS_K
-    # priorities ascend (it IS the k smallest)
-    pr = a["priority"].to_numpy()
-    assert (np.diff(pr) >= 0).all()
-    corpus = pq.read_table(f"{SF}/documents.parquet",
-                           columns=["n_chars"]).to_pandas()
-    mean_all = corpus.loc[corpus["n_chars"] > 0, "n_chars"].mean()
-    assert a["n_chars"].mean() > mean_all
 
 
 # ---------------------------------------------------------------------------

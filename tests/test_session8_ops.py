@@ -1,65 +1,8 @@
-"""Label centroids, token co-occurrence and the bucket_aggregate
-groupby primitive."""
+"""The bucket_aggregate groupby primitive."""
 
-import duckdb
 import numpy as np
 import pandas as pd
 import pytest
-
-SF = "/root/testdata/sf0.001"
-
-
-def _sorted(df, by):
-    if not isinstance(df, pd.DataFrame):
-        df = df.to_pandas()
-    return df.sort_values(by).reset_index(drop=True)
-
-
-def _oracle(qname, tables):
-    from proj_ray.pipelines.queries import QUERIES
-
-    con = duckdb.connect()
-    for t in tables:
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{SF}/{t}.parquet'")
-    return con.sql(QUERIES[qname]["sql"]).fetchdf()
-
-
-# ---------------------------------------------------------------------------
-# vector centroid aggregate + token co-occurrence
-# ---------------------------------------------------------------------------
-
-def test_label_centroids_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import label_centroids
-
-    got = _sorted(label_centroids(SF), ["label", "dim"])
-    want = _sorted(_oracle("label_centroids", ["embeddings"]),
-                   ["label", "dim"])
-    assert len(got) == len(want)
-    for col in ("n", "qsum"):
-        assert (got[col].to_numpy(np.int64)
-                == want[col].to_numpy(np.int64)).all(), col
-    # the division is a single IEEE op: bit-identical, not just close
-    assert (got["centroid_q"].to_numpy(np.float64)
-            == want["centroid_q"].to_numpy(np.float64)).all()
-
-
-def test_token_cooccurrence_matches_oracle(ray_session):
-    from proj_ray.pipelines.queries import token_cooccurrence
-
-    got = _sorted(token_cooccurrence(SF), ["w1", "w2"])
-    want = _sorted(_oracle("token_cooccurrence", ["documents"]),
-                   ["w1", "w2"])
-    assert len(got) == len(want)
-    assert (got["n_cooc"].to_numpy(np.int64)
-            == want["n_cooc"].to_numpy(np.int64)).all()
-    # total pair mass equals sum over docs of (L-1) + (L-2)
-    con = duckdb.connect()
-    con.sql(f"CREATE VIEW documents AS SELECT * FROM '{SF}/documents.parquet'")
-    mass = con.sql(
-        "SELECT SUM(greatest(len(regexp_extract_all(text, '\\S+')) - 1, 0)"
-        " + greatest(len(regexp_extract_all(text, '\\S+')) - 2, 0)) "
-        "FROM documents").fetchone()[0]
-    assert got["n_cooc"].sum() == mass
 
 
 # ---------------------------------------------------------------------------

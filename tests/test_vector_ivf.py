@@ -169,74 +169,3 @@ def test_pq_encode_batching_invariance_and_determinism():
     assert whole.min() >= 0 and whole.max() < 16
 
 
-def test_ann_pq_topk_matches_fresh_scalar(ray_session):
-    """Engine PQ search equals a freshly-computed single-process scan
-    at sf0.001 (independent of the frozen golden)."""
-    import pandas as pd
-
-    from proj_ray.functions.vector import pq_adist, pq_encode, pq_train
-    from proj_ray.pipelines.queries import QUERIES
-
-    sf = "/root/testdata/sf0.001"
-    got = QUERIES["ann_pq_topk"]["fn"](sf).to_pandas()
-
-    emb = pd.read_parquet(f"{sf}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy(np.int64)
-    M = np.array(emb["embedding"].tolist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-    Q = M[np.isin(ids, [0, 1, 2])]
-    sel = ids % 7 == 0
-    S = M[sel][np.argsort(ids[sel], kind="mergesort")][:1024]
-    books = pq_train(S, m=8, ks=16)
-    codes = pq_encode(M, books)
-    rows = []
-    for j in range(Q.shape[0]):
-        d = pq_adist(np.asarray(Q[j], np.float64), books, codes)
-        top = np.lexsort((ids, d))[:10]
-        for r, t in enumerate(top, 1):
-            rows.append((j, int(ids[t]), r, float(d[t])))
-    want = pd.DataFrame(rows, columns=["qid", "vec_id", "rank", "adist"])
-    pd.testing.assert_frame_equal(
-        got.astype({c: want[c].dtype for c in want.columns}), want)
-
-
-def test_ann_ivfpq_matches_fresh_scalar(ray_session):
-    """IVF+PQ engine search equals a fresh scalar probe + masked PQ
-    scan at sf0.001."""
-    import pandas as pd
-
-    from proj_ray.functions.vector import (_normalize_rows, ivf_assign,
-                                           kmeans_cosine, pq_adist,
-                                           pq_encode, pq_train)
-    from proj_ray.pipelines.queries import QUERIES
-
-    sf = "/root/testdata/sf0.001"
-    got = QUERIES["ann_ivfpq_topk"]["fn"](sf).to_pandas()
-
-    emb = pd.read_parquet(f"{sf}/embeddings.parquet",
-                          columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy(np.int64)
-    M = np.array(emb["embedding"].tolist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-    Q = M[np.isin(ids, [0, 1, 2])]
-    sel = ids % 7 == 0
-    S = M[sel][:1024]
-    C = kmeans_cosine(S, 16)
-    books = pq_train(S, m=8, ks=16)
-    cells = ivf_assign(M, C)
-    codes = pq_encode(M, books)
-    probe = np.argsort(-(_normalize_rows(Q.astype(np.float32)) @ C.T),
-                       axis=1)[:, :8]
-    rows = []
-    for j in range(Q.shape[0]):
-        msk = np.isin(cells, probe[j])
-        d = pq_adist(np.asarray(Q[j], np.float64), books, codes[msk])
-        top = np.lexsort((ids[msk], d))[:10]
-        for r, t in enumerate(top, 1):
-            rows.append((j, int(ids[msk][t]), r, float(d[t])))
-    want = pd.DataFrame(rows, columns=["qid", "vec_id", "rank", "adist"])
-    pd.testing.assert_frame_equal(
-        got.astype({c: want[c].dtype for c in want.columns}), want)

@@ -3,18 +3,15 @@
 
 The driver's correctness gate compares queries() against oracle_sql()
 at sf=0.01.  Queries whose computation ANSI SQL cannot express
-(simhash, MinHash+LSH, Karney geodesics, real-NTv2 grid shifts,
-product-quantized ANN top-k) are
-gated against frozen parquet goldens under proj_ray/data/goldens/,
-which the oracle SQL reads via ``SELECT ... FROM read_parquet(...)``.
+(Karney geodesics, real-NTv2 grid shifts, geodesic kNN/radius search,
+geodesic polygon area, spatial clusters and their hulls, trajectory
+simplification) are gated against frozen parquet goldens under
+proj_ray/data/goldens/, which the oracle SQL reads via
+``SELECT ... FROM read_parquet(...)``.
 
 PROVENANCE — every golden here is generated by an implementation
 INDEPENDENT of the distributed engine path it gates:
 
-- minhash_lsh_candidates / minhash_dedup_clusters: per-doc scalar
-  signatures + Python dict buckets + union-find clustering (this file)
-  vs the engine's vectorized banding, distributed bucket groupby, join
-  fallbacks and min-label propagation.
 - geod_inverse_ellipsoidal: per-point scalar Karney port
   (tools/scalar_ref.py; paper-value-validated in
   tests/test_scalar_ref.py) vs the masked-vectorized kernel.
@@ -26,7 +23,6 @@ Regenerate only if the driver's testdata generation changes:
     python tools/freeze_goldens.py
 """
 
-import math
 import os
 import sys
 
@@ -66,146 +62,6 @@ def ref_shingles(t, k):
         for j in range(k):
             acc = (acc * BASE + b[j:j + n]) & _M
     return np.array([mix64_s(v) for v in acc], dtype=np.uint64)
-
-
-def ref_simhash(t, k=4):
-    sh = ref_shingles(t, k)
-    bits = ((sh[:, None] >> np.arange(64, dtype=np.uint64)[None, :]) & np.uint64(1))
-    votes = bits.astype(np.int64).sum(axis=0) * 2 - sh.size
-    out = np.uint64(0)
-    for i in np.flatnonzero(votes > 0):
-        out |= np.uint64(1) << np.uint64(i)
-    return out
-
-
-# --- scalar MinHash / LSH reference ---------------------------------------
-
-def _mix64_vec(x):
-    """splitmix64 over one doc's shingle vector (the independence vs
-    the engine is the per-DOC processing; the engine's risk surface is
-    its batch-segmented reduceat bookkeeping across documents)."""
-    x = x.astype(np.uint64)
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _M
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _M
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _M
-        return x ^ (x >> np.uint64(31))
-
-
-def ref_minhash_sig(t, num_perm=64, k=5):
-    """Per-doc MinHash signature: min over shingles of
-    mix64(shingle ^ seed_p), seeds = mix64(1..num_perm)."""
-    wh = ref_shingles(t, k)
-    sig = np.empty(num_perm, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for p in range(num_perm):
-            seed = mix64_s(np.uint64(p + 1))
-            sig[p] = _mix64_vec(wh ^ seed).min()
-    return sig
-
-
-def ref_band_hashes(sig, bands=16):
-    """Polynomial band hash over each band's rows, mix64-finalized."""
-    rows = sig.size // bands
-    out = np.empty(bands, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        for b in range(bands):
-            acc = np.uint64(0)
-            for j in range(rows):
-                acc = (acc * np.uint64(0x100000001B3) + sig[b * rows + j]) & _M
-            out[b] = mix64_s(acc)
-    return out
-
-
-class _UnionFind:
-    """Independent clustering algorithm (the engine uses min-label
-    propagation; this is path-compressed union-find)."""
-
-    def __init__(self):
-        self.parent = {}
-
-    def find(self, x):
-        p = self.parent.setdefault(x, x)
-        while p != self.parent[p]:
-            self.parent[p] = self.parent[self.parent[p]]
-            p = self.parent[p]
-        self.parent[x] = p
-        return p
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def freeze_simhash_near_dups_golden(ids, texts, radius=3):
-    """TRUE ground truth for simhash_near_dups: scalar per-doc simhash
-    + brute-force ALL-pairs hamming (no banding — the engine's banded
-    search has exact recall at radius n_bands-1 by pigeonhole, so the
-    two sets must be identical)."""
-    sh = np.array([ref_simhash(t) for t in texts], dtype=np.uint64)
-    order = np.argsort(ids, kind="mergesort")
-    sids, ssh = ids[order], sh[order]
-    da, db, hm = [], [], []
-    for i in range(len(sids)):
-        x = ssh[i] ^ ssh[i + 1:]
-        ham = np.unpackbits(x.view(np.uint8).reshape(-1, 8),
-                            axis=1).sum(axis=1)
-        for j in np.flatnonzero(ham <= radius):
-            da.append(int(sids[i]))
-            db.append(int(sids[i + 1 + j]))
-            hm.append(int(ham[j]))
-    t = pa.table({"doc_a": pa.array(da, pa.int64()),
-                  "doc_b": pa.array(db, pa.int64()),
-                  "hamming": pa.array(hm, pa.int64())})
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "simhash_near_dups_sf001.parquet"))
-    print(f"simhash_near_dups golden written ({t.num_rows} pairs)")
-
-
-def freeze_minhash_goldens(ids, texts, num_perm=64, bands=16, k=5):
-    """Both LSH goldens from one scalar banding pass + dict buckets +
-    union-find."""
-    buckets: dict = {}
-    for did, text in zip(ids.tolist(), texts):
-        sig = ref_minhash_sig(text, num_perm=num_perm, k=k)
-        bh = ref_band_hashes(sig, bands=bands)
-        for b in range(bands):
-            buckets.setdefault((b, int(bh[b])), []).append(did)
-
-    # minhash_lsh_candidates: per-doc partner counts (sum & max over
-    # the doc's bands of bucket_size - 1)
-    partners = {did: [] for did in ids.tolist()}
-    for (_b, _h), members in buckets.items():
-        sz = len(members)
-        for did in members:
-            partners[did].append(sz - 1)
-    rows = sorted(partners)
-    t = pa.table({
-        "doc_id": pa.array(rows, pa.int64()),
-        "collision_partners": pa.array(
-            [int(sum(partners[d])) for d in rows], pa.int64()),
-        "max_bucket_partners": pa.array(
-            [int(max(partners[d])) for d in rows], pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "minhash_lsh_candidates_sf001.parquet"))
-    print("minhash_lsh_candidates golden written (scalar)")
-
-    # minhash_dedup_clusters: union-find over bucket co-membership
-    uf = _UnionFind()
-    for (_b, _h), members in buckets.items():
-        ms = sorted(set(members))
-        for other in ms[1:]:
-            uf.union(ms[0], other)
-    t = pa.table({
-        "doc_id": pa.array(sorted(ids.tolist()), pa.int64()),
-        "cluster": pa.array([uf.find(d) if d in uf.parent else d
-                             for d in sorted(ids.tolist())], pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "minhash_dedup_clusters_sf001.parquet"))
-    print("minhash_dedup_clusters golden written (scalar union-find)")
 
 
 def freeze_geod_golden():
@@ -329,96 +185,6 @@ def freeze_grid_goldens():
                       "lat_shifted": pa.array(out_lat)})
         pq.write_table(t, os.path.join(OUT_DIR, fname))
         print(f"{fname} written (scalar NTv2, {pid.size} rows)")
-
-
-def freeze_ann_pq_golden(k=10):
-    """ann_pq_topk: shared deterministic PQ trainer/encoder definitions
-    (functions.vector — same provenance stance as kmeans_cosine), but a
-    single-process per-query scan: full-corpus encode in one numpy
-    call, per-query asymmetric-distance loop, one lexsort — none of the
-    engine's batching, partial top-k or two-level merge."""
-    import duckdb
-
-    from proj_ray.functions.vector import pq_adist, pq_encode, pq_train
-
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-    Q = M[np.isin(ids, [0, 1, 2])]
-
-    con = duckdb.connect()
-    sv = con.sql(f"SELECT embedding FROM '{SF_DIR}/embeddings.parquet' "
-                 f"WHERE vec_id % 7 = 0 ORDER BY vec_id LIMIT 1024").fetchall()
-    con.close()
-    S = np.array([list(r[0]) for r in sv], dtype=np.float32)
-    books = pq_train(S, m=8, ks=16)
-    codes = pq_encode(M, books)
-    Q64 = np.asarray(Q, dtype=np.float64)
-    rows = {"qid": [], "vec_id": [], "rank": [], "adist": []}
-    for j in range(Q64.shape[0]):
-        d = pq_adist(Q64[j], books, codes)
-        top = np.lexsort((ids, d))[:k]
-        rows["qid"].extend([j] * len(top))
-        rows["vec_id"].extend(ids[top].tolist())
-        rows["rank"].extend(range(1, len(top) + 1))
-        rows["adist"].extend(d[top].tolist())
-    pq.write_table(
-        pa.table({"qid": pa.array(rows["qid"], pa.int64()),
-                  "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                  "rank": pa.array(rows["rank"], pa.int64()),
-                  "adist": pa.array(rows["adist"], pa.float64())}),
-        os.path.join(OUT_DIR, "ann_pq_topk_sf001.parquet"))
-    print("ann_pq_topk golden written (single-process scan)")
-
-
-def freeze_ann_ivfpq_golden(k=10):
-    """ann_ivfpq_topk: shared quantizer/codebook definitions, scalar
-    per-query probe + masked PQ scan (no batching, no merge)."""
-    import duckdb
-
-    from proj_ray.functions.vector import (_normalize_rows, ivf_assign,
-                                           kmeans_cosine, pq_adist,
-                                           pq_encode, pq_train)
-
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-    Q = M[np.isin(ids, [0, 1, 2])]
-
-    con = duckdb.connect()
-    sv = con.sql(f"SELECT embedding FROM '{SF_DIR}/embeddings.parquet' "
-                 f"WHERE vec_id % 7 = 0 ORDER BY vec_id LIMIT 1024").fetchall()
-    con.close()
-    S = np.array([list(r[0]) for r in sv], dtype=np.float32)
-    C = kmeans_cosine(S, 16)
-    books = pq_train(S, m=8, ks=16)
-    cells = ivf_assign(M, C)
-    codes = pq_encode(M, books)
-    Qn = _normalize_rows(Q.astype(np.float32))
-    probe = np.argsort(-(Qn @ C.T), axis=1)[:, :8]
-    Q64 = np.asarray(Q, dtype=np.float64)
-    rows = {"qid": [], "vec_id": [], "rank": [], "adist": []}
-    for j in range(Q64.shape[0]):
-        msk = np.isin(cells, probe[j])
-        d = pq_adist(Q64[j], books, codes[msk])
-        top = np.lexsort((ids[msk], d))[:k]
-        rows["qid"].extend([j] * len(top))
-        rows["vec_id"].extend(ids[msk][top].tolist())
-        rows["rank"].extend(range(1, len(top) + 1))
-        rows["adist"].extend(d[top].tolist())
-    pq.write_table(
-        pa.table({"qid": pa.array(rows["qid"], pa.int64()),
-                  "vec_id": pa.array(rows["vec_id"], pa.int64()),
-                  "rank": pa.array(rows["rank"], pa.int64()),
-                  "adist": pa.array(rows["adist"], pa.float64())}),
-        os.path.join(OUT_DIR, "ann_ivfpq_topk_sf001.parquet"))
-    print("ann_ivfpq_topk golden written (scalar probe + masked PQ scan)")
 
 
 def freeze_polygon_area_golden():
@@ -583,63 +349,6 @@ def freeze_traj_simplify_golden(tol_deg=60.0):
     print(f"traj_simplify: {len(rows)} users, kept {kept_frac:.1%} of points")
 
 
-def freeze_semdedup_golden(ncells=16, tau=0.3):
-    """semdedup_keep from per-vector scalar loops: shared deterministic
-    driver-side quantizer (kmeans_cosine on the same sample — the
-    freeze_ann_goldens tradeoff note applies), then cell assignment and
-    the within-cell earlier-mate rule computed WITHOUT the pipeline:
-    per-vector cell argmax, and for each (i, j<i) cluster pair one
-    scalar dimension-by-dimension cosine loop (the pinned order
-    vector.dot_f64_ordered documents) against threshold tau."""
-    import duckdb
-
-    from proj_ray.functions.vector import _normalize_rows, kmeans_cosine
-
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"),
-                        columns=["vec_id", "embedding"])
-    ids = emb["vec_id"].to_numpy().astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    order = np.argsort(ids, kind="mergesort")
-    ids, M = ids[order], M[order]
-
-    con = duckdb.connect()
-    sv = con.sql(f"SELECT embedding FROM '{SF_DIR}/embeddings.parquet' "
-                 f"WHERE vec_id % 7 = 0 ORDER BY vec_id LIMIT 1024").fetchall()
-    con.close()
-    S = np.array([list(r[0]) for r in sv], dtype=np.float32)
-    C = kmeans_cosine(S, ncells)
-
-    Mn = _normalize_rows(M)
-    cells = np.argmax(Mn @ C.T, axis=1).astype(np.int64)
-
-    def cos_scalar(a32, b32):
-        dot = na = nb = 0.0
-        for d in range(a32.shape[0]):
-            x, y = float(a32[d]), float(b32[d])
-            dot += x * y
-            na += x * x
-            nb += y * y
-        denom = math.sqrt(na) * math.sqrt(nb)
-        return dot / (denom if denom != 0.0 else 1.0)
-
-    kept = np.ones(len(ids), np.int64)
-    for c in np.unique(cells):
-        members = np.nonzero(cells == c)[0]  # ids already ascending
-        for a in range(1, len(members)):
-            i = members[a]
-            for b in range(a):
-                j = members[b]
-                if cos_scalar(M[i], M[j]) >= tau:
-                    kept[i] = 0
-                    break
-    t = pa.table({"vec_id": pa.array(ids, pa.int64()),
-                  "cell": pa.array(cells, pa.int64()),
-                  "kept": pa.array(kept, pa.int64())})
-    pq.write_table(t, os.path.join(OUT_DIR, "semdedup_keep_sf001.parquet"))
-    print(f"semdedup_keep golden written (scalar loops, "
-          f"{int(kept.sum())}/{len(ids)} kept)")
-
-
 def ref_winnow_selections(t, k=16, w=8):
     """Scalar winnowing reference: per-window Python loop over the
     scalar shingle hashes (ref_shingles), min with rightmost tie-break,
@@ -661,60 +370,6 @@ def ref_winnow_selections(t, k=16, w=8):
     return sels, g
 
 
-def freeze_winnow_goldens(ids, texts, k=16, w=8, min_shared=3):
-    """winnow_fingerprints (per-doc selection stats) and
-    winnow_dup_pairs (docs sharing >= min_shared distinct selected
-    fingerprints) — both from the scalar per-window reference."""
-    from collections import defaultdict
-    from itertools import combinations
-
-    rows = {c: [] for c in ("doc_id", "n_grams", "n_selected",
-                            "fp_xor", "fp_min", "fp_max")}
-    fp_docs = defaultdict(set)
-    for did, t in zip(ids, texts):
-        sels, g = ref_winnow_selections(t, k, w)
-        vals = np.array(list(sels.values()), dtype=np.uint64)
-        x = np.uint64(0)
-        for v in vals:
-            x ^= v
-        rows["doc_id"].append(int(did))
-        rows["n_grams"].append(int(g))
-        rows["n_selected"].append(len(sels))
-        rows["fp_xor"].append(x)
-        rows["fp_min"].append(vals.min())
-        rows["fp_max"].append(vals.max())
-        for v in set(int(v) for v in vals):
-            fp_docs[v].add(int(did))
-    t1 = pa.table({
-        "doc_id": pa.array(rows["doc_id"], pa.int64()),
-        "n_grams": pa.array(rows["n_grams"], pa.int64()),
-        "n_selected": pa.array(rows["n_selected"], pa.int64()),
-        "fp_xor": pa.array(rows["fp_xor"], pa.uint64()),
-        "fp_min": pa.array(rows["fp_min"], pa.uint64()),
-        "fp_max": pa.array(rows["fp_max"], pa.uint64()),
-    })
-    pq.write_table(t1, os.path.join(OUT_DIR, "winnow_fingerprints_sf001.parquet"))
-    print(f"winnow_fingerprints golden written ({len(ids)} docs)")
-
-    cnt = defaultdict(int)
-    for docs in fp_docs.values():
-        if len(docs) < 2:
-            continue
-        for a, b in combinations(sorted(docs), 2):
-            cnt[(a, b)] += 1
-    keep = sorted((a, b, c) for (a, b), c in cnt.items()
-                  if c >= min_shared)
-    t2 = pa.table({
-        "doc_a": pa.array([r[0] for r in keep], pa.int64()),
-        "doc_b": pa.array([r[1] for r in keep], pa.int64()),
-        "n_shared": pa.array([r[2] for r in keep], pa.int64()),
-    })
-    pq.write_table(t2, os.path.join(OUT_DIR, "winnow_dup_pairs_sf001.parquet"))
-    sizes = sorted((len(d) for d in fp_docs.values()), reverse=True)
-    print(f"winnow_dup_pairs golden written ({len(keep)} pairs; "
-          f"largest fp bucket {sizes[0] if sizes else 0} docs)")
-
-
 def ref_cdc_chunks(t, k=16, bbits=6):
     """Scalar content-defined chunking reference: per-gram Python loop
     over the scalar shingle hashes, chunks materialized as byte
@@ -731,91 +386,6 @@ def ref_cdc_chunks(t, k=16, bbits=6):
                 cuts.append(i + k)
     bounds = [0] + cuts + [L]
     return [bs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
-def freeze_cdc_goldens(texts, k=16, bbits=6):
-    """cdc_dedup_stats (corpus chunk-level dedup totals) from the
-    scalar substring-materializing reference."""
-    from collections import Counter
-
-    counts = Counter()
-    lengths = {}
-    for t in texts:
-        for c in ref_cdc_chunks(t, k, bbits):
-            counts[c] += 1
-            lengths[c] = len(c)
-    n_total = sum(counts.values())
-    n_distinct = len(counts)
-    dup_chunks = sum(c - 1 for c in counts.values())
-    dup_bytes = sum((c - 1) * lengths[ch] for ch, c in counts.items())
-    t2 = pa.table({
-        "n_chunks_total": pa.array([n_total], pa.int64()),
-        "n_distinct": pa.array([n_distinct], pa.int64()),
-        "dup_chunks": pa.array([dup_chunks], pa.int64()),
-        "dup_bytes": pa.array([dup_bytes], pa.int64()),
-    })
-    pq.write_table(t2, os.path.join(OUT_DIR, "cdc_dedup_stats_sf001.parquet"))
-    print(f"cdc_dedup_stats golden written ({n_total} chunks, "
-          f"{n_distinct} distinct, {dup_bytes} dup bytes)")
-
-
-def freeze_incremental_neardup(ids, texts, num_perm=64, bands=16, k=5,
-                               threshold=0.5):
-    """Golden for incremental_neardup_new: scalar per-doc MinHash +
-    dict band buckets + scalar signature-agreement verify, fully
-    independent of the engine's batch kernels and partitioned-index
-    probe path.  Split/mutation mirrors the query: corpus = doc_id %%
-    5 != 0; shard = doc_id %% 5 == 0, where doc_id %% 15 == 0 docs
-    (donor doc_id+1 present) become near-dups of the donor (first word
-    replaced by 'zz<doc_id>')."""
-    import math
-
-    by_id = dict(zip(ids.tolist(), texts))
-    corpus = {d: t for d, t in by_id.items() if d % 5 != 0}
-    shard = {}
-    for d, t in by_id.items():
-        if d % 5 != 0:
-            continue
-        if d % 15 == 0 and (d + 1) in by_id:
-            dt = by_id[d + 1]
-            shard[d] = "zz" + str(d) + (dt[dt.index(" "):]
-                                        if " " in dt else "")
-        else:
-            shard[d] = t
-
-    buckets: dict = {}
-    sig_c = {}
-    for d, t in corpus.items():
-        sig = ref_minhash_sig(t, num_perm=num_perm, k=k)
-        sig_c[d] = sig
-        bh = ref_band_hashes(sig, bands=bands)
-        for b in range(bands):
-            buckets.setdefault((b, int(bh[b])), []).append(d)
-
-    need = int(math.ceil(threshold * num_perm))
-    out_id, out_nc, out_nm, out_dup = [], [], [], []
-    for d in sorted(shard):
-        sig = ref_minhash_sig(shard[d], num_perm=num_perm, k=k)
-        bh = ref_band_hashes(sig, bands=bands)
-        cands = set()
-        for b in range(bands):
-            cands.update(buckets.get((b, int(bh[b])), []))
-        nm = sum(1 for c in cands
-                 if int((sig == sig_c[c]).sum()) >= need)
-        out_id.append(d)
-        out_nc.append(len(cands))
-        out_nm.append(nm)
-        out_dup.append(1 if nm > 0 else 0)
-    t = pa.table({
-        "doc_id": pa.array(out_id, pa.int64()),
-        "n_candidates": pa.array(out_nc, pa.int64()),
-        "n_matched": pa.array(out_nm, pa.int64()),
-        "is_dup": pa.array(out_dup, pa.int64()),
-    })
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "incremental_neardup_sf001.parquet"))
-    print(f"incremental_neardup golden written (scalar, {t.num_rows} rows,"
-          f" {sum(out_dup)} dups)")
 
 
 def freeze_cluster_hull_golden():
@@ -911,56 +481,8 @@ def freeze_cluster_diameter_golden():
     print(f"cluster_diameter golden written ({t.num_rows} rows)")
 
 
-def freeze_hard_negatives_golden(k=10):
-    """hard_negatives_topk: single-process numpy replica — cosine
-    against queries vec_id 0..2, candidates restricted to label !=
-    query label and vec_id != query id, ties broken by vec_id."""
-    emb = pq.read_table(os.path.join(SF_DIR, "embeddings.parquet"))
-    vid = emb["vec_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    lab = emb["label"].to_numpy(zero_copy_only=False).astype(np.int64)
-    M = np.array(emb["embedding"].to_pylist(), dtype=np.float32)
-    order = np.argsort(vid)
-    vid, lab, M = vid[order], lab[order], M[order]
-    Q = M[:3]
-    qlab = lab[:3]
-    Qn = Q / np.maximum(np.linalg.norm(Q, axis=1, keepdims=True), 1e-30)
-    norms = np.linalg.norm(M, axis=1)
-    norms = np.where(norms == 0, 1.0, norms)
-    sims = (M @ Qn.astype(np.float32).T) / norms[:, None]
-    rows_q, rows_v, rows_r, rows_s = [], [], [], []
-    for j in range(3):
-        ok = (lab != qlab[j]) & (vid != vid[j])
-        s = sims[:, j][ok]
-        ids = vid[ok]
-        sel = np.lexsort((ids, -s))[:k]
-        for r, i in enumerate(sel):
-            rows_q.append(j)
-            rows_v.append(int(ids[i]))
-            rows_r.append(r + 1)
-            rows_s.append(float(np.float64(s[i])))
-    t = pa.table({"qid": pa.array(rows_q, pa.int64()),
-                  "vec_id": pa.array(rows_v, pa.int64()),
-                  "rank": pa.array(rows_r, pa.int64()),
-                  "sim": pa.array(rows_s, pa.float64())})
-    pq.write_table(t, os.path.join(OUT_DIR,
-                                   "hard_negatives_sf001.parquet"))
-    print(f"hard_negatives golden written ({t.num_rows} rows)")
-
-
 def main():
     os.makedirs(OUT_DIR, exist_ok=True)
-    docs = pq.read_table(os.path.join(SF_DIR, "documents.parquet"),
-                         columns=["doc_id", "text"])
-    ids = docs["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-    texts = docs["text"].to_pylist()
-    print(f"{len(texts)} documents from {SF_DIR}")
-
-    freeze_winnow_goldens(ids, texts)
-    freeze_cdc_goldens(texts)
-    freeze_simhash_near_dups_golden(ids, texts)
-    freeze_minhash_goldens(ids, texts)
-    freeze_incremental_neardup(ids, texts)
-    freeze_semdedup_golden()
     freeze_geod_golden()
     freeze_grid_goldens()
     freeze_knn_geodesic_golden()
@@ -968,9 +490,6 @@ def main():
     freeze_spatial_clusters_golden()
     freeze_cluster_hull_golden()
     freeze_cluster_diameter_golden()
-    freeze_hard_negatives_golden()
-    freeze_ann_pq_golden()
-    freeze_ann_ivfpq_golden()
     freeze_polygon_area_golden()
     freeze_traj_simplify_golden()
 
