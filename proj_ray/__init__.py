@@ -2,8 +2,7 @@
 
 Pure NumPy kernels live in ``proj_ray.kernels`` (no Ray imports);
 Ray Data pipeline stages in ``proj_ray.stages``; sources/sinks in
-``proj_ray.sources``; text/dedup/similarity functions in
-``proj_ray.functions``; composed pipelines in ``proj_ray.pipelines``;
+``proj_ray.sources``; composed pipelines in ``proj_ray.pipelines``;
 lineage/checkpoint state in ``proj_ray.state``.
 """
 

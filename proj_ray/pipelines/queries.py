@@ -850,7 +850,7 @@ def _cell_count_partial(t: pa.Table) -> pa.Table:
 
 
 def _polygonize_sql():
-    from ..functions.raster import ID_MUL
+    from ..stages.raster import ID_MUL
 
     return f"""
     WITH RECURSIVE cells AS (
@@ -973,7 +973,7 @@ def raster_polygonize(sf_dir):
     """Raster -> vector: rasterize points to 5-degree cells (per-batch
     bincount partials, raster-bounded), keep the top-30%-by-count mask
     (deterministic rank threshold), and vectorize the mask into
-    4-connected regions via min-label CC (functions.raster.polygonize).
+    4-connected regions via min-label CC (stages.raster.polygonize).
 
     Scale shape: the partial stream and the final combine are bounded
     by the RASTER size (72x32 here), never the corpus; the combine
@@ -984,7 +984,7 @@ def raster_polygonize(sf_dir):
     build the adjacency edges distributively and hand the edge Dataset
     to cc_min_label, whose own dispatch takes the distributed
     min-label path past 2M edges."""
-    from ..functions.raster import polygonize
+    from ..stages.raster import polygonize
     from ..stages.agg import combine_partials
 
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
@@ -1602,7 +1602,7 @@ def spatial_clusters(sf_dir, max_rounds: int = 400):
     component; singletons keep their own id.  Golden: brute-force
     O(n^2) scalar edge scan + pure-Python union-find
     (tools/freeze_goldens.freeze_spatial_clusters_golden)."""
-    from ..functions.dedup import attach_clusters
+    from ..stages.cc import attach_clusters
     from ..stages.pairjoin import radius_spanning_edges_stage
 
     pts = _points_ds(sf_dir)
@@ -2218,85 +2218,10 @@ def geoparse_extract(sf_dir):
 
 
 # ===========================================================================
-# LSH partner counts and geodesic line expansion
+# Geodesic line expansion (flat_map: 1 row -> n rows)
 # ===========================================================================
 
 from ..kernels.geodesic import slerp_line  # noqa: E402
-
-
-def lsh_partner_counts(bands, docs=None, num_partitions: int = 16,
-                       broadcast_threshold: int = 2_000_000,
-                       num_perm: int = 64, bands_n: int = 16, k: int = 5):
-    """Per-doc LSH collision-partner counts, fully distributed.
-
-    ``num_perm``/``bands_n``/``k`` MUST match the parameters used to
-    build ``bands`` — the fast path recomputes band rows in-UDF with
-    these values, so a mismatch would silently count wrong buckets.
-
-    Bucket sizes come from one groupby(band_id, band_hash) Count over
-    the band rows; only buckets of size >= 2 contribute partners.
-
-    Fast path (``docs`` given, colliding table under
-    ``broadcast_threshold``): the colliding-bucket table broadcasts and
-    a SECOND pass over the documents recomputes each batch's band rows
-    IN-UDF, merges the sizes and reduces to one row per doc — a doc's
-    16 band rows never leave the UDF invocation, so there is no
-    block-straddling hazard and no per-doc shuffle at all (signatures
-    are computed twice; they are cheap vectorized passes).
-
-    Fallback (huge colliding table, or no ``docs``): scale-safe hash
-    join of sizes onto the band rows + per-doc groupby."""
-
-    from ..functions.dedup import _adaptive_partitions, colliding_bucket_sizes
-
-    sizes = colliding_bucket_sizes(bands).materialize()
-    n_dup_buckets = sizes.count()
-
-    if docs is not None and n_dup_buckets <= broadcast_threshold:
-        dup = sizes.to_pandas()  # only COLLIDING buckets, broadcast
-
-        def per_doc(t: pa.Table) -> pa.Table:
-            from ..functions.dedup import minhash_bands_batch as _mbb
-
-            b = _mbb(t, num_perm=num_perm, bands=bands_n, k=k)
-            df = b.to_pandas()
-            m = df.merge(dup, on=["band_id", "band_hash"], how="left")
-            m["partners"] = m["bucket_size"].fillna(1).astype(np.int64) - 1
-            g = m.groupby("doc_id", as_index=False).agg(
-                collision_partners=("partners", "sum"),
-                max_bucket_partners=("partners", "max"))
-            return pa.Table.from_pandas(
-                g.astype({"doc_id": np.int64,
-                          "collision_partners": np.int64,
-                          "max_bucket_partners": np.int64}),
-                preserve_index=False)
-
-        return docs.map_batches(per_doc, batch_format="pyarrow",
-                                batch_size=None)
-
-    # heavily-duplicated corpora (or pre-built band rows only): the
-    # scale-safe hash join; the join shuffle destroys doc locality, so
-    # a per-doc groupby follows
-    joined = bands.join(sizes, join_type="left_outer",
-                        num_partitions=_adaptive_partitions(num_partitions),
-                        on=("band_id", "band_hash"))
-
-    def partners_joined(t: pa.Table) -> pa.Table:
-        sz = pc.coalesce(pc.cast(t["bucket_size"], pa.int64()),
-                         pa.scalar(1, pa.int64()))
-        return pa.table({"doc_id": t["doc_id"],
-                         "partners": pc.subtract(sz, 1)})
-
-    per_band = joined.map_batches(partners_joined, batch_format="pyarrow",
-                                  batch_size=None)
-    from ..stages.agg import bucket_aggregate
-
-    return bucket_aggregate(per_band, ["doc_id"], {
-        "collision_partners": ("partners", "sum"),
-        "max_bucket_partners": ("partners", "max")})
-
-
-# -- geodesic line expansion (flat_map: 1 row -> n rows) --------------------
 
 _GEOD_N = 5
 
@@ -2818,7 +2743,7 @@ def cluster_convex_hull(sf_dir, max_rounds: int = 400):
     the same double-precision cross-product expression, so the
     lattice-aligned (0.01-degree) collinear cases classify
     identically."""
-    from ..functions.dedup import attach_clusters
+    from ..stages.cc import attach_clusters
     from ..kernels.hull import convex_hull_ccw
     from ..stages.agg import bucket_aggregate
     from ..stages.pairjoin import radius_spanning_edges_stage
@@ -2877,7 +2802,7 @@ def cluster_diameter(sf_dir, max_rounds: int = 400):
     Same pipeline and >= 3-distinct-coords contract as
     cluster_convex_hull; d2_deg is the identical IEEE double
     dx*dx + dy*dy on both sides."""
-    from ..functions.dedup import attach_clusters
+    from ..stages.cc import attach_clusters
     from ..kernels.hull import convex_hull_ccw
     from ..stages.agg import bucket_aggregate
     from ..stages.pairjoin import radius_spanning_edges_stage

@@ -19,7 +19,7 @@ Pipeline shape (the 100-TB story):
    resolution, e.g. 72x32 here, zoom-12 -> 16M cells), not the corpus.
 3. **Vectorize** — 4-adjacency edges via two vectorized merges (right
    and down neighbors; no Python loop over cells), then connected
-   components through :func:`proj_ray.functions.dedup.cc_min_label`.
+   components through :func:`proj_ray.stages.cc.cc_min_label`.
    This module's :func:`polygonize` builds the edges driver-side — the
    raster (not the corpus) bounds that table, which stays
    driver-tractable up to ~zoom-12 (16M cells); a corpus-scale raster
@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from .dedup import cc_min_label
+from .cc import cc_min_label
 
 # component/node ids are row * ID_MUL + col; ID_MUL must exceed ncol so
 # the packing is injective (4096 covers rasters up to 4096 columns —

@@ -159,8 +159,10 @@ def test_polygon_area_additivity_orientation_and_cap():
 def test_polygon_area_vector_matches_scalar_bitwise():
     """The vectorized GEOD_AREA lanes equal the scalar port bit-for-bit
     on a random pair sweep and on two full rings."""
+    import os
     import sys
-    sys.path.insert(0, "/root/repo/tools")
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "tools"))
     from scalar_ref import karney_inverse_scalar, polygon_area_scalar
 
     from proj_ray.kernels.karney import (geod_inverse_karney,

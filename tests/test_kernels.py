@@ -460,7 +460,7 @@ def test_cc_min_label_propagation():
     empty edge lists and disjoint components are handled."""
     import pandas as pd
 
-    from proj_ray.functions.dedup import cc_min_label
+    from proj_ray.stages.cc import cc_min_label
 
     # chain 0-1-2-3-4 (diameter 4) + separate pair (10, 11)
     e = pd.DataFrame({"src": [1, 2, 3, 4, 11], "dst": [0, 1, 2, 3, 10]})
@@ -479,7 +479,7 @@ def test_cc_min_label_propagation():
 def test_histogram_sketch_quantile():
     """Mergeable histogram quantile: merge exactness + error bound vs
     np.quantile (one bin width)."""
-    from proj_ray.functions.sketch import HistogramSketch
+    from proj_ray.stages.agg import HistogramSketch
 
     rng = np.random.default_rng(5)
     a = rng.normal(0, 100, 20000)

@@ -1,4 +1,4 @@
-"""Raster -> vector polygonize (functions/raster.py + the
+"""Raster -> vector polygonize (stages/raster.py + the
 raster_polygonize query): hand-built rasters with known components,
 determinism of the rank threshold, and the sf0.001 DuckDB oracle
 cross-check."""
@@ -8,7 +8,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from proj_ray.functions.raster import (
+from proj_ray.stages.raster import (
     ID_MUL, active_cells, adjacency_edges, polygonize,
 )
 
@@ -95,7 +95,7 @@ def test_polygonize_cc_distributed_path_parity_sf001():
     components the driver path computes, on the real sf0.001 mask."""
     import ray.data as rd
 
-    from proj_ray.functions.dedup import cc_min_label_distributed
+    from proj_ray.stages.cc import cc_min_label_distributed
     from proj_ray.pipelines.queries import (
         _RCELL, _RFRAC, _RNCOL, _RNROW,
     )
@@ -114,7 +114,7 @@ def test_polygonize_cc_distributed_path_parity_sf001():
     act = active_cells(cells, _RFRAC)
     edges = adjacency_edges(act)
 
-    from proj_ray.functions.dedup import cc_min_label
+    from proj_ray.stages.cc import cc_min_label
 
     driver = cc_min_label(edges, max_rounds=4096)
     dist = cc_min_label_distributed(

@@ -2,8 +2,8 @@
 (distributed join / groupby) branches of every size-dispatched
 operator: forcing either path must produce identical results.
 
-Covers VERDICT round-2 items 2/3/9: keep_first_filter semi-join,
-combine_partials distributed fallback, attach_clusters join attach."""
+Covers combine_partials' distributed fallback and attach_clusters'
+join attach."""
 
 import numpy as np
 import pandas as pd
@@ -11,44 +11,10 @@ import pyarrow as pa
 import pytest
 
 
-def _docs_ds(n=300, dup_every=3):
-    """Synthetic docs with exact duplicate groups of size ``dup_every``."""
-    import ray.data as rd
-
-    ids = np.arange(n, dtype=np.int64)
-    texts = [f"document body number {i // dup_every} with shared content"
-             for i in ids]
-    return rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64()),
-                                   "text": pa.array(texts, pa.string())}))
-
-
 def _sorted(df, by):
     if not isinstance(df, pd.DataFrame):
         df = df.to_pandas()
     return df.sort_values(by).reset_index(drop=True)
-
-
-def test_keep_first_filter_paths_agree(ray_session):
-    from proj_ray.functions.dedup import keep_first_filter
-
-    ds = _docs_ds()
-    a = _sorted(keep_first_filter(ds, path="broadcast").to_pandas(), ["doc_id"])
-    b = _sorted(keep_first_filter(ds, path="join").to_pandas(), ["doc_id"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    # survivors are exactly one (the min) per duplicate group
-    assert a["doc_id"].tolist() == [i for i in range(300) if i % 3 == 0]
-
-
-def test_keep_first_filter_dispatch_threshold(ray_session):
-    from proj_ray.functions.dedup import keep_first_filter
-
-    ds = _docs_ds(n=60)
-    # threshold 0 forces the join branch through the public dispatch
-    low = _sorted(keep_first_filter(ds, broadcast_threshold=0).to_pandas(),
-                  ["doc_id"])
-    hi = _sorted(keep_first_filter(ds, broadcast_threshold=10**9).to_pandas(),
-                 ["doc_id"])
-    assert low["doc_id"].tolist() == hi["doc_id"].tolist()
 
 
 def test_combine_partials_paths_agree(ray_session):
@@ -95,7 +61,7 @@ def test_combine_partials_empty(ray_session):
 def test_attach_clusters_paths_agree(ray_session):
     import ray.data as rd
 
-    from proj_ray.functions.dedup import attach_clusters
+    from proj_ray.stages.cc import attach_clusters
 
     ids = np.arange(50, dtype=np.int64)
     ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64())}))
@@ -115,56 +81,11 @@ def test_attach_clusters_paths_agree(ray_session):
     assert got[33] == 33  # singleton keeps its own id
 
 
-def test_keep_first_filter_int32_ids(ray_session):
-    """Non-int64 id columns must work on BOTH paths (the join requires
-    matching key dtypes; ids are normalized to int64 up front)."""
+def test_forced_path_validation(ray_session):
     import ray.data as rd
 
-    from proj_ray.functions.dedup import keep_first_filter
-
-    ids = np.arange(30, dtype=np.int32)
-    texts = [f"t{i // 3}" for i in ids]
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int32()),
-                                 "text": pa.array(texts)}))
-    a = _sorted(keep_first_filter(ds, path="broadcast").to_pandas(), ["doc_id"])
-    b = _sorted(keep_first_filter(ds, path="join").to_pandas(), ["doc_id"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    assert a["doc_id"].tolist() == [0, 3, 6, 9, 12, 15, 18, 21, 24, 27]
-
-
-def test_forced_path_validation(ray_session):
-    from proj_ray.functions.dedup import keep_first_filter
     from proj_ray.stages.agg import combine_partials
 
-    ds = _docs_ds(n=9)
+    ds = rd.from_arrow(pa.table({"doc_id": pa.array(np.arange(9), pa.int64())}))
     with pytest.raises(ValueError, match="unknown path"):
-        keep_first_filter(ds, path="Broadcast")
-    with pytest.raises(ValueError, match="unknown path"):
-        combine_partials(ds.select_columns(["doc_id"]), ["doc_id"], {},
-                         path="Driver")
-
-
-def test_batch_matrix_empty():
-    from proj_ray.functions.vector import batch_matrix
-
-    t = pa.table({"embedding": pa.array([], pa.list_(pa.float32()))})
-    M = batch_matrix(t)
-    assert M.shape[0] == 0
-
-
-def test_lsh_candidate_pairs_paths_agree(ray_session):
-    """Broadcast vs distributed-join pruning of colliding buckets must
-    yield identical candidate pair sets."""
-    from proj_ray.functions.dedup import lsh_candidate_pairs, minhash_bands_batch
-
-    ds = _docs_ds(n=120, dup_every=4)
-    bands = ds.map_batches(lambda t: minhash_bands_batch(t),
-                           batch_format="pyarrow", batch_size=None)
-    a = _sorted(lsh_candidate_pairs(bands, path="broadcast").to_pandas(),
-                ["doc_a", "doc_b"])
-    b = _sorted(lsh_candidate_pairs(bands, path="join").to_pandas(),
-                ["doc_a", "doc_b"])
-    assert len(a) > 0
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-
-
+        combine_partials(ds, ["doc_id"], {}, path="Driver")

@@ -1,90 +1,11 @@
-"""Round-5 session-17 operators: mod-p Horner hash kernel (the
-DuckDB-shareable hash), word-gram spans."""
+"""Round-5 session-17 operators: the vectorized OR-by-key reduction,
+convex hulls, cluster diameter, geohash cells and the tile pyramid."""
 
 import duckdb
 import numpy as np
 import pandas as pd
-import pyarrow as pa
 
 SF = "/root/testdata/sf0.001"
-
-P1 = 2147483647
-P2 = 2147483629
-
-
-def _scalar_modp(s: str, p: int) -> int:
-    h = 0
-    for ch in s.encode():
-        h = (h * 31 + ch) % p
-    return h
-
-
-# ---------------------------------------------------------------------------
-# segment_hash_modp: scalar + DuckDB list_reduce parity
-# ---------------------------------------------------------------------------
-
-def test_segment_hash_modp_scalar_parity():
-    from proj_ray.functions.dedup import segment_hash_modp
-
-    texts = ["hello world", "", "x", "a" * 500,
-             "the quick brown fox jumps over the lazy dog " * 20]
-    data = np.frombuffer("".join(texts).encode(), np.uint8)
-    lens = np.array([len(t) for t in texts], np.int64)
-    ends = np.cumsum(lens)
-    starts = ends - lens
-    for p in (P1, P2, (1 << 40) - 87):
-        got = segment_hash_modp(data, starts, ends, p)
-        want = np.array([_scalar_modp(t, p) for t in texts], np.int64)
-        assert np.array_equal(got, want), p
-
-
-def test_segment_hash_modp_long_segment_no_overflow():
-    # regression: powers were built with int64 cumprod, which wraps
-    # past 31^13 BEFORE the mod — any segment > 13 bytes hashed wrong
-    from proj_ray.functions.dedup import segment_hash_modp
-
-    s = "abcdefghijklmnop"  # 16 bytes: inside the old broken regime
-    data = np.frombuffer(s.encode(), np.uint8)
-    got = segment_hash_modp(data, np.array([0]), np.array([16]), P1)
-    assert got[0] == _scalar_modp(s, P1)
-
-
-def test_segment_hash_modp_duckdb_parity():
-    from proj_ray.functions.dedup import segment_hash_modp
-
-    texts = ["one two three", "mixed Case And, punct. 123!",
-             "a" * 100 + " tail"]
-    data = np.frombuffer("".join(texts).encode(), np.uint8)
-    lens = np.array([len(t) for t in texts], np.int64)
-    ends = np.cumsum(lens)
-    got = segment_hash_modp(data, ends - lens, ends, P1)
-    con = duckdb.connect()
-    want = [con.sql(
-        "SELECT list_reduce(list_transform(regexp_extract_all(?, '.'),"
-        " c -> CAST(unicode(c) AS BIGINT)),"
-        f" (a,b) -> (a*31+b) % {P1})", params=[t]).fetchone()[0]
-        for t in texts]
-    assert got.tolist() == want
-
-
-# ---------------------------------------------------------------------------
-# wordgram_spans: spans equal the joined word n-grams
-# ---------------------------------------------------------------------------
-
-def test_wordgram_spans_match_strings():
-    from proj_ray.functions.dedup import wordgram_spans
-
-    texts = ["a b c d e", "one two", "", "solo", "w x y z"]
-    n = 3
-    data, doc_of, starts, ends = wordgram_spans(pa.array(texts), n)
-    want = []
-    for i, t in enumerate(texts):
-        ws = t.split(" ")
-        for j in range(len(ws) - n + 1):
-            want.append((i, " ".join(ws[j:j + n])))
-    got = [(int(d), bytes(data[s:e]).decode())
-           for d, s, e in zip(doc_of, starts, ends)]
-    assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -118,28 +39,6 @@ def test_or_by_key_split_merge_invariance():
     kb, mb = or_by_key(keys[cut:], masks[cut:])
     k2, m2 = or_by_key(np.concatenate([ka, kb]), np.concatenate([ma, mb]))
     assert np.array_equal(k1, k2) and np.array_equal(m1, m2)
-
-
-# ---------------------------------------------------------------------------
-# persisted MinHash index: empty probe shard, incremental appends
-# ---------------------------------------------------------------------------
-
-
-def test_neardup_empty_shard(ray_session, tmp_path):
-    import ray.data as rd
-    from proj_ray.functions.dedup import (build_minhash_index,
-                                          neardup_new_against_index)
-    from proj_ray.pipelines.queries import read_table
-
-    idx = str(tmp_path / "ndidx2")
-    build_minhash_index(
-        read_table(SF, "documents", columns=["doc_id", "text"]), idx)
-    empty = rd.from_pandas(pd.DataFrame({"doc_id": np.empty(0, np.int64),
-                                         "text": np.empty(0, str)}))
-    out = neardup_new_against_index(empty, idx)
-    assert len(out) == 0
-    assert list(out.columns) == ["doc_id", "n_candidates", "n_matched",
-                                 "is_dup"]
 
 
 # ---------------------------------------------------------------------------
@@ -327,22 +226,3 @@ def test_tile_pyramid_consistency(ray_session):
         roll = (ch.assign(tx=ch.tx // 2, ty=ch.ty // 2)
                 .groupby(["tx", "ty"]).n_points.sum())
         assert par.sort_index().equals(roll.sort_index()), z
-
-
-def test_minhash_index_append_equals_whole(ray_session, tmp_path):
-    # the docstring's incremental claim: building the index in two
-    # shard appends answers probes identically to one whole build
-    import ray.data as rd
-    from proj_ray.functions.dedup import (build_minhash_index,
-                                          neardup_new_against_index)
-    from proj_ray.pipelines.queries import read_table
-
-    docs = read_table(SF, "documents",
-                      columns=["doc_id", "text"]).to_pandas()
-    whole, appended = str(tmp_path / "w"), str(tmp_path / "a")
-    build_minhash_index(rd.from_pandas(docs), whole)
-    build_minhash_index(rd.from_pandas(docs.iloc[:250]), appended)
-    build_minhash_index(rd.from_pandas(docs.iloc[250:]), appended)
-    probe = rd.from_pandas(docs.iloc[100:120])
-    assert neardup_new_against_index(probe, whole).equals(
-        neardup_new_against_index(probe, appended))

@@ -37,32 +37,6 @@ SF_DIR = "/root/testdata/sf0.01"
 OUT_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "proj_ray", "data", "goldens")
 
-_M = np.uint64(0xFFFFFFFFFFFFFFFF)
-
-
-# --- scalar reference hashes (per-document definitions) -------------------
-
-def mix64_s(x):
-    x = np.uint64(x)
-    with np.errstate(over="ignore"):
-        x = (x + np.uint64(0x9E3779B97F4A7C15)) & _M
-        x = ((x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)) & _M
-        x = ((x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)) & _M
-        return x ^ (x >> np.uint64(31))
-
-
-def ref_shingles(t, k):
-    b = np.frombuffer((t or "").encode("utf-8"), dtype=np.uint8).astype(np.uint64)
-    if b.size < k:
-        return np.array([mix64_s(b.sum() if b.size else 0)], dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        n = b.size - k + 1
-        acc = np.zeros(n, dtype=np.uint64)
-        BASE = np.uint64(1099511628211)
-        for j in range(k):
-            acc = (acc * BASE + b[j:j + n]) & _M
-    return np.array([mix64_s(v) for v in acc], dtype=np.uint64)
-
 
 def freeze_geod_golden():
     """geod_inverse_ellipsoidal from the scalar Karney port
@@ -347,45 +321,6 @@ def freeze_traj_simplify_golden(tol_deg=60.0):
     pq.write_table(t, os.path.join(OUT_DIR, "traj_simplify_sf001.parquet"))
     kept_frac = sum(r[2] for r in rows) / max(1, sum(r[1] for r in rows))
     print(f"traj_simplify: {len(rows)} users, kept {kept_frac:.1%} of points")
-
-
-def ref_winnow_selections(t, k=16, w=8):
-    """Scalar winnowing reference: per-window Python loop over the
-    scalar shingle hashes (ref_shingles), min with rightmost tie-break,
-    position-keyed dedup.  Independent of the engine's strided
-    sliding-window kernel (functions/text.winnow_selections)."""
-    grams = ref_shingles(t, k)
-    g = grams.size
-    sels = {}
-    if g < w:
-        mn = grams.min()
-        pos = int(np.max(np.flatnonzero(grams == mn)))
-        sels[pos] = grams[pos]
-    else:
-        for a in range(g - w + 1):
-            win = grams[a:a + w]
-            mn = win.min()
-            pos = a + int(np.max(np.flatnonzero(win == mn)))
-            sels[pos] = grams[pos]
-    return sels, g
-
-
-def ref_cdc_chunks(t, k=16, bbits=6):
-    """Scalar content-defined chunking reference: per-gram Python loop
-    over the scalar shingle hashes, chunks materialized as byte
-    strings (the engine never materializes them — it hashes byte
-    ranges).  Independent of functions/text.cdc_chunk_spans."""
-    bs = (t or "").encode("utf-8")
-    L = len(bs)
-    mask = (1 << bbits) - 1
-    cuts = []
-    if L >= k:
-        grams = ref_shingles(t, k)
-        for i, h in enumerate(grams):
-            if (int(h) & mask) == 0 and i + k < L:
-                cuts.append(i + k)
-    bounds = [0] + cuts + [L]
-    return [bs[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def freeze_cluster_hull_golden():
