@@ -23,7 +23,7 @@ script runs against a local session.  The job:
    not the expensive stages) and writes ``--out/agg.parquet``;
 3. prints ONE JSON line of job metrics (the driver-readable contract).
 
-A re-run over a non-empty ``--out`` refuses by default (block-boundary
+A re-run over a non-empty ``--out`` is refused (block-boundary
 partition ids are not stable across runs — write_partitioned's
 documented contract); multi-run resumable jobs go through
 state.run_resumable_shards, whose shard ids derive from the input

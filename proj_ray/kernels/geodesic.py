@@ -172,25 +172,10 @@ def vincenty_direct(lon1, lat1, azi1_deg, s12, a: float = WGS84_A, f: float = WG
     return lon2, np.degrees(phi2), azi2
 
 
-def interpolate_line(lon1, lat1, lon2, lat2, n_points: int):
-    """``geod -l`` line mode: expand one pair into n intermediate points
-    along the geodesic (src/geod.c:34-57 do_geod). Returns arrays of
-    shape (len(input), n_points)."""
-    s12, azi1, _azi2, _ok = geod_inverse(lon1, lat1, lon2, lat2)
-    fracs = np.linspace(0.0, 1.0, n_points)
-    lons = np.empty((np.size(s12), n_points))
-    lats = np.empty_like(lons)
-    for k, fr in enumerate(fracs):
-        lo, la, _ = geod_direct(lon1, lat1, azi1, s12 * fr)
-        lons[:, k] = lo
-        lats[:, k] = la
-    return lons, lats
-
-
 def slerp_line(lon1, lat1, lon2, lat2, n_points: int):
-    """Spherical great-circle interpolation (slerp) — the SQL-expressible
-    counterpart of ``interpolate_line`` (geod -l line mode,
-    src/geod.c:34-57): expands each pair into n_points rows.
+    """Spherical great-circle interpolation (slerp) — an SQL-expressible
+    line expansion (after geod -l line mode, src/geod.c:34-57): expands
+    each pair into n_points rows.
 
     Returns (k, lon, lat) arrays of shape (N, n_points), degrees. The op
     sequence is kept trivially mirrorable in SQL (sin/cos/acos/atan2).

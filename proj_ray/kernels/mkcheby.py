@@ -7,8 +7,7 @@ DCT in bchgen accumulates k in index order; the Clenshaw-style power
 conversion mirrors the C loop nests), so the printed coefficient
 tables match the binary byte-for-byte at the same print format.
 
-The engine's own surrogate (kernels/cheby.py) remains the
-Dataset-pipeline tool; this module exists for the CLI surface.
+This module exists for the CLI surface (``cli._gen_cheby``).
 """
 
 from __future__ import annotations

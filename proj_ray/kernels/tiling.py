@@ -62,37 +62,3 @@ def parent_cell(cid, zoom: int, parent_zoom: int):
     tx = cid & ((1 << zoom) - 1)
     ty = cid >> zoom
     return np.where(cid >= 0, ((ty >> d) << parent_zoom) | (tx >> d), -1)
-
-
-def cell_bounds(cid, zoom: int):
-    """(lon_min, lat_min, lon_max, lat_max) of each cell, degrees."""
-    cid = np.asarray(cid, dtype=np.int64)
-    n = float(1 << zoom)
-    tx = (cid & ((1 << zoom) - 1)).astype(np.float64)
-    ty = (cid >> zoom).astype(np.float64)
-    lon_min = tx / n * 360.0 - 180.0
-    lon_max = (tx + 1) / n * 360.0 - 180.0
-
-    def _lat(tyv):
-        return np.degrees(np.arctan(np.sinh(np.pi * (1.0 - 2.0 * tyv / n))))
-
-    lat_max = _lat(ty)
-    lat_min = _lat(ty + 1)
-    return lon_min, lat_min, lon_max, lat_max
-
-
-def neighbor_cells(cid, zoom: int, ring: int = 1):
-    """The (2*ring+1)^2 block of cells around each cell (clamped at the
-    tile-grid edge, wrapping longitude) — the kNN candidate search set."""
-    cid = np.asarray(cid, dtype=np.int64)
-    n = 1 << zoom
-    tx = cid & (n - 1)
-    ty = cid >> zoom
-    out = []
-    for dy in range(-ring, ring + 1):
-        for dx in range(-ring, ring + 1):
-            nx = (tx + dx) % n  # wrap lon
-            ny = ty + dy
-            valid = (ny >= 0) & (ny < n) & (cid >= 0)
-            out.append(np.where(valid, (ny << zoom) | nx, -1))
-    return np.stack(out, axis=-1)

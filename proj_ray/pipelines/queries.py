@@ -88,7 +88,7 @@ def _sorted_pdf(obj, by):
 # ===========================================================================
 
 from ..kernels.common import (  # noqa: E402
-    DEG_TO_RAD, FORTPI, HALFPI, RAD_TO_DEG, enfn,
+    FORTPI, HALFPI, RAD_TO_DEG, enfn,
 )
 from ..stages.transform_stage import transform_points_stage  # noqa: E402
 from ..transform import make_transform  # noqa: E402
@@ -338,7 +338,7 @@ def points_geocent(sf_dir):
 # haversine, synthetic grid shift, pm/axis/units, geoparse extraction
 # ===========================================================================
 
-from ..kernels.tiling import cell_id as _cell_id, cell_xy as _cell_xy, parent_cell as _parent  # noqa: E402
+from ..kernels.tiling import cell_id as _cell_id, parent_cell as _parent  # noqa: E402
 from ..kernels.geodesic import MEAN_RADIUS, haversine as _haversine  # noqa: E402
 from ..stages.geoparse import GeoparseStage, synth_pages_batch  # noqa: E402
 from ..stages.knn_stage import knn_topk  # noqa: E402
@@ -1355,8 +1355,6 @@ def polygon_area_geodesic(sf_dir):
     Shape: one key-hash shuffle, all geodesic math vectorized per
     group.  Golden: per-edge scalar Karney port + fsum
     (tools/scalar_ref.polygon_area_scalar), bitwise-identical."""
-    from ..kernels.karney import geod_polygon_area
-
     ds = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_linenumber"])
 

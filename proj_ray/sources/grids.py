@@ -357,14 +357,8 @@ def nad2bin_convert(text: str, path: str, fmt: str = "ctable2",
     if raw_id is None:
         raw_id = (text.split("\n", 1)[0] + "\n")[:79]
     if fmt == "ctable2":
-        with open(path, "wb") as f:
-            f.write(b"CTABLE V2.0     ")
-            f.write(raw_id.encode()[:80].ljust(80, b"\0"))
-            f.write(struct.pack("<dddd", grid.ll[0], grid.ll[1],
-                                grid.delta[0], grid.delta[1]))
-            f.write(struct.pack("<ii", grid.lim[0], grid.lim[1]))
-            f.write(b"\0" * 24)
-            f.write(np.ascontiguousarray(grid.cvs, dtype="<f4").tobytes())
+        write_ctable2(path, ShiftGrid(raw_id, grid.ll, grid.delta, grid.lim,
+                                      grid.cvs))
         return grid
     if fmt == "ctable":
         # raw struct CTABLE dump (machine/byte-order specific,

@@ -1,11 +1,7 @@
 """Pre-aggregation helpers: combine inside map_batches BEFORE the
 groupby so the all-to-all shuffle moves one row per (key, batch)
 instead of every input row (SURVEY.md §2.6, ray_guide 'Aggregation at
-scale'). Optional key salting spreads pathological hot keys.
-
-``or_by_key`` and ``HistogramSketch`` are mergeable partials of the
-same kind: a per-key bitwise OR and a fixed-bin quantile sketch, both
-exact to merge across any batch split."""
+scale'). Optional key salting spreads pathological hot keys."""
 
 from __future__ import annotations
 
@@ -138,72 +134,3 @@ def bucket_aggregate(ds, key_cols, agg_spec, num_buckets: int = 256):
     return (ds.map_batches(add_bucket, batch_format="pandas",
                            batch_size=None)
             .groupby("_bkt").map_groups(reduce, batch_format="pandas"))
-
-
-def or_by_key(keys: np.ndarray, masks: np.ndarray):
-    """Vectorized bitwise-OR reduction by int64 key: returns
-    (unique_keys, or_of_masks) via ONE argsort + np.bitwise_or.reduceat
-    — no per-group Python.  The OR is idempotent and commutative, so
-    partials from any batch split merge exactly."""
-    if len(keys) == 0:
-        return keys.astype(np.int64), masks.astype(np.int64)
-    order = np.argsort(keys, kind="stable")
-    k = keys[order]
-    m = masks[order]
-    head = np.empty(len(k), bool)
-    head[0] = True
-    head[1:] = k[1:] != k[:-1]
-    starts = np.nonzero(head)[0]
-    return k[starts], np.bitwise_or.reduceat(m, starts)
-
-
-class HistogramSketch:
-    """Fixed-range binned quantile sketch.
-
-    Counts per bin over [lo, hi); values outside clamp to the edge
-    bins, preserving totals so quantile ranks stay exact even when the
-    declared range is too tight (the estimate then saturates at the
-    range edge — widen the range, not the code)."""
-
-    def __init__(self, lo: float, hi: float, nbins: int = 4096,
-                 counts: np.ndarray | None = None):
-        if not hi > lo:
-            raise ValueError("HistogramSketch needs hi > lo")
-        self.lo = float(lo)
-        self.hi = float(hi)
-        self.nbins = int(nbins)
-        self.counts = (np.zeros(self.nbins, dtype=np.int64)
-                       if counts is None else counts.astype(np.int64))
-
-    def add(self, values: np.ndarray) -> "HistogramSketch":
-        v = np.asarray(values, dtype=np.float64)
-        v = v[np.isfinite(v)]
-        idx = ((v - self.lo) / (self.hi - self.lo) * self.nbins).astype(np.int64)
-        idx = np.clip(idx, 0, self.nbins - 1)
-        self.counts += np.bincount(idx, minlength=self.nbins)
-        return self
-
-    def merge(self, other: "HistogramSketch") -> "HistogramSketch":
-        assert (self.lo, self.hi, self.nbins) == (other.lo, other.hi, other.nbins)
-        return HistogramSketch(self.lo, self.hi, self.nbins,
-                               self.counts + other.counts)
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
-
-    def quantile(self, q: float) -> float:
-        """Linear interpolation inside the containing bin; max error is
-        one bin width."""
-        n = self.n
-        if n == 0:
-            return float("nan")
-        rank = q * (n - 1)
-        cum = np.cumsum(self.counts)
-        b = int(np.searchsorted(cum, rank, side="right"))
-        b = min(b, self.nbins - 1)
-        prev = cum[b - 1] if b > 0 else 0
-        in_bin = self.counts[b]
-        frac = ((rank - prev) / in_bin) if in_bin > 0 else 0.5
-        width = (self.hi - self.lo) / self.nbins
-        return self.lo + (b + frac) * width

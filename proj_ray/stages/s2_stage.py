@@ -60,7 +60,7 @@ def s2_shard_write(ds, out_dir: str, shard_level: int,
 
 def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
                              shard_level: int, lon_col="lon",
-                             lat_col="lat", max_in_flight=None):
+                             lat_col="lat"):
     """Multi-run RESUMABLE build of the Hilbert shard layout.
 
     ``fragments`` is the explicit work plan [(frag_id, spec), ...]
@@ -83,7 +83,7 @@ def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
     import ray
 
     from ..kernels.s2cell import cell_id_from_lonlat, id_at_level
-    from ..state import LineageManifest, config_hash
+    from ..state import LineageManifest, config_hash, run_bounded
 
     cfg = config_hash({"op": "s2_shard_write", "level": int(shard_level),
                        "lon": lon_col, "lat": lat_col})
@@ -137,27 +137,12 @@ def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
             os.replace(tmp, final)
         return str(fid), int(sh.size)
 
-    if max_in_flight is None:
-        ncpu = (int(ray.cluster_resources().get("CPU", 8))
-                if ray.is_initialized() else 8)
-        max_in_flight = max(4, 2 * ncpu)
-    pending = []
-    it = iter(todo)
     ran = 0
-    while True:
-        while len(pending) < max_in_flight:
-            nxt = next(it, None)
-            if nxt is None:
-                break
-            pending.append(_run.remote(nxt[0], nxt[1]))
-        if not pending:
-            break
-        ready, pending = ray.wait(pending, num_returns=1)
-        for fid, rows in ray.get(ready):
-            man.record({"partition_id": fid, "input_fragment": fid,
-                        "config_hash": cfg, "row_count": rows,
-                        "error_count": 0})
-            ran += 1
+    for fid, rows in run_bounded(_run, todo):
+        man.record({"partition_id": fid, "input_fragment": fid,
+                    "config_hash": cfg, "row_count": rows,
+                    "error_count": 0})
+        ran += 1
     return ran, n_skipped
 
 

@@ -18,7 +18,8 @@ checkpoints per-partition lineage and metrics. The design (SURVEY.md §4
 
 ``write_partitioned`` drives a Dataset through this protocol with
 ``map_batches`` doing the writing (the stream never collects on the
-driver); ``resume_plan`` computes the remaining work for a restart.
+driver) and refuses a second run; ``run_resumable_shards`` runs an
+explicit shard plan and skips the shards a previous run completed.
 """
 
 from __future__ import annotations
@@ -119,7 +120,7 @@ def _write_one_partition(table, out_dir, pid, input_fragment, cfg_hash,
 
 
 def write_partitioned(ds, out_dir: str, config, partition_col: str = None,
-                      error_cols=("x", "y"), allow_resume: bool = False):
+                      error_cols=("x", "y")):
     """Consume a Dataset into partitioned parquet, SINGLE RUN ONLY.
 
     Each Ray block becomes one partition (partition id = hash of the
@@ -132,20 +133,18 @@ def write_partitioned(ds, out_dir: str, config, partition_col: str = None,
     attempt would write OVERLAPPING data under fresh partition ids next
     to the stale files.  This function therefore refuses to write into
     a directory whose manifest already has completed partitions for the
-    same config (pass ``allow_resume=True`` only when the caller
-    guarantees identical blocking).  Resumable multi-run jobs belong in
+    same config.  Resumable multi-run jobs belong in
     :func:`run_resumable_shards`, whose shard ids derive from the
     explicit work plan (input fragment identity), not from blocking.
     """
     cfg_hash = config_hash(config)
     prior = LineageManifest(out_dir).completed(cfg_hash)
-    if prior and not allow_resume:
+    if prior:
         raise RuntimeError(
             f"{out_dir} already holds {len(prior)} completed partitions "
             f"for this config; write_partitioned partition ids depend on "
             f"Ray block boundaries and are not stable across runs — use "
-            f"run_resumable_shards for resumable jobs, or pass "
-            f"allow_resume=True if blocking is guaranteed identical")
+            f"run_resumable_shards for resumable jobs, or a fresh dir")
 
     import pyarrow as pa
 
@@ -175,25 +174,41 @@ def write_partitioned(ds, out_dir: str, config, partition_col: str = None,
     return LineageManifest(out_dir).metrics()
 
 
-def resume_plan(out_dir: str, config, planned_partitions) -> list:
-    """Anti-join: planned partition ids minus manifest-completed ones
-    (with matching config hash). Returns the partitions still to run."""
-    done = LineageManifest(out_dir).completed(config_hash(config))
-    return [p for p in planned_partitions if str(p) not in done and p not in done]
+def run_bounded(remote_fn, todo):
+    """Run ``remote_fn.remote(*args)`` for each ``args`` in ``todo`` with
+    at most max(4, 2 x cluster CPUs) tasks in flight; yield each task's
+    result as it completes (completion order, not plan order)."""
+    import ray
+
+    ncpu = (int(ray.cluster_resources().get("CPU", 8))
+            if ray.is_initialized() else 8)
+    limit = max(4, 2 * ncpu)
+    pending = []
+    it = iter(todo)
+    while True:
+        while len(pending) < limit:
+            nxt = next(it, None)
+            if nxt is None:
+                break
+            pending.append(remote_fn.remote(*nxt))
+        if not pending:
+            break
+        ready, pending = ray.wait(pending, num_returns=1)
+        yield from ray.get(ready)
 
 
 def run_resumable_shards(shards, shard_fn, out_dir: str, config,
-                         error_cols=(), max_in_flight: int = None):
+                         error_cols=()):
     """Deterministic shard-level resumable execution.
 
     ``shards``: list of (shard_id, shard_spec) — the explicit work plan
     (input files, key ranges, ...). ``shard_fn(shard_spec) ->
     pyarrow.Table`` runs the per-shard pipeline. Completed shards
     (manifest + file present, matching config hash) are skipped on
-    restart; the rest run as parallel Ray tasks with bounded in-flight
-    count. This is the raw-task escape hatch the Dataset API can't
-    express ("skip finished partitions"); each shard's write is atomic
-    and idempotent.
+    restart; the rest run as parallel Ray tasks through
+    :func:`run_bounded`. This is the raw-task escape hatch the Dataset
+    API can't express ("skip finished partitions"); each shard's write
+    is atomic and idempotent.
 
     Returns (n_run, n_skipped, metrics).
     """
@@ -212,20 +227,5 @@ def run_resumable_shards(shards, shard_fn, out_dir: str, config,
                              error_cols=error_cols)
         return str(sid)
 
-    if max_in_flight is None:
-        max_in_flight = max(4, 2 * int(ray.cluster_resources().get("CPU", 8)))
-    pending = []
-    it = iter(todo)
-    ran = 0
-    while True:
-        while len(pending) < max_in_flight:
-            nxt = next(it, None)
-            if nxt is None:
-                break
-            pending.append(_run.remote(nxt[0], nxt[1]))
-        if not pending:
-            break
-        ready, pending = ray.wait(pending, num_returns=1)
-        ray.get(ready)
-        ran += 1
+    ran = sum(1 for _ in run_bounded(_run, todo))
     return ran, n_skipped, man.metrics()

@@ -7,7 +7,6 @@ import numpy as np
 from proj_ray.kernels.geodesic import (
     geod_direct,
     geod_inverse,
-    interpolate_line,
     vincenty_inverse,
 )
 
@@ -85,15 +84,6 @@ def test_karney_matches_vincenty_where_it_converges():
     sv, _, _, okv = vincenty_inverse(lon1, lat1, lon2, lat2)
     d = np.abs(sk[okv] - sv[okv])
     assert d.max() < 1e-2  # Vincenty itself is only good to ~0.1 mm
-
-
-def test_karney_interpolate_line_endpoints():
-    lons, lats = interpolate_line(np.array([-70.0]), np.array([10.0]),
-                                  np.array([30.0]), np.array([50.0]), 5)
-    np.testing.assert_allclose(lons[0, 0], -70.0, atol=1e-9)
-    np.testing.assert_allclose(lats[0, 0], 10.0, atol=1e-9)
-    np.testing.assert_allclose(lons[0, -1], 30.0, atol=1e-8)
-    np.testing.assert_allclose(lats[0, -1], 50.0, atol=1e-8)
 
 
 def test_vincenty_direct_agrees_with_karney_direct():

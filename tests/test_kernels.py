@@ -141,20 +141,8 @@ def test_tiling_basics():
     c10 = T.cell_id(lon, lat, 10)
     c7 = T.cell_id(lon, lat, 7)
     np.testing.assert_array_equal(T.parent_cell(c10, 10, 7), c7)
-    # bounds contain their points
-    lon_min, lat_min, lon_max, lat_max = T.cell_bounds(c10, 10)
-    assert ((lon >= lon_min - 1e-9) & (lon <= lon_max + 1e-9)).all()
-    assert ((lat >= lat_min - 1e-6) & (lat <= lat_max + 1e-6)).all()
     # invalid points
     assert T.cell_id(np.array([0.0]), np.array([89.0]), 5)[0] == -1
-
-
-def test_neighbor_cells():
-    c = T.cell_id(np.array([0.5]), np.array([0.5]), 5)
-    nb = T.neighbor_cells(c, 5, ring=1)
-    assert nb.shape == (1, 9)
-    assert c[0] in nb[0]
-    assert len(set(nb[0].tolist())) == 9
 
 
 def scalar_pnpoly(ring, x, y):
@@ -243,13 +231,6 @@ def test_geodesic():
     assert (np.abs(h - s) / np.maximum(s, 1.0) < 0.006).all()
 
 
-def test_geod_line_interpolation():
-    lons, lats = G.interpolate_line(np.array([0.0]), np.array([0.0]),
-                                    np.array([10.0]), np.array([0.0]), 5)
-    np.testing.assert_allclose(lons[0], [0.0, 2.5, 5.0, 7.5, 10.0], atol=1e-6)
-    np.testing.assert_allclose(lats[0], 0.0, atol=1e-9)
-
-
 def test_factors_known_values():
     """Scale factors: merc k = sec(phi)-like (ellipsoidal), UTM k0 at CM,
     stere polar conformal h == k."""
@@ -308,38 +289,6 @@ def test_grid_catalog_asof_mix():
     # point outside all regions passes through
     lo2, _ = cat.apply(2005.0, False, np.array([2.0]), np.array([0.0]))
     assert lo2[0] == 2.0
-
-
-def test_chebyshev_surrogate():
-    """-T feature: fitted surrogate approximates UTM to sub-mm over a
-    zone region and evaluates vectorized."""
-    from proj_ray.kernels.cheby import fit_transform_surrogate
-
-    s = fit_transform_surrogate("+proj=latlong +datum=WGS84",
-                                "+proj=utm +zone=33 +datum=WGS84",
-                                region=(12.0, 18.0, 40.0, 55.0), deg=(14, 14))
-    from proj_ray.transform import make_transform
-
-    t = make_transform("+proj=latlong +datum=WGS84", "+proj=utm +zone=33 +datum=WGS84")
-
-    def f(lon, lat):
-        x, y, _ = t(lon, lat)
-        return x, y
-
-    assert s.max_error(f) < 1e-3  # sub-mm over the zone
-    # vectorized eval agrees elementwise
-    lon = np.array([13.0, 17.5])
-    lat = np.array([45.0, 52.0])
-    ex, ey = f(lon, lat)
-    ax, ay = s(lon, lat)
-    np.testing.assert_allclose(ax, ex, atol=1e-3)
-    np.testing.assert_allclose(ay, ey, atol=1e-3)
-    # truncation keeps it accurate while zeroing small coefficients
-    from proj_ray.kernels.cheby import ChebyshevSurrogate
-
-    s2 = ChebyshevSurrogate.fit(f, (12.0, 18.0, 40.0, 55.0), deg=(14, 14), tol=1e-4)
-    assert (s2.cx == 0).sum() > 0
-    assert s2.max_error(f) < 5e-3
 
 
 def test_grid_catalog_csv_reader(tmp_path):
@@ -474,27 +423,3 @@ def test_cc_min_label_propagation():
     e2 = pd.DataFrame({"src": [5, 6, 7], "dst": [6, 7, 5]})
     lab2 = cc_min_label(e2).set_index("node")["label"]
     assert (lab2 == 5).all()
-
-
-def test_histogram_sketch_quantile():
-    """Mergeable histogram quantile: merge exactness + error bound vs
-    np.quantile (one bin width)."""
-    from proj_ray.stages.agg import HistogramSketch
-
-    rng = np.random.default_rng(5)
-    a = rng.normal(0, 100, 20000)
-    b = rng.uniform(-500, 500, 15000)
-    lo, hi, nbins = -1000.0, 1000.0, 4096
-    s_all = HistogramSketch(lo, hi, nbins).add(np.concatenate([a, b]))
-    s_merged = HistogramSketch(lo, hi, nbins).add(a).merge(
-        HistogramSketch(lo, hi, nbins).add(b))
-    np.testing.assert_array_equal(s_all.counts, s_merged.counts)  # exact merge
-    width = (hi - lo) / nbins
-    both = np.concatenate([a, b])
-    for q in (0.1, 0.25, 0.5, 0.75, 0.9, 0.99):
-        est = s_merged.quantile(q)
-        exact = np.quantile(both, q)
-        assert abs(est - exact) <= width + 1e-9, (q, est, exact)
-    # out-of-range values clamp but preserve rank totals
-    s2 = HistogramSketch(0.0, 1.0, 10).add(np.array([-5.0, 0.5, 99.0]))
-    assert s2.n == 3

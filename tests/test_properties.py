@@ -144,29 +144,3 @@ def test_s2_parent_contains_leaf(pts, level):
     ids = s2.id_at_level(leaf, level)
     lo, hi = s2.cell_range(ids)
     assert ((leaf >= lo) & (leaf <= hi)).all()
-
-
-# --- session-12 kernels: WARC record layout --------------------------------
-
-@settings(max_examples=40, deadline=None)
-@given(st.lists(st.tuples(
-    st.text(alphabet=st.characters(min_codepoint=33, max_codepoint=126),
-            min_size=1, max_size=40),
-    st.integers(min_value=0, max_value=4_000_000_000_000_000),
-    st.binary(max_size=200)), min_size=1, max_size=8))
-def test_warc_roundtrip_arbitrary_payloads(records):
-    """serialize -> parse is the identity on (url, ts, payload) for
-    arbitrary binary payloads, including ones embedding record-head
-    bytes and CRLF runs."""
-    from proj_ray.sources.warc import (_ts_to_warc_date,
-                                       parse_warc_bytes,
-                                       serialize_warc_records)
-
-    urls = [u for u, _, _ in records]
-    ts = np.array([t for _, t, _ in records], np.int64)
-    payloads = [p for _, _, p in records]
-    blob = serialize_warc_records(urls, _ts_to_warc_date(ts), payloads)
-    t = parse_warc_bytes(blob)
-    assert t["url"].to_pylist() == urls
-    assert t["warc_ts"].cast("int64").to_pylist() == ts.tolist()
-    assert t["html"].to_pylist() == payloads

@@ -1,44 +1,11 @@
-"""Round-5 session-17 operators: the vectorized OR-by-key reduction,
-convex hulls, cluster diameter, geohash cells and the tile pyramid."""
+"""Round-5 session-17 operators: convex hulls, cluster diameter,
+geohash cells and the tile pyramid."""
 
 import duckdb
 import numpy as np
 import pandas as pd
 
 SF = "/root/testdata/sf0.001"
-
-
-# ---------------------------------------------------------------------------
-# or_by_key: vectorized OR reduction invariants
-# ---------------------------------------------------------------------------
-
-def test_or_by_key_matches_dict_reference():
-    from proj_ray.stages.agg import or_by_key
-
-    rng = np.random.default_rng(3)
-    keys = rng.integers(0, 50, 2000).astype(np.int64)
-    masks = (np.int64(1) << rng.integers(0, 20, 2000).astype(np.int64))
-    want = {}
-    for k, m in zip(keys, masks):
-        want[int(k)] = want.get(int(k), 0) | int(m)
-    k, m = or_by_key(keys, masks)
-    assert sorted(k.tolist()) == k.tolist()
-    assert {int(a): int(b) for a, b in zip(k, m)} == want
-
-
-def test_or_by_key_split_merge_invariance():
-    from proj_ray.stages.agg import or_by_key
-
-    rng = np.random.default_rng(4)
-    keys = rng.integers(0, 30, 500).astype(np.int64)
-    masks = (np.int64(1) << rng.integers(0, 10, 500).astype(np.int64))
-    k1, m1 = or_by_key(keys, masks)
-    # partial OR over arbitrary splits, then re-reduce
-    cut = 137
-    ka, ma = or_by_key(keys[:cut], masks[:cut])
-    kb, mb = or_by_key(keys[cut:], masks[cut:])
-    k2, m2 = or_by_key(np.concatenate([ka, kb]), np.concatenate([ma, mb]))
-    assert np.array_equal(k1, k2) and np.array_equal(m1, m2)
 
 
 # ---------------------------------------------------------------------------

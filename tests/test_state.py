@@ -60,6 +60,53 @@ def test_resumable_shards_skip_and_match(ray_session, tmp_path):
     assert ran4 == 0 and skipped4 == 2
 
 
+def test_resumable_shards_kill_and_resume(ray_session, tmp_path):
+    """A run that dies on one shard of eight raises; a second run with the
+    same plan finishes the rest, and every part file is byte-identical to
+    an uninterrupted run's."""
+    import hashlib
+    import time
+
+    marker = str(tmp_path / "fail-once")
+    open(marker, "w").close()
+    shard_fn = _make_shard_fn()
+
+    def flaky(spec):
+        # armed by the marker file: the first call on shard 5 removes it
+        # and dies before anything is written
+        if spec[0] == 500 and os.path.exists(marker):
+            os.remove(marker)
+            time.sleep(0.5)  # let the other shards finish first
+            raise RuntimeError("injected shard failure")
+        return shard_fn(spec)
+
+    shards = [(i, (i * 100, (i + 1) * 100)) for i in range(8)]
+    cfg = {"pipeline": "kill", "v": 1}
+    out = str(tmp_path / "resumed")
+    with pytest.raises(RuntimeError, match="injected shard failure"):
+        run_resumable_shards(shards, flaky, out, cfg)
+    assert not os.path.exists(marker)
+    assert not os.path.exists(os.path.join(out, "part-5.parquet"))
+    done = LineageManifest(out).completed(config_hash(cfg))
+    assert "5" not in done
+
+    ran, skipped, m = run_resumable_shards(shards, flaky, out, cfg)
+    assert skipped >= len(done) and ran == 8 - skipped
+    assert m["partitions"] == 8 and m["rows"] == 800
+
+    ref = str(tmp_path / "oneshot")
+    assert run_resumable_shards(shards, shard_fn, ref, cfg)[:2] == (8, 0)
+
+    def digests(d):
+        return {f: hashlib.sha256(open(os.path.join(d, f), "rb").read()).hexdigest()
+                for f in os.listdir(d)
+                if f.startswith("part-") and f.endswith(".parquet")}
+
+    got = digests(out)
+    assert len(got) == 8
+    assert got == digests(ref)
+
+
 def test_write_partitioned_stream(ray_session, tmp_path):
     import ray.data as rd
 
