@@ -1030,9 +1030,6 @@ def _print_listings(flags, stdout) -> bool:
     (src/proj.c:296-360 formats).  Returns True if one was printed."""
     from .crs import (DATUM_COMMENTS, DATUMS, ELLPS, ELLPS_NAMES, UNITS,
                       UNITS_NAMES)
-    from .kernels import projections2  # noqa: F401 (fill the registry)
-    from .kernels.projections import PROJ_REGISTRY
-    from .crs import CRS as _CRS  # noqa: F401 (triggers wave imports)
 
     eq = next((k[3:] for k in flags if k.startswith("-l=")), None)
     if eq is not None:
@@ -1379,10 +1376,8 @@ def _pr_list(P, stdout, oform=None, very_verby=False):
     projection description, the used parameter list wrapped at 72
     columns, and (for -V) the final ellipsoid figure."""
     from .kernels.descr import DESCR
-    from .kernels.projections import PROJ_REGISTRY
 
-    entry = PROJ_REGISTRY.get(P.proj_name)
-    descr = DESCR.get(P.proj_name) or (entry[1] if entry else P.proj_name)
+    descr = DESCR[P.proj_name]
     # pj_pr_list prints the FULL multiline descr, '#' after every \n
     print("#" + descr.replace("\n", "\n#"), file=stdout)
 

@@ -47,6 +47,7 @@ def _c_div(a: float, b: float) -> float:
         return float(np.float64(a) / np.float64(b))
 
 from .kernels.common import DMS_DEG, DMS_MIN, DMS_SEC, SEC_TO_RAD
+from .kernels.projections import setup_for
 
 # ---------------------------------------------------------------------------
 # registries (src/pj_ellps.c:5-50, src/pj_datums.c:40-81, src/pj_units.c:7-29)
@@ -521,26 +522,9 @@ class CRS:
         name = pl.get_s("proj")
         if not name:
             raise ValueError("no projection name (-4)")
-        from .kernels.projections import PROJ_REGISTRY
-        from .kernels import projections2  # noqa: F401  (registry wave 2)
-        from .kernels import projections3  # noqa: F401  (registry wave 3)
-        from .kernels import projections4  # noqa: F401  (registry wave 4)
-        from .kernels import projections5  # noqa: F401  (registry wave 5)
-        from .kernels import projections6  # noqa: F401  (registry wave 6)
-        from .kernels import projections7  # noqa: F401  (registry wave 7)
-        from .kernels import projections8  # noqa: F401  (registry wave 8)
-        from .kernels import projections9  # noqa: F401  (registry wave 9)
-        from .kernels import projections10  # noqa: F401  (registry wave 10)
-        from .kernels import projections11  # noqa: F401  (registry wave 11)
-        from .kernels import projections12  # noqa: F401  (registry wave 12)
-        from .kernels import projections13  # noqa: F401  (registry wave 13)
-        from .kernels import projections14  # noqa: F401  (registry wave 14)
-        from .kernels import projections15  # noqa: F401  (registry wave 15)
-        from .kernels import projections16  # noqa: F401  (registry wave 16)
-
-        if name not in PROJ_REGISTRY:
+        setup = setup_for(name)
+        if setup is None:
             raise ValueError(f"unknown projection {name!r} (-5)")
-        setup, _desc = PROJ_REGISTRY[name]
         self.proj_name = name
 
         # defaults unless +no_defs; the general ellps default is

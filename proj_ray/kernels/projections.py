@@ -14,6 +14,8 @@ latitude, lam0 removal, adjlon wrap, scale + false easting/northing).
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 
 from .common import (
@@ -34,16 +36,29 @@ from .common import (
 EPS10 = 1.0e-10
 _WRAP_EPS = 1.0e-12  # pj_fwd.c EPS
 
-# name -> (setup_fn, one-line description)
+# name -> setup_fn (descriptions: descr.py)
 PROJ_REGISTRY: dict = {}
 
 
-def register(name, desc):
+def register(name):
     def deco(fn):
-        PROJ_REGISTRY[name] = (fn, desc)
+        PROJ_REGISTRY[name] = fn
         return fn
 
     return deco
+
+
+def setup_for(name):
+    """Setup function of projection ``name``, or None if it has none.
+
+    Imports projections2 ... projections16 in order until one registers
+    ``name``; no name is registered twice, so the first hit is the setup.
+    """
+    for wave in range(2, 17):
+        if name in PROJ_REGISTRY:
+            break
+        importlib.import_module(f"{__package__}.projections{wave}")
+    return PROJ_REGISTRY.get(name)
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +128,7 @@ def _setup_latlong(P):
 
 
 for _n in ("latlong", "longlat", "latlon", "lonlat"):
-    register(_n, "Lat/long (Geodetic)")(_setup_latlong)
+    register(_n)(_setup_latlong)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +136,7 @@ for _n in ("latlong", "longlat", "latlon", "lonlat"):
 # Web Mercator (EPSG:3857) = spherical case via +a=6378137 +b=6378137
 # ---------------------------------------------------------------------------
 
-@register("merc", "Mercator (Sph&Ell)")
+@register("merc")
 def setup_merc(P):
     if P.param_t("lat_ts"):
         phits = abs(P.param_r("lat_ts"))
@@ -264,12 +279,12 @@ def _tmerc_setup_common(P):
     P.inv = inv
 
 
-@register("tmerc", "Transverse Mercator")
+@register("tmerc")
 def setup_tmerc(P):
     _tmerc_setup_common(P)
 
 
-@register("utm", "Universal Transverse Mercator (UTM)")
+@register("utm")
 def setup_utm(P):
     # src/PJ_tmerc.c:156-175
     if not P.es:
@@ -345,7 +360,7 @@ def _clens(a, arg_r):
     return np.sin(arg_r) * hr
 
 
-@register("etmerc", "Extended Transverse Mercator")
+@register("etmerc")
 def setup_etmerc(P):
     if P.es <= 0:
         raise ValueError("etmerc: ellipsoid required (-34)")
@@ -447,7 +462,7 @@ def setup_etmerc(P):
 # lcc — Lambert Conformal Conic 1/2SP (src/PJ_lcc.c:13-105)
 # ---------------------------------------------------------------------------
 
-@register("lcc", "Lambert Conformal Conic")
+@register("lcc")
 def setup_lcc(P):
     phi1 = P.param_r("lat_1")
     if P.param_t("lat_2"):
@@ -548,7 +563,7 @@ def setup_lcc(P):
 # happens in the transform layer; fwd/inv here are identity.
 # ---------------------------------------------------------------------------
 
-@register("geocent", "Geocentric")
+@register("geocent")
 def setup_geocent(P):
     P.is_geocent = True
     P.x0 = 0.0
@@ -568,7 +583,7 @@ def setup_geocent(P):
 # eqc — Equidistant Cylindrical / Plate Carree (reference src/PJ_eqc.c)
 # ---------------------------------------------------------------------------
 
-@register("eqc", "Equidistant Cylindrical (Plate Caree)")
+@register("eqc")
 def setup_eqc(P):
     rc = float(np.cos(P.param_r("lat_ts"))) if P.param_t("lat_ts") else 1.0
     if rc <= 0.0:
@@ -770,13 +785,13 @@ def _stere_setup_common(P, phits):
     P.inv = inv
 
 
-@register("stere", "Stereographic")
+@register("stere")
 def setup_stere(P):
     phits = P.param_r("lat_ts") if P.param_t("lat_ts") else HALFPI
     _stere_setup_common(P, phits)
 
 
-@register("ups", "Universal Polar Stereographic")
+@register("ups")
 def setup_ups(P):
     # src/PJ_stere.c ups entry: +south selects S pole; k0=0.994, x0=y0=2e6
     P.phi0 = -HALFPI if P.param_b("south") else HALFPI

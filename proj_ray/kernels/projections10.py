@@ -105,10 +105,10 @@ for _t in ("euler", "murd1", "murd2", "murd3", "pconic", "tissot", "vitk1"):
         def setup(P):
             _sconic(P, t)
         return setup
-    register(_t, f"Simple conic ({_t})")(_mk(_t))
+    register(_t)(_mk(_t))
 
 
-@register("somerc", "Swiss. Obl. Mercator")
+@register("somerc")
 def setup_somerc(P):
     e = P.e
     es = P.es
@@ -170,7 +170,7 @@ def setup_somerc(P):
     P.inv = inv
 
 
-@register("goode", "Goode Homolosine")
+@register("goode")
 def setup_goode(P):
     """Composite: sinusoidal within |phi| <= 40d44', Mollweide (with the
     0.0528 y-shift) outside — two inner operators like the reference's
@@ -205,7 +205,7 @@ def setup_goode(P):
     P.inv = inv
 
 
-@register("ocea", "Oblique Cylindrical Equal Area")
+@register("ocea")
 def setup_ocea(P):
     # NOTE: replicates the reference's historical quirk of baking P->a
     # into rok/rtk even though the generic wrapper scales by a again
@@ -402,13 +402,9 @@ def _mod_ster_setup(P, name):
     P.inv = inv
 
 
-for _name, _desc in (("mil_os", "Miller Oblated Stereographic"),
-                     ("lee_os", "Lee Oblated Stereographic"),
-                     ("gs48", "Mod. Stereographics of 48 U.S."),
-                     ("alsk", "Mod. Stereographics of Alaska"),
-                     ("gs50", "Mod. Stereographics of 50 U.S.")):
+for _name in ("mil_os", "lee_os", "gs48", "alsk", "gs50"):
     def _mk2(nm):
         def setup(P):
             _mod_ster_setup(P, nm)
         return setup
-    register(_name, _desc)(_mk2(_name))
+    register(_name)(_mk2(_name))

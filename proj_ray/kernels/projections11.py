@@ -26,7 +26,7 @@ def _no_inverse(x, y):
     return np.full_like(x, HUGE), np.full_like(x, HUGE)
 
 
-@register("airy", "Airy")
+@register("airy")
 def setup_airy(P):
     EPS = 1e-10
     P.es = 0.0
@@ -93,7 +93,7 @@ def setup_airy(P):
     P.inv = _no_inverse
 
 
-@register("rpoly", "Rectangular Polyconic")
+@register("rpoly")
 def setup_rpoly(P):
     EPS = 1e-9
     P.es = 0.0
@@ -125,7 +125,7 @@ def setup_rpoly(P):
     P.inv = _no_inverse
 
 
-@register("nicol", "Nicolosi Globular")
+@register("nicol")
 def setup_nicol(P):
     EPS = 1e-10
     P.es = 0.0
@@ -165,7 +165,7 @@ def setup_nicol(P):
     P.inv = _no_inverse
 
 
-@register("lcca", "Lambert Conformal Conic Alternative")
+@register("lcca")
 def setup_lcca(P):
     if not P.param_t("lat_0"):
         raise ValueError("lcca: lat_0 required (50)")
@@ -225,7 +225,7 @@ def setup_lcca(P):
     P.inv = inv
 
 
-@register("gstmerc", "Gauss-Schreiber Transverse Mercator")
+@register("gstmerc")
 def setup_gstmerc(P):
     e = P.e
     es = P.es
@@ -263,7 +263,7 @@ def setup_gstmerc(P):
     P.inv = inv
 
 
-@register("igh", "Interrupted Goode Homolosine")
+@register("igh")
 def setup_igh(P):
     """12-lobe interrupted Goode: sinusoidal zones 3-8, Mollweide zones
     1,2,9-12 with the dy0 continuity shift; inverse masks points whose

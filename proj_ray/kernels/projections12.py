@@ -23,7 +23,7 @@ def _shift_lon(lon, offset):
     return s
 
 
-@register("qsc", "Quadrilateralized Spherical Cube")
+@register("qsc")
 def setup_qsc(P):
     EPS10 = 1e-10
     # face from the projection center (PJ_qsc.c entry)
@@ -193,7 +193,7 @@ def setup_qsc(P):
     P.inv = inv
 
 
-@register("calcofi", "Cal Coop Ocean Fish Invest Lines/Stations")
+@register("calcofi")
 def setup_calcofi(P):
     EPS10 = 1e-10
     LINE_TO_RAD = 0.0034906585039886592

@@ -28,7 +28,7 @@ _R110 = 1.91986217719376253360
 _R104 = 1.81514242207410275904
 
 
-@register("bipc", "Bipolar conic of western hemisphere")
+@register("bipc")
 def setup_bipc(P):
     EPS10 = 1e-10
     ONEEPS = 1.000000001

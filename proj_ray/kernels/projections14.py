@@ -33,7 +33,7 @@ def _lc(b, c, a):
         return aacos(0.5 * (b * b + c * c - a * a) / (b * c))
 
 
-@register("chamb", "Chamberlin Trimetric")
+@register("chamb")
 def setup_chamb(P):
     THIRD = 0.333333333333333333
     P.es = 0.0
@@ -109,7 +109,7 @@ def setup_chamb(P):
     P.inv = _no_inverse
 
 
-@register("labrd", "Laborde")
+@register("labrd")
 def setup_labrd(P):
     EPS = 1e-10
     # the C reads bno_rot into P->rot but never uses it in the math

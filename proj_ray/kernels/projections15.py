@@ -17,7 +17,7 @@ _TWOPI_HALFPI = 7.85398163397448309610
 _TOL = 1e-7
 
 
-@register("lsat", "Space oblique for LANDSAT")
+@register("lsat")
 def setup_lsat(P):
     land = P.param_i("lsat")
     if land <= 0 or land > 5:
@@ -211,7 +211,7 @@ def setup_lsat(P):
 from .common import RAD_TO_DEG, enfn, mlfn  # noqa: E402
 
 
-@register("imw_p", "International Map of the World Polyconic")
+@register("imw_p")
 def setup_imw_p(P):
     TOL = 1e-10
     EPS = 1e-10

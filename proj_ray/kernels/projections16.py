@@ -341,7 +341,7 @@ def _ptdi(tri, x, y, aperture, resolution):
     return _dddi(quad, x, y, aperture, resolution)
 
 
-@register("isea", "Icosahedral Snyder Equal Area")
+@register("isea")
 def setup_isea(P):
     # ENTRY0(isea) — PJ_isea.c:1055-1130.  Note the entry sets
     # aperture=3 / resolution=4 defaults AFTER the option block,
@@ -501,7 +501,7 @@ def inv_mdist(dist, en):
     return phi
 
 
-@register("rouss", "Roussilhe Stereographic")
+@register("rouss")
 def setup_rouss(P):
     # ENTRY1(rouss, en) — proj_rouss.c:78-121
     en = mdist_ini(P.es)

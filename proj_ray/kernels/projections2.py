@@ -1,6 +1,7 @@
 """Projection kernels, wave 2: equal-area + azimuthal + pseudocylindrical
-families. Same pure-vectorized contract as projections.py; registered in
-the shared PROJ_REGISTRY.
+families. Same pure-vectorized contract as projections.py. Importing it
+registers its setups in PROJ_REGISTRY; ``projections.setup_for`` imports
+it on the first lookup of a name it holds.
 
 Reference parity:
 - qsfn / authset / authlat  <- src/pj_qsfn.c, src/pj_auth.c
@@ -167,12 +168,12 @@ def _aea_setup(P, phi1v, phi2v):
     P.inv = inv
 
 
-@register("aea", "Albers Equal Area")
+@register("aea")
 def setup_aea(P):
     _aea_setup(P, P.param_r("lat_1"), P.param_r("lat_2"))
 
 
-@register("leac", "Lambert Equal Area Conic")
+@register("leac")
 def setup_leac(P):
     phi2v = P.param_r("lat_1")
     phi1v = -HALFPI if P.param_b("south") else HALFPI
@@ -183,7 +184,7 @@ def setup_leac(P):
 # laea — Lambert Azimuthal Equal Area (src/PJ_laea.c)
 # ---------------------------------------------------------------------------
 
-@register("laea", "Lambert Azimuthal Equal Area")
+@register("laea")
 def setup_laea(P):
     phi0 = P.phi0
     t = abs(phi0)
@@ -360,7 +361,7 @@ def setup_laea(P):
 # reference's Karney library calls (same role, mm-level agreement).
 # ---------------------------------------------------------------------------
 
-@register("aeqd", "Azimuthal Equidistant")
+@register("aeqd")
 def setup_aeqd(P):
     phi0 = P.phi0
     if abs(abs(phi0) - HALFPI) < EPS10:
@@ -533,7 +534,7 @@ def setup_aeqd(P):
 # cea — Equal Area Cylindrical (src/PJ_cea.c)
 # ---------------------------------------------------------------------------
 
-@register("cea", "Equal Area Cylindrical")
+@register("cea")
 def setup_cea(P):
     t = 0.0
     if P.param_t("lat_ts"):
@@ -621,17 +622,17 @@ def _moll_setup(P, p):
     _moll_family(P, float(2.0 * r / PI), float(r / sp), float(p2 + np.sin(p2)))
 
 
-@register("moll", "Mollweide")
+@register("moll")
 def setup_moll(P):
     _moll_setup(P, HALFPI)
 
 
-@register("wag4", "Wagner IV")
+@register("wag4")
 def setup_wag4(P):
     _moll_setup(P, PI / 3.0)
 
 
-@register("wag5", "Wagner V")
+@register("wag5")
 def setup_wag5(P):
     _moll_family(P, 0.90977, 1.65014, 3.00896)
 
@@ -682,7 +683,7 @@ def _gn_sinu_sph(P, m, n):
     P.inv = inv
 
 
-@register("sinu", "Sinusoidal (Sanson-Flamsteed)")
+@register("sinu")
 def setup_sinu(P):
     if P.es:
         en = enfn(P.es)
@@ -714,17 +715,17 @@ def setup_sinu(P):
         _gn_sinu_sph(P, 0.0, 1.0)
 
 
-@register("eck6", "Eckert VI")
+@register("eck6")
 def setup_eck6(P):
     _gn_sinu_sph(P, 1.0, 2.570796326794896619231321691)
 
 
-@register("mbtfps", "McBryde-Thomas Flat-Polar Sinusoidal")
+@register("mbtfps")
 def setup_mbtfps(P):
     _gn_sinu_sph(P, 0.5, 1.785398163397448309615660845)
 
 
-@register("gn_sinu", "General Sinusoidal Series")
+@register("gn_sinu")
 def setup_gn_sinu(P):
     if P.param_t("n") and P.param_t("m"):
         _gn_sinu_sph(P, P.param_f("m"), P.param_f("n"))
@@ -736,7 +737,7 @@ def setup_gn_sinu(P):
 # mill — Miller Cylindrical (src/PJ_mill.c)
 # ---------------------------------------------------------------------------
 
-@register("mill", "Miller Cylindrical")
+@register("mill")
 def setup_mill(P):
     P.es = 0.0
 
@@ -762,7 +763,7 @@ def _azi_modes(phi0):
     return "obliq"
 
 
-@register("gnom", "Gnomonic")
+@register("gnom")
 def setup_gnom(P):
     P.es = 0.0
     phi0 = P.phi0
@@ -828,7 +829,7 @@ def setup_gnom(P):
     P.inv = inv
 
 
-@register("ortho", "Orthographic")
+@register("ortho")
 def setup_ortho(P):
     P.es = 0.0
     phi0 = P.phi0
@@ -897,7 +898,7 @@ def setup_ortho(P):
 # cass — Cassini (src/PJ_cass.c)
 # ---------------------------------------------------------------------------
 
-@register("cass", "Cassini")
+@register("cass")
 def setup_cass(P):
     if P.es:
         en = enfn(P.es)

@@ -79,7 +79,7 @@ class Gauss:
         return elam, ephi
 
 
-@register("sterea", "Oblique Stereographic Alternative")
+@register("sterea")
 def setup_sterea(P):
     g = Gauss(P.e, P.phi0)
     phic0 = float(g.chi)
@@ -120,7 +120,7 @@ def setup_sterea(P):
 # eqdc — Equidistant Conic (src/PJ_eqdc.c)
 # ---------------------------------------------------------------------------
 
-@register("eqdc", "Equidistant Conic")
+@register("eqdc")
 def setup_eqdc(P):
     phi1 = P.param_r("lat_1")
     phi2 = P.param_r("lat_2")
@@ -246,7 +246,7 @@ def _poly_dv(C, z):
     return C[..., 1] + z * (C[..., 2] + C[..., 2] + z * 3.0 * C[..., 3])
 
 
-@register("robin", "Robinson")
+@register("robin")
 def setup_robin(P):
     P.es = 0.0
     FXC, FYC = 0.8487, 1.3523
@@ -310,7 +310,7 @@ def setup_robin(P):
 # eck4 / gall / hammer / wink1 / eck5 (simple spherical pseudocyl)
 # ---------------------------------------------------------------------------
 
-@register("eck4", "Eckert IV")
+@register("eck4")
 def setup_eck4(P):
     P.es = 0.0
     C_x = 0.42223820031577120149
@@ -352,7 +352,7 @@ def setup_eck4(P):
     P.inv = inv
 
 
-@register("gall", "Gall (Gall Stereographic)")
+@register("gall")
 def setup_gall(P):
     P.es = 0.0
     YF = 1.70710678118654752440
@@ -370,7 +370,7 @@ def setup_gall(P):
     P.inv = inv
 
 
-@register("hammer", "Hammer & Eckert-Greifendorff")
+@register("hammer")
 def setup_hammer(P):
     # src/PJ_hammer.c: W (default .5), M (default 1)
     P.es = 0.0
@@ -404,7 +404,7 @@ def setup_hammer(P):
     P.inv = inv
 
 
-@register("wink1", "Winkel I")
+@register("wink1")
 def setup_wink1(P):
     P.es = 0.0
     cosphi1 = float(np.cos(P.param_r("lat_ts"))) if P.param_t("lat_ts") else 1.0
@@ -419,7 +419,7 @@ def setup_wink1(P):
     P.inv = inv
 
 
-@register("eck5", "Eckert V")
+@register("eck5")
 def setup_eck5(P):
     P.es = 0.0
     XF = 0.44101277172455148219

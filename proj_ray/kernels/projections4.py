@@ -30,7 +30,7 @@ from .common import (
 from .projections import EPS10, register
 
 
-@register("omerc", "Oblique Mercator")
+@register("omerc")
 def setup_omerc(P):
     TOL = 1.0e-7
     EPS = 1.0e-10
@@ -179,7 +179,7 @@ def setup_omerc(P):
     P.inv = inv
 
 
-@register("poly", "Polyconic (American)")
+@register("poly")
 def setup_poly(P):
     # src/PJ_poly.c
     TOL = 1e-10
@@ -289,7 +289,7 @@ def setup_poly(P):
     P.inv = inv
 
 
-@register("bonne", "Bonne (Werner lat_1=90)")
+@register("bonne")
 def setup_bonne(P):
     # src/PJ_bonne.c
     EPS = 1e-10

@@ -18,7 +18,7 @@ from .common import FORTPI, HALFPI, HUGE, PI, aasin, asqrt
 from .projections import register
 
 
-@register("krovak", "Krovak")
+@register("krovak")
 def setup_krovak(P):
     # hardcoded Bessel ellipsoid + pseudo-standard-parallel constants
     # (PJ_krovak.c entry + forward)
@@ -117,7 +117,7 @@ def setup_krovak(P):
     P.inv = inv
 
 
-@register("eck1", "Eckert I")
+@register("eck1")
 def setup_eck1(P):
     P.es = 0.0
     FC = 0.92131773192356127802
@@ -134,7 +134,7 @@ def setup_eck1(P):
     P.inv = inv
 
 
-@register("eck2", "Eckert II")
+@register("eck2")
 def setup_eck2(P):
     P.es = 0.0
     FXC = 0.46065886596178063902
@@ -176,30 +176,30 @@ def _eck3_family(P, C_x, C_y, A, B):
     P.inv = inv
 
 
-@register("eck3", "Eckert III")
+@register("eck3")
 def setup_eck3(P):
     _eck3_family(P, 0.42223820031577120149, 0.84447640063154240298,
                  1.0, 0.4052847345693510857755)
 
 
-@register("kav7", "Kavraisky VII")
+@register("kav7")
 def setup_kav7(P):
     # NOTE: the reference assigns C_x twice; the second (0.8660254037844)
     # wins (PJ_eck3.c kav7 entry) — replicated.
     _eck3_family(P, 0.8660254037844, 1.0, 0.0, 0.30396355092701331433)
 
 
-@register("wag6", "Wagner VI")
+@register("wag6")
 def setup_wag6(P):
     _eck3_family(P, 0.94745, 0.94745, 0.0, 0.30396355092701331433)
 
 
-@register("putp1", "Putnins P1")
+@register("putp1")
 def setup_putp1(P):
     _eck3_family(P, 1.89490, 0.94745, -0.5, 0.30396355092701331433)
 
 
-@register("collg", "Collignon")
+@register("collg")
 def setup_collg(P):
     P.es = 0.0
     FXC = 1.12837916709551257390
@@ -225,7 +225,7 @@ def setup_collg(P):
     P.inv = inv
 
 
-@register("fouc_s", "Foucaut Sinusoidal")
+@register("fouc_s")
 def setup_fouc_s(P):
     P.es = 0.0
     n = P.param_f("n") if P.param_t("n") else 0.0
@@ -263,7 +263,7 @@ def setup_fouc_s(P):
     P.inv = inv
 
 
-@register("nell", "Nell")
+@register("nell")
 def setup_nell(P):
     P.es = 0.0
 
@@ -292,7 +292,7 @@ def setup_nell(P):
     P.inv = inv
 
 
-@register("wink2", "Winkel II")
+@register("wink2")
 def setup_wink2(P):
     # no inverse in the reference either (PJ_wink2.c "no inv.")
     P.es = 0.0
@@ -373,22 +373,23 @@ class _InnerProj:
         return self.pl.get_b(key)
 
 
-@register("ob_tran", "General Oblique Transformation")
+@register("ob_tran")
 def setup_ob_tran(P):
-    from .projections import PROJ_REGISTRY
+    from .projections import setup_for
     from .common import adjlon, aatan2
 
     TOL = 1e-10
     name = P.param_s("o_proj")
     if not name:
         raise ValueError("ob_tran: no o_proj (-26)")
-    if name not in PROJ_REGISTRY:
+    setup = setup_for(name)
+    if setup is None:
         raise ValueError(f"ob_tran: unknown o_proj {name!r} (-37)")
     P.es = 0.0  # force outer spherical
     P.e = 0.0
     P.one_es = P.rone_es = 1.0
     link = _InnerProj(P)
-    PROJ_REGISTRY[name][0](link)
+    setup(link)
 
     if P.param_t("o_alpha"):
         lamc = P.param_r("o_lon_c")

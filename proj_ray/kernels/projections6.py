@@ -263,11 +263,11 @@ def _healpix_common(P, rhealpix: bool):
     P.inv = inv
 
 
-@register("healpix", "HEALPix")
+@register("healpix")
 def setup_healpix(P):
     _healpix_common(P, rhealpix=False)
 
 
-@register("rhealpix", "rHEALPix")
+@register("rhealpix")
 def setup_rhealpix(P):
     _healpix_common(P, rhealpix=True)

@@ -53,27 +53,27 @@ def _sts_family(P, p, q, tan_mode):
     P.inv = inv
 
 
-@register("kav5", "Kavraisky V")
+@register("kav5")
 def setup_kav5(P):
     _sts_family(P, 1.50488, 1.35439, False)
 
 
-@register("qua_aut", "Quartic Authalic")
+@register("qua_aut")
 def setup_qua_aut(P):
     _sts_family(P, 2.0, 2.0, False)
 
 
-@register("mbt_s", "McBryde-Thomas Flat-Polar Sine (No. 1)")
+@register("mbt_s")
 def setup_mbt_s(P):
     _sts_family(P, 1.48875, 1.36509, False)
 
 
-@register("fouc", "Foucaut")
+@register("fouc")
 def setup_fouc(P):
     _sts_family(P, 2.0, 2.0, True)
 
 
-@register("vandg", "van der Grinten (I)")
+@register("vandg")
 def setup_vandg(P):
     P.es = 0.0
     TOL = 1e-10
@@ -241,12 +241,12 @@ def _aitoff_family(P, mode, cosphi1):
     P.inv = inv
 
 
-@register("aitoff", "Aitoff")
+@register("aitoff")
 def setup_aitoff(P):
     _aitoff_family(P, False, 1.0)
 
 
-@register("wintri", "Winkel Tripel")
+@register("wintri")
 def setup_wintri(P):
     if P.param_t("lat_1"):
         cosphi1 = float(np.cos(P.param_r("lat_1")))
@@ -257,7 +257,7 @@ def setup_wintri(P):
     _aitoff_family(P, True, cosphi1)
 
 
-@register("wag2", "Wagner II")
+@register("wag2")
 def setup_wag2(P):
     P.es = 0.0
     C_x, C_y, C_p1, C_p2 = 0.92483, 1.38725, 0.88022, 0.88550
@@ -276,7 +276,7 @@ def setup_wag2(P):
     P.inv = inv
 
 
-@register("wag3", "Wagner III")
+@register("wag3")
 def setup_wag3(P):
     P.es = 0.0
     ts = P.param_r("lat_ts") if P.param_t("lat_ts") else 0.0
@@ -293,7 +293,7 @@ def setup_wag3(P):
     P.inv = inv
 
 
-@register("boggs", "Boggs Eumorphic")
+@register("boggs")
 def setup_boggs(P):
     P.es = 0.0
     FXC, FXC2, FYC, FYC2 = 2.00276, 1.11072, 0.49931, 1.41421356237309504880
@@ -322,7 +322,7 @@ def setup_boggs(P):
     P.inv = _no_inverse
 
 
-@register("august", "August Epicycloidal")
+@register("august")
 def setup_august(P):
     P.es = 0.0
     M = 1.333333333333333
@@ -342,7 +342,7 @@ def setup_august(P):
     P.inv = _no_inverse
 
 
-@register("denoy", "Denoyer Semi-Elliptical")
+@register("denoy")
 def setup_denoy(P):
     P.es = 0.0
     C0, C1, C3 = 0.95, -0.08333333333333333333, 0.00166666666666666666
@@ -358,7 +358,7 @@ def setup_denoy(P):
     P.inv = _no_inverse
 
 
-@register("gins8", "Ginsburg VIII (TsNIIGAiK)")
+@register("gins8")
 def setup_gins8(P):
     P.es = 0.0
     Cl, Cp, C12 = 0.000952426, 0.162388, 0.08333333333333333
@@ -374,7 +374,7 @@ def setup_gins8(P):
     P.inv = _no_inverse
 
 
-@register("larr", "Larrivee")
+@register("larr")
 def setup_larr(P):
     P.es = 0.0
     SIXTH = 0.16666666666666666
@@ -388,7 +388,7 @@ def setup_larr(P):
     P.inv = _no_inverse
 
 
-@register("lask", "Laskowski")
+@register("lask")
 def setup_lask(P):
     P.es = 0.0
     a10, a12, a32, a14 = 0.975534, -0.119161, -0.0143059, -0.0547009
@@ -406,7 +406,7 @@ def setup_lask(P):
     P.inv = _no_inverse
 
 
-@register("tcc", "Transverse Central Cylindrical")
+@register("tcc")
 def setup_tcc(P):
     P.es = 0.0
     EPS10 = 1e-10
@@ -424,7 +424,7 @@ def setup_tcc(P):
     P.inv = _no_inverse
 
 
-@register("tcea", "Transverse Cylindrical Equal Area")
+@register("tcea")
 def setup_tcea(P):
     # src/PJ_tcea.c (spherical)
     P.es = 0.0
@@ -447,7 +447,7 @@ def setup_tcea(P):
     P.inv = inv
 
 
-@register("crast", "Craster Parabolic (Putnins P4)")
+@register("crast")
 def setup_crast(P):
     P.es = 0.0
     XM, RXM = 0.97720502380583984317, 1.02332670794648848847
@@ -467,7 +467,7 @@ def setup_crast(P):
     P.inv = inv
 
 
-@register("fahey", "Fahey")
+@register("fahey")
 def setup_fahey(P):
     P.es = 0.0
 
@@ -489,7 +489,7 @@ def setup_fahey(P):
     P.inv = inv
 
 
-@register("hatano", "Hatano Asymmetrical Equal Area")
+@register("hatano")
 def setup_hatano(P):
     P.es = 0.0
     CN, CS = 2.67595, 2.43763
@@ -532,7 +532,7 @@ def setup_hatano(P):
     P.inv = inv
 
 
-@register("loxim", "Loximuthal")
+@register("loxim")
 def setup_loxim(P):
     P.es = 0.0
     EPS = 1e-8
@@ -566,7 +566,7 @@ def setup_loxim(P):
     P.inv = inv
 
 
-@register("nell_h", "Nell-Hammer")
+@register("nell_h")
 def setup_nell_h(P):
     P.es = 0.0
 
@@ -597,7 +597,7 @@ def setup_nell_h(P):
     P.inv = inv
 
 
-@register("mbt_fps", "McBryde-Thomas Flat-Pole Sine (No. 2)")
+@register("mbt_fps")
 def setup_mbt_fps(P):
     P.es = 0.0
     C1, C2, C3 = 0.45503, 1.36509, 1.41546
@@ -631,7 +631,7 @@ def setup_mbt_fps(P):
     P.inv = inv
 
 
-@register("mbtfpp", "McBride-Thomas Flat-Polar Parabolic")
+@register("mbtfpp")
 def setup_mbtfpp(P):
     P.es = 0.0
     CS = 0.95257934441568037152
@@ -662,7 +662,7 @@ def setup_mbtfpp(P):
     P.inv = inv
 
 
-@register("mbtfpq", "McBryde-Thomas Flat-Polar Quartic")
+@register("mbtfpq")
 def setup_mbtfpq(P):
     P.es = 0.0
     C, RC = 1.70710678118654752440, 0.58578643762690495119
@@ -702,7 +702,7 @@ def setup_mbtfpq(P):
     P.inv = inv
 
 
-@register("natearth", "Natural Earth")
+@register("natearth")
 def setup_natearth(P):
     P.es = 0.0
     A0, A1, A2, A3, A4 = 0.8707, -0.131979, -0.013791, 0.003971, -0.001529
@@ -738,7 +738,7 @@ def setup_natearth(P):
     P.inv = inv
 
 
-@register("urm5", "Urmaev V")
+@register("urm5")
 def setup_urm5(P):
     P.es = 0.0
     n = P.param_f("n")
@@ -779,7 +779,7 @@ def _urmfps_setup(P, n):
     P.inv = inv
 
 
-@register("urmfps", "Urmaev Flat-Polar Sinusoidal")
+@register("urmfps")
 def setup_urmfps(P):
     if not P.param_t("n"):
         raise ValueError("urmfps: n required (-40)")
@@ -789,6 +789,6 @@ def setup_urmfps(P):
     _urmfps_setup(P, n)
 
 
-@register("wag1", "Wagner I (Kavraisky VI)")
+@register("wag1")
 def setup_wag1(P):
     _urmfps_setup(P, 0.8660254037844386467637231707)

@@ -16,7 +16,7 @@ from .common import DEG_TO_RAD, HALFPI, HUGE, aacos, aasin, adjlon, asqrt
 from .projections import register
 
 
-@register("geos", "Geostationary Satellite View")
+@register("geos")
 def setup_geos(P):
     h = P.param_f("h")
     if h <= 0.0:
@@ -120,7 +120,7 @@ def setup_geos(P):
     P.inv = inv
 
 
-@register("tpeqd", "Two Point Equidistant")
+@register("tpeqd")
 def setup_tpeqd(P):
     phi_1 = P.param_r("lat_1")
     lam_1 = P.param_r("lon_1")
@@ -230,7 +230,7 @@ def zpolyd1(z, C):
     return a, b
 
 
-@register("nzmg", "New Zealand Map Grid")
+@register("nzmg")
 def setup_nzmg(P):
     # fixed International ellipsoid + NZ origin (PJ_nzmg.c entry)
     P.a = 6378388.0

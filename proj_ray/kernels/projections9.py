@@ -25,7 +25,7 @@ def _no_inverse(x, y):
     return np.full_like(x, HUGE), np.full_like(x, HUGE)
 
 
-@register("cc", "Central Cylindrical")
+@register("cc")
 def setup_cc(P):
     P.es = 0.0
 
@@ -137,12 +137,12 @@ def _nsper_setup(P, tilt, cg=1.0, sg=0.0, cw=1.0, sw=0.0):
     P.inv = inv
 
 
-@register("nsper", "Near-sided perspective")
+@register("nsper")
 def setup_nsper(P):
     _nsper_setup(P, tilt=False)
 
 
-@register("tpers", "Tilted perspective")
+@register("tpers")
 def setup_tpers(P):
     omega = P.param_f("tilt") * DEG_TO_RAD
     gamma = P.param_f("azi") * DEG_TO_RAD
@@ -150,7 +150,7 @@ def setup_tpers(P):
                  cw=float(np.cos(omega)), sw=float(np.sin(omega)))
 
 
-@register("lagrng", "Lagrange")
+@register("lagrng")
 def setup_lagrng(P):
     TOL = 1e-10
     rw = P.param_f("W")
@@ -182,7 +182,7 @@ def setup_lagrng(P):
     P.inv = _no_inverse
 
 
-@register("oea", "Oblated Equal Area")
+@register("oea")
 def setup_oea(P):
     n = P.param_f("n")
     m = P.param_f("m")
@@ -226,7 +226,7 @@ def setup_oea(P):
     P.inv = inv
 
 
-@register("putp2", "Putnins P2")
+@register("putp2")
 def setup_putp2(P):
     P.es = 0.0
     C_x, C_y, C_p = 1.89490, 1.71848, 0.6141848493043784
@@ -280,12 +280,12 @@ def _putp3_family(P, A):
     P.inv = inv
 
 
-@register("putp3", "Putnins P3")
+@register("putp3")
 def setup_putp3(P):
     _putp3_family(P, 4.0 * 0.1013211836)
 
 
-@register("putp3p", "Putnins P3'")
+@register("putp3p")
 def setup_putp3p(P):
     _putp3_family(P, 2.0 * 0.1013211836)
 
@@ -312,12 +312,12 @@ def _putp4p_family(P, C_x, C_y):
     P.inv = inv
 
 
-@register("putp4p", "Putnins P4'")
+@register("putp4p")
 def setup_putp4p(P):
     _putp4p_family(P, 0.874038744, 3.883251825)
 
 
-@register("weren", "Werenskiold I")
+@register("weren")
 def setup_weren(P):
     _putp4p_family(P, 1.0, 4.442882938)
 
@@ -338,12 +338,12 @@ def _putp5_family(P, A, B):
     P.inv = inv
 
 
-@register("putp5", "Putnins P5")
+@register("putp5")
 def setup_putp5(P):
     _putp5_family(P, 2.0, 1.0)
 
 
-@register("putp5p", "Putnins P5'")
+@register("putp5p")
 def setup_putp5p(P):
     _putp5_family(P, 1.5, 0.5)
 
@@ -382,17 +382,17 @@ def _putp6_family(P, C_x, C_y, A, B, D):
     P.inv = inv
 
 
-@register("putp6", "Putnins P6")
+@register("putp6")
 def setup_putp6(P):
     _putp6_family(P, 1.01346, 0.91910, 4.0, 2.1471437182129378784, 2.0)
 
 
-@register("putp6p", "Putnins P6'")
+@register("putp6p")
 def setup_putp6p(P):
     _putp6_family(P, 0.44329, 0.80404, 6.0, 5.61125, 3.0)
 
 
-@register("wag7", "Wagner VII")
+@register("wag7")
 def setup_wag7(P):
     P.es = 0.0
 
@@ -442,17 +442,17 @@ def _vandg23(P, vdg3):
     P.inv = _no_inverse
 
 
-@register("vandg2", "van der Grinten II")
+@register("vandg2")
 def setup_vandg2(P):
     _vandg23(P, False)
 
 
-@register("vandg3", "van der Grinten III")
+@register("vandg3")
 def setup_vandg3(P):
     _vandg23(P, True)
 
 
-@register("vandg4", "van der Grinten IV")
+@register("vandg4")
 def setup_vandg4(P):
     P.es = 0.0
     TOL = 1e-10
@@ -516,16 +516,16 @@ def _bacon_family(P, bacn, ortl):
     P.inv = _no_inverse
 
 
-@register("apian", "Apian Globular I")
+@register("apian")
 def setup_apian(P):
     _bacon_family(P, False, False)
 
 
-@register("ortel", "Ortelius Oval")
+@register("ortel")
 def setup_ortel(P):
     _bacon_family(P, False, True)
 
 
-@register("bacon", "Bacon Globular")
+@register("bacon")
 def setup_bacon(P):
     _bacon_family(P, True, False)

@@ -82,21 +82,21 @@ def xyz_to_face_uv(x, y, z):
                     np.where(ay >= az, 1, 2))
     major = np.choose(axis, [x, y, z])
     face = np.where(major >= 0, axis, axis + 3).astype(np.int64)
-    # published per-face (u, v) table
+    # published per-face (u, v) table, applied to that face's lanes only:
+    # each lane divides by its own major component, never by another
+    # face's (near-)zero one
     u = np.empty_like(x)
     v = np.empty_like(x)
-    for f, (ue, ve) in enumerate((
-            (lambda: y / x, lambda: z / x),      # 0: +x
-            (lambda: -x / y, lambda: z / y),     # 1: +y
-            (lambda: -x / z, lambda: -y / z),    # 2: +z
-            (lambda: z / x, lambda: y / x),      # 3: -x
-            (lambda: z / y, lambda: -x / y),     # 4: -y
-            (lambda: -y / z, lambda: -x / z))):  # 5: -z
+    for f, uv in enumerate((
+            lambda x, y, z: (y / x, z / x),      # 0: +x
+            lambda x, y, z: (-x / y, z / y),     # 1: +y
+            lambda x, y, z: (-x / z, -y / z),    # 2: +z
+            lambda x, y, z: (z / x, y / x),      # 3: -x
+            lambda x, y, z: (z / y, -x / y),     # 4: -y
+            lambda x, y, z: (-y / z, -x / z))):  # 5: -z
         m = face == f
         if m.any():
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u[m] = ue()[m]
-                v[m] = ve()[m]
+            u[m], v[m] = uv(x[m], y[m], z[m])
     return face, u, v
 
 

@@ -150,15 +150,38 @@ def test_proj_V_verbose_factors():
     assert "Convergence : 1d27'46.751\" [ 1.46298636 ]" in txt
 
 
+# sha256 of each listing's full output, frozen from the descr.py and
+# crs.py tables; any change to a description, the order or a format shows
+_LISTING_SHA256 = {
+    "-l": "085401a8df70ed93d54eb14c8fc1b1a034cade115d682d3c23dcc413f4ac31bd",
+    "-lp": "085401a8df70ed93d54eb14c8fc1b1a034cade115d682d3c23dcc413f4ac31bd",
+    "-lP": "634f08355188b9b7dae8647ea5c02aa0d3386963fa6b6ab683d666441d590ff5",
+    "-le": "c84c0b692282e999ba1c7fc14f23030af339e851f1052e15e395c8b23f7f3a71",
+    "-lu": "8772cc0daee059a78d92b96f19ca63dca582374552d411bbc2b4dc249d75ce41",
+    "-ld": "9ab031f7ed681580c88f76df24b7caa07b4e233189016525a3483a24fa0da88b",
+    "-l=stere":
+        "b724969f857ba5bf42c9925d4e385710c592760a33dfd4e920dceb667dc42575",
+}
+
+
 def test_proj_listings():
-    for fl, minlen, probe in [(["-lp"], 130, "aea : Albers Equal Area"),
-                              (["-le"], 43, "WGS 84"),
-                              (["-lu"], 21, "U.S. Surveyor's Foot"),
-                              (["-ld"], 11, "North_American_Datum_1927"),
-                              (["-l=stere"], 1, "stere : Stereographic")]:
-        lines = run(proj_main, fl, "")
+    import hashlib
+
+    for fl, minlen, probe in [("-l", 130, "merc : Mercator"),
+                              ("-lp", 130, "aea : Albers Equal Area"),
+                              ("-lP", 300, "\tlat_1= lat_2="),
+                              ("-le", 43, "WGS 84"),
+                              ("-lu", 21, "U.S. Surveyor's Foot"),
+                              ("-ld", 11, "North_American_Datum_1927"),
+                              ("-l=stere", 1, "stere : Stereographic")]:
+        out = io.StringIO()
+        proj_main([fl], stdin=io.StringIO(""), stdout=out)
+        text = out.getvalue()
+        lines = text.splitlines()
         assert len(lines) >= minlen, fl
         assert any(probe in ln for ln in lines), (fl, probe)
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == _LISTING_SHA256[fl]), fl
 
 
 def test_proj_T_chebyshev():

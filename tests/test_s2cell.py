@@ -69,6 +69,33 @@ def test_nonfinite_lanes_get_id_zero():
         assert s2.cell_id_from_lonlat(np.nan, 0.0) == 0
 
 
+def test_near_zero_components_all_faces():
+    """A batch on all six faces whose off-axis components are tiny (down
+    to subnormal) raises no overflow, divide or invalid flag, and keeps
+    the scalar reference's ids.  Each face's (u, v) divides only its own
+    lanes, by their major component.  Underflow stays ignored: lon/lat ->
+    xyz itself rounds these components into the subnormal range."""
+    tiny = (0.0, 1e-310, -1e-310, 1e-300, -1e-14)
+    lon, lat = [], []
+    for clon in (0.0, 90.0, 180.0, -90.0):
+        for a in tiny:
+            for b in tiny:
+                lon.append(clon + a)
+                lat.append(b)
+    for clat in (90.0, -90.0, 89.999999999, -89.999999999):
+        for a in tiny:
+            lon.append(a)
+            lat.append(clat)
+    lon, lat = np.array(lon), np.array(lat)
+    with np.errstate(all="raise", under="ignore"):
+        face, _, _ = s2.xyz_to_face_uv(*s2.lonlat_to_xyz(lon, lat))
+        ids = s2.cell_id_from_lonlat(lon, lat)
+    assert set(face.tolist()) == set(range(6))
+    sc = np.array([s2_cell_id_scalar(a, b) for a, b in zip(lon, lat)],
+                  dtype=np.uint64)
+    assert (ids == sc).all()
+
+
 def test_center_scalar_parity_and_roundtrip():
     lon, lat = _grid_points(1500, seed=11)
     leaf = s2.cell_id_from_lonlat(lon, lat)
