@@ -80,6 +80,15 @@ def _sorted_pdf(obj, by):
     return df.sort_values(by).reset_index(drop=True)
 
 
+def _typed(ds, **cols):
+    """``ds``, or an empty table with ``cols`` (name -> pyarrow type)
+    when ``ds`` has no rows: Ray Data keeps no schema for a zero-row
+    Dataset (its ``to_pandas()`` has no columns), while the oracle's
+    empty result has typed ones."""
+    ds = ds.materialize()
+    return ds if ds.count() else pa.schema(cols).empty_table()
+
+
 # ===========================================================================
 # Geospatial: PROJ-kernel transforms with independent SQL oracles.
 # Engine constants (series coefficients, lam0, es, ...) are computed once
@@ -980,10 +989,8 @@ def raster_polygonize(sf_dir):
     (stages.agg.combine_partials) size-dispatches onto its distributed
     branch for fine rasters.  The threshold + CC here run driver-side
     over that raster-bounded cell table (16M cells at zoom 12 is still
-    driver-tractable); a deployment with a corpus-scale raster would
-    build the adjacency edges distributively and hand the edge Dataset
-    to cc_min_label, whose own dispatch takes the distributed
-    min-label path past 2M edges."""
+    driver-tractable; the CC kernel is a few numpy passes per
+    halving of the component count)."""
     from ..stages.raster import polygonize
     from ..stages.agg import combine_partials
 
@@ -1318,20 +1325,23 @@ def _pair_join_sql():
 @query("radius_pair_join", sql=_pair_join_sql())
 def radius_pair_join(sf_dir):
     """All point pairs within 30 km great-circle distance — the
-    replicated grid-bucket spatial self-join (stages.pairjoin): 9x cell
-    replication, ONE hash shuffle, per-cell exact haversine with each
-    unordered pair emitted in its smaller-pid endpoint's home cell; the
-    3x3 cell cover is PROVED exact for the radius (see the stage
+    replicated grid-bucket spatial self-join (stages.pairjoin): each
+    point replicates into the neighbor cells with a smaller id (~5x),
+    ONE shuffle co-locates each cell in one block, and one vectorised
+    kernel per block runs the exact haversine; a cross-cell pair is
+    owned by its smaller cell id, a same-cell pair by the pid order.
+    The 3x3 cell cover is PROVED exact for the radius (see the stage
     docstring), so rows equal the unindexed quadratic join's. The pair
     stream is globally distinct straight out of the single shuffle —
     duplicate-pid input rows (synthetic lineitem) collapse inside the
-    one group that owns their pair, mirroring the oracle's DISTINCT
+    one cell that owns their pair, mirroring the oracle's DISTINCT
     points — so the query is Dataset-to-Dataset with no second shuffle
     and no driver materialization."""
     from ..stages.pairjoin import radius_pair_join_stage
 
     pts = _points_ds(sf_dir)
-    return radius_pair_join_stage(pts, radius_m=_PAIR_RADIUS_M)
+    return _typed(radius_pair_join_stage(pts, radius_m=_PAIR_RADIUS_M),
+                  pid_a=pa.int64(), pid_b=pa.int64(), dist_m=pa.float64())
 
 
 # -- geodesic polygon area ----------------------------------------------------
@@ -1479,7 +1489,8 @@ def rect_overlap_join(sf_dir):
         _rect_batch("p_partkey", 65537, 30000, 30011, 14000,
                     30, 48271, 250, 30, 7919, 175),
         batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
-    return rect_overlap_join_stage(ra, rb)
+    return _typed(rect_overlap_join_stage(ra, rb), rid_a=pa.int64(),
+                  rid_b=pa.int64(), overlap_area=pa.int64())
 
 
 # -- trajectory length -------------------------------------------------------
@@ -1581,31 +1592,33 @@ def trajectory_length(sf_dir):
 
 
 @query("spatial_clusters", sql=_golden_sql("spatial_clusters_sf001.parquet"))
-def spatial_clusters(sf_dir, max_rounds: int = 400):
+def spatial_clusters(sf_dir):
     """Spatial density clustering: connected components of the 30 km
     great-circle neighbor graph — single-linkage radius clustering
     (DBSCAN with eps=30 km, minPts=2; Ester et al. 1996), composed
-    entirely from shipped distributed pieces: the replicated
-    grid-bucket pair join emits the edge list (stages.pairjoin, one
-    shuffle, globally distinct), cc_min_label propagates component
-    representatives (size-dispatched driver/distributed), and
-    attach_clusters labels every input row (size-dispatched
-    broadcast/join).  The edge list is the LOCALLY-CONTRACTED spanning
-    set (radius_spanning_edges_stage): each cell's components collapse
-    to min-pid stars inside the group, so global edges are LINEAR in
-    points (the raw 30 km pair list is quadratic in dense regions —
-    7.4M pairs at sf0.1 vs <=0.46M star edges) and the propagation
-    depth cc_min_label pays shrinks with every contracted cell.
+    from the pair join and the CC kernel (_cluster_labels).
     Output: (pid, cluster) per input ROW, cluster = min pid of the
-    component; singletons keep their own id.  Golden: brute-force
-    O(n^2) scalar edge scan + pure-Python union-find
+    component; singletons, and points with a non-finite coordinate,
+    keep their own id.  Golden: brute-force O(n^2) scalar edge scan +
+    pure-Python union-find
     (tools/freeze_goldens.freeze_spatial_clusters_golden)."""
+    return _typed(_cluster_labels(_points_ds(sf_dir)), pid=pa.int64(),
+                  cluster=pa.int64())
+
+
+def _cluster_labels(pts):
+    """(pid, cluster) per row of ``pts``: the replicated grid-bucket
+    pair join contracts each block's 30 km pairs to min-pid stars
+    (stages.pairjoin.radius_spanning_edges_stage), so the edge list is
+    LINEAR in points (the raw pair list is quadratic in dense regions —
+    7.4M pairs at sf0.1 vs <=0.46M star edges); attach_clusters runs
+    the CC kernel once over the stars on the driver and labels every
+    row."""
     from ..stages.cc import attach_clusters
     from ..stages.pairjoin import radius_spanning_edges_stage
 
-    pts = _points_ds(sf_dir)
-    edges = radius_spanning_edges_stage(pts, _PAIR_RADIUS_M)
-    return attach_clusters(pts, edges, id_col="pid", max_rounds=max_rounds)
+    return attach_clusters(pts, radius_spanning_edges_stage(
+        pts, _PAIR_RADIUS_M))
 
 
 # ===========================================================================
@@ -2719,15 +2732,14 @@ def _cluster_bucket(df: pd.DataFrame) -> pd.DataFrame:
 
 
 @query("cluster_convex_hull", sql=_golden_sql("cluster_hull_sf001.parquet"))
-def cluster_convex_hull(sf_dir, max_rounds: int = 400):
+def cluster_convex_hull(sf_dir):
     """Convex hull per spatial cluster — the footprint-polygon step a
     geo pipeline runs after density clustering (cluster extents for
     map display, coverage area, downstream PIP).  Chains the shipped
-    stack: 30 km radius clusters (radius_spanning_edges_stage ->
-    attach_clusters) -> distinct (cluster, pid) via one
-    bucket_aggregate -> per-cluster Andrew monotone chain
-    (`kernels/hull.py`), emitting CCW vertices (ord 0 = smallest
-    (lon, lat)) for clusters with >= 3 distinct coordinates.
+    stack: 30 km radius clusters (_cluster_labels) -> distinct
+    (cluster, pid) via one bucket_aggregate -> per-cluster Andrew
+    monotone chain (`kernels/hull.py`), emitting CCW vertices (ord 0 =
+    smallest (lon, lat)) for clusters with >= 3 distinct coordinates.
 
     Scale: the hull pass is a coarse-bucket shuffle of (cluster, pid)
     pairs — one row per distinct member, never the raw multiplicity —
@@ -2741,15 +2753,10 @@ def cluster_convex_hull(sf_dir, max_rounds: int = 400):
     the same double-precision cross-product expression, so the
     lattice-aligned (0.01-degree) collinear cases classify
     identically."""
-    from ..stages.cc import attach_clusters
     from ..kernels.hull import convex_hull_ccw
     from ..stages.agg import bucket_aggregate
-    from ..stages.pairjoin import radius_spanning_edges_stage
 
-    pts = _points_ds(sf_dir)
-    edges = radius_spanning_edges_stage(pts, _PAIR_RADIUS_M)
-    labels = attach_clusters(pts, edges, id_col="pid",
-                             max_rounds=max_rounds)
+    labels = _cluster_labels(_points_ds(sf_dir))
     members = bucket_aggregate(labels, ["cluster", "pid"], {"n": "count"})
 
     def hulls(g: pd.DataFrame) -> pd.DataFrame:
@@ -2789,7 +2796,7 @@ def cluster_convex_hull(sf_dir, max_rounds: int = 400):
 
 @query("cluster_diameter",
        sql=_golden_sql("cluster_diameter_sf001.parquet"))
-def cluster_diameter(sf_dir, max_rounds: int = 400):
+def cluster_diameter(sf_dir):
     """Max planar extent per spatial cluster, computed over HULL
     VERTICES ONLY: the farthest pair of a point set under Euclidean
     distance are extreme points, so after the monotone chain the
@@ -2800,15 +2807,10 @@ def cluster_diameter(sf_dir, max_rounds: int = 400):
     Same pipeline and >= 3-distinct-coords contract as
     cluster_convex_hull; d2_deg is the identical IEEE double
     dx*dx + dy*dy on both sides."""
-    from ..stages.cc import attach_clusters
     from ..kernels.hull import convex_hull_ccw
     from ..stages.agg import bucket_aggregate
-    from ..stages.pairjoin import radius_spanning_edges_stage
 
-    pts = _points_ds(sf_dir)
-    edges = radius_spanning_edges_stage(pts, _PAIR_RADIUS_M)
-    labels = attach_clusters(pts, edges, id_col="pid",
-                             max_rounds=max_rounds)
+    labels = _cluster_labels(_points_ds(sf_dir))
     members = bucket_aggregate(labels, ["cluster", "pid"], {"n": "count"})
 
     def diam(g: pd.DataFrame) -> pd.DataFrame:

@@ -1,202 +1,64 @@
-"""Connected components over a duplicate-candidate edge list
-(min-label propagation) and the size-dispatched label attach.
-``raster_polygonize`` and the cluster queries (``spatial_clusters``,
-``cluster_convex_hull``, ``cluster_diameter``) label their regions and
-clusters with it."""
+"""Connected components over an int64 ``src``/``dst`` edge list and the
+label attach.  ``raster_polygonize`` and the cluster queries
+(``spatial_clusters``, ``cluster_convex_hull``, ``cluster_diameter``)
+label their regions and clusters with it.
+
+One kernel, :func:`min_labels`: numpy hook-and-shortcut (Shiloach-
+Vishkin style).  Every round hooks each tree root onto the smallest
+root across its edges, then pointer-jumps every node to its root.
+Pointers only ever decrease, so the forest stays acyclic, and every
+root that still shares an edge with another root merges in the round,
+so the root count at least halves: O(log n) rounds, exact for any
+graph diameter.  Each round is a few whole-array gathers and one
+``np.minimum.at`` scatter per edge end.
+
+Scale shape: the cluster queries hand it per-block edges inside the
+pair-join kernel (stages.pairjoin), and once more on the driver over
+the blocks' min-pid stars, which are linear in points, never in pairs.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 
-# ---------------------------------------------------------------------------
-# Connected components over a duplicate-candidate edge list: min-label
-# propagation.  Edges come from exact-hash groups, LSH buckets, or any
-# pairwise candidate generator; components give dedup cluster ids
-# (cluster = min member id).
-#
-# Scale shape: the edge list of a dedup run is sub-linear in the corpus
-# (only near-duplicate pairs survive banding), so each round is two
-# hash joins (edge ends -> current labels) + a groupby-min — key-hash
-# shuffles of SMALL tables, never of the corpus itself.  Rounds needed =
-# graph diameter; dedup graphs are star-like (1-3 rounds).  The corpus
-# join happens ONCE at the end, against the label table.
-#
-# `cc_min_label` dispatches: below `driver_threshold` edges it runs the
-# pandas rounds on the driver (groupby latency dominates tiny inputs);
-# above, `cc_min_label_distributed` runs the same rounds as Ray Dataset
-# joins + groupby-min, so the edge list never has to fit on one machine.
-
-
-def _adaptive_partitions(requested: int) -> int:
-    """Cap hash-shuffle partition counts at the cluster CPU count: each
-    join partition is an aggregator actor, and requesting more actors
-    than CPUs deadlocks a small (test) cluster.  On a big cluster the
-    requested count passes through."""
-    import ray
-
-    try:
-        cpus = int(ray.cluster_resources().get("CPU", requested))
-    except Exception:
-        cpus = requested
-    return max(2, min(requested, cpus))
-
-
-class CCNotConverged(RuntimeError):
-    """min-label propagation exhausted max_rounds without reaching a
-    fixpoint (component diameter > max_rounds)."""
-
-
-def cc_min_label(edges, max_rounds: int = 50, driver_threshold: int = 2_000_000,
-                 on_nonconverged: str = "raise", as_dataset: bool = False):
-    """Connected components by min-label propagation.
-
-    ``edges`` is a Ray Dataset with int64 columns ``src``/``dst`` (or a
-    pyarrow Table / pandas DataFrame for driver-side use).  Returns a
-    pandas DataFrame (node, label) where label = min node id reachable —
-    the component representative.
-
-    Dispatch: edge lists under ``driver_threshold`` rows run driver-side
-    (vectorized pandas rounds — distributed groupby latency would
-    dominate); larger ones run through `cc_min_label_distributed`.
-    For those large inputs pass ``as_dataset=True`` to receive the
-    label table as a Ray Dataset and attach it with
-    :func:`attach_labels_join` — the default pandas return collects a
-    per-dup-node table to the driver, which defeats the scale path the
-    dispatch just took (kept for small-result compatibility only).
-    ``on_nonconverged``: 'raise' (default) raises CCNotConverged when
-    max_rounds is exhausted before the fixpoint; 'warn' returns the
-    partial labels with a warning."""
-    import pandas as pd
-
-    if hasattr(edges, "groupby") and not isinstance(edges, pd.DataFrame):
-        # Ray Dataset path
-        edges = edges.materialize()
-        n_edges = edges.count()
-        if n_edges > driver_threshold:
-            labels = cc_min_label_distributed(
-                edges, max_rounds=max_rounds, on_nonconverged=on_nonconverged)
-            return labels if as_dataset else labels.to_pandas()
-        df = edges.to_pandas()
-    elif hasattr(edges, "to_pandas"):
-        df = edges.to_pandas()
-    else:
-        df = pd.DataFrame(edges)
-    if df.empty:  # no duplicate pairs at all -> no labeled nodes
-        empty = pd.DataFrame({"node": pd.Series(dtype="int64"),
-                              "label": pd.Series(dtype="int64")})
-        if as_dataset:
-            import ray.data as _rd
-
-            return _rd.from_pandas(empty)
-        return empty
-    src = df["src"].to_numpy(dtype=np.int64)
-    dst = df["dst"].to_numpy(dtype=np.int64)
-    # driver path: union-find with path halving, union by MIN id (nodes
-    # are sorted, so index order == id order and the root is the
-    # component min).  One O(E a(N)) pass — exact for ANY diameter, so
-    # max_rounds/on_nonconverged only govern the distributed rounds.
-    # (The previous per-round pandas propagation paid diameter x E
-    # index lookups: 69 s on the 538k-edge sf0.1 radius graph; this
-    # pass is ~1 s with identical labels.)
-    nodes, inv = np.unique(np.concatenate([src, dst]),
-                           return_inverse=True)
-    si, di = inv[: src.size], inv[src.size:]
-    parent = np.arange(nodes.size, dtype=np.int64)
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a, b in zip(si, di):
-        ra, rb = find(int(a)), find(int(b))
-        if ra != rb:
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-    roots = np.fromiter((find(int(i)) for i in range(nodes.size)),
-                        dtype=np.int64, count=nodes.size)
-    out = pd.DataFrame({"node": nodes, "label": nodes[roots]})
-    if as_dataset:
-        import ray.data as _rd
-
-        return _rd.from_pandas(out)
-    return out
-
-
-def _handle_nonconverged(max_rounds: int, on_nonconverged: str):
-    msg = (f"min-label propagation did not converge in {max_rounds} rounds "
-           f"(component diameter exceeds max_rounds); labels are partial")
-    if on_nonconverged == "raise":
-        raise CCNotConverged(msg)
-    import warnings
-
-    warnings.warn(msg, RuntimeWarning)
-
-
-def cc_min_label_distributed(edges, max_rounds: int = 25,
-                             num_partitions: int = 16,
-                             on_nonconverged: str = "raise"):
-    """Distributed min-label propagation over a Ray Dataset of
-    src/dst int64 edges.  Returns a Ray Dataset (node, label).
-
-    Per round: hash-join current labels onto each edge end (two
-    Dataset.join shuffles of the SMALL edge/label tables), union with
-    the self-labels, groupby('node').min().  Labels per node decrease
-    monotonically, so an unchanged label sum == fixpoint (the
-    convergence check is one tiny aggregate per round)."""
-
-    # two joins run concurrently in each round's DAG; halve so their
-    # combined aggregator-actor demand still fits the cluster
-    num_partitions = max(2, _adaptive_partitions(num_partitions * 2) // 2)
-
-    def ends(t: pa.Table) -> pa.Table:
-        s = t["src"].to_numpy(zero_copy_only=False).astype(np.int64)
-        d = t["dst"].to_numpy(zero_copy_only=False).astype(np.int64)
-        nodes = np.concatenate([s, d])
-        return pa.table({"node": pa.array(nodes, pa.int64()),
-                         "label": pa.array(nodes, pa.int64())})
-
-    from .agg import bucket_aggregate
-
-    labels = bucket_aggregate(
-        edges.map_batches(ends, batch_format="pyarrow", batch_size=None),
-        ["node"], {"label": "min"}).materialize()
-    prev_sum = labels.sum("label")
-
-    def from_dst(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["src"], "label": t["label"]})
-
-    def from_src(t: pa.Table) -> pa.Table:
-        return pa.table({"node": t["dst"], "label": t["label"]})
-
-    converged = False
-    for _ in range(max_rounds):
-        c1 = (edges.join(labels, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("dst",), right_on=("node",))
-              .map_batches(from_dst, batch_format="pyarrow", batch_size=None))
-        c2 = (edges.join(labels, join_type="inner",
-                         num_partitions=num_partitions,
-                         on=("src",), right_on=("node",))
-              .map_batches(from_src, batch_format="pyarrow", batch_size=None))
-        new_labels = bucket_aggregate(
-            c1.union(c2).union(labels),
-            ["node"], {"label": "min"}).materialize()
-        s = new_labels.sum("label")
-        labels = new_labels
-        if s == prev_sum:
-            converged = True
+def min_labels(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """-> (nodes, labels): every node that appears in an edge, sorted,
+    and the smallest node id of its component."""
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    nodes, inv = np.unique(np.concatenate([src, dst]), return_inverse=True)
+    u, v = inv[: src.size], inv[src.size:]
+    # nodes are sorted, so index order is id order and a root (the
+    # smallest index its pointers reach) is its component's min id
+    lab = np.arange(nodes.size, dtype=np.int64)
+    while True:
+        lu, lv = lab[u], lab[v]
+        split = lu != lv
+        if not split.any():
             break
-        prev_sum = s
-    if not converged:
-        _handle_nonconverged(max_rounds, on_nonconverged)
-    return labels
+        lu, lv = lu[split], lv[split]
+        low = np.minimum(lu, lv)
+        np.minimum.at(lab, lu, low)
+        np.minimum.at(lab, lv, low)
+        while True:
+            up = lab[lab]
+            if np.array_equal(up, lab):
+                break
+            lab = up
+    return nodes, nodes[lab]
+
+
+def cc_min_label(edges) -> pd.DataFrame:
+    """Connected components of an edge table with int64 columns
+    ``src``/``dst`` (a pandas DataFrame, a pyarrow Table or a dict of
+    arrays).  Returns a pandas DataFrame (node, label) where label is the
+    smallest node id of the node's component."""
+    nodes, labels = min_labels(edges["src"], edges["dst"])
+    return pd.DataFrame({"node": nodes, "label": labels})
 
 
 def attach_labels(ids: np.ndarray, labels) -> np.ndarray:
@@ -217,65 +79,21 @@ def attach_labels(ids: np.ndarray, labels) -> np.ndarray:
     return out
 
 
-def attach_labels_join(ds, labels_ds, id_col: str = "doc_id",
-                       num_partitions: int = 16):
-    """Distributed label attach: left-join the corpus id column against
-    the (node, label) Dataset; unmatched ids (singletons) keep their own
-    id.  This is the 100 TB path — the corpus streams through one hash
-    join, the label table is never collected."""
-    joined = ds.join(labels_ds, join_type="left_outer",
-                     num_partitions=_adaptive_partitions(num_partitions),
-                     on=(id_col,), right_on=("node",))
+def attach_clusters(points, edges):
+    """Label every row of ``points`` (a Dataset with a ``pid`` column)
+    with the smallest pid of its component in ``edges`` (a Dataset of
+    int64 ``src``/``dst``).  The edges are collected once on the driver,
+    so they must be linear in points (the pair join's min-pid stars
+    are); the (node, label) table then rides to every task.  Returns a
+    Dataset (pid, cluster); pids in no edge keep their own id."""
+    # a zero-row Dataset converts to a frame without columns
+    labels = cc_min_label(edges.to_pandas().reindex(columns=["src", "dst"]))
 
-    def fin(t: pa.Table) -> pa.Table:
-        ids = pc.cast(t[id_col], pa.int64())
-        lab = pc.coalesce(pc.cast(t["label"], pa.int64()), ids)
-        return pa.table({id_col: ids, "cluster": lab})
+    def attach(t: pa.Table) -> pa.Table:
+        ids = pc.cast(t["pid"], pa.int64()).to_numpy(zero_copy_only=False)
+        return pa.table({"pid": pa.array(ids, pa.int64()),
+                         "cluster": pa.array(attach_labels(ids, labels),
+                                             pa.int64())})
 
-    return joined.map_batches(fin, batch_format="pyarrow", batch_size=None)
-
-
-def attach_clusters(ds, edges, id_col: str = "doc_id",
-                    broadcast_threshold: int = 5_000_000,
-                    num_partitions: int = 16, max_rounds: int = 50,
-                    path: str | None = None):
-    """Label every row of ``ds`` with its dedup-cluster representative:
-    cc_min_label over ``edges`` then a size-dispatched attach.
-
-    - broadcast (label count <= ``broadcast_threshold``): the (node,
-      label) table rides to every task, vectorized searchsorted attach —
-      fine while the DUPLICATED-doc count is small;
-    - join (the 100 TB path): :func:`attach_labels_join` hash-joins the
-      corpus id column against the label Dataset, nothing
-      dup-count-proportional on the driver.
-
-    Returns a Dataset (id_col, cluster); singletons keep their own id.
-    ``path`` forces 'broadcast' or 'join' (parity tests)."""
-    labels_ds = cc_min_label(edges, max_rounds=max_rounds, as_dataset=True)
-    labels_ds = labels_ds.materialize()
-    if path is None:
-        path = ("broadcast" if labels_ds.count() <= broadcast_threshold
-                else "join")
-    elif path not in ("broadcast", "join"):
-        raise ValueError(f"attach_clusters: unknown path {path!r}")
-
-    def to_i64(t: pa.Table) -> pa.Table:
-        # int64 ids in both branches; join keys must match the label
-        # table's int64 node column
-        return pa.table({id_col: pc.cast(t[id_col], pa.int64())})
-
-    ids_only = ds.select_columns([id_col]).map_batches(
-        to_i64, batch_format="pyarrow", batch_size=None)
-    if path == "broadcast":
-        labels = labels_ds.to_pandas()
-
-        def attach(t: pa.Table) -> pa.Table:
-            ids = t[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-            clu = attach_labels(ids, labels)
-            return pa.table({id_col: pa.array(ids, pa.int64()),
-                             "cluster": pa.array(clu, pa.int64())})
-
-        return ids_only.map_batches(attach, batch_format="pyarrow",
-                                    batch_size=None)
-    return attach_labels_join(ids_only, labels_ds, id_col=id_col,
-                              num_partitions=num_partitions)
+    return points.select_columns(["pid"]).map_batches(
+        attach, batch_format="pyarrow", batch_size=None)

@@ -19,15 +19,13 @@ Pipeline shape (the 100-TB story):
    resolution, e.g. 72x32 here, zoom-12 -> 16M cells), not the corpus.
 3. **Vectorize** — 4-adjacency edges via two vectorized merges (right
    and down neighbors; no Python loop over cells), then connected
-   components through :func:`proj_ray.stages.cc.cc_min_label`.
-   This module's :func:`polygonize` builds the edges driver-side — the
-   raster (not the corpus) bounds that table, which stays
-   driver-tractable up to ~zoom-12 (16M cells); a corpus-scale raster
-   would build edges distributively (the same two merges as Dataset
-   joins) and pass the edge Dataset to cc_min_label, whose dispatch
-   takes the distributed min-label path past 2M edges.  Isolated
-   active cells are their own components.  Output: one row per region
-   with cell count, bounding box and the summed cell values.
+   components through :func:`proj_ray.stages.cc.cc_min_label` (numpy
+   hook-and-shortcut, exact for any region shape).  This module's
+   :func:`polygonize` builds the edges driver-side — the raster (not
+   the corpus) bounds that table, which stays driver-tractable up to
+   ~zoom-12 (16M cells).  Isolated active cells are their own
+   components.  Output: one row per region with cell count, bounding
+   box and the summed cell values.
 """
 
 from __future__ import annotations
@@ -69,8 +67,7 @@ def adjacency_edges(active: pd.DataFrame) -> pd.DataFrame:
                          "dst": hits["id"].to_numpy(np.int64)})
 
 
-def polygonize(cells: pd.DataFrame, frac: float = 0.3,
-               max_rounds: int = 4096) -> pd.DataFrame:
+def polygonize(cells: pd.DataFrame, frac: float = 0.3) -> pd.DataFrame:
     """Thresholded raster -> vector regions.
 
     ``cells``: int64 (r, c, n) per-cell counts (raster-bounded — the
@@ -84,7 +81,7 @@ def polygonize(cells: pd.DataFrame, frac: float = 0.3,
             "component", "n_cells", "total_points",
             "row_min", "row_max", "col_min", "col_max")})
     edges = adjacency_edges(act)
-    labels = cc_min_label(edges, max_rounds=max_rounds)
+    labels = cc_min_label(edges)
     lab = act.merge(labels, left_on="id", right_on="node", how="left")
     # isolated cells (no adjacent active neighbor) label themselves
     comp = lab["label"].fillna(lab["id"]).astype(np.int64)

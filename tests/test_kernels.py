@@ -402,24 +402,3 @@ def test_catalog_datum_transform_e2e(tmp_path, monkeypatch):
     from proj_ray.crs import CRS
     c = CRS("+proj=latlong +nadgrids=@null +catalog=catalog.csv +ellps=WGS84")
     assert c.catalog_name is None
-
-
-def test_cc_min_label_propagation():
-    """Connected components: chains need multiple propagation rounds;
-    empty edge lists and disjoint components are handled."""
-    import pandas as pd
-
-    from proj_ray.stages.cc import cc_min_label
-
-    # chain 0-1-2-3-4 (diameter 4) + separate pair (10, 11)
-    e = pd.DataFrame({"src": [1, 2, 3, 4, 11], "dst": [0, 1, 2, 3, 10]})
-    lab = cc_min_label(e).set_index("node")["label"]
-    assert (lab.loc[[0, 1, 2, 3, 4]] == 0).all()
-    assert (lab.loc[[10, 11]] == 10).all()
-    # empty edges
-    empty = cc_min_label(pd.DataFrame({"src": [], "dst": []}))
-    assert len(empty) == 0
-    # cycle
-    e2 = pd.DataFrame({"src": [5, 6, 7], "dst": [6, 7, 5]})
-    lab2 = cc_min_label(e2).set_index("node")["label"]
-    assert (lab2 == 5).all()

@@ -57,8 +57,8 @@ def test_radius_pair_join_matches_bruteforce(ray_session):
 
 def test_spatial_clusters_matches_fresh_union_find(ray_session):
     """Engine CC labels equal a freshly-computed brute-force union-find
-    at sf0.001 (independent of the frozen golden); the attach path
-    dispatch itself is parity-tested in test_dedup_distributed."""
+    at sf0.001 (independent of the frozen golden); the CC kernel and
+    the attach are tested on their own in test_cc."""
     from proj_ray.pipelines.queries import QUERIES
 
     li = pd.read_parquet("/root/testdata/sf0.001/lineitem.parquet",
@@ -166,3 +166,85 @@ def test_rect_overlap_join_matches_bruteforce(ray_session):
     assert (want["overlap_area"] == 0).any()  # touching edges present
     pd.testing.assert_frame_equal(
         got.astype({c: want[c].dtype for c in want.columns}), want)
+
+
+def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
+    """Zero-row inputs: radius_pair_join and rect_overlap_join return
+    their oracles' (empty) columns and dtypes, spatial_clusters an empty
+    int64 (pid, cluster) frame."""
+    import duckdb
+    import pyarrow.parquet as pq
+
+    from proj_ray.pipelines.queries import QUERIES
+
+    empty = pa.array([], pa.int64())
+    pq.write_table(pa.table({"l_orderkey": empty,
+                             "l_linenumber": pa.array([], pa.int32())}),
+                   str(tmp_path / "lineitem.parquet"))
+    pq.write_table(pa.table({"o_orderkey": empty}),
+                   str(tmp_path / "orders.parquet"))
+    pq.write_table(pa.table({"p_partkey": empty}),
+                   str(tmp_path / "part.parquet"))
+    con = duckdb.connect()
+    for t in ("lineitem", "orders", "part"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path}/{t}.parquet'")
+
+    for name in ("radius_pair_join", "rect_overlap_join"):
+        got = QUERIES[name]["fn"](str(tmp_path)).to_pandas()
+        want = con.sql(QUERIES[name]["sql"]).fetchdf()
+        assert len(want) == 0
+        assert list(got.columns) == list(want.columns)
+        assert list(got.dtypes) == list(want.dtypes)
+        assert len(got) == 0
+
+    got = QUERIES["spatial_clusters"]["fn"](str(tmp_path)).to_pandas()
+    want = pd.DataFrame({"pid": np.empty(0, np.int64),
+                         "cluster": np.empty(0, np.int64)})
+    pd.testing.assert_frame_equal(got, want)
+
+
+def _nonfinite_points():
+    """Three points within 30 km of one another, one far away, and
+    NaN / +-inf lanes on both coordinates (two of them next to the
+    cluster)."""
+    pid = np.arange(10, dtype=np.int64) * 3 + 5
+    lon = np.array([10.0, 10.1, 10.2, 50.0, np.nan, 10.05, np.inf,
+                    -np.inf, 10.0, np.nan])
+    lat = np.array([40.0, 40.05, 40.1, -20.0, 40.0, np.nan, 40.0,
+                    np.inf, -np.inf, np.nan])
+    return pid, lon, lat
+
+
+def test_grid_joins_skip_nonfinite_lanes(ray_session):
+    """Points with a NaN or inf coordinate are not replicated, pair with
+    nothing and keep their own pid as their cluster; the finite points
+    join as usual.  The block kernels raise no numpy warning."""
+    import warnings
+
+    import ray.data as rd
+
+    from proj_ray.stages import pairjoin
+    from proj_ray.stages.cc import attach_clusters
+
+    pid, lon, lat = _nonfinite_points()
+    tbl = pa.table({"pid": pa.array(pid, pa.int64()),
+                    "lon": pa.array(lon, pa.float64()),
+                    "lat": pa.array(lat, pa.float64())})
+    finite = np.isfinite(lon) & np.isfinite(lat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = pairjoin._replicate(tbl)
+        assert set(reps["pid"].to_pylist()) == set(pid[finite].tolist())
+        a, b, _ = (np.concatenate(c) for c in
+                   zip(*pairjoin._radius_pairs(reps, 30000.0)))
+    assert sorted(zip(a.tolist(), b.tolist())) == [(5, 8), (5, 11), (8, 11)]
+
+    ds = rd.from_arrow(tbl)
+    pairs = pairjoin.radius_pair_join_stage(ds, 30000.0).to_pandas()
+    assert sorted(zip(pairs["pid_a"], pairs["pid_b"])) == [(5, 8), (5, 11),
+                                                           (8, 11)]
+    edges = pairjoin.radius_spanning_edges_stage(ds, 30000.0)
+    got = attach_clusters(ds, edges).to_pandas()
+    got = dict(zip(got["pid"], got["cluster"]))
+    want = {p: (5 if p in (5, 8, 11) else p) for p in pid.tolist()}
+    assert got == want

@@ -4,7 +4,6 @@ determinism of the rank threshold, and the sf0.001 DuckDB oracle
 cross-check."""
 
 import duckdb
-import numpy as np
 import pandas as pd
 import pytest
 
@@ -62,8 +61,7 @@ def test_polygonize_empty_mask():
 
 
 def test_polygonize_long_snake_converges():
-    # a 200-cell path exceeds cc_min_label's default 50 rounds; the
-    # polygonize wrapper passes max_rounds=4096
+    # a 200-cell path: one region whatever the path's length
     cells = _cells([(0, i, 1) for i in range(200)])
     out = polygonize(cells, frac=1.0)
     assert len(out) == 1
@@ -86,42 +84,6 @@ def test_raster_polygonize_matches_duckdb_sf0001():
     # structure sanity at this sf (frozen by the derivation math)
     assert len(eng) == 322
     assert eng["n_cells"].sum() == 623
-
-
-@pytest.mark.usefixtures("ray_session")
-def test_polygonize_cc_distributed_path_parity_sf001():
-    """The fine-raster claim: building the adjacency edges as a Ray
-    Dataset and running the DISTRIBUTED min-label CC yields the same
-    components the driver path computes, on the real sf0.001 mask."""
-    import ray.data as rd
-
-    from proj_ray.stages.cc import cc_min_label_distributed
-    from proj_ray.pipelines.queries import (
-        _RCELL, _RFRAC, _RNCOL, _RNROW,
-    )
-    from proj_ray.pipelines.derive import LAT_MUL, LON_MUL
-
-    li = pd.read_parquet("/root/testdata/sf0.001/lineitem.parquet",
-                         columns=["l_orderkey", "l_linenumber"])
-    pid = (li["l_orderkey"].to_numpy(np.int64) * 10
-           + li["l_linenumber"].to_numpy(np.int64))
-    r = (pid * LAT_MUL % 16000) // _RCELL
-    c = (pid * LON_MUL % 36000) // _RCELL
-    cnt = np.bincount(r * _RNCOL + c, minlength=_RNROW * _RNCOL)
-    nz = np.flatnonzero(cnt)
-    cells = pd.DataFrame({"r": nz // _RNCOL, "c": nz % _RNCOL,
-                          "n": cnt[nz]}).astype("int64")
-    act = active_cells(cells, _RFRAC)
-    edges = adjacency_edges(act)
-
-    from proj_ray.stages.cc import cc_min_label
-
-    driver = cc_min_label(edges, max_rounds=4096)
-    dist = cc_min_label_distributed(
-        rd.from_pandas(edges), max_rounds=64).to_pandas()
-    driver = driver.sort_values("node").reset_index(drop=True)
-    dist = dist.sort_values("node").reset_index(drop=True)
-    pd.testing.assert_frame_equal(driver, dist.astype(driver.dtypes.to_dict()))
 
 
 @pytest.mark.usefixtures("ray_session")

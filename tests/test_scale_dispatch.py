@@ -2,8 +2,7 @@
 (distributed join / groupby) branches of every size-dispatched
 operator: forcing either path must produce identical results.
 
-Covers combine_partials' distributed fallback and attach_clusters'
-join attach."""
+Covers combine_partials' distributed fallback."""
 
 import numpy as np
 import pandas as pd
@@ -56,29 +55,6 @@ def test_combine_partials_empty(ray_session):
                                     "v": pa.array([], pa.int64())}))
     out = combine_partials(empty, ["k"], {"v": "sum"}, path="driver")
     assert out.empty and list(out.columns) == ["k", "v"]
-
-
-def test_attach_clusters_paths_agree(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.cc import attach_clusters
-
-    ids = np.arange(50, dtype=np.int64)
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.int64())}))
-    # two components {0,1,2,7} and {10,11}, rest singletons
-    edges = rd.from_arrow(pa.table({
-        "src": pa.array([1, 2, 7, 11], pa.int64()),
-        "dst": pa.array([0, 1, 2, 10], pa.int64()),
-    }))
-    a = _sorted(attach_clusters(ds, edges, path="broadcast").to_pandas(),
-                ["doc_id"])
-    b = _sorted(attach_clusters(ds, edges, path="join").to_pandas(),
-                ["doc_id"])
-    pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
-    got = dict(zip(a["doc_id"], a["cluster"]))
-    assert got[0] == got[1] == got[2] == got[7] == 0
-    assert got[10] == got[11] == 10
-    assert got[33] == 33  # singleton keeps its own id
 
 
 def test_forced_path_validation(ray_session):
