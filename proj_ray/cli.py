@@ -10,14 +10,20 @@ Usage:
     python -m proj_ray.proj  +proj=merc +datum=WGS84 [-I] [-f fmt] < pts.txt
     python -m proj_ray.geod  +ellps=WGS84 [-I] < pairs.txt
 
-Lines are micro-batched (default 8192) through the same vectorized
-kernels the Dataset pipeline uses — the CLI is a thin text boundary,
-not a second engine.
+Input is read in 32,768-line chunks, and each tool has one path per
+chunk: tag lines pass through, lanes of plain decimals are parsed in
+bulk, every other lane goes through the dmstor/strtod grammar into the
+same arrays, then ONE transform (or geodesic) call covers all data
+lanes and one formatter writes the chunk.  The kernels are the ones
+the Dataset pipeline uses — the CLI is a thin text boundary, not a
+second engine.
 """
 
 from __future__ import annotations
 
+import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -42,8 +48,6 @@ class _PjFwdFilter:
         self.dst = SimpleNamespace(is_latlong=bool(inverse))
 
     def __call__(self, u, v, z=None):
-        import warnings
-
         from .kernels.projections import generic_fwd, generic_inv
 
         u = np.asarray(u, dtype=np.float64)
@@ -95,53 +99,11 @@ def _tag_of(flags) -> str:
                  if k.startswith("-t") and len(k) > 2), "#")
 
 
-def _fast_tag_safe(chunk, tag: str) -> bool:
-    """A custom -t tag can begin a numeric line (-t1, -t., -t-): the
-    vectorized fast paths would parse and transform such a tagged line
-    instead of echoing it, diverging from the per-line paths and the
-    reference (which compare the RAW first char, proj.c:337).  Any
-    chunk holding a line that starts with a non-'#' tag must take the
-    per-line path; the default '#' is safe because the Arrow
-    cast/regex frontends reject it."""
-    if tag == "#":
-        return True
-    return not any(ln.startswith(tag) for ln in chunk)
-
-
 def _parse_coord(tok: str) -> float:
     try:
         return dmstor(tok)
     except (ValueError, IndexError):
         return float("nan")
-
-
-def _fmt(v: float, fmt: str | None, as_dms: bool, pos: str, neg: str,
-         prec: int = 3, fixed: bool = False) -> str:
-    if not np.isfinite(v):
-        return "*"
-    if fmt:
-        return fmt % v
-    if as_dms:
-        return rtodms(v, pos, neg, prec, fixed)
-    return "%.2f" % v
-
-
-def _process_proj_lines(lines, transform: Transform, flags):
-    """proj.c-style line processing (src/proj.c:60-150): consume exactly
-    two coordinate fields, echo ONLY the consumed text under -E, print
-    x TAB y (no z — proj is 2-D), then the unconsumed remainder verbatim
-    (which is how test27/test83 carry expected values + labels through).
-    Unprojectable input emits the "*\\t*" oterr sentinel (proj.c:43).
-
-    Input streams in chunks; a chunk of plain-decimal lines takes the
-    vectorized _fast_proj_chunk path (same design as the cs2cs fast
-    path), anything else the per-line path."""
-    for chunk in _iter_line_chunks(lines):
-        fast = _fast_proj_chunk(chunk, transform, flags)
-        if fast is not None:
-            yield fast
-        else:
-            yield from _slow_proj_lines(chunk, transform, flags)
 
 
 def _proj_mscale(flags):
@@ -155,95 +117,14 @@ def _proj_mscale(flags):
     return float(mtxt)
 
 
-def _slow_proj_lines(lines, transform: Transform, flags):
-    """Per-line proj.c path (the fast chunk path must match it
-    byte-for-byte on inputs both accept)."""
-    import re
-
-    echo = "-E" in flags
-    fmt = flags.get("-f")
-    rev_in = "-r" in flags
-    rev_out = "-s" in flags
-    src_ll = transform.src.is_latlong
-    dst_ll = transform.dst.is_latlong
-    two_fields = re.compile(r"\s*\S+\s+\S+")
-    tag = _tag_of(flags)
-    fscale = _proj_mscale(flags)
-    inverse = "-I" in flags
-    prescale = fscale is not None and inverse
-    postscale = fscale is not None and not inverse
-    if prescale:
-        fscale = 1.0 / fscale
-
-    batch, tails, consumed = [], [], []
-
-    def flush():
-        if not batch:
-            return
-        arr = np.asarray(batch, dtype=np.float64)
-        u, v = arr[:, 0], arr[:, 1]
-        if prescale:
-            u, v = u * fscale, v * fscale
-        x, y, _z = transform(u, v, arr[:, 2])
-        if postscale:
-            x, y = x * fscale, y * fscale
-        for i in range(len(batch)):
-            if x[i] == np.inf:
-                # oterr fires on data.u == HUGE_VAL ONLY (proj.c:115);
-                # nan / -inf lanes print through printf like the C
-                body = flags.get("-e", "*\t*")
-            elif dst_ll and fmt is None and np.isfinite(x[i]) \
-                    and np.isfinite(y[i]):
-                prec = flags.get("-w", 3)
-                fx = flags.get("-Wfixed", False)
-                ox = rtodms(x[i] * DEG_TO_RAD, "E", "W", prec, fx)
-                oy = rtodms(y[i] * DEG_TO_RAD, "N", "S", prec, fx)
-                body = f"{oy}\t{ox}" if rev_out else f"{ox}\t{oy}"
-            else:
-                f = fmt or "%.2f"
-                ox = _c_float_str(x[i], f)
-                oy = _c_float_str(y[i], f)
-                body = f"{oy}\t{ox}" if rev_out else f"{ox}\t{oy}"
-            pre = consumed[i] + "\t" if echo else ""
-            yield pre + body + tails[i]
-        batch.clear()
-        tails.clear()
-        consumed.clear()
-
-    for line in lines:
-        line = line.rstrip("\n")
-        if line[:1] == tag:  # tag passthrough at column 1 (proj.c:78)
-            yield from flush()
-            yield line
-            continue
-        # dmstor/strtod consumption of exactly two fields (proj.c:
-        # 83-101): garbage/short lines 0-fill, overflow leaves the
-        # position untouched; remainder echoed verbatim
-        a1, end = _coord_consume(line, 0, src_ll)
-        a2, end = _coord_consume(line, end, src_ll)
-        x, y = (a2, a1) if rev_in else (a1, a2)
-        if src_ll:
-            x = x * RAD_TO_DEG
-            y = y * RAD_TO_DEG
-        if not np.isfinite(y):
-            x = float("inf")
-        batch.append((x, y, 0.0))
-        consumed.append(line[:end])
-        tails.append(line[end:])
-        if len(batch) >= 8192:
-            yield from flush()
-    yield from flush()
-
-
-def _STRTOD_RE():
-    import re
-
-    return re.compile(r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-
-
-_FAST_NUM = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
-_FAST_RE = (rf"^(?P<consumed>\s*(?P<a>{_FAST_NUM})\s+(?P<b>{_FAST_NUM})"
-            rf"(?:\s+(?P<z>{_FAST_NUM}))?)(?P<tail>\s*)$")
+# C strtod's decimal prefix (leading blanks skipped)
+_STRTOD = re.compile(r"\s*[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_TOKEN = re.compile(r"\S+")
+# a whole token strtod and dmstor both read as one plain decimal
+_PLAIN_TOKEN = r"^[+-]?(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$"
+# a token strtod reads at least in part
+_NUMERIC_START = r"^[+-]?\.?\d"
+_FMT_FIXED = re.compile(r"^%(?:\.(\d+))?f$")
 
 
 def _fast_fixed_format(v: np.ndarray, ndigits: int):
@@ -255,8 +136,8 @@ def _fast_fixed_format(v: np.ndarray, ndigits: int):
     (the multiply's 0.5-ulp error can then flip the decision).  Those
     lanes — ~1e-6 of uniform inputs — are redone with Python's
     correctly-rounded %-formatting; everything else is Arrow int->str.
-    Returns an object ndarray of strings, or None when the values are
-    too large for exact int64 scaling (caller falls back wholesale)."""
+    Returns an Arrow string array, or None when the values are too
+    large for exact int64 scaling (caller falls back wholesale)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -285,256 +166,6 @@ def _fast_fixed_format(v: np.ndarray, ndigits: int):
     return joined
 
 
-_FMT_FIXED_RE_SRC = r"^%(?:\.(\d+))?f$"
-
-
-def _fast_chunk(chunk, transform: Transform, flags, stderr=None,
-                base=0, file_name="<stdin>"):
-    """Vectorized whole-chunk path for plain-decimal 'x y [z]' lines:
-    one RE2 pass over the chunk (Arrow extract_regex), vectorized
-    parse/transform/format, one joined string out.  Returns None when
-    any line needs the per-line path (comments, DMS tokens, trailing
-    text, blank lines) or the output needs rtodms DMS — semantics are
-    identical to the slow path (dmstor's plain-decimal branch is
-    exactly v * DMS_DEG, reproduced here with the same two multiplies).
-    ~10x over the per-line loop; matches the C cs2cs's throughput."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    fmt = flags.get("-f")
-    dst_ll = transform.dst.is_latlong
-    eff_fmt = fmt if (fmt or dst_ll) else "%.2f"
-    if not eff_fmt or eff_fmt.count("%") != 1:
-        return None  # DMS output (or odd format): per-line path
-    if not _fast_tag_safe(chunk, _tag_of(flags)):
-        return None  # custom tag line present: per-line path
-    z_fmt = eff_fmt
-    arr = pa.array(chunk, pa.string())
-    ext = tails_pa = None
-    va = vb = vz = None
-    if "-E" not in flags:
-        # cheapest frontend: whitespace split + ONE cast.  Valid only
-        # when every line is a uniform 'x y' or 'x y z' with no
-        # trailing whitespace (a trailing blank is unconsumed text the
-        # C echoes; the regex frontend below handles that).  Arrow's
-        # string->double cast is correctly rounded like strtod, and a
-        # token strtod would accept but cast won't (hex, overflow)
-        # falls through to the regex / per-line paths.
-        parts = pc.utf8_split_whitespace(arr)
-        lens = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
-        k = int(lens[0]) if lens.size else 0
-        if k in (2, 3) and bool(np.all(lens == k)) and \
-                pc.all(pc.equal(pc.utf8_rtrim_whitespace(arr),
-                                arr)).as_py():
-            try:
-                vals = pc.cast(pc.list_flatten(parts),
-                               pa.float64()).to_numpy(zero_copy_only=False)
-            except Exception:
-                vals = None
-            if vals is not None:
-                va = vals[0::k].copy()
-                vb = vals[1::k].copy()
-                vz = (vals[2::k].copy() if k == 3
-                      else np.zeros(len(chunk)))
-    if va is None:
-        try:
-            ext = pc.extract_regex(arr, _FAST_RE)
-        except Exception:
-            return None
-        if ext.null_count:
-            return None
-        a = pc.struct_field(ext, "a")
-        b = pc.struct_field(ext, "b")
-        zs = pc.struct_field(ext, "z")
-        zs = pc.if_else(pc.equal(zs, ""), pa.scalar("0"), zs)
-        try:
-            va = pc.cast(a, pa.float64()).to_numpy(zero_copy_only=False)
-            vb = pc.cast(b, pa.float64()).to_numpy(zero_copy_only=False)
-            vz = pc.cast(zs, pa.float64()).to_numpy(zero_copy_only=False)
-        except Exception:
-            return None
-        tails_pa = pc.struct_field(ext, "tail")
-    if "-r" in flags:
-        va, vb = vb, va
-    if transform.src.is_latlong:
-        # dmstor plain-decimal branch: v * DMS_DEG (radians), then the
-        # slow path multiplies by RAD_TO_DEG — same op order here
-        from .kernels.common import DMS_DEG
-
-        va = (va * DMS_DEG) * RAD_TO_DEG
-        vb = (vb * DMS_DEG) * RAD_TO_DEG
-    x, y, z = transform(va, vb, vz)
-    ok = np.isfinite(x) & np.isfinite(y)
-    if stderr is not None and not ok.all():
-        # every fast-path lane parsed, so a bad lane IS a transform
-        # failure: emit the reference's per-line emess (cs2cs.c:119)
-        for i in np.flatnonzero(~ok):
-            _lane_emess(stderr, transform, va[i], vb[i], base + int(i) + 1,
-                        file_name)
-    # one %-format pass over [x, y, z] (exact printf semantics — the
-    # byte-parity anchor), then a single Arrow element-wise join
-    n = x.shape[0]
-    allv = np.concatenate([np.where(ok, x, 0.0), np.where(ok, y, 0.0),
-                           np.where(np.isfinite(z), z, 0.0)])
-    import re as _re
-
-    mfix = _re.match(_FMT_FIXED_RE_SRC, eff_fmt)
-    alls = None
-    if mfix:
-        alls = _fast_fixed_format(allv,
-                                  int(mfix.group(1) or 6))  # %f == %.6f
-    if alls is not None:  # Arrow end-to-end: no per-value Python strings
-        ox, oy, oz = (alls.slice(0, n), alls.slice(n, n), alls.slice(2 * n, n))
-    else:
-        s = np.char.mod(eff_fmt, allv)
-        ox, oy, oz = pa.array(s[:n]), pa.array(s[n:2 * n]), pa.array(s[2 * n:])
-    if "-s" in flags:
-        ox, oy = oy, ox
-    okz = np.isfinite(z)
-    pieces = [ox, pa.scalar("\t"), oy, pa.scalar(" "), oz]
-    if tails_pa is not None and \
-            pc.any(pc.not_equal(tails_pa, "")).as_py():
-        pieces.append(tails_pa)
-    if "-E" in flags:
-        pieces = [pc.struct_field(ext, "consumed"), pa.scalar("\t")] + pieces
-    joined = pc.binary_join_element_wise(*pieces, pa.scalar(""))
-    bad = np.flatnonzero(~ok | ~okz)
-    if bad.size:
-        tails = (tails_pa.to_numpy(zero_copy_only=False)
-                 if tails_pa is not None else None)
-        out = joined.to_numpy(zero_copy_only=False).astype(object)
-        for i in bad:
-            bx = (flags.get("-e", "*\t*") if not ok[i]
-                  else f"{ox[i].as_py()}\t{oy[i].as_py()}")
-            bz = z_fmt % z[i]  # printf prints inf/nan too
-            pre = ""
-            if "-E" in flags:
-                pre = str(pc.struct_field(ext, "consumed")[i].as_py()) + "\t"
-            tl = str(tails[i]) if tails is not None else ""
-            out[i] = pre + bx + " " + bz + tl
-        return "\n".join(out.tolist())
-    return _join_lines(joined)
-
-
-_FAST_PROJ_RE = (rf"^(?P<consumed>\s*(?P<a>{_FAST_NUM})\s+(?P<b>{_FAST_NUM}))"
-                 rf"(?P<tail>\s[^\n]*)?$")
-
-
-def _fast_proj_chunk(chunk, transform: Transform, flags):
-    """Vectorized whole-chunk path for the proj filter: plain-decimal
-    'x y [tail]' lines where proj consumes exactly two fields and
-    echoes the remainder verbatim.  Returns None when any line needs
-    the per-line path (comments, DMS tokens, non-decimal fields,
-    blank lines) or the output needs rtodms DMS — byte-identical to
-    _slow_proj_lines by the same op order (dmstor plain-decimal is
-    v * DMS_DEG; -m scaling applied with the identical multiply)."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    fmt = flags.get("-f")
-    if transform.dst.is_latlong and fmt is None:
-        return None  # DMS output: per-line path
-    eff_fmt = fmt or "%.2f"
-    if eff_fmt.count("%") != 1:
-        return None
-    if not _fast_tag_safe(chunk, _tag_of(flags)):
-        return None  # custom tag line present: per-line path
-    arr = pa.array(chunk, pa.string())
-    ext = None
-    tails_pa = None
-    va = vb = None
-    if "-E" not in flags:
-        # cheapest frontend: whitespace split + ONE cast (see the
-        # cs2cs fast path for the validity conditions)
-        parts = pc.utf8_split_whitespace(arr)
-        lens = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
-        if lens.size and int(lens[0]) == 2 and bool(np.all(lens == 2)) \
-                and pc.all(pc.equal(pc.utf8_rtrim_whitespace(arr),
-                                    arr)).as_py():
-            try:
-                vals = pc.cast(pc.list_flatten(parts),
-                               pa.float64()).to_numpy(zero_copy_only=False)
-            except Exception:
-                vals = None
-            if vals is not None:
-                va = vals[0::2].copy()
-                vb = vals[1::2].copy()
-    if va is None:
-        try:
-            ext = pc.extract_regex(arr, _FAST_PROJ_RE)
-        except Exception:
-            return None
-        if ext.null_count:
-            return None
-        tails_pa = pc.fill_null(pc.struct_field(ext, "tail"), "")
-        try:
-            va = pc.cast(pc.struct_field(ext, "a"),
-                         pa.float64()).to_numpy(zero_copy_only=False)
-            vb = pc.cast(pc.struct_field(ext, "b"),
-                         pa.float64()).to_numpy(zero_copy_only=False)
-        except Exception:
-            return None
-        va, vb = va.copy(), vb.copy()
-    if "-r" in flags:
-        va, vb = vb, va
-    if transform.src.is_latlong:
-        from .kernels.common import DMS_DEG
-
-        va = (va * DMS_DEG) * RAD_TO_DEG
-        vb = (vb * DMS_DEG) * RAD_TO_DEG
-    fscale = _proj_mscale(flags)
-    inverse = "-I" in flags
-    if fscale is not None and inverse:
-        inv = 1.0 / fscale
-        va, vb = va * inv, vb * inv
-    x, y, _z = transform(va, vb, np.zeros(va.shape[0]))
-    if fscale is not None and not inverse:
-        x, y = x * fscale, y * fscale
-    # oterr fires ONLY on x == +HUGE_VAL (proj.c:115); nan / -inf
-    # lanes print through printf with the C's sign handling — rare
-    # (degenerate projection constants), so route them per-line
-    weird = (np.isnan(x) | np.isnan(y) | (x == -np.inf)
-             | ((x != np.inf) & np.isinf(y)))
-    if bool(weird.any()):
-        return None
-    ok = x != np.inf
-    n = x.shape[0]
-    allv = np.concatenate([np.where(ok, x, 0.0), np.where(ok, y, 0.0)])
-    import re as _re
-
-    mfix = _re.match(_FMT_FIXED_RE_SRC, eff_fmt)
-    alls = None
-    if mfix:
-        alls = _fast_fixed_format(allv, int(mfix.group(1) or 6))
-    if alls is not None:
-        ox, oy = alls.slice(0, n), alls.slice(n, n)
-    else:
-        s = np.char.mod(eff_fmt, allv)
-        ox, oy = pa.array(s[:n]), pa.array(s[n:])
-    if "-s" in flags:
-        ox, oy = oy, ox
-    pieces = [ox, pa.scalar("\t"), oy]
-    if tails_pa is not None and \
-            pc.any(pc.not_equal(tails_pa, "")).as_py():
-        pieces.append(tails_pa)
-    if "-E" in flags:
-        pieces = [pc.struct_field(ext, "consumed"), pa.scalar("\t")] + pieces
-    joined = pc.binary_join_element_wise(*pieces, pa.scalar(""))
-    bad = np.flatnonzero(~ok)
-    if bad.size:
-        out = joined.to_numpy(zero_copy_only=False).astype(object)
-        tails = (tails_pa.to_numpy(zero_copy_only=False)
-                 if tails_pa is not None else None)
-        for i in bad:
-            pre = ""
-            if "-E" in flags:
-                pre = str(pc.struct_field(ext, "consumed")[i].as_py()) + "\t"
-            tl = str(tails[i]) if tails is not None else ""
-            out[i] = pre + flags.get("-e", "*\t*") + tl
-        return "\n".join(out.tolist())
-    return _join_lines(joined)
-
-
 def _join_lines(joined):
     """Join an Arrow string array into ONE newline-separated Python
     string with a single kernel call (no per-row as_py round trips)."""
@@ -557,18 +188,16 @@ def _coord_consume(s, pos, latlong):
     with rs left at the ORIGINAL position (early return keeps the
     initial *rs).  Projected -> C strtod: garbage parses as 0.0
     without advancing, overflow consumes and returns inf."""
-    import re
-
     n = len(s)
     p2 = pos
     while p2 < n and s[p2].isspace():
         p2 += 1
     if not latlong:
-        m = _STRTOD_RE().match(s, pos)
-        if m and m.group(0).strip():
+        m = _STRTOD.match(s, pos)
+        if m:
             return float(m.group(0)), m.end()
         return 0.0, pos
-    mt = re.compile(r"\S+").match(s, p2)
+    mt = _TOKEN.match(s, p2)
     if not mt:
         return 0.0, p2  # trailing whitespace IS consumed (dmstor.c:27)
     tok = mt.group(0)
@@ -581,6 +210,256 @@ def _coord_consume(s, pos, latlong):
     if tok[0] in "NnEeSsWw":
         return (-0.0 if tok[0] in "SsWw" else 0.0), p2 + 1
     return 0.0, p2  # garbage: whitespace consumed, token not
+
+
+def _parse_line(line, fields, opt):
+    """One lane through the reference's field grammar: each of
+    ``fields`` with _coord_consume (dmstor when True, strtod when
+    False), then, with ``opt``, one strtod field that reads 0.0 when
+    absent (cs2cs's z, cs2cs.c:88-97; geod's distance, geod.c:76-86).
+    Returns the raw values and the end of the consumed text."""
+    vals = []
+    pos = 0
+    for latlong in fields:
+        v, pos = _coord_consume(line, pos, latlong)
+        vals.append(v)
+    if opt:
+        m = _STRTOD.match(line, pos)
+        vals.append(float(m.group(0)) if m else 0.0)
+        pos = m.end() if m else pos
+    return vals, pos
+
+
+def _cast_plain(tokens):
+    """Arrow string tokens -> float64; NaN where a token is not one
+    plain decimal.  Arrow's cast is correctly rounded like strtod; the
+    per-token match runs only when the one cast over all tokens fails."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    try:
+        return pc.cast(tokens, pa.float64()).to_numpy(zero_copy_only=False)
+    except pa.ArrowInvalid:
+        ok = pc.match_substring_regex(tokens, _PLAIN_TOKEN)
+        vals = np.full(len(tokens), np.nan)
+        vals[ok.to_numpy(zero_copy_only=False)] = pc.cast(
+            tokens.filter(ok), pa.float64()).to_numpy(zero_copy_only=False)
+        return vals
+
+
+def _parse_chunk(chunk, tag, fields, opt, echo):
+    """The parse half of the line path, for one chunk of lines.
+
+    Lines whose first char is ``tag`` pass through (proj.c:78).  A
+    data lane whose fields are all finite plain decimals is parsed in
+    bulk: one whitespace split, one cast, and a dmstor field is the
+    token times DMS_DEG, as in dmstor's plain-decimal branch.  Such a
+    lane is printable ASCII (tab and CR count as blanks); the tail and
+    the -E consumed text are cut out by regex only on the lanes that
+    have a tail.  Every other data lane goes through _parse_line, and so
+    does a lane whose bulk value is not finite (dmstor's overflow rule).
+
+    Returns the chunk as an Arrow array, the indices of its data lanes,
+    their raw field values as rows (radians for dmstor fields), and per
+    data lane the consumed text (None without ``echo``) and the tail
+    (None when no lane has one)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .kernels.common import DMS_DEG
+
+    n, nf = len(chunk), len(fields)
+    arr = pa.array(chunk, pa.string())
+    data = ~pc.starts_with(arr, tag).to_numpy(zero_copy_only=False)
+    parts = pc.utf8_split_whitespace(arr)
+    first = parts.offsets.to_numpy()
+    lens = np.diff(first)
+    toks = parts.values
+    offs = np.frombuffer(arr.buffers()[1], np.int32, n + 1)
+    raw = np.frombuffer(arr.buffers()[2] or b"", np.uint8)[:offs[-1]]
+    bulk = data & (lens >= nf)
+    odd = np.flatnonzero(raw - np.uint8(32) > 94)
+    odd = odd[(raw[odd] != 9) & (raw[odd] != 13)]
+    bulk[np.searchsorted(offs, odd, "right") - 1] = False
+
+    vals = np.zeros((nf + opt, n))
+    ntok = np.full(n, nf)
+    bi = np.flatnonzero(bulk)
+    if bi.size == n and bool((lens == nf).all()):
+        got = _cast_plain(toks)
+    else:
+        got = _cast_plain(toks.take(pa.array(
+            (first[bi, None] + np.arange(nf)).ravel())))
+    vals[:nf, bi] = got.reshape(-1, nf).T
+    if opt:
+        has = bi[lens[bi] > nf]
+        if has.size:
+            otok = toks.take(pa.array(first[has] + nf))
+            ov = _cast_plain(otok)
+            fin = np.isfinite(ov)
+            vals[nf, has[fin]] = ov[fin]
+            ntok[has[fin]] = nf + 1
+            if not fin.all():
+                # a token strtod reads only in part, or as overflow,
+                # goes per line; any other token is the tail
+                part = pc.match_substring_regex(
+                    otok.filter(pa.array(~fin)), _NUMERIC_START)
+                bulk[has[~fin][part.to_numpy(zero_copy_only=False)]] = False
+    bulk &= np.isfinite(vals).all(axis=0)
+    for j, latlong in enumerate(fields):
+        if latlong:
+            vals[j] *= DMS_DEG
+
+    tail = cons = None
+    if echo:
+        cons = np.array(chunk, dtype=object)
+    last = raw[np.maximum(offs[1:] - 1, 0)] if raw.size else np.zeros(n)
+    blank_end = (offs[1:] > offs[:-1]) & ((last == 32) | (last == 9)
+                                          | (last == 13))
+    ti = np.flatnonzero(bulk & ((lens > ntok) | blank_end))
+    slow = np.flatnonzero(data & ~bulk)
+    if ti.size or slow.size:
+        tail = np.full(n, "", dtype=object)
+    for k in np.unique(ntok[ti]):
+        sel = ti[ntok[ti] == k]
+        ext = pc.extract_regex(arr.take(pa.array(sel)),
+                               rf"^(?P<c>\s*\S+(?:\s+\S+){{{k - 1}}})"
+                               r"(?P<t>.*)$")
+        tail[sel] = pc.struct_field(ext, "t").to_numpy(zero_copy_only=False)
+        if echo:
+            cons[sel] = pc.struct_field(ext, "c").to_numpy(
+                zero_copy_only=False)
+    for i in slow:
+        line = chunk[i]
+        row, end = _parse_line(line, fields, opt)
+        vals[:, i] = row
+        tail[i] = line[end:]
+        if echo:
+            cons[i] = line[:end]
+    di = np.flatnonzero(data)
+    return (arr, di, vals[:, di], None if cons is None else cons[di],
+            None if tail is None else tail[di])
+
+
+def _quiet(fn, *args, **kw):
+    """One vectorized kernel call with numpy's floating-point warnings
+    off: a non-finite lane shows in the output (and, for cs2cs, in its
+    emess), never as a RuntimeWarning."""
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return fn(*args, **kw)
+
+
+def _fmt_cols(cols, fmt, c_nan=False):
+    """printf(fmt) of each float column as an Arrow string array, in
+    one pass over all of them: integer math for '%.Nf'
+    (_fast_fixed_format), np.char.mod for any other format.  A
+    non-finite lane prints as Python's %-format does, or with ``c_nan``
+    as glibc does ('-nan' keeps the sign bit)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    n = len(cols[0])
+    v = np.concatenate(cols)
+    fin = np.isfinite(v)
+    m = _FMT_FIXED.match(fmt)
+    s = (_fast_fixed_format(np.where(fin, v, 0.0), int(m.group(1) or 6))
+         if m else None)
+    if s is None:
+        s = pa.array(np.char.mod(fmt, v), pa.string())
+    if not fin.all():
+        odd = [_c_float_str(a, fmt) if c_nan else fmt % a for a in v[~fin]]
+        s = pc.replace_with_mask(s, pa.array(~fin), pa.array(odd, pa.string()))
+    return [s.slice(k * n, n) for k in range(len(cols))]
+
+
+def _dms_col(v_deg, pos, neg, prec, fixed):
+    """rtodms of each lane of a degree column (the reference's default
+    latlong output), as an Arrow string array."""
+    import pyarrow as pa
+
+    return pa.array([rtodms(r, pos, neg, prec, fixed)
+                     for r in np.radians(v_deg).tolist()], pa.string())
+
+
+def _emit(arr, di, pieces, cons, tail):
+    """The end of the line path: join each data lane's formatted
+    pieces between its -E consumed text + TAB and its verbatim tail,
+    put the tag lines back at their places, and return the chunk as one
+    string."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    if cons is not None:
+        pieces = [pa.array(cons, pa.string()), "\t"] + pieces
+    if tail is not None:
+        pieces = pieces + [pa.array(tail, pa.string())]
+    out = pc.binary_join_element_wise(
+        *[p if isinstance(p, pa.Array) else pa.scalar(p) for p in pieces],
+        pa.scalar(""))
+    if di.size < len(arr):
+        mask = np.zeros(len(arr), dtype=bool)
+        mask[di] = True
+        out = pc.replace_with_mask(arr, pa.array(mask), out)
+    return _join_lines(out)
+
+
+def _process_proj_lines(lines, transform: Transform, flags):
+    """proj.c-style line processing (src/proj.c:60-150): consume exactly
+    two coordinate fields, echo ONLY the consumed text under -E, print
+    x TAB y (no z — proj is 2-D), then the unconsumed remainder verbatim
+    (which is how test27/test83 carry expected values + labels through).
+    Unprojectable input emits the "*\\t*" oterr sentinel (proj.c:43).
+    Yields one output string per input chunk."""
+    for chunk in _iter_line_chunks(lines):
+        yield _proj_chunk(chunk, transform, flags)
+
+
+def _proj_chunk(chunk, transform, flags):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    src_ll = transform.src.is_latlong
+    arr, di, vals, cons, tail = _parse_chunk(
+        chunk, _tag_of(flags), (src_ll, src_ll), False, "-E" in flags)
+    if not di.size:
+        return _join_lines(arr)
+    u, v = vals
+    if "-r" in flags:
+        u, v = v, u
+    if src_ll:
+        u, v = u * RAD_TO_DEG, v * RAD_TO_DEG
+    u = np.where(np.isfinite(v), u, np.inf)
+    fscale = _proj_mscale(flags)
+    inverse = "-I" in flags
+    if fscale is not None and inverse:
+        pre = 1.0 / fscale
+        u, v = u * pre, v * pre
+    x, y, _z = _quiet(transform, u, v, np.zeros_like(u))
+    if fscale is not None and not inverse:
+        x, y = x * fscale, y * fscale
+    # oterr fires on data.u == HUGE_VAL ONLY (proj.c:115); nan / -inf
+    # lanes print through printf like the C
+    err = x == np.inf
+    fmt = flags.get("-f")
+    ox, oy = _fmt_cols([np.where(err, 0.0, x), y], fmt or "%.2f", c_nan=True)
+    if transform.dst.is_latlong and fmt is None:
+        dms = np.isfinite(x) & np.isfinite(y)
+        if dms.any():
+            mask = pa.array(dms)
+            prec, fixed = flags.get("-w", 3), flags.get("-Wfixed", False)
+            ox = pc.replace_with_mask(ox, mask, _dms_col(x[dms], "E", "W",
+                                                         prec, fixed))
+            oy = pc.replace_with_mask(oy, mask, _dms_col(y[dms], "N", "S",
+                                                         prec, fixed))
+    if "-s" in flags:
+        ox, oy = oy, ox
+    body = pc.binary_join_element_wise(ox, pa.scalar("\t"), oy,
+                                       pa.scalar(""))
+    if err.any():
+        body = pc.if_else(pa.array(err), pa.scalar(flags.get("-e", "*\t*")),
+                          body)
+    return _emit(arr, di, [body], cons, tail)
 
 
 def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
@@ -633,19 +512,56 @@ def _process_lines(lines, transform: Transform, flags, stderr=None,
     latlong output is trimmed rtodms DMS with z at %.3f.  Failed
     transform lanes additionally emit the reference's per-line
     emess(-3, "pj_transform(): <cause>") to stderr (cs2cs.c:119).
-
-    Input streams in chunks; a chunk of plain-decimal lines takes the
-    vectorized _fast_chunk path, anything else the per-line path."""
+    Yields one output string per input chunk."""
     stderr = stderr or sys.stderr
     base = 0
     for chunk in _iter_line_chunks(lines):
-        fast = _fast_chunk(chunk, transform, flags, stderr, base, file_name)
-        if fast is not None:
-            yield fast
-        else:
-            yield from _slow_lines(chunk, transform, flags, stderr, base,
-                                   file_name)
+        yield _cs2cs_chunk(chunk, transform, flags, stderr, base, file_name)
         base += len(chunk)
+
+
+def _cs2cs_chunk(chunk, transform, flags, stderr, base, file_name):
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    src_ll, dst_ll = transform.src.is_latlong, transform.dst.is_latlong
+    arr, di, vals, cons, tail = _parse_chunk(
+        chunk, _tag_of(flags), (src_ll, src_ll), True, "-E" in flags)
+    if not di.size:
+        return _join_lines(arr)
+    u, v, z = vals
+    if "-r" in flags:
+        u, v = v, u
+    if src_ll:
+        # dmstor returns radians; the Transform expects degrees
+        u, v = u * RAD_TO_DEG, v * RAD_TO_DEG
+    u = np.where(np.isfinite(v), u, np.inf)  # v == HUGE -> u = HUGE (:98)
+    x, y, z = _quiet(transform, u, v, z)
+    ok = np.isfinite(x) & np.isfinite(y)
+    # parse-failed lanes skip pj_transform entirely (cs2cs.c:108-117):
+    # only transform failures emess
+    for i in np.flatnonzero(~ok & np.isfinite(u) & np.isfinite(v)):
+        _lane_emess(stderr, transform, u[i], v[i], base + int(di[i]) + 1,
+                    file_name)
+    x, y = np.where(ok, x, 0.0), np.where(ok, y, 0.0)
+    # cs2cs.c main: oform defaults to %.2f unless the output is latlong,
+    # which prints rtodms DMS with z at %.3f
+    fmt = flags.get("-f") or (None if dst_ll else "%.2f")
+    if fmt:
+        ox, oy, oz = _fmt_cols([x, y, z], fmt)
+    else:
+        prec, fixed = flags.get("-w", 3), flags.get("-Wfixed", False)
+        ox = _dms_col(x, "E", "W", prec, fixed)
+        oy = _dms_col(y, "N", "S", prec, fixed)
+        (oz,) = _fmt_cols([z], "%.3f")
+    if "-s" in flags:
+        ox, oy = oy, ox
+    body = pc.binary_join_element_wise(ox, pa.scalar("\t"), oy,
+                                       pa.scalar(""))
+    if not ok.all():
+        body = pc.if_else(pa.array(~ok), pa.scalar(flags.get("-e", "*\t*")),
+                          body)
+    return _emit(arr, di, [body, " ", oz], cons, tail)
 
 
 def _iter_line_chunks(lines, CHUNK=32768):
@@ -677,103 +593,6 @@ def _iter_line_chunks(lines, CHUNK=32768):
             chunk = []
     if chunk:
         yield chunk
-
-
-def _slow_lines(lines, transform: Transform, flags, stderr=None,
-                base=0, file_name="<stdin>"):
-    import re
-
-    stderr = stderr or sys.stderr
-    echo = "-E" in flags
-    fmt = flags.get("-f")
-    rev_in = "-r" in flags
-    rev_out = "-s" in flags
-    src_ll = transform.src.is_latlong
-    dst_ll = transform.dst.is_latlong
-    # cs2cs.c main: oform defaults to %.2f unless the output is latlong
-    eff_fmt = fmt if (fmt or dst_ll) else "%.2f"
-    z_fmt = eff_fmt or "%.3f"
-    two_fields = re.compile(r"\s*\S+\s+\S+")
-    znum = _STRTOD_RE()
-    tag = _tag_of(flags)
-
-    batch, tails, consumed, lnos = [], [], [], []
-
-    def flush():
-        if not batch:
-            return
-        arr = np.asarray(batch, dtype=np.float64)
-        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
-            import warnings
-
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                x, y, z = transform(arr[:, 0], arr[:, 1], arr[:, 2])
-        for i in range(len(batch)):
-            if (not (np.isfinite(x[i]) and np.isfinite(y[i]))
-                    and np.isfinite(arr[i, 0]) and np.isfinite(arr[i, 1])):
-                # parse-failed lines skip pj_transform entirely
-                # (cs2cs.c:108-117) — only transform failures emess
-                _lane_emess(stderr, transform, arr[i, 0], arr[i, 1],
-                            lnos[i], file_name)
-            if dst_ll:
-                if eff_fmt:  # -f on latlong output: decimal degrees
-                    ox = _fmt(x[i], eff_fmt, False, "", "")
-                    oy = _fmt(y[i], eff_fmt, False, "", "")
-                else:
-                    prec = flags.get("-w", 3)
-                    fx = flags.get("-Wfixed", False)
-                    ox = _fmt(x[i] * DEG_TO_RAD, None, True, "E", "W",
-                              prec, fx)
-                    oy = _fmt(y[i] * DEG_TO_RAD, None, True, "N", "S",
-                              prec, fx)
-            else:
-                ox = _fmt(x[i], eff_fmt, False, "", "")
-                oy = _fmt(y[i], eff_fmt, False, "", "")
-            if not (np.isfinite(x[i]) and np.isfinite(y[i])):
-                body = flags.get("-e", "*\t*")
-            elif rev_out:
-                body = f"{oy}\t{ox}"
-            else:
-                body = f"{ox}\t{oy}"
-            zs = z_fmt % z[i]  # printf prints inf/nan too
-            pre = consumed[i] + "\t" if echo else ""
-            yield pre + body + " " + zs + tails[i]
-        batch.clear()
-        tails.clear()
-        consumed.clear()
-        lnos.clear()
-
-    for ln_i, line in enumerate(lines):
-        line = line.rstrip("\n")
-        if line[:1] == tag:  # tag passthrough (cs2cs.c:83-86)
-            yield from flush()
-            yield line
-            continue
-        # consume u, v (dmstor/strtod), then z (strtod) — process()
-        # order, cs2cs.c:88-97; a failed field is 0.0 (or HUGE) and
-        # the remainder from the final position is echoed verbatim
-        a1, end = _coord_consume(line, 0, src_ll)
-        a2, end = _coord_consume(line, end, src_ll)
-        x, y = (a2, a1) if rev_in else (a1, a2)
-        z = 0.0
-        mz = znum.match(line, end)
-        if mz and mz.group(0).strip():
-            z = float(mz.group(0))
-            end = mz.end()
-        if src_ll:
-            # dmstor returns radians; the Transform expects degrees
-            x = x * RAD_TO_DEG
-            y = y * RAD_TO_DEG
-        if not np.isfinite(y):
-            x = float("inf")  # data.v == HUGE -> u = HUGE (cs2cs.c:98)
-        batch.append((x, y, z))
-        consumed.append(line[:end])
-        tails.append(line[end:])
-        lnos.append(base + ln_i + 1)
-        if len(batch) >= 8192:
-            yield from flush()
-    yield from flush()
 
 
 PJ_RELEASE = "Rel. 4.9.1, 04 March 2015"  # src/pj_release.c:5
@@ -879,7 +698,7 @@ def _c_args(prog, argv, stdout, stderr):
                     if c == "m":
                         # atof validation (proj.c:366-377)
                         num = val[2:] if val[:2] in ("1/", "1:") else val
-                        mm = _STRTOD_RE().match(num)
+                        mm = _STRTOD.match(num)
                         if not (mm and mm.group(0).strip()
                                 and float(mm.group(0)) != 0.0):
                             em("invalid scale argument")
@@ -999,8 +818,7 @@ def cs2cs_main(argv=None, stdin=None, stdout=None, stderr=None):
         return _init_failure("cs2cs", exc, stderr)
     if "-v" in flags:
         # monitor dump of both systems (src/cs2cs.c:395-400)
-        tag = next((k[2] for k in flags
-                    if k.startswith("-t") and len(k) > 2), "#")
+        tag = _tag_of(flags)
         print(f"{tag} ---- From Coordinate System ----", file=stdout)
         _pr_list(t.src, stdout)
         print(f"{tag} ---- To Coordinate System ----", file=stdout)
@@ -1082,8 +900,6 @@ def _vprocess_lines(lines, t_fwd, t_inv, P, flags, stdout,
     tag passthrough, two-field consume + remainder echo, per-line
     emess(-1) diagnostics to stderr with the '<stdin>, line N' context,
     and the factor block on success."""
-    import re
-
     from .errors import pj_strerrno
     from .kernels.factors import factors
 
@@ -1092,9 +908,7 @@ def _vprocess_lines(lines, t_fwd, t_inv, P, flags, stdout,
     # to %.3f) but sets %.2f for forward (src/proj.c:459-464,158-159)
     oform = flags.get("-f") or ("%.3f" if "-I" in flags else "%.2f")
     inv_default = "-I" in flags
-    tag = next((k[2] for k in flags if k.startswith("-t") and len(k) > 2),
-               "#")
-    two_fields = re.compile(r"\s*\S+\s+\S+")
+    tag = _tag_of(flags)
     line_no = 0
 
     def err(msg):
@@ -1111,32 +925,13 @@ def _vprocess_lines(lines, t_fwd, t_inv, P, flags, stdout,
         if s[:1] in ("I", "i"):
             linvers = True
             s = s[1:]
-        if not linvers:
-            # dmstor consumption (dmstor.c:27-77): leading whitespace
-            # is always consumed; a non-numeric token parses as 0.0
-            # WITHOUT advancing (a lone hemisphere letter consumes one
-            # char); only overflow / malformed DMS returns HUGE
-            def _dmstor_consume(pos):
-                while pos < len(s) and s[pos].isspace():
-                    pos += 1
-                mt = re.match(r"\S+", s[pos:])
-                if not mt:
-                    return 0.0, pos
-                tok = mt.group(0)
-                body = tok[1:] if tok[:1] in "+-" else tok
-                if body[:1].isdigit() or body[:1] == ".":
-                    return _parse_coord(tok), pos + len(tok)
-                if tok[0] in "NnEeSsWw":
-                    return (-0.0 if tok[0] in "SsWw" else 0.0), pos + 1
-                return 0.0, pos
         if linvers:
             # strtod semantics (proj.c:189-196): garbage parses as 0.0
             # and is NOT an error; only overflow (HUGE_VAL) fails
-            srx = _STRTOD_RE()
-            m1 = srx.match(s)
+            m1 = _STRTOD.match(s)
             x = float(m1.group(0)) if m1 else 0.0
             pos = m1.end() if m1 else 0
-            m2 = srx.match(s, pos)
+            m2 = _STRTOD.match(s, pos)
             y = float(m2.group(0)) if m2 else 0.0
             rest = s[m2.end() if m2 else pos:]
             if np.isinf(x) or np.isinf(y):
@@ -1150,8 +945,10 @@ def _vprocess_lines(lines, t_fwd, t_inv, P, flags, stdout,
                 err(pj_strerrno(-20))
                 continue
         else:
-            lon_r, ppos = _dmstor_consume(0)
-            lat_r, ppos = _dmstor_consume(ppos)
+            # dmstor consumption (dmstor.c:27-77); overflow and
+            # malformed tokens read as non-finite and fail below
+            lon_r, ppos = _coord_consume(s, 0, True)
+            lat_r, ppos = _coord_consume(s, ppos, True)
             rest = s[ppos:]
             lon_d = lon_r * RAD_TO_DEG
             lat_d = lat_r * RAD_TO_DEG
@@ -1228,7 +1025,7 @@ def _gen_cheby(flags, defn, stdout, stderr=None, argv=None):
 
     def _consume_num(pos):
         if inverse:
-            m = _STRTOD_RE().match(spec, pos)
+            m = _STRTOD.match(spec, pos)
             if m and m.group(0).strip():
                 return float(m.group(0)), m.end()
             return 0.0, pos
@@ -1362,8 +1159,6 @@ def _gen_cheby(flags, defn, stdout, stderr=None, argv=None):
 
 def _re_strtol(s, pos):
     """C strtol: optional sign + decimal digits; (value, end)."""
-    import re
-
     m = re.match(r"[+-]?\d+", s[pos:])
     if not m:
         return 0, pos
@@ -1563,43 +1358,42 @@ def _process_S(lines, t, P, flags, inverse, stdout):
     annotations (src/proj.c:104-108,213-218)."""
     from .kernels.factors import factors
 
-    import re
-
     two_fields = re.compile(r"\s*\S+\s+\S+")
-    for line in lines:
-        line = line.rstrip("\n")
-        if not line or line.lstrip().startswith("#"):
-            print(line, file=stdout)
-            continue
-        m = two_fields.match(line)
-        if m is None:
-            print(line, file=stdout)
-            continue
-        base = next(iter(_process_proj_lines([line], t, flags)))
-        toks = m.group(0).split()
-        if inverse:
-            try:
-                x, y = float(toks[0]), float(toks[1])
-                lon, lat, _ = t(np.array([x]), np.array([y]))[:3]
-                lon_d, lat_d = lon[0], lat[0]
-            except ValueError:
-                lon_d = lat_d = float("nan")
-            lon_r = lon_d * DEG_TO_RAD
-            lat_r = lat_d * DEG_TO_RAD
-        else:
-            lon_r = _parse_coord(toks[0])
-            lat_r = _parse_coord(toks[1])
-            lon_d = lon_r * RAD_TO_DEG
-            lat_d = lat_r * RAD_TO_DEG
-        if np.isfinite(lon_d) and np.isfinite(lat_d):
-            fac = factors(P, np.array([lon_r]), np.array([lat_r]),
-                          radians=True)
-            ann = "\t<%g %g %g %g %g %g>" % (
-                fac["h"][0], fac["k"][0], fac["s"][0],
-                fac["omega"][0] * RAD_TO_DEG, fac["a"][0], fac["b"][0])
-        else:
-            ann = "\t<* * * * * *>"
-        print(base + ann, file=stdout)
+    for chunk in _iter_line_chunks(lines):
+        # one output line per input line: the chunk path's, annotated
+        for line, base in zip(chunk, _proj_chunk(chunk, t, flags)
+                              .split("\n")):
+            if not line or line.lstrip().startswith("#"):
+                print(line, file=stdout)
+                continue
+            m = two_fields.match(line)
+            if m is None:
+                print(line, file=stdout)
+                continue
+            toks = m.group(0).split()
+            if inverse:
+                try:
+                    x, y = float(toks[0]), float(toks[1])
+                    lon, lat, _ = t(np.array([x]), np.array([y]))[:3]
+                    lon_d, lat_d = lon[0], lat[0]
+                except ValueError:
+                    lon_d = lat_d = float("nan")
+                lon_r = lon_d * DEG_TO_RAD
+                lat_r = lat_d * DEG_TO_RAD
+            else:
+                lon_r = _parse_coord(toks[0])
+                lat_r = _parse_coord(toks[1])
+                lon_d = lon_r * RAD_TO_DEG
+                lat_d = lat_r * RAD_TO_DEG
+            if np.isfinite(lon_d) and np.isfinite(lat_d):
+                fac = factors(P, np.array([lon_r]), np.array([lat_r]),
+                              radians=True)
+                ann = "\t<%g %g %g %g %g %g>" % (
+                    fac["h"][0], fac["k"][0], fac["s"][0],
+                    fac["omega"][0] * RAD_TO_DEG, fac["a"][0], fac["b"][0])
+            else:
+                ann = "\t<* * * * * *>"
+            print(base + ann, file=stdout)
     return 0
 
 
@@ -1663,9 +1457,6 @@ def geod_main(argv=None, stdin=None, stdout=None):
                           inverse="-I" in flags, fullout="-a" in flags,
                           pos_azi="-p" in flags, tag=_tag_of(flags),
                           wfixed=flags.get("-Wfixed", False))
-
-    def az(v_deg):
-        return _geod_az(v_deg, ctx)
 
     def pll(lat_deg, lon_deg):
         return _geod_pll(lat_deg, lon_deg, ctx)
@@ -1740,22 +1531,8 @@ def geod_main(argv=None, stdin=None, stdout=None):
 
     for fname, fobj in _open_inputs(files, stdin, "geod", stderr):
         for chunk in _iter_line_chunks(fobj):
-            fast = _fast_geod_chunk(chunk, ctx)
-            if fast is not None:
-                print(fast, file=stdout)
-            else:
-                for out in _slow_geod_lines(chunk, ctx):
-                    print(out, file=stdout)
+            print(_geod_chunk(chunk, ctx), file=stdout)
     return 0
-
-
-def _geod_az(v_deg, ctx):
-    """Azimuth formatting (geod.c printLL/out): -p wraps negatives to
-    [0,360); -f numeric else rtodms."""
-    if ctx.pos_azi and v_deg < 0.0:
-        v_deg += 360.0
-    return (ctx.oform % v_deg) if ctx.oform else rtodms(
-        np.radians(v_deg), "", "", ctx.prec, ctx.wfixed)
 
 
 def _geod_pll(lat_deg, lon_deg, ctx):
@@ -1765,141 +1542,50 @@ def _geod_pll(lat_deg, lon_deg, ctx):
             f"{rtodms(np.radians(lon_deg), 'E', 'W', ctx.prec, ctx.wfixed)}")
 
 
-def _geod_back(azi2_deg):
-    """Back azimuth al21 = azi2 +/- 180 (geod_interface.c:19,32)."""
-    return azi2_deg + (-180.0 if azi2_deg >= 0 else 180.0)
-
-
-def _slow_geod_lines(lines, ctx):
-    """Per-line geod.c path (the fast chunk path must match it
-    byte-for-byte on inputs both accept); yields output lines."""
-    from .kernels.geodesic import geod_direct, geod_inverse
-
-    for line in lines:
-        if line[:1] == getattr(ctx, "tag", "#"):  # tag (geod.c:72-75)
-            yield line
-            continue
-        # dmstor consumption per field (geod.c:76-86): garbage / short
-        # lines 0-fill; the remainder after the last consume is echoed
-        # VERBATIM (leading whitespace kept)
-        v1, pos = _coord_consume(line, 0, True)
-        v2, pos = _coord_consume(line, pos, True)
-        lat1, lon1 = np.degrees(v1), np.degrees(v2)
-        if ctx.inverse:
-            v3, pos = _coord_consume(line, pos, True)
-            v4, pos = _coord_consume(line, pos, True)
-            lat2, lon2 = np.degrees(v3), np.degrees(v4)
-            tail = line[pos:]
-            s12, al12, azi2, _ = geod_inverse(
-                np.array([lon1]), np.array([lat1]),
-                np.array([lon2]), np.array([lat2]), a=ctx.a, f=ctx.f)
-            al12, al21, S = al12[0], _geod_back(azi2[0]), s12[0]
-        else:
-            v3, pos = _coord_consume(line, pos, True)
-            al12 = np.degrees(v3)
-            mz = _STRTOD_RE().match(line, pos)
-            S = 0.0
-            if mz and mz.group(0).strip():
-                S = float(mz.group(0)) * ctx.to_meter
-                pos = mz.end()
-            tail = line[pos:]
-            lo2, la2, azi2 = geod_direct(np.array([lon1]), np.array([lat1]),
-                                         np.array([al12]), np.array([S]),
-                                         a=ctx.a, f=ctx.f)
-            lat2, lon2, al21 = la2[0], lo2[0], _geod_back(azi2[0])
-        if ctx.fullout:
-            out = (f"{_geod_pll(lat1, lon1, ctx)}\t"
-                   f"{_geod_pll(lat2, lon2, ctx)}\t{_geod_az(al12, ctx)}\t"
-                   f"{_geod_az(al21, ctx)}\t{ctx.osform % (S * ctx.fr_meter)}")
-        elif ctx.inverse:
-            out = (f"{_geod_az(al12, ctx)}\t{_geod_az(al21, ctx)}\t"
-                   f"{ctx.osform % (S * ctx.fr_meter)}")
-        else:
-            out = f"{_geod_pll(lat2, lon2, ctx)}\t{_geod_az(al21, ctx)}"
-        yield out + tail
-
-
-def _fast_geod_chunk(chunk, ctx):
-    """Vectorized whole-chunk path for the geod filter: plain-decimal
-    4-token lines (plus an echoed tail) under a numeric -f format.
-    Returns None when any line needs the per-line path (comments, DMS
-    tokens, short lines, rtodms default output) — byte-identical to
-    _slow_geod_lines by the same op order: dmstor plain-decimal is
-    sign-folded v * DMS_DEG (exact negation, so cast(tok) * DMS_DEG
-    matches bitwise), np.degrees is the same ufunc, and the geodesic
-    kernels are masked-iteration batch-size-invariant."""
+def _geod_chunk(chunk, ctx):
+    """geod.c's line loop (src/geod.c:60-100) over one chunk: dmstor
+    fields 'lat1 lon1 lat2 lon2' (-I) or 'lat1 lon1 az12' plus a strtod
+    distance, garbage / short lines 0-filled, then the remainder after
+    the last consumed field echoed VERBATIM.  al21 is the back azimuth,
+    azi2 -/+ 180 (geod_interface.c:19,32); -p wraps azimuths to
+    [0, 360); -f/-F print numbers, the default prints rtodms DMS."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    from .kernels.common import DMS_DEG
     from .kernels.geodesic import geod_direct, geod_inverse
 
-    oform, osform = ctx.oform, ctx.osform
-    if oform is None or oform.count("%") != 1 or osform.count("%") != 1:
-        return None
-    if not _fast_tag_safe(chunk, getattr(ctx, "tag", "#")):
-        return None  # custom tag line present: per-line path
-    arr = pa.array(chunk, pa.string())
-    parts = pc.utf8_split_whitespace(arr)
-    lens = pc.list_value_length(parts).to_numpy(zero_copy_only=False)
-    if not lens.size or bool(np.any(lens < 4)):
-        return None
-    try:
-        vals = pc.cast(pc.list_flatten(pc.list_slice(parts, 0, 4)),
-                       pa.float64()).to_numpy(zero_copy_only=False)
-    except Exception:
-        return None
-    c0, c1, c2, c3 = (vals[k::4].copy() for k in range(4))
-    lat1 = np.degrees(c0 * DMS_DEG)
-    lon1 = np.degrees(c1 * DMS_DEG)
+    arr, di, vals, _cons, tail = _parse_chunk(
+        chunk, ctx.tag, (True,) * (4 if ctx.inverse else 3),
+        not ctx.inverse, False)
+    if not di.size:
+        return _join_lines(arr)
+    lat1, lon1 = np.degrees(vals[0]), np.degrees(vals[1])
     if ctx.inverse:
-        lat2 = np.degrees(c2 * DMS_DEG)
-        lon2 = np.degrees(c3 * DMS_DEG)
-        s12, al12, azi2, _ = geod_inverse(lon1, lat1, lon2, lat2,
-                                          a=ctx.a, f=ctx.f)
-        S = s12
+        lat2, lon2 = np.degrees(vals[2]), np.degrees(vals[3])
+        S, al12, azi2, _m12 = _quiet(geod_inverse, lon1, lat1, lon2, lat2,
+                                     a=ctx.a, f=ctx.f)
     else:
-        al12 = np.degrees(c2 * DMS_DEG)
-        S = c3 * ctx.to_meter
-        lon2, lat2, azi2 = geod_direct(lon1, lat1, al12, S,
-                                       a=ctx.a, f=ctx.f)
+        al12 = np.degrees(vals[2])
+        S = vals[3] * ctx.to_meter
+        lon2, lat2, azi2 = _quiet(geod_direct, lon1, lat1, al12, S,
+                                  a=ctx.a, f=ctx.f)
     al21 = azi2 + np.where(azi2 >= 0.0, -180.0, 180.0)
-
-    def azv(v):
-        return np.where(v < 0.0, v + 360.0, v) if ctx.pos_azi else v
-
-    def col(cv, fmt):
-        import re as _re
-
-        m = _re.match(_FMT_FIXED_RE_SRC, fmt)
-        if m is not None and bool(np.all(np.isfinite(cv))):
-            out = _fast_fixed_format(cv, int(m.group(1) or 6))
-            if out is not None:
-                return out
-        return pa.array(np.char.mod(fmt, cv))
-
     if ctx.fullout:
-        cols = [col(lat1, oform), col(lon1, oform),
-                col(lat2, oform), col(lon2, oform),
-                col(azv(al12), oform), col(azv(al21), oform),
-                col(S * ctx.fr_meter, osform)]
+        pts, azs = [lat1, lon1, lat2, lon2], [al12, al21]
     elif ctx.inverse:
-        cols = [col(azv(al12), oform), col(azv(al21), oform),
-                col(S * ctx.fr_meter, osform)]
+        pts, azs = [], [al12, al21]
     else:
-        cols = [col(lat2, oform), col(lon2, oform), col(azv(al21), oform)]
-    pieces = []
-    for c in cols:
-        if pieces:
-            pieces.append(pa.scalar("\t"))
-        pieces.append(c)
-    if bool(np.any(lens > 4)):
-        # VERBATIM remainder after the 4th token (whitespace kept) —
-        # the C echoes printf("%s", s) from the consume position
-        ext = pc.extract_regex(
-            arr, r"^\s*\S+\s+\S+\s+\S+\s+\S+(?P<tail>.*)$")
-        if ext.null_count:
-            return None
-        pieces.append(pc.struct_field(ext, "tail"))
-    joined = pc.binary_join_element_wise(*pieces, pa.scalar(""))
-    return _join_lines(joined)
+        pts, azs = [lat2, lon2], [al21]
+    if ctx.pos_azi:
+        azs = [np.where(a < 0.0, a + 360.0, a) for a in azs]
+    if ctx.oform:
+        cols = _fmt_cols(pts + azs, ctx.oform)
+    else:
+        cols = ([_dms_col(c, *("NS" if k % 2 == 0 else "EW"), ctx.prec,
+                          ctx.wfixed) for k, c in enumerate(pts)]
+                + [_dms_col(a, "", "", ctx.prec, ctx.wfixed) for a in azs])
+    if ctx.fullout or ctx.inverse:
+        cols += _fmt_cols([S * ctx.fr_meter], ctx.osform)
+    pieces = [cols[0]]
+    for c in cols[1:]:
+        pieces += [pa.scalar("\t"), c]
+    return _emit(arr, di, pieces, None, tail)

@@ -81,10 +81,12 @@ def _sorted_pdf(obj, by):
 
 
 def _typed(ds, **cols):
-    """``ds``, or an empty table with ``cols`` (name -> pyarrow type)
-    when ``ds`` has no rows: Ray Data keeps no schema for a zero-row
-    Dataset (its ``to_pandas()`` has no columns), while the oracle's
-    empty result has typed ones."""
+    """``ds`` (a Dataset or a pyarrow table), or an empty table with
+    ``cols`` (name -> pyarrow type) when ``ds`` has no rows: Ray Data
+    keeps no schema for a zero-row Dataset (its ``to_pandas()`` has no
+    columns), while the oracle's empty result has typed ones."""
+    if isinstance(ds, pa.Table):
+        return ds if ds.num_rows else pa.schema(cols).empty_table()
     ds = ds.materialize()
     return ds if ds.count() else pa.schema(cols).empty_table()
 
@@ -1125,6 +1127,11 @@ def knn_s2_certified(index_dir, queries, k, shard_level, r0=3.0,
                     tables.append(got)
                 break
             r *= 2.0
+    if not tables:  # the index holds no point
+        d = (("d2", pa.float64()) if metric == "planar"
+             else ("s12_mm", pa.int64()))
+        return pa.schema([("qid", pa.int64()), ("id", pa.int64()),
+                          ("rank", pa.int64()), d]).empty_table()
     return pa.concat_tables(tables)
 
 
@@ -1135,8 +1142,10 @@ def knn_s2_pruned(sf_dir):
     the identical full-scan SQL as knn_points — the pruned read must
     return the exact rows, which driver-gates the certificate logic and
     the covering's no-miss property together."""
-    return knn_s2_certified(_s2_index_dir(sf_dir), _KNN_QUERIES, k=5,
-                            shard_level=_S2_SHARD_LEVEL)
+    return _typed(knn_s2_certified(_s2_index_dir(sf_dir), _KNN_QUERIES,
+                                   k=5, shard_level=_S2_SHARD_LEVEL),
+                  qid=pa.int32(), id=pa.int64(), rank=pa.int64(),
+                  d2=pa.float64())
 
 
 @query("knn_geodesic", sql=_golden_sql("knn_geodesic_sf001.parquet"))
@@ -2405,7 +2414,8 @@ def salted_cell_agg(sf_dir):
         return df.rename(columns={"pid": "sum_pid"})
 
     out = out.map_batches(fin, batch_format="pandas", batch_size=None)
-    return _sorted_pdf(out, ["cell"])
+    return _sorted_pdf(_typed(out, cell=pa.int64(), n_points=pa.int64(),
+                              sum_pid=pa.int64()), ["cell"])
 
 
 _DP_TOL_DEG = 60.0  # Douglas-Peucker tolerance (degrees; drops ~1/3)
@@ -2910,18 +2920,19 @@ def geohash_cell_agg(sf_dir):
             + (((gy[:, None] >> jj) & 1) << (2 * jj)).sum(axis=1)
         return pd.DataFrame({"cell": z >> 10, "pid": pid})
 
-    agg = bucket_aggregate(
+    agg = _typed(bucket_aggregate(
         ds.map_batches(enc, batch_format="pyarrow", batch_size=None,
                        zero_copy_batch=True),
         ["cell"], {"n_points": ("pid", "count"),
-                   "min_pid": ("pid", "min")}, num_buckets=64).to_pandas()
+                   "min_pid": ("pid", "min")}, num_buckets=64),
+        cell=pa.int64(), n_points=pa.int64(), min_pid=pa.int64()).to_pandas()
     cell = agg["cell"].to_numpy(np.int64)
     chars = np.frombuffer(_GH_ALPHA.encode(), np.uint8)
     gh = np.empty((len(cell), 4), np.uint8)
     for i in range(4):
         gh[:, i] = chars[(cell >> (15 - 5 * i)) & 31]
     out = pd.DataFrame({
-        "gh4": [g.tobytes().decode() for g in gh],
+        "gh4": np.array([g.tobytes().decode() for g in gh], dtype=object),
         "n_points": agg["n_points"].to_numpy(np.int64),
         "min_pid": agg["min_pid"].to_numpy(np.int64),
     })
@@ -2966,9 +2977,10 @@ def tile_pyramid_counts(sf_dir):
     from ..stages.tile_stage import tile_stage
 
     tiled = tile_stage(_points_ds(sf_dir), _PYR_ZMAX, out="cell_id")
-    agg = bucket_aggregate(tiled, ["cell_id"],
-                           {"n_points": ("pid", "count")},
-                           num_buckets=64).to_pandas()
+    agg = _typed(bucket_aggregate(tiled, ["cell_id"],
+                                  {"n_points": ("pid", "count")},
+                                  num_buckets=64),
+                 cell_id=pa.int64(), n_points=pa.int64()).to_pandas()
     cid = agg["cell_id"].to_numpy(np.int64)
     tx = cid & ((1 << _PYR_ZMAX) - 1)
     ty = cid >> _PYR_ZMAX

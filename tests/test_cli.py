@@ -133,6 +133,14 @@ def test_proj_S_factors_annotation():
     assert abs(h - k) < 1e-5          # merc is conformal
     assert abs(s - h * k) < 1e-4
     assert abs(omega) < 1e-3
+    # each -S line starts with the per-line grammar's bytes for that
+    # line, also where a token overflows or reads as a hemisphere letter
+    text = "0 45\nnan 45\n1e999 45\n10 1e999\n"
+    want = ["0.00\t5591295.92", "0.00\t0.00an 45", "*\t*1e999 45",
+            "*\t* 1e999"]
+    assert run(proj_main, ["+proj=merc", "+ellps=WGS84"], text) == want
+    annotated = run(proj_main, ["+proj=merc", "+ellps=WGS84", "-S"], text)
+    assert [ln.rsplit("\t<", 1)[0] for ln in annotated] == want
 
 
 def test_proj_V_verbose_factors():
@@ -353,174 +361,6 @@ def test_w_argument_missing_aborts():
             assert rc == 1
 
 
-def test_fast_chunk_parity_adversarial():
-    """The vectorized chunk path must be byte-identical to the per-line
-    path on rounding-boundary values, negative zero, mixed bad lanes,
-    scientific notation, z columns and trailing whitespace."""
-    import numpy as np
-
-    from proj_ray.cli import _fast_chunk, _slow_lines
-    from proj_ray.transform import make_transform
-
-    t = make_transform("+proj=latlong +datum=WGS84",
-                       "+proj=merc +datum=WGS84")
-    rng = np.random.default_rng(77)
-    lines = [f"{a:.9f} {b:.9f}" for a, b in
-             zip(rng.uniform(-179, 179, 500), rng.uniform(-85, 85, 500))]
-    # printf tie / sign adversaries (x maps through merc, so also check
-    # plain pass-through magnitudes via tiny lat/lon near zero)
-    lines += ["0 0", "-0.0 -0.0", "0.005 0.005", "-0.005 -0.005",
-              "2.675 1.005", "1e-8 -1e-9", "10 45 7.5", "10 45 -0.125",
-              "12.5 60 2.675", "0 91", "181 0 5", "10 45 ", "  10 45",
-              "10\t45\t3"]
-    for flags in ({"-f": "%.2f"}, {"-f": "%.7f"}, {"-f": "%.0f"},
-                  {"-f": "%.2f", "-s": True}):
-        fast = _fast_chunk(lines, t, flags)
-        slow = "\n".join(_slow_lines(lines, t, flags))
-        assert fast is not None
-        assert fast == slow, (flags, next(
-            (a, b) for a, b in zip(fast.splitlines(), slow.splitlines())
-            if a != b))
-
-
-def test_fast_chunk_split_frontend_matches_regex_frontend():
-    """Uniform 'x y' chunks take the whitespace-split frontend; forcing
-    the regex frontend (via a trailing-space line) must give identical
-    bytes for the shared lines."""
-    from proj_ray.cli import _fast_chunk
-    from proj_ray.transform import make_transform
-
-    t = make_transform("+proj=latlong +datum=WGS84",
-                       "+proj=merc +datum=WGS84")
-    flags = {"-f": "%.3f"}
-    base = ["10.123456789 45.987654321", "-179.9 -85.0", "0.001 -0.001"]
-    split_out = _fast_chunk(base, t, flags)
-    # a line with a trailing space routes the whole chunk through the
-    # regex frontend (the tail must be echoed)
-    regex_out = _fast_chunk(base + ["5 5 "], t, flags)
-    assert split_out is not None and regex_out is not None
-    assert regex_out.splitlines()[:3] == split_out.splitlines()
-    assert regex_out.splitlines()[3].endswith(" ")
-
-
-def test_fast_proj_chunk_parity_adversarial():
-    """The proj filter's vectorized chunk path must be byte-identical
-    to the per-line path: tails (third numeric token is UNCONSUMED in
-    proj), -r/-s swaps, -m scaling fwd+inv, -E echo, out-of-domain
-    sentinel lanes, trailing whitespace."""
-    import numpy as np
-
-    from proj_ray.cli import _fast_proj_chunk, _slow_proj_lines
-    from proj_ray.transform import make_transform
-
-    fwd = make_transform("+proj=latlong +ellps=WGS84",
-                         "+proj=merc +ellps=WGS84")
-    inv = make_transform("+proj=merc +ellps=WGS84",
-                         "+proj=latlong +ellps=WGS84")
-    rng = np.random.default_rng(99)
-    lines = [f"{a:.9f} {b:.9f}" for a, b in
-             zip(rng.uniform(-179, 179, 400), rng.uniform(-85, 85, 400))]
-    lines += ["0 0", "-0.0 -0.0", "0.005 0.005", "2.675 1.005",
-              "1e-8 -1e-9", "10 45 expected-X expected-Y label",
-              "12.5 60 2.675", "0 91", "10 45 ", "  10 45", "10\t45\t3"]
-    for flags in ({"-f": "%.2f"}, {"-f": "%.7f"},
-                  {"-f": "%.2f", "-s": True}, {"-f": "%.2f", "-r": True},
-                  {"-f": "%.3f", "-m": "1:2.5"}, {"-f": "%.3f", "-m": "2"},
-                  {"-f": "%.2f", "-E": True}):
-        fast = _fast_proj_chunk(lines, fwd, flags)
-        slow = "\n".join(_slow_proj_lines(lines, fwd, flags))
-        assert fast is not None
-        assert fast == slow, (flags, next(
-            (a, b) for a, b in zip(fast.splitlines(), slow.splitlines())
-            if a != b))
-    # inverse direction: -m prescale + numeric-format latlong output
-    ilines = [f"{a:.3f} {b:.3f}" for a, b in
-              zip(rng.uniform(-2e7, 2e7, 200), rng.uniform(-1.5e7, 1.5e7, 200))]
-    for flags in ({"-f": "%.7f", "-I": True},
-                  {"-f": "%.7f", "-I": True, "-m": "1:3"}):
-        fast = _fast_proj_chunk(ilines, inv, flags)
-        slow = "\n".join(_slow_proj_lines(ilines, inv, flags))
-        assert fast is not None
-        assert fast == slow, flags
-
-
-def test_fast_proj_chunk_falls_back():
-    """Chunks the fast path must refuse: DMS default output, DMS
-    tokens, comments/blank lines, non-decimal fields."""
-    from proj_ray.cli import _fast_proj_chunk
-    from proj_ray.transform import make_transform
-
-    inv = make_transform("+proj=merc +ellps=WGS84",
-                         "+proj=latlong +ellps=WGS84")
-    # default (no -f) latlong output is rtodms DMS -> per-line path
-    assert _fast_proj_chunk(["1000 2000"], inv, {}) is None
-    fwd = make_transform("+proj=latlong +ellps=WGS84",
-                         "+proj=merc +ellps=WGS84")
-    for bad in (["# comment"], [""], ["12d30'N 45"], ["abc 45"],
-                ["12,5 60"]):
-        assert _fast_proj_chunk(bad, fwd, {"-f": "%.2f"}) is None
-
-
-def _geod_ctx(**kw):
-    from types import SimpleNamespace
-
-    base = dict(a=6378137.0, f=1 / 298.257223563, to_meter=1.0,
-                fr_meter=1.0, oform="%.8f", osform="%.3f", prec=3,
-                inverse=False, fullout=False, pos_azi=False, wfixed=False)
-    base.update(kw)
-    return SimpleNamespace(**base)
-
-
-def test_fast_geod_chunk_parity_adversarial():
-    """The geod filter's vectorized chunk path must be byte-identical
-    to the per-line path across inverse/direct/fullout/-p modes, unit
-    scaling, tails and near-boundary values."""
-    import numpy as np
-
-    from proj_ray.cli import _fast_geod_chunk, _slow_geod_lines
-
-    rng = np.random.default_rng(17)
-    lines = [f"{a:.7f} {b:.7f} {c:.7f} {d:.7f}" for a, b, c, d in
-             zip(rng.uniform(-89, 89, 300), rng.uniform(-179, 179, 300),
-                 rng.uniform(-89, 89, 300), rng.uniform(-179, 179, 300))]
-    lines += ["0 0 0 1", "0 0 0 -1", "-0.0 -0.0 45.0 90.0",
-              "10 20 10.0000001 20.0000001",
-              "1 2 3 4 carried tail  text", "89.9 0 -89.9 179.9"]
-    for ctx in (_geod_ctx(inverse=True),
-                _geod_ctx(inverse=True, fullout=True),
-                _geod_ctx(inverse=True, pos_azi=True),
-                _geod_ctx(inverse=True, fr_meter=1e-3),
-                _geod_ctx(inverse=True, oform="%.11g")):
-        fast = _fast_geod_chunk(lines, ctx)
-        slow = "\n".join(_slow_geod_lines(lines, ctx))
-        assert fast is not None
-        assert fast == slow, next(
-            (a, b) for a, b in zip(fast.splitlines(), slow.splitlines())
-            if a != b)
-    dlines = [f"{a:.7f} {b:.7f} {az:.7f} {s:.3f}" for a, b, az, s in
-              zip(rng.uniform(-89, 89, 200), rng.uniform(-179, 179, 200),
-                  rng.uniform(-180, 180, 200), rng.uniform(1, 1.9e7, 200))]
-    dlines += ["0 0 90 111319.491 tail", "0 0 90 1e3"]
-    for ctx in (_geod_ctx(), _geod_ctx(fullout=True, pos_azi=True),
-                _geod_ctx(to_meter=1000.0, fr_meter=1e-3)):
-        fast = _fast_geod_chunk(dlines, ctx)
-        slow = "\n".join(_slow_geod_lines(dlines, ctx))
-        assert fast is not None
-        assert fast == slow, ctx
-
-
-def test_fast_geod_chunk_falls_back():
-    """Chunks the geod fast path must refuse: rtodms default output,
-    DMS tokens, comments, blank and short lines."""
-    from proj_ray.cli import _fast_geod_chunk
-
-    assert _fast_geod_chunk(["0 0 0 1"], _geod_ctx(inverse=True,
-                                                   oform=None)) is None
-    for bad in (["# comment"], [""], ["0d30' 0 0 1"], ["1 2 3"],
-                ["abc 2 3 4"]):
-        assert _fast_geod_chunk(bad, _geod_ctx(inverse=True)) is None
-
-
 def test_proj_V_analytic_markers_and_emess(capsys):
     """-V parity details (src/proj.c:152-244, emess.c): forward oform
     default %.2f, analytic '*' markers for lcc (IS_ANAL_HK+CONV),
@@ -694,3 +534,91 @@ def test_init_failure_routed_to_caller_stderr():
                     stdout=io.StringIO(), stderr=err)
     assert rc == 3
     assert "projection initialization failure" in err.getvalue()
+
+
+# per-line bytes of an overflowing first field (dmstor keeps the start
+# position, so nothing is consumed and the whole line is the tail)
+_OVERFLOW_LINES = [
+    (cs2cs_main, ["+proj=latlong", "+datum=WGS84", "+to", "+proj=merc",
+                  "+datum=WGS84"], "1e999 45", "10 45", "10d30'E 45",
+     "*\t* inf 45"),
+    (proj_main, ["+proj=merc", "+ellps=WGS84"], "1e999 45", "10 45",
+     "10d30'E 45", "*\t*1e999 45"),
+    (geod_main, ["+ellps=WGS84", "-I", "-f", "%.4f"], "1e999 0 10 10",
+     "0 0 0 1", "0d30'N 0 0 1", "-90.0000\tnan\tnan1e999 0 10 10"),
+]
+
+
+def test_overflow_line_does_not_depend_on_its_neighbours(capsys):
+    """An overflowing line prints the same stdout and stderr bytes next
+    to a plain line as next to a DMS line: the per-line grammar's."""
+    for main, argv, bad, plain, dms, want in _OVERFLOW_LINES:
+        for neighbour in (plain, dms):
+            lines = run(main, argv, f"{neighbour}\n{bad}\n{neighbour}\n")
+            assert lines[1] == want, (argv, neighbour, lines)
+            assert capsys.readouterr().err == "", (argv, neighbour)
+
+
+def test_one_transform_call_per_chunk(monkeypatch):
+    """40,000 lines (two chunks), each chunk holding one DMS line and
+    one tag line among plain lines, make exactly two transform calls."""
+    import proj_ray.cli as cli
+    from proj_ray.kernels import geodesic
+
+    calls = []
+
+    def text(plain, dms):
+        lines = [plain] * 40000
+        for k in (0, 32768):
+            lines[k + 5] = dms
+            lines[k + 9] = "# tag"
+        return "\n".join(lines) + "\n"
+
+    class Counted:
+        def __init__(self, t):
+            self.t = t
+
+        def __getattr__(self, name):
+            return getattr(self.t, name)
+
+        def __call__(self, *a, **kw):
+            calls.append(1)
+            return self.t(*a, **kw)
+
+    make = cli.make_transform
+    monkeypatch.setattr(cli, "make_transform",
+                        lambda *a, **kw: Counted(make(*a, **kw)))
+    run(cs2cs_main, ["+proj=latlong", "+datum=WGS84", "+to", "+proj=merc",
+                     "+datum=WGS84"], text("10 45", "10d30'E 45"))
+    assert len(calls) == 2
+
+    calls.clear()
+    fwd = cli._PjFwdFilter.__call__
+    monkeypatch.setattr(cli._PjFwdFilter, "__call__",
+                        lambda self, *a: calls.append(1) or fwd(self, *a))
+    run(proj_main, ["+proj=merc", "+ellps=WGS84"], text("10 45",
+                                                        "10d30'E 45"))
+    assert len(calls) == 2
+
+    calls.clear()
+    inv = geodesic.geod_inverse
+    monkeypatch.setattr(geodesic, "geod_inverse",
+                        lambda *a, **kw: calls.append(1) or inv(*a, **kw))
+    run(geod_main, ["+ellps=WGS84", "-I", "-f", "%.6f"],
+        text("0 0 0 1", "0d30'N 0 0 1"))
+    assert len(calls) == 2
+
+
+def test_geod_nonfinite_lanes_are_quiet(capsys):
+    """Non-finite geod lanes print nan and write nothing to stderr: no
+    numpy RuntimeWarning from the geodesic kernels."""
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in (["-I", "-f", "%.4f"], ["-f", "%.4f"]):
+            lines = run(geod_main, ["+ellps=WGS84"] + argv,
+                        "1e999 0 10 10\n0 1e999 10 10\n0 0 0 1\n")
+            assert "nan" in lines[0] and "nan" in lines[1]
+            assert "nan" not in lines[2]
+    assert capsys.readouterr().err == ""

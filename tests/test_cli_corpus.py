@@ -169,7 +169,8 @@ def _big(seed, kinds_fn, n=33000):
     return lines
 
 
-# ---- inputs of the former fast/slow chunk parity tests ------------------
+# ---- adversarial inputs: printf ties, negative zero, scientific ----------
+# ---- notation, z columns, tails, bad lanes, trailing whitespace ---------
 
 def _parity_cs2cs():
     rng = np.random.default_rng(77)
@@ -282,7 +283,7 @@ def _cases():
     add("cs2cs_utm_I_t1", cs2cs_main, UTM + ["-I", "-t1", "-f", "%.3f"],
         utm_xy)
     add("cs2cs_merc_big", cs2cs_main, MERC + ["-f", "%.2f"], big_ll)
-    # inputs of the former _fast_chunk parity tests
+    # adversarial inputs, every -f form
     for tag, fl in (("f2", ["-f", "%.2f"]), ("f7", ["-f", "%.7f"]),
                     ("f0", ["-f", "%.0f"]), ("f2s", ["-f", "%.2f", "-s"])):
         add(f"cs2cs_parity_{tag}", cs2cs_main, MERC + fl, pc_txt)
@@ -326,7 +327,7 @@ def _cases():
     add("proj_V_lcc", proj_main, ["-V", "+proj=lcc", "+lat_1=33",
                                   "+lat_2=45", "+ellps=clrk66"],
         _text(["12.5 48.2", "-100 40 label"]))
-    # inputs of the former _fast_proj_chunk parity / fall-back tests
+    # adversarial inputs and single odd lines
     for tag, fl in (("f2", ["-f", "%.2f"]), ("f7", ["-f", "%.7f"]),
                     ("f2s", ["-f", "%.2f", "-s"]),
                     ("f2r", ["-f", "%.2f", "-r"]),
@@ -361,7 +362,7 @@ def _cases():
                     ("tdot", ["-t."])):
         add(f"geod_I_{tag}", geod_main, G + ["-I", "-f", "%.6f"] + fl, gi)
     add("geod_I_plain", geod_main, G + ["-I", "-f", "%.6f"], gi_plain)
-    # inputs of the former _fast_geod_chunk parity / fall-back tests
+    # adversarial inputs and single odd lines
     for tag, fl in (("I", ["-I"]), ("Ia", ["-I", "-a"]),
                     ("Ip", ["-I", "-p"]), ("Ikm", ["-I", "+units=km"]),
                     ("Ig11", ["-I", "-f", "%.11g"])):

@@ -168,39 +168,66 @@ def test_rect_overlap_join_matches_bruteforce(ray_session):
         got.astype({c: want[c].dtype for c in want.columns}), want)
 
 
-def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
-    """Zero-row inputs: radius_pair_join and rect_overlap_join return
-    their oracles' (empty) columns and dtypes, spatial_clusters an empty
-    int64 (pid, cluster) frame."""
+def _empty_sf(path):
+    """A scale-factor directory whose lineitem, orders and part tables
+    have zero rows, and a DuckDB connection with a view over each."""
     import duckdb
     import pyarrow.parquet as pq
-
-    from proj_ray.pipelines.queries import QUERIES
 
     empty = pa.array([], pa.int64())
     pq.write_table(pa.table({"l_orderkey": empty,
                              "l_linenumber": pa.array([], pa.int32())}),
-                   str(tmp_path / "lineitem.parquet"))
+                   str(path / "lineitem.parquet"))
     pq.write_table(pa.table({"o_orderkey": empty}),
-                   str(tmp_path / "orders.parquet"))
+                   str(path / "orders.parquet"))
     pq.write_table(pa.table({"p_partkey": empty}),
-                   str(tmp_path / "part.parquet"))
+                   str(path / "part.parquet"))
     con = duckdb.connect()
     for t in ("lineitem", "orders", "part"):
-        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{tmp_path}/{t}.parquet'")
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{path}/{t}.parquet'")
+    return con
 
-    for name in ("radius_pair_join", "rect_overlap_join"):
-        got = QUERIES[name]["fn"](str(tmp_path)).to_pandas()
+
+def _assert_empty_like_oracle(path, con, names):
+    from proj_ray.pipelines.queries import QUERIES
+
+    for name in names:
+        got = QUERIES[name]["fn"](str(path))
+        got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
         want = con.sql(QUERIES[name]["sql"]).fetchdf()
-        assert len(want) == 0
-        assert list(got.columns) == list(want.columns)
-        assert list(got.dtypes) == list(want.dtypes)
-        assert len(got) == 0
+        if name == "knn_s2_geodesic":  # the golden holds the sf0.01 rows
+            want = want.iloc[:0]
+        assert len(want) == 0, name
+        assert list(got.columns) == list(want.columns), name
+        assert list(got.dtypes) == list(want.dtypes), name
+        assert len(got) == 0, name
+
+
+def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
+    """Zero-row inputs: radius_pair_join and rect_overlap_join return
+    their oracles' (empty) columns and dtypes, spatial_clusters an empty
+    int64 (pid, cluster) frame."""
+    from proj_ray.pipelines.queries import QUERIES
+
+    con = _empty_sf(tmp_path)
+    _assert_empty_like_oracle(tmp_path, con,
+                              ("radius_pair_join", "rect_overlap_join"))
 
     got = QUERIES["spatial_clusters"]["fn"](str(tmp_path)).to_pandas()
     want = pd.DataFrame({"pid": np.empty(0, np.int64),
                          "cluster": np.empty(0, np.int64)})
     pd.testing.assert_frame_equal(got, want)
+
+
+def test_cell_and_knn_queries_empty_input_keep_oracle_schema(tmp_path,
+                                                            ray_session):
+    """Zero-row inputs: the shard-pruned kNN queries and the cell
+    aggregates return zero rows with their oracles' columns and dtypes
+    (knn_s2_geodesic: its golden's) instead of raising."""
+    con = _empty_sf(tmp_path)
+    _assert_empty_like_oracle(tmp_path, con, (
+        "knn_s2_pruned", "knn_s2_geodesic", "salted_cell_agg",
+        "geohash_cell_agg", "tile_pyramid_counts"))
 
 
 def _nonfinite_points():

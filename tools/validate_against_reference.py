@@ -893,8 +893,8 @@ def sweep_vprocess(rng):
         ok &= good
 
     # custom -t tag chars that can BEGIN a numeric line (-t1, -t-,
-    # -t.): tagged lines must be echoed, not parsed — the fast chunk
-    # paths bail to the per-line path on these (cli._fast_tag_safe)
+    # -t.): tagged lines must be echoed, not parsed — the chunk path
+    # sets them aside before any parsing (cli._parse_chunk)
     tag_lines = ["1 2", "3 4", "-5 6", ".5 .25", "12 34 tail", "# hash"]
     for tg in ["1", "-", "."]:
         args = ["-t" + tg, "+proj=merc", "+ellps=WGS84"]
