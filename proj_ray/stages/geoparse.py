@@ -3,9 +3,10 @@
 ``synth_pages_stage`` turns a keyed table into the Common-Crawl-style
 pages shape from BASELINE.json's input_hint
 (url:string, warc_ts:timestamp, html:binary, text:string, lang:string),
-embedding deterministic coordinate mentions in ``text``. Everything is
-exact integer arithmetic + C printf formatting (np.char.mod), so an
-independent SQL oracle reproduces the text byte-for-byte.
+embedding deterministic coordinate mentions in ``text``. Each page's
+coordinates are integer centi-degrees of its pid, and their text is
+gathered from per-centi-value tables formatted once with printf('%.2f'),
+so an independent SQL oracle reproduces the text byte-for-byte.
 
 ``GeoparseStage`` extracts "(lat, lon)" mentions with an RE2 regex via
 ``pyarrow.compute.extract_regex`` — fully vectorized, no Python-per-row.
@@ -16,6 +17,8 @@ of passthrough (SURVEY.md §1.4).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
@@ -25,31 +28,29 @@ from ..pipelines.derive import lonlat_numpy
 COORD_RE = r"\((?P<glat>-?\d+\.\d\d), (?P<glon>-?\d+\.\d\d)\)"
 
 
-def _fixed2_str(centi: np.ndarray) -> pa.Array:
-    """int centi-units -> '%.2f'-identical decimal strings, built from
-    integer parts with Arrow kernels (no per-row printf)."""
-    neg = centi < 0
-    a = np.abs(centi)
-    ip = pc.cast(pa.array(a // 100, pa.int64()), pa.string())
-    # zero-padded 2-digit fraction via the '1xx' slice trick
-    frac3 = pc.cast(pa.array(a % 100 + 100, pa.int64()), pa.string())
-    frac = pc.utf8_slice_codeunits(frac3, 1, 3)
-    sign = pc.if_else(pa.array(neg), pa.scalar("-"), pa.scalar(""))
-    return pc.binary_join_element_wise(sign, ip, ".", frac, "")
+@functools.lru_cache(maxsize=None)
+def _coord_tables() -> tuple[pa.Array, pa.Array]:
+    """The page's coordinate text per centi-value, built once per process:
+    LAT[v + 8000] = ' Coordinates: (%.2f, ' % (v / 100) for lat centi v in
+    [-8000, 8000), LON[v + 18000] = '%.2f)' % (v / 100) for lon centi v in
+    [-18000, 18000). Python's '%.2f' is C printf; about 0.7 MB."""
+    lat = pa.array([" Coordinates: (%.2f, " % (v / 100) for v in range(-8000, 8000)],
+                   pa.string())
+    lon = pa.array(["%.2f)" % (v / 100) for v in range(-18000, 18000)], pa.string())
+    return lat, lon
 
 
 def page_text(pid: np.ndarray, base=None) -> pa.Array:
     """Page text per int64 pid: [base text +] ' Coordinates: (lat, lon)'.
 
-    All string assembly is Arrow-native (binary_join_element_wise /
-    casts) — ~20x faster than numpy.char; the coordinate decimals are
-    byte-identical to printf('%.2f') by integer construction. ``base``
-    is a string array without nulls, or None for no base text."""
-    lon_centi = pid * 104729 % 36000 - 18000
-    lat_centi = pid * 7919 % 16000 - 8000
-    return pc.binary_join_element_wise(
-        "" if base is None else base, " Coordinates: (",
-        _fixed2_str(lat_centi), ", ", _fixed2_str(lon_centi), ")", "")
+    The coordinate text is two gathers from the per-centi-value tables of
+    ``_coord_tables`` and one ``binary_join_element_wise``. ``base`` is a
+    string array without nulls, or None for no base text."""
+    lat, lon = _coord_tables()
+    i = pa.array(pid * 7919 % 16000)     # lat centi-value + 8000
+    j = pa.array(pid * 104729 % 36000)   # lon centi-value + 18000
+    cols = [lat.take(i), lon.take(j), ""]
+    return pc.binary_join_element_wise(*cols if base is None else [base, *cols])
 
 
 def synth_pages_batch(batch: pa.Table, pid_col: str, text_col=None) -> pa.Table:
@@ -91,9 +92,11 @@ def synth_pages_stage(ds, pid_col: str, text_col=None, batch_size=None):
 
 
 class GeoparseStage:
-    """Actor-pool geoparser: the RE2 pattern is compiled once per actor
-    (pyarrow caches compiled regexes per call site, but the actor form
-    also carries optional custom patterns / gazetteers at scale)."""
+    """Geoparser over one batch of pages: the RE2 pattern's "(lat, lon)"
+    mentions as float64 ``lat``/``lon`` columns beside the ``keep``
+    columns; rows without a mention are dropped. Stateless: passed to
+    ``map_batches`` as an instance, it runs as a task pool, not an actor
+    pool."""
 
     def __init__(self, pattern: str = COORD_RE, text_col="text", keep=("pid", "url", "text")):
         self.pattern = pattern

@@ -134,6 +134,11 @@ def test_page_text_matches_synth_pages_batch():
     assert pid[0] == 0
     assert ((lat_centi > -100) & (lat_centi < 0)).any()
     assert ((lon_centi > -100) & (lon_centi < 0)).any()
+    # every lat and lon centi-value is reached (gcd(7919, 16000) =
+    # gcd(104729, 36000) = 1), so the printf comparison below covers every
+    # entry of page_text's coordinate tables
+    assert np.unique(lat_centi).size == 16_000
+    assert np.unique(lon_centi).size == 36_000
     plain = page_text(pid)
     assert plain.equals(synth_pages_batch(pa.table({"pid": pid}), "pid")["text"]
                         .combine_chunks())
@@ -144,6 +149,10 @@ def test_page_text_matches_synth_pages_batch():
     assert based.equals(synth_pages_batch(pa.table({"pid": pid, "t": words}), "pid",
                                           text_col="t")["text"].combine_chunks())
     assert based.to_pylist() == _printf_text(pid, pc.fill_null(words, "").to_pylist())
+
+    empty = np.array([], np.int64)
+    for got in (page_text(empty), page_text(empty, pa.array([], pa.string()))):
+        assert got.type == pa.string() and len(got) == 0
 
 
 def test_flagship_pages_are_pid_and_synth_text(ray_session):
