@@ -348,6 +348,10 @@ def rtodms(r: float, pos: str = "", neg: str = "", prec: int = 3,
     seconds fraction — '0dE', '79d58'W', '44d59'59.983"N'."""
     import math
 
+    if not math.isfinite(r):
+        # no DMS form (the C's (int) cast of it is undefined): print the
+        # token printf's %f prints, as the numeric -f output does
+        return "%f" % r
     RES = 10.0 ** prec
     CONV = 180.0 * 3600.0 * RES / math.pi
     if r < 0:

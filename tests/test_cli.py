@@ -622,3 +622,24 @@ def test_geod_nonfinite_lanes_are_quiet(capsys):
             assert "nan" in lines[0] and "nan" in lines[1]
             assert "nan" not in lines[2]
     assert capsys.readouterr().err == ""
+
+
+def test_geod_dms_output_prints_nonfinite_fields(capsys):
+    """geod's default DMS output prints a non-finite field as the token
+    that -f %.4f prints for it ('nan'), keeps the finite fields in DMS,
+    and exits 0 with nothing on stderr (rtodms used to raise on nan)."""
+    cases = [(["-I"], "1e999 0 10 10", "-90d\tnan\tnan1e999 0 10 10"),
+             ([], "1e999 0 45 10", "nan\tnan\tnan 0 45 10"),
+             ([], "10 10 45 1e999", "nan\tnan\tnan")]
+    for argv, line, want in cases:
+        text = f"0 0 0 1\n{line}\n"
+        out = io.StringIO()
+        rc = geod_main(["+ellps=WGS84"] + argv, stdin=io.StringIO(text),
+                       stdout=out)
+        lines = out.getvalue().splitlines()
+        assert rc == 0 and lines[1] == want, (argv, lines)
+        assert "d" in lines[0].split("\t")[0]
+        num = run(geod_main, ["+ellps=WGS84", "-f", "%.4f"] + argv, text)
+        assert ([f == "nan" for f in num[1].split("\t")]
+                == [f == "nan" for f in want.split("\t")])
+    assert capsys.readouterr().err == ""
