@@ -643,3 +643,62 @@ def test_geod_dms_output_prints_nonfinite_fields(capsys):
         assert ([f == "nan" for f in num[1].split("\t")]
                 == [f == "nan" for f in want.split("\t")])
     assert capsys.readouterr().err == ""
+
+
+def _S_lines(seed, n, inverse):
+    """Seeded proj -S input with finite lanes only: plain decimals, DMS
+    (forward) or metres (inverse), trailing labels and '#' comments."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        kind = rng.uniform()
+        if inverse:
+            x = rng.uniform(200_000.0, 800_000.0)
+            y = rng.uniform(-9_000_000.0, 9_000_000.0)
+            line = f"{x:.3f} {y:.3f}"
+        else:
+            lon, lat = rng.uniform(-6.0, 12.0), rng.uniform(-84.0, 89.0)
+            if kind < 0.3:
+                line = (f"{abs(int(lon))}d{int(rng.integers(0, 60))}'"
+                        f"{rng.uniform(0, 60):.2f}\"{'EW'[lon < 0]} "
+                        f"{abs(int(lat))}d{int(rng.integers(0, 60))}'"
+                        f"{'NS'[lat < 0]}")
+            else:
+                line = f"{lon:.6f} {lat:.6f}"
+        if 0.9 < kind < 0.95:
+            line += " site label"
+        elif kind >= 0.95:
+            line = "# a comment"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+_S_PINS = [
+    (["+proj=utm", "+zone=31", "+ellps=WGS84"], 0,
+     "9d8e1121bf812adf592442bec69e58b25dfb64a0f2d83f30fa00279c2242eb4a"),
+    (["+proj=utm", "+zone=31", "+ellps=WGS84", "-E", "-f", "%.4f"], 0,
+     "7d4c83bc43538de491ed46f2a329e09b5222be95f506005b905e8b6eee8f5428"),
+    (["+proj=lcc", "+lat_1=33", "+lat_2=45", "+lon_0=3", "+ellps=GRS80"], 0,
+     "5d09cbbd47f4204aa6e214e617daf4241e649d7c58038395f2f3a0a5cb3eb5f8"),
+    (["+proj=merc", "+ellps=WGS84"], 0,
+     "77b46d33f5edd18b3bb9d48536e86916b8b141f7168a90b2e2a91efa1596c0b8"),
+    (["+proj=utm", "+zone=31", "+ellps=WGS84", "-I"], 1,
+     "7e972710c4994844ac3311b885038b4c2bfcffe29f240c092ae20c59c7f1265c"),
+    (["+proj=utm", "+zone=31", "+ellps=WGS84", "-I", "-f", "%.6f"], 1,
+     "9f1df648aa18670e11bfae7cbe4d6cac9b4a3365686506c50f80773d9f4af4db"),
+]
+
+
+def test_proj_S_output_pinned():
+    """proj -S stdout over seeded finite inputs (plain, DMS, labels,
+    comments; forward and -I) keeps its sha256."""
+    import hashlib
+
+    for k, (argv, inverse, want) in enumerate(_S_PINS):
+        out = io.StringIO()
+        proj_main(argv + ["-S"], stdin=io.StringIO(_S_lines(k, 400, inverse)),
+                  stdout=out)
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert got == want, (argv, got)
