@@ -416,6 +416,10 @@ def _process_proj_lines(lines, transform: Transform, flags):
 
 
 def _proj_chunk(chunk, transform, flags):
+    """One chunk through proj's line path.  With -S each data lane
+    ends, after its tail, with the scale factors of the projection at
+    the lane's geographic point: the input forward, the output inverse
+    (src/proj.c:104-108,213-218)."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -427,6 +431,7 @@ def _proj_chunk(chunk, transform, flags):
     u, v = vals
     if "-r" in flags:
         u, v = v, u
+    lam, phi = u, v  # radians when forward (dmstor fields)
     if src_ll:
         u, v = u * RAD_TO_DEG, v * RAD_TO_DEG
     u = np.where(np.isfinite(v), u, np.inf)
@@ -436,6 +441,8 @@ def _proj_chunk(chunk, transform, flags):
         pre = 1.0 / fscale
         u, v = u * pre, v * pre
     x, y, _z = _quiet(transform, u, v, np.zeros_like(u))
+    if inverse:
+        lam, phi = x * DEG_TO_RAD, y * DEG_TO_RAD
     if fscale is not None and not inverse:
         x, y = x * fscale, y * fscale
     # oterr fires on data.u == HUGE_VAL ONLY (proj.c:115); nan / -inf
@@ -459,7 +466,35 @@ def _proj_chunk(chunk, transform, flags):
     if err.any():
         body = pc.if_else(pa.array(err), pa.scalar(flags.get("-e", "*\t*")),
                           body)
-    return _emit(arr, di, [body], cons, tail)
+    pieces = [body]
+    if "-S" in flags:
+        if tail is not None:
+            pieces.append(pa.array(tail, pa.string()))
+        pieces.append(_factors_text(transform.P, lam, phi))
+        tail = None
+    return _emit(arr, di, pieces, cons, tail)
+
+
+def _factors_text(P, lam, phi):
+    """proj -S's '\t<h k s omega a b>' per lane, %g-printed (proj.c:213),
+    from one factors() call over the lanes' radians; '\t<* * * * * *>'
+    where the point is not finite."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from .kernels.factors import factors
+
+    ok = np.isfinite(lam) & np.isfinite(phi)
+    fac = _quiet(factors, P, np.where(ok, lam, 0.0), np.where(ok, phi, 0.0),
+                 radians=True)
+    cols = _fmt_cols([fac["h"], fac["k"], fac["s"], fac["omega"] * RAD_TO_DEG,
+                      fac["a"], fac["b"]], "%g")
+    pieces = [pa.scalar("\t<")]
+    for c in cols:
+        pieces += [c, pa.scalar(" ")]
+    pieces[-1] = pa.scalar(">")
+    text = pc.binary_join_element_wise(*pieces, pa.scalar(""))
+    return pc.if_else(pa.array(ok), text, pa.scalar("\t<* * * * * *>"))
 
 
 def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
@@ -1340,60 +1375,9 @@ def proj_main(argv=None, stdin=None, stdout=None, stderr=None):
             _vprocess_lines(fobj, t_fwd, t_inv, P, flags, stdout,
                             stderr, fname)
         return 0
-    if "-S" in flags:
-        from .crs import CRS
-
-        P = CRS(defn)
-        for fname, fobj in _open_inputs(files, stdin, "proj", stderr):
-            _process_S(fobj, t, P, flags, "-I" in flags, stdout)
-        return 0
     for fname, fobj in _open_inputs(files, stdin, "proj", stderr):
         for out in _process_proj_lines(fobj, t, flags):
             print(out, file=stdout)
-    return 0
-
-
-def _process_S(lines, t, P, flags, inverse, stdout):
-    """proj -S: normal output plus '\\t<h k s omega a b>' scale-factor
-    annotations (src/proj.c:104-108,213-218)."""
-    from .kernels.factors import factors
-
-    two_fields = re.compile(r"\s*\S+\s+\S+")
-    for chunk in _iter_line_chunks(lines):
-        # one output line per input line: the chunk path's, annotated
-        for line, base in zip(chunk, _proj_chunk(chunk, t, flags)
-                              .split("\n")):
-            if not line or line.lstrip().startswith("#"):
-                print(line, file=stdout)
-                continue
-            m = two_fields.match(line)
-            if m is None:
-                print(line, file=stdout)
-                continue
-            toks = m.group(0).split()
-            if inverse:
-                try:
-                    x, y = float(toks[0]), float(toks[1])
-                    lon, lat, _ = t(np.array([x]), np.array([y]))[:3]
-                    lon_d, lat_d = lon[0], lat[0]
-                except ValueError:
-                    lon_d = lat_d = float("nan")
-                lon_r = lon_d * DEG_TO_RAD
-                lat_r = lat_d * DEG_TO_RAD
-            else:
-                lon_r = _parse_coord(toks[0])
-                lat_r = _parse_coord(toks[1])
-                lon_d = lon_r * RAD_TO_DEG
-                lat_d = lat_r * RAD_TO_DEG
-            if np.isfinite(lon_d) and np.isfinite(lat_d):
-                fac = factors(P, np.array([lon_r]), np.array([lat_r]),
-                              radians=True)
-                ann = "\t<%g %g %g %g %g %g>" % (
-                    fac["h"][0], fac["k"][0], fac["s"][0],
-                    fac["omega"][0] * RAD_TO_DEG, fac["a"][0], fac["b"][0])
-            else:
-                ann = "\t<* * * * * *>"
-            print(base + ann, file=stdout)
     return 0
 
 

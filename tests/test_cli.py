@@ -143,6 +143,16 @@ def test_proj_S_factors_annotation():
     assert [ln.rsplit("\t<", 1)[0] for ln in annotated] == want
 
 
+def test_proj_S_annotates_the_parsed_lanes():
+    """The -S annotation is the scale factors at the point the line
+    grammar parsed: 'nan 45' reads as (0, 0) ('n' is a hemisphere
+    letter, 'an' garbage), so it is annotated as '0 0', not '0 45'."""
+    argv = ["+proj=utm", "+zone=31", "+ellps=WGS84", "-S"]
+    lines = run(proj_main, argv, "nan 45\n0 0\n0 45\n")
+    ann = [ln.rsplit("\t<", 1)[1] for ln in lines]
+    assert ann[0] == ann[1] != ann[2]
+
+
 def test_proj_V_verbose_factors():
     """-V verbose block (src/proj.c:152-244): conformal tmerc shows
     h == k, s == h*k, omega == 0, and the textbook convergence
