@@ -489,11 +489,8 @@ def _factors_text(P, lam, phi):
                  radians=True)
     cols = _fmt_cols([fac["h"], fac["k"], fac["s"], fac["omega"] * RAD_TO_DEG,
                       fac["a"], fac["b"]], "%g")
-    pieces = [pa.scalar("\t<")]
-    for c in cols:
-        pieces += [c, pa.scalar(" ")]
-    pieces[-1] = pa.scalar(">")
-    text = pc.binary_join_element_wise(*pieces, pa.scalar(""))
+    text = pc.binary_join_element_wise(
+        "\t<", pc.binary_join_element_wise(*cols, " "), ">", "")
     return pc.if_else(pa.array(ok), text, pa.scalar("\t<* * * * * *>"))
 
 

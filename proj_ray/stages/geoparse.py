@@ -47,10 +47,11 @@ def page_text(pid: np.ndarray, base=None) -> pa.Array:
     ``_coord_tables`` and one ``binary_join_element_wise``. ``base`` is a
     string array without nulls, or None for no base text."""
     lat, lon = _coord_tables()
-    i = pa.array(pid * 7919 % 16000)     # lat centi-value + 8000
-    j = pa.array(pid * 104729 % 36000)   # lon centi-value + 18000
-    cols = [lat.take(i), lon.take(j), ""]
-    return pc.binary_join_element_wise(*cols if base is None else [base, *cols])
+    cols = [lat.take(pa.array(pid * 7919 % 16000)),     # lat centi-value + 8000
+            lon.take(pa.array(pid * 104729 % 36000))]   # lon centi-value + 18000
+    if base is not None:
+        cols.insert(0, base)
+    return pc.binary_join_element_wise(*cols, "")
 
 
 def synth_pages_batch(batch: pa.Table, pid_col: str, text_col=None) -> pa.Table:
