@@ -532,7 +532,7 @@ def tile_agg(sf_dir):
     out = combine_partials(
         partials, ["parent_cell"],
         {"n_points": "sum", "sum_lon_centi": "sum", "min_pid": "min"})
-    return _sorted_pdf(out, ["parent_cell"])
+    return _sorted_pdf(out.astype(np.int64), ["parent_cell"])
 
 
 # -- S2 spherical cell index (Hilbert-curve ids) -----------------------------
@@ -673,7 +673,7 @@ def s2_cell_agg(sf_dir):
     out = combine_partials(
         partials, ["cell_id"],
         {"n_points": "sum", "min_pid": "min", "sum_pid": "sum"})
-    return _sorted_pdf(out, ["cell_id"])
+    return _sorted_pdf(out.astype(np.int64), ["cell_id"])
 
 
 def _s2_center_sql():
@@ -2725,9 +2725,7 @@ def hex_cell_agg(sf_dir):
     out = combine_partials(parts, ["hex_q", "hex_r"],
                            {"n_points": "sum", "sum_lon_centi": "sum",
                             "min_pid": "min"})
-    for c in ("n_points", "sum_lon_centi", "min_pid"):
-        out[c] = out[c].astype(np.int64)
-    return _sorted_pdf(out, ["hex_q", "hex_r"])
+    return _sorted_pdf(out.astype(np.int64), ["hex_q", "hex_r"])
 
 
 # -- Per-cluster convex hull ------------------------------------------------

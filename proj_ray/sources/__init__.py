@@ -1,4 +1,5 @@
-"""Sources/sinks: pruned parquet readers + resumable partitioned writes."""
+"""Sources: column-pruned parquet readers. Resumable partitioned writes
+live in ``proj_ray.state``."""
 
 from __future__ import annotations
 

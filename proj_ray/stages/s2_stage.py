@@ -14,8 +14,7 @@ import pyarrow as pa
 from ..kernels.s2cell import cell_id_from_lonlat
 
 
-def s2_stage(ds, level: int, lon_col="lon", lat_col="lat", out="cell_id",
-             batch_size=None):
+def s2_stage(ds, level: int, lon_col="lon", lat_col="lat", out="cell_id"):
     def fn(batch: pa.Table) -> pa.Table:
         lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(
             np.float64, copy=False)
@@ -24,7 +23,7 @@ def s2_stage(ds, level: int, lon_col="lon", lat_col="lat", out="cell_id",
         ids = cell_id_from_lonlat(lon, lat, level).view(np.int64)
         return batch.append_column(out, pa.array(ids, pa.int64()))
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
 
 
@@ -35,10 +34,11 @@ def s2_shard_write(ds, out_dir: str, shard_level: int,
     Because S2 ids are Hilbert-ordered, each shard is a CONTIGUOUS id
     range holding spatially-adjacent rows — the locality-preserving
     100-TB layout: a spatial query prunes whole shards by range
-    intersection.  SINGLE RUN ONLY (one streaming write_parquet); for
-    multi-run resumable builds use ``s2_shard_write_resumable``, which
-    tracks an explicit input-fragment work plan in the lineage
-    manifest."""
+    intersection.  One streaming ``write_parquet`` with no manifest, so
+    an interrupted run starts again from scratch; for multi-run builds
+    use ``s2_shard_write_resumable``, which writes the same layout from
+    an explicit input-fragment plan and skips the fragments the lineage
+    manifest records as complete."""
     import os
 
     from ..kernels.s2cell import cell_id_from_lonlat, id_at_level
@@ -66,51 +66,35 @@ def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
     ``fragments`` is the explicit work plan [(frag_id, spec), ...]
     (input files, row-group ranges, key ranges); ``read_fragment(spec)
     -> pyarrow.Table``.  Each fragment task assigns cells and writes
-    ONE part file per touched cell directory, named
-    ``part-<frag_id>.parquet`` via atomic tmp+rename — idempotent, so a
-    crashed fragment's re-run simply overwrites its own files.  A
-    fragment is recorded in the lineage manifest (config-hashed) only
-    AFTER its task completes, so completed fragments are skipped on
-    restart and half-written ones re-run.  Refuses to resume over a
-    manifest written under a different config (a level change would
-    leave stale cell dirs behind).  The result is byte-compatible with
-    ``s2_shard_write``'s layout and prunable by the same readers.
+    ONE part file per touched cell directory,
+    ``s2_shard=<cell>/part-<frag_id>.parquet``, through
+    ``state.write_unit``: atomic tmp+rename, then a config-hashed
+    manifest record listing the files — idempotent, so a crashed
+    fragment's re-run simply overwrites its own files.  A fragment is
+    done when ``LineageManifest.completed`` says so (record present,
+    every listed file on disk; a zero-row fragment lists none), so
+    completed fragments are skipped on restart and half-written ones
+    re-run.  Refuses to resume over a manifest written under a
+    different config (a level change would leave stale cell dirs
+    behind).  The result is byte-compatible with ``s2_shard_write``'s
+    layout and prunable by the same readers.
 
     Returns (n_run, n_skipped)."""
-    import os
-
-    import pyarrow.parquet as pq
     import ray
 
     from ..kernels.s2cell import cell_id_from_lonlat, id_at_level
-    from ..state import LineageManifest, config_hash, run_bounded
+    from ..state import LineageManifest, config_hash, run_bounded, write_unit
 
     cfg = config_hash({"op": "s2_shard_write", "level": int(shard_level),
                        "lon": lon_col, "lat": lat_col})
-    os.makedirs(out_dir, exist_ok=True)
     man = LineageManifest(out_dir)
-    recs = man.load()
-    other = {r.get("config_hash") for r in recs.values()} - {cfg}
+    other = {r.get("config_hash") for r in man.load().values()} - {cfg}
     if other:
         raise RuntimeError(
             f"{out_dir} holds a manifest for a different shard config "
             f"({other}); resuming would mix layouts — use a fresh dir")
-    # completed = manifest record (written only after the fragment's
-    # files were atomically renamed) cross-checked against the cell
-    # dirs: a fragment with rows must still have at least one of its
-    # part files on disk (manifest-without-data means someone removed
-    # the layout — re-run).
-    have_files = set()
-    for d in os.listdir(out_dir):
-        if d.startswith("s2_shard="):
-            for f in os.listdir(os.path.join(out_dir, d)):
-                if f.startswith("part-") and f.endswith(".parquet"):
-                    have_files.add(f[len("part-"):-len(".parquet")])
-    done = {pid for pid, r in recs.items()
-            if r.get("config_hash") == cfg
-            and (pid in have_files or r.get("row_count") == 0)}
-    todo = [(fid, spec) for fid, spec in fragments if str(fid) not in done]
-    n_skipped = len(fragments) - len(todo)
+    done = man.completed(cfg)
+    todo = [(str(fid), spec) for fid, spec in fragments if str(fid) not in done]
 
     @ray.remote
     def _run(fid, spec):
@@ -121,29 +105,16 @@ def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
             np.float64, copy=False)
         shard = id_at_level(cell_id_from_lonlat(lon, lat),
                             shard_level).view(np.int64)
-        if shard.size == 0:  # empty fragment: manifest-only completion
-            return str(fid), 0
         order = np.argsort(shard, kind="stable")
         ts = t.take(pa.array(order))
-        sh = shard[order]
-        starts = np.flatnonzero(np.r_[True, sh[1:] != sh[:-1]])
-        ends = np.r_[starts[1:], sh.size]
-        for lo, hi in zip(starts, ends):
-            d = os.path.join(out_dir, f"s2_shard={int(sh[lo])}")
-            os.makedirs(d, exist_ok=True)
-            final = os.path.join(d, f"part-{fid}.parquet")
-            tmp = final + f".tmp-{os.getpid()}"
-            pq.write_table(ts.slice(int(lo), int(hi - lo)), tmp)
-            os.replace(tmp, final)
-        return str(fid), int(sh.size)
+        cells, starts = np.unique(shard[order], return_index=True)
+        ends = np.append(starts[1:], shard.size)
+        write_unit(out_dir, fid, fid, cfg, {
+            f"s2_shard={c}/part-{fid}.parquet": ts.slice(lo, hi - lo)
+            for c, lo, hi in zip(cells.tolist(), starts.tolist(), ends.tolist())})
 
-    ran = 0
-    for fid, rows in run_bounded(_run, todo):
-        man.record({"partition_id": fid, "input_fragment": fid,
-                    "config_hash": cfg, "row_count": rows,
-                    "error_count": 0})
-        ran += 1
-    return ran, n_skipped
+    ran = sum(1 for _ in run_bounded(_run, todo))
+    return ran, len(fragments) - len(todo)
 
 
 def s2_shard_bbox_read(index_dir: str, lon0, lon1, lat0, lat1,

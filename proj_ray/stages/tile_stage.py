@@ -11,7 +11,7 @@ from ..kernels.tiling import cell_id, cell_xy
 
 
 def tile_stage(ds, zoom: int, lon_col="lon", lat_col="lat", out="cell_id",
-               with_xy=False, batch_size=None):
+               with_xy=False):
     def fn(batch: pa.Table) -> pa.Table:
         lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
@@ -22,5 +22,5 @@ def tile_stage(ds, zoom: int, lon_col="lon", lat_col="lat", out="cell_id",
             out_t = out_t.append_column("tile_y", pa.array(ty, pa.int64()))
         return out_t
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)

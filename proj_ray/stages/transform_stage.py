@@ -5,8 +5,8 @@ The compiled :class:`proj_ray.transform.Transform` is built once on the
 driver and captured by closure — small and picklable; Ray Data puts the
 closure into the object store once per operator, and each task gets that
 reference, not a copy per batch. Stateless => task pool (cheap,
-elastic); use :class:`TransformStage` as an actor-pool class only when
-the transform needs grids loaded from files in ``__init__``.
+elastic). :class:`TransformStage` is the same transform as a callable
+class.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from ..transform import Transform, make_transform
 
 
 def _apply(t: Transform, batch: pa.Table, lon_col, lat_col, z_col,
-           out_x, out_y, out_z, drop_bad):
+           out_x, out_y, out_z):
     lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
     lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
     z = (batch[z_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
@@ -28,59 +28,33 @@ def _apply(t: Transform, batch: pa.Table, lon_col, lat_col, z_col,
     out = out.append_column(out_y, pa.array(y, pa.float64()))
     if out_z:
         out = out.append_column(out_z, pa.array(zo, pa.float64()))
-    if drop_bad:
-        import pyarrow.compute as pc
-
-        ok = pc.and_(pc.is_finite(out[out_x]), pc.is_finite(out[out_y]))
-        out = out.filter(ok)
     return out
 
 
 def transform_points_stage(ds, src_def, dst_def, lon_col="lon", lat_col="lat",
                            z_col=None, out_x="x", out_y="y", out_z=None,
-                           drop_bad=False, batch_size=None, grid_loader=None):
+                           grid_loader=None):
     """Stateless task-pool transform stage (the default)."""
     t = make_transform(src_def, dst_def, grid_loader=grid_loader)
 
     def fn(batch: pa.Table) -> pa.Table:
-        return _apply(t, batch, lon_col, lat_col, z_col, out_x, out_y, out_z, drop_bad)
+        return _apply(t, batch, lon_col, lat_col, z_col, out_x, out_y, out_z)
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
 
 
 class TransformStage:
-    """Actor-pool variant for grid-backed transforms: grids are loaded /
-    built ONCE per actor in ``__init__`` (the reference's lazy global
-    grid cache under mutex, src/pj_gridlist.c:47-175, becomes per-actor
-    state with no locks). Use via::
-
-        ds.map_batches(TransformStage, fn_constructor_kwargs=dict(...),
-                       batch_format="pyarrow", concurrency=(2, 8))
-    """
+    """The same transform as a callable over one pyarrow table, compiled
+    once in ``__init__``: call it in process (the benchmark's in-process
+    replay does), pass an instance to ``map_batches`` (a task pool), or
+    pass the class with ``fn_constructor_kwargs`` (an actor pool, one
+    compile per actor)."""
 
     def __init__(self, src_def, dst_def, lon_col="lon", lat_col="lat",
-                 z_col=None, out_x="x", out_y="y", out_z=None,
-                 drop_bad=False, grid_dir=None, grid_specs=None):
-        loader = None
-        if grid_dir is not None:
-            from ..kernels.grid import read_ctable2
-            import os
-
-            def loader(name):
-                p = os.path.join(grid_dir, name)
-                return read_ctable2(p) if os.path.exists(p) else None
-        elif grid_specs is not None:
-            from ..kernels.grid import ShiftGrid
-
-            built = {gid: ShiftGrid(gid, **spec) for gid, spec in grid_specs.items()}
-
-            def loader(name):
-                return built.get(name)
-
-        self.t = make_transform(src_def, dst_def, grid_loader=loader)
-        self.cols = (lon_col, lat_col, z_col, out_x, out_y, out_z, drop_bad)
+                 z_col=None, out_x="x", out_y="y", out_z=None):
+        self.t = make_transform(src_def, dst_def)
+        self.cols = (lon_col, lat_col, z_col, out_x, out_y, out_z)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon_col, lat_col, z_col, out_x, out_y, out_z, drop_bad = self.cols
-        return _apply(self.t, batch, lon_col, lat_col, z_col, out_x, out_y, out_z, drop_bad)
+        return _apply(self.t, batch, *self.cols)

@@ -4,22 +4,24 @@ The north rule requires multi-hour runs to be resumable: every stage
 checkpoints per-partition lineage and metrics. The design (SURVEY.md §4
 'Checkpoint / resume'):
 
-- output is a DIRECTORY of partitions (one per input shard / key
-  range), each written atomically (tmp file + rename) — never one
-  giant file
-- a JSON-lines manifest records, per completed partition: the
-  partition id, the input fragment it came from, a hash of the kernel
-  config, row count, error(inf-sentinel) count, bytes, wall time
-- resume = read the manifest, skip partitions already recorded with a
-  MATCHING config hash (a config change invalidates old parts), process
-  only the missing ones — an anti-join of manifest vs plan
-- partition outputs are idempotent (deterministic partition id -> file
-  name; rename is atomic), so retries/duplicated tasks are safe
+- the job is an explicit plan of units (input files, key ranges, ...),
+  each with a stable id; output is a DIRECTORY of parquet files, each
+  written atomically (tmp file + rename) — never one giant file
+- a JSON-lines manifest records, per completed unit: the unit id, the
+  input fragment it came from, a hash of the kernel config, the files
+  it wrote (relative to the output directory), row count, non-finite
+  float lanes, bytes, wall time
+- a unit is done when its record's config hash matches and every file
+  it lists exists (a unit that wrote nothing lists none); resume =
+  anti-join of the plan against the completed units, so a config change
+  or a removed file re-runs the unit
+- unit outputs are idempotent (unit id -> file names; rename is
+  atomic), so retries and duplicated tasks are safe
 
-``write_partitioned`` drives a Dataset through this protocol with
-``map_batches`` doing the writing (the stream never collects on the
-driver) and refuses a second run; ``run_resumable_shards`` runs an
-explicit shard plan and skips the shards a previous run completed.
+``run_resumable_shards`` runs such a plan, one ``part-<id>.parquet``
+per unit; ``write_unit`` is the one write-and-record step, which
+``stages.s2_stage.s2_shard_write_resumable`` also uses for its
+per-cell layout.
 """
 
 from __future__ import annotations
@@ -37,12 +39,12 @@ def config_hash(config) -> str:
 
 
 class LineageManifest:
-    """JSON-lines manifest of completed partitions ('<out_dir>/_manifest.jsonl').
+    """JSON-lines manifest of completed units ('<out_dir>/_manifest.jsonl').
 
     Append-only; each line: {partition_id, input_fragment, config_hash,
-    row_count, error_count, bytes, wall_sec, ts}. Appends are
+    files, row_count, error_count, bytes, wall_sec, ts}. Appends are
     single-line writes (atomic at OS level for line-sized appends);
-    duplicate entries for a partition are fine — last one wins.
+    duplicate entries for a unit are fine — last one wins.
     """
 
     def __init__(self, out_dir: str):
@@ -69,13 +71,18 @@ class LineageManifest:
         with open(self.path, "a") as f:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
-    def completed(self, cfg_hash: str) -> set:
-        return {pid for pid, rec in self.load().items()
+    def completed(self, cfg_hash: str) -> dict:
+        """{unit id: record} of the units recorded under ``cfg_hash``
+        whose listed files all exist."""
+        return {pid: rec for pid, rec in self.load().items()
                 if rec.get("config_hash") == cfg_hash
-                and os.path.exists(os.path.join(self.out_dir, f"part-{pid}.parquet"))}
+                and "files" in rec
+                and all(os.path.exists(os.path.join(self.out_dir, f))
+                        for f in rec["files"])}
 
-    def metrics(self) -> dict:
-        done = self.load()
+    def metrics(self, cfg_hash: str) -> dict:
+        """Totals over the units complete under ``cfg_hash``."""
+        done = self.completed(cfg_hash)
         return {
             "partitions": len(done),
             "rows": sum(r.get("row_count", 0) for r in done.values()),
@@ -85,93 +92,46 @@ class LineageManifest:
         }
 
 
-def _write_one_partition(table, out_dir, pid, input_fragment, cfg_hash,
-                         error_cols=()):
-    """Atomic parquet write + manifest record. Runs inside workers."""
+def _nonfinite(table) -> int:
+    """NaN, inf and null lanes over every floating-point column."""
+    import numpy as np
     import pyarrow as pa
+
+    return sum(int((~np.isfinite(col.to_numpy())).sum())
+               for col, field in zip(table.columns, table.schema)
+               if pa.types.is_floating(field.type))
+
+
+def write_unit(out_dir, unit_id, input_fragment, cfg_hash, parts) -> dict:
+    """Write one plan unit and record it: each ``{path: table}`` of
+    ``parts`` (paths relative to ``out_dir``) atomically, then one
+    manifest line listing those paths. Runs inside workers."""
     import pyarrow.parquet as pq
 
     t0 = time.perf_counter()
-    os.makedirs(out_dir, exist_ok=True)
-    final = os.path.join(out_dir, f"part-{pid}.parquet")
-    tmp = final + f".tmp-{os.getpid()}"
-    pq.write_table(table, tmp)
-    os.replace(tmp, final)  # atomic
-    n_err = 0
-    if error_cols:
-        import numpy as np
-
-        for c in error_cols:
-            if c in table.column_names:
-                v = table[c].to_numpy(zero_copy_only=False)
-                n_err += int((~np.isfinite(v)).sum())
+    rows = errors = nbytes = 0
+    for rel, table in parts.items():
+        final = os.path.join(out_dir, rel)
+        os.makedirs(os.path.dirname(final), exist_ok=True)
+        tmp = final + f".tmp-{os.getpid()}"
+        pq.write_table(table, tmp)
+        os.replace(tmp, final)  # atomic
+        rows += table.num_rows
+        errors += _nonfinite(table)
+        nbytes += os.path.getsize(final)
     rec = {
-        "partition_id": pid,
+        "partition_id": unit_id,
         "input_fragment": input_fragment,
         "config_hash": cfg_hash,
-        "row_count": table.num_rows,
-        "error_count": n_err,
-        "bytes": os.path.getsize(final),
+        "files": sorted(parts),
+        "row_count": rows,
+        "error_count": errors,
+        "bytes": nbytes,
         "wall_sec": round(time.perf_counter() - t0, 4),
         "ts": time.time(),
     }
     LineageManifest(out_dir).record(rec)
     return rec
-
-
-def write_partitioned(ds, out_dir: str, config, partition_col: str = None,
-                      error_cols=("x", "y")):
-    """Consume a Dataset into partitioned parquet, SINGLE RUN ONLY.
-
-    Each Ray block becomes one partition (partition id = hash of the
-    block's content bounds). Writing happens INSIDE map_batches tasks —
-    the stream never materializes on the driver. Returns the manifest
-    metrics summary.
-
-    NOT resumable across runs: Ray does not guarantee deterministic
-    block boundaries, so a re-run over a directory holding a previous
-    attempt would write OVERLAPPING data under fresh partition ids next
-    to the stale files.  This function therefore refuses to write into
-    a directory whose manifest already has completed partitions for the
-    same config.  Resumable multi-run jobs belong in
-    :func:`run_resumable_shards`, whose shard ids derive from the
-    explicit work plan (input fragment identity), not from blocking.
-    """
-    cfg_hash = config_hash(config)
-    prior = LineageManifest(out_dir).completed(cfg_hash)
-    if prior:
-        raise RuntimeError(
-            f"{out_dir} already holds {len(prior)} completed partitions "
-            f"for this config; write_partitioned partition ids depend on "
-            f"Ray block boundaries and are not stable across runs — use "
-            f"run_resumable_shards for resumable jobs, or a fresh dir")
-
-    import pyarrow as pa
-
-    def write_block(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"partition_id": pa.array([], pa.string()),
-                             "rows": pa.array([], pa.int64())})
-        if partition_col and partition_col in batch.column_names:
-            key = batch[partition_col].to_numpy(zero_copy_only=False)
-            frag = f"{partition_col}[{key.min()}..{key.max()}]"
-        else:
-            frag = f"rows[{batch.num_rows}]"
-        pid = hashlib.sha256(
-            (frag + "|" + str(batch.num_rows) + "|" +
-             str(batch.slice(0, 1).to_pydict())).encode()).hexdigest()[:16]
-        man = LineageManifest(out_dir)
-        if pid in man.completed(cfg_hash):
-            return pa.table({"partition_id": pa.array([pid]),
-                             "rows": pa.array([0], pa.int64())})
-        rec = _write_one_partition(batch, out_dir, pid, frag, cfg_hash,
-                                   error_cols=error_cols)
-        return pa.table({"partition_id": pa.array([pid]),
-                         "rows": pa.array([rec["row_count"]], pa.int64())})
-
-    written = ds.map_batches(write_block, batch_format="pyarrow", batch_size=None)
-    written.count()  # drive the stream
-    return LineageManifest(out_dir).metrics()
 
 
 def run_bounded(remote_fn, todo):
@@ -197,18 +157,17 @@ def run_bounded(remote_fn, todo):
         yield from ray.get(ready)
 
 
-def run_resumable_shards(shards, shard_fn, out_dir: str, config,
-                         error_cols=()):
+def run_resumable_shards(shards, shard_fn, out_dir: str, config):
     """Deterministic shard-level resumable execution.
 
     ``shards``: list of (shard_id, shard_spec) — the explicit work plan
     (input files, key ranges, ...). ``shard_fn(shard_spec) ->
-    pyarrow.Table`` runs the per-shard pipeline. Completed shards
-    (manifest + file present, matching config hash) are skipped on
-    restart; the rest run as parallel Ray tasks through
-    :func:`run_bounded`. This is the raw-task escape hatch the Dataset
-    API can't express ("skip finished partitions"); each shard's write
-    is atomic and idempotent.
+    pyarrow.Table`` runs the per-shard pipeline, written as
+    ``part-<shard_id>.parquet``. Completed shards (see
+    :meth:`LineageManifest.completed`) are skipped on restart; the rest
+    run as parallel Ray tasks through :func:`run_bounded`. This is the
+    raw-task escape hatch the Dataset API can't express ("skip finished
+    partitions"); each shard's write is atomic and idempotent.
 
     Returns (n_run, n_skipped, metrics).
     """
@@ -217,15 +176,12 @@ def run_resumable_shards(shards, shard_fn, out_dir: str, config,
     cfg_hash = config_hash(config)
     man = LineageManifest(out_dir)
     done = man.completed(cfg_hash)
-    todo = [(sid, spec) for sid, spec in shards if str(sid) not in done]
-    n_skipped = len(shards) - len(todo)
+    todo = [(str(sid), spec) for sid, spec in shards if str(sid) not in done]
 
     @ray.remote
     def _run(sid, spec):
-        table = shard_fn(spec)
-        _write_one_partition(table, out_dir, str(sid), str(spec), cfg_hash,
-                             error_cols=error_cols)
-        return str(sid)
+        return write_unit(out_dir, sid, str(spec), cfg_hash,
+                          {f"part-{sid}.parquet": shard_fn(spec)})
 
     ran = sum(1 for _ in run_bounded(_run, todo))
-    return ran, n_skipped, man.metrics()
+    return ran, len(shards) - len(todo), man.metrics(cfg_hash)

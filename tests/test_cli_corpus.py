@@ -134,8 +134,9 @@ def _geod_kinds(rng, inverse):
     }
 
 
-# kinds whose output is non-finite; geod's default DMS output cannot
-# print those lanes (rtodms raises on nan), so those cases leave them out
+# kinds whose output is non-finite; only the -f cases mix them in. The
+# DMS cases were pinned without them, when rtodms raised on nan; geod's
+# DMS output now prints such a field as 'nan' (test_cli covers it)
 _GEOD_NONFINITE = {"overflow": "1e999 0 10 10", "nan_tok": "nan 0 10 10"}
 
 

@@ -221,13 +221,16 @@ def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
 
 def test_cell_and_knn_queries_empty_input_keep_oracle_schema(tmp_path,
                                                             ray_session):
-    """Zero-row inputs: the shard-pruned kNN queries and the cell
-    aggregates return zero rows with their oracles' columns and dtypes
-    (knn_s2_geodesic: its golden's) instead of raising."""
+    """Zero-row inputs: the shard-pruned kNN queries, the cell
+    aggregates and the raster queries return zero rows with their
+    oracles' columns and dtypes (knn_s2_geodesic: its golden's) instead
+    of raising."""
     con = _empty_sf(tmp_path)
     _assert_empty_like_oracle(tmp_path, con, (
         "knn_s2_pruned", "knn_s2_geodesic", "salted_cell_agg",
-        "geohash_cell_agg", "tile_pyramid_counts"))
+        "geohash_cell_agg", "tile_pyramid_counts", "tile_agg", "s2_cell_agg",
+        "hex_cell_agg", "zonal_stats", "raster_focal_mean", "raster_warp",
+        "raster_polygonize"))
 
 
 def _nonfinite_points():

@@ -1,5 +1,6 @@
 """Resumability: per-partition lineage manifest + atomic partitioned
-writes + skip-completed semantics (the north rule's checkpoint/resume)."""
+writes + skip-completed semantics (the north rule's checkpoint/resume),
+for plain shards, the S2 shard layout and the flagship job."""
 
 import json
 import os
@@ -9,12 +10,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
 
-from proj_ray.state import (
-    LineageManifest,
-    config_hash,
-    run_resumable_shards,
-    write_partitioned,
-)
+from proj_ray.state import LineageManifest, config_hash, run_resumable_shards
 
 
 def _make_shard_fn():
@@ -107,22 +103,6 @@ def test_resumable_shards_kill_and_resume(ray_session, tmp_path):
     assert got == digests(ref)
 
 
-def test_write_partitioned_stream(ray_session, tmp_path):
-    import ray.data as rd
-
-    out = str(tmp_path / "wp")
-    ds = rd.range(1000, override_num_blocks=4)
-    ds = ds.map_batches(
-        lambda t: pa.table({"pid": t["id"],
-                            "x": pa.array(t["id"].to_numpy(zero_copy_only=False) * 1.0)}),
-        batch_format="pyarrow", batch_size=None)
-    m = write_partitioned(ds, out, {"cfg": 1}, error_cols=("x",))
-    assert m["rows"] == 1000 and m["partitions"] >= 1 and m["errors"] == 0
-    man = LineageManifest(out)
-    recs = man.load()
-    assert all(r["config_hash"] == config_hash({"cfg": 1}) for r in recs.values())
-
-
 def test_manifest_tolerates_torn_tail(tmp_path):
     out = str(tmp_path / "m")
     os.makedirs(out)
@@ -134,22 +114,28 @@ def test_manifest_tolerates_torn_tail(tmp_path):
     assert "a" in loaded and "b" not in loaded
 
 
-def test_write_partitioned_refuses_second_run(ray_session, tmp_path):
-    """Partition ids derive from Ray block content, which is not stable
-    across runs — a second run into the same dir must be refused
-    (resume belongs to run_resumable_shards)."""
-    import pyarrow as pa
-    import pytest
-    import ray.data as rd
+def test_manifest_completion_rule_and_nonfinite_count(tmp_path):
+    """A unit is complete under its own config hash while every file its
+    record lists exists (a unit that wrote nothing lists none); its
+    error_count is the NaN/inf/null lanes of every float column."""
+    from proj_ray.state import write_unit
 
-    out = str(tmp_path / "wp")
-    ds = rd.from_arrow(pa.table({"x": [1.0, 2.0], "k": [1, 2]}))
-    write_partitioned(ds, out, {"cfg": 9}, error_cols=("x",))
-    ds2 = rd.from_arrow(pa.table({"x": [3.0], "k": [3]}))
-    with pytest.raises(RuntimeError, match="run_resumable_shards"):
-        write_partitioned(ds2, out, {"cfg": 9}, error_cols=("x",))
-    # different config => fresh manifest namespace, allowed
-    write_partitioned(ds2, out, {"cfg": 10}, error_cols=("x",))
+    out = str(tmp_path / "m")
+    t = pa.table({"x": pa.array([1.0, np.nan, np.inf, None], pa.float64()),
+                  "y": pa.array([-np.inf, 2.0, 3.0, 4.0], pa.float32()),
+                  "k": pa.array([1, 2, None, 4], pa.int64())})
+    rec = write_unit(out, "a", "frag-a", "h1", {"d=1/part-a.parquet": t,
+                                                "d=2/part-a.parquet": t.slice(0, 1)})
+    assert rec["files"] == ["d=1/part-a.parquet", "d=2/part-a.parquet"]
+    # x: nan, inf, null and y: -inf in t; y: -inf in its one-row slice
+    assert (rec["row_count"], rec["error_count"]) == (5, 4 + 1)
+    write_unit(out, "b", "frag-b", "h1", {})
+    man = LineageManifest(out)
+    assert set(man.completed("h1")) == {"a", "b"} and not man.completed("h2")
+    assert man.metrics("h1")["rows"] == 5 and man.metrics("h1")["errors"] == 5
+
+    os.remove(os.path.join(out, "d=2", "part-a.parquet"))
+    assert set(man.completed("h1")) == {"b"}
 
 
 def test_s2_shard_write_resumable(tmp_path, ray_session):
@@ -205,3 +191,86 @@ def test_s2_shard_write_resumable(tmp_path, ray_session):
     # a different shard level over the same dir must be refused
     with pytest.raises(RuntimeError, match="different shard config"):
         s2_shard_write_resumable(fragments, read_fragment, out, shard_level=4)
+
+
+def _flagship_job():
+    import importlib.util
+
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "jobs", "flagship_job.py")
+    spec = importlib.util.spec_from_file_location("flagship_job", path)
+    job = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(job)
+    return job
+
+
+def test_flagship_job_kill_and_resume(ray_session, sf_dir, tmp_path, capsys):
+    """The flagship job over 8 lineitem part files: a run that dies on
+    one unit raises; the job's main() over the same --sf/--out then runs
+    only that unit, and its points and agg.parquet equal an uninterrupted
+    run's."""
+    import hashlib
+    import time
+
+    job = _flagship_job()
+    sf = str(tmp_path / "sf")
+    keys = pq.read_table(os.path.join(sf_dir, "lineitem.parquet"))
+    os.makedirs(os.path.join(sf, "lineitem.parquet"))
+    for k, rows in enumerate(np.array_split(np.arange(keys.num_rows), 8)):
+        pq.write_table(keys.slice(int(rows[0]), rows.size),
+                       os.path.join(sf, "lineitem.parquet", f"part-{k:03d}.parquet"))
+    units = job.plan(sf)
+    assert [u for u, _ in units] == [f"part-{k:03d}" for k in range(8)]
+
+    marker = str(tmp_path / "fail-once")
+    open(marker, "w").close()
+    points = job.unit_points()
+    doomed = units[5][1]
+
+    def flaky(path):
+        # armed by the marker file: the first call on unit 5 removes it
+        # and dies before anything is written
+        if path == doomed and os.path.exists(marker):
+            os.remove(marker)
+            raise RuntimeError("injected unit failure")
+        return points(path)
+
+    out = str(tmp_path / "resumed")
+    points_dir = os.path.join(out, "points")
+    with pytest.raises(RuntimeError, match="injected unit failure"):
+        run_resumable_shards(units, flaky, points_dir, job.config(sf))
+    assert not os.path.exists(marker)
+    # the driver gave up on the failure; the 7 other units were already
+    # submitted and finish in the background
+    man = LineageManifest(points_dir)
+    deadline = time.monotonic() + 60
+    while (len(man.completed(config_hash(job.config(sf)))) < 7
+           and time.monotonic() < deadline):
+        time.sleep(0.1)
+    assert set(man.completed(config_hash(job.config(sf)))) == {
+        u for u, _ in units} - {units[5][0]}
+
+    capsys.readouterr()
+    assert job.main(["--sf", sf, "--out", out]) == 0
+    resumed = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (resumed["units_run"], resumed["units_skipped"]) == (1, 7)
+    assert resumed["points"]["partitions"] == 8
+
+    ref = str(tmp_path / "oneshot")
+    assert job.main(["--sf", sf, "--out", ref]) == 0
+    oneshot = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert (oneshot["units_run"], oneshot["units_skipped"]) == (8, 0)
+    assert resumed["points"]["rows"] == oneshot["points"]["rows"] > 0
+
+    def rows(d):
+        t = pq.read_table(os.path.join(d, "points"))
+        assert t.schema == pa.schema([("pid", pa.int64()), ("cell_id", pa.int64()),
+                                      ("polygon_id", pa.string())])
+        return sorted(zip(*(t[c].to_pylist() for c in t.column_names)))
+
+    def digest(path):
+        return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+    assert rows(out) == rows(ref)
+    assert digest(os.path.join(out, "agg.parquet")) == digest(
+        os.path.join(ref, "agg.parquet"))
