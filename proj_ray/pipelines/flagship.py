@@ -1,9 +1,10 @@
 """The flagship pipeline: the full north-star DAG.
 
 lineitem keys -> synth pages (pid, text-with-coordinate-mentions) ->
-geoparse (RE2 extract) -> reproject WGS84 -> Web Mercator (fused
-14-step transform) -> tile assign (zoom 12) -> PIP join against the
-broadcast polygon set -> per-cell aggregate.
+geoparse (each page's first "(lat, lon)" mention) -> PIP join against
+the broadcast polygon set -> reproject WGS84 -> Web Mercator (fused
+14-step transform) and tile assign (zoom 12) of the points inside a
+polygon -> per-cell aggregate.
 
 The chain is written once, in :class:`FlagshipChain`, as a function of
 one key table. ``pages_dataset``, ``flagship_points`` and
@@ -60,10 +61,10 @@ def key_pages(keys: pa.Table, mult: int = 1) -> pa.Table:
 
 class FlagshipChain:
     """One lineitem key table -> its flagship points: pages -> geoparse
-    -> Web Mercator -> tile -> PIP join, one row per (point, containing
-    polygon). The transform and the polygon set are built once, on the
-    driver; Ray Data puts the instance into the object store once per
-    operator."""
+    -> PIP join -> Web Mercator and tile of the matched points, one row
+    per (point, containing polygon). The transform and the polygon set
+    are built once, on the driver; Ray Data puts the instance into the
+    object store once per operator."""
 
     def __init__(self, zoom: int = ZOOM, mult: int = 1):
         self.zoom = zoom
@@ -78,13 +79,18 @@ class FlagshipChain:
         containing polygon), ordered by point then polygon."""
         pts = self.geoparse(key_pages(keys, self.mult))
         lon, lat = pts["lon"].to_numpy(), pts["lat"].to_numpy()
+        # both sinks read only points inside a polygon (a data-induced
+        # predicate), so the join runs first and each matched point is
+        # projected and tiled once, however many polygons hold it
+        pt, poly = self.polygons.join(lon, lat)
+        first = np.flatnonzero(np.diff(pt, prepend=-1))
+        lon, lat = lon[pt[first]], lat[pt[first]]
         # the reprojection is the north star's step; the cells stay on
         # lon/lat (tiling from the metres differs at exact tile edges),
         # so no sink reads the metres yet
         self.merc(lon, lat)
-        cell = cell_id(lon, lat, self.zoom)
-        pt, poly = self.polygons.join(lon, lat)
-        return pts["pid"].to_numpy()[pt], cell[pt], poly
+        cell = np.repeat(cell_id(lon, lat, self.zoom), np.diff(first, append=pt.size))
+        return pts["pid"].to_numpy()[pt], cell, poly
 
     def __call__(self, keys: pa.Table) -> pa.Table:
         """The points: (pid, cell_id, polygon_id)."""

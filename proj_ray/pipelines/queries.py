@@ -168,8 +168,9 @@ def points_webmerc(sf_dir):
     out = transform_points_stage(pts, "+init=epsg:4326", "+init=epsg:3857",
                                  out_x="xm", out_y="ym")
 
-    return out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return _typed(out.map_batches(_round_xm_ym, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- UTM (tmerc series) forward --------------------------------------------
@@ -239,7 +240,8 @@ def points_utm(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
                                  "+proj=utm +zone=33 +datum=WGS84",
                                  out_x="xm", out_y="ym")
-    return out.select_columns(["pid", "xm", "ym"])
+    return _typed(out.select_columns(["pid", "xm", "ym"]),
+                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- Lambert Conformal Conic forward ----------------------------------------
@@ -303,8 +305,9 @@ def points_lcc(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84", _LCC_DEF,
                                  out_x="xm", out_y="ym")
 
-    return out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                           zero_copy_batch=True)
+    return _typed(out.map_batches(_round_xm_ym, batch_format="pyarrow",
+                                  zero_copy_batch=True),
+                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- geocentric XYZ ---------------------------------------------------------
@@ -341,7 +344,8 @@ def points_geocent(sf_dir):
         return pa.table({"pid": b["pid"], "gx": pa.array(X), "gy": pa.array(Y),
                          "gz": pa.array(Z)})
 
-    return pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+                  pid=pa.int64(), gx=pa.float64(), gy=pa.float64(), gz=pa.float64())
 
 
 # ===========================================================================
@@ -396,8 +400,9 @@ def helmert7_xyz(sf_dir):
         return pa.table({"pid": pa.array(pid, pa.int64()), "hx": pa.array(hx),
                          "hy": pa.array(hy), "hz": pa.array(hz)})
 
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
+    return _typed(ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                                 zero_copy_batch=True),
+                  pid=pa.int64(), hx=pa.float64(), hy=pa.float64(), hz=pa.float64())
 
 
 # -- inverse Web Mercator ---------------------------------------------------
@@ -447,7 +452,8 @@ def webmerc_inverse(sf_dir):
                          "lon": pa.array(_r6(t["lon"].to_numpy(zero_copy_only=False))),
                          "lat": pa.array(_r6(t["lat"].to_numpy(zero_copy_only=False)))})
 
-    return out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
+                  pid=pa.int64(), lon=pa.float64(), lat=pa.float64())
 
 
 # -- tile assignment + per-tile aggregate ----------------------------------
@@ -484,7 +490,9 @@ def tile_assign(sf_dir):
     from ..stages.tile_stage import tile_stage
 
     out = tile_stage(pts, _TILE_ZOOM, out="cell_id", with_xy=True)
-    return out.select_columns(["pid", "tile_x", "tile_y", "cell_id"])
+    return _typed(out.select_columns(["pid", "tile_x", "tile_y", "cell_id"]),
+                  pid=pa.int64(), tile_x=pa.int64(), tile_y=pa.int64(),
+                  cell_id=pa.int64())
 
 
 def _tile_agg_sql():
@@ -1047,7 +1055,7 @@ def pip_join(sf_dir):
     joined = pts.map_batches(
         PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",)),
         batch_format="pyarrow", batch_size=None)
-    return joined
+    return _typed(joined, pid=pa.int64(), polygon_id=pa.string())
 
 
 # -- kNN --------------------------------------------------------------------
@@ -1288,7 +1296,8 @@ def haversine_dist(sf_dir):
         d = np.floor(d * 1.0e3 + 0.5) / 1.0e3
         return pa.table({"pid": t["pid"], "dist_m": pa.array(d)})
 
-    return pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+                  pid=pa.int64(), dist_m=pa.float64())
 
 
 # -- within-distance spatial self-join ---------------------------------------
@@ -1419,10 +1428,10 @@ def polygon_area_geodesic(sf_dir):
             "area_m2": ar,
         })
 
-    return (ds.map_batches(add_bucket, batch_format="pandas",
-                           batch_size=None)
-            .groupby("bucket").map_groups(per_bucket,
-                                          batch_format="pandas"))
+    out = (ds.map_batches(add_bucket, batch_format="pandas", batch_size=None)
+           .groupby("bucket").map_groups(per_bucket, batch_format="pandas"))
+    return _typed(out, l_orderkey=pa.int64(), n_vertices=pa.int64(),
+                  perimeter_m=pa.float64(), area_m2=pa.float64())
 
 
 # -- rectangle overlap join ---------------------------------------------------
@@ -1597,7 +1606,9 @@ def trajectory_length(sf_dir):
                               batch_size=None, zero_copy_batch=True)
     out = bucketed.groupby("bucket").map_groups(per_bucket,
                                                 batch_format="pandas")
-    return out.select_columns(cols)
+    return _typed(out.select_columns(cols),
+                  l_orderkey=pa.int64(), n_vertices=pa.int64(),
+                  n_segments=pa.int64(), total_mm=pa.int64())
 
 
 @query("spatial_clusters", sql=_golden_sql("spatial_clusters_sf001.parquet"))
@@ -1748,7 +1759,8 @@ def grid_shift_fwd(sf_dir):
         pts, "+proj=latlong +nadgrids=synthA +ellps=WGS84",
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return out.select_columns(["pid", "lon_shifted", "lat_shifted"])
+    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- dated grid catalog: as-of selection + linear date mixing -------------
@@ -1854,7 +1866,8 @@ def catalog_datum_mix(sf_dir):
              " +ellps=WGS84",
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return out.select_columns(["pid", "lon_shifted", "lat_shifted"])
+    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- nad2bin-compiled grid: closed-form .lla -> CTABLE2 -> shift ----------
@@ -1958,7 +1971,8 @@ def grid_shift_lla_compiled(sf_dir):
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted",
         grid_loader=lambda name: grid if name == "synthB" else None)
-    return out.select_columns(["pid", "lon_shifted", "lat_shifted"])
+    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- vertical geoid shift through a GTX file ------------------------------
@@ -2057,7 +2071,8 @@ def vertical_shift_gtx(sf_dir):
         "+proj=latlong +datum=WGS84",
         z_col="z", out_x="lon_o", out_y="lat_o", out_z="z_ellips",
         grid_loader=lambda name: vgrid if name == "synthV" else None)
-    return out.select_columns(["pid", "z_ellips"])
+    return _typed(out.select_columns(["pid", "z_ellips"]),
+                  pid=pa.int64(), z_ellips=pa.float64())
 
 
 _NTF_GRID = "/root/reference/nad/ntf_r93.gsb"
@@ -2156,7 +2171,8 @@ def pm_shift_paris(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
                                  "+proj=latlong +datum=WGS84 +pm=paris",
                                  out_x="lon_paris", out_y="lat_out")
-    return out.select_columns(["pid", "lon_paris", "lat_out"])
+    return _typed(out.select_columns(["pid", "lon_paris", "lat_out"]),
+                  pid=pa.int64(), lon_paris=pa.float64(), lat_out=pa.float64())
 
 
 # -- axis orientation + unit conversion -------------------------------------
@@ -2197,7 +2213,9 @@ def axis_units_km(sf_dir):
                          "ys_km": pa.array(_r6(t["ys_km"].to_numpy(zero_copy_only=False))),
                          "lat_in": t["lat"]})
 
-    return out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True)
+    return _typed(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
+                  pid=pa.int64(), xw_km=pa.float64(), ys_km=pa.float64(),
+                  lat_in=pa.float64())
 
 
 # -- geoparse extraction ----------------------------------------------------
@@ -2221,8 +2239,9 @@ def _geoparse_sql():
 
 @query("geoparse_extract", sql=_geoparse_sql())
 def geoparse_extract(sf_dir):
-    """Page synthesis (printf-exact text construction) + RE2 coordinate
-    extraction; text passthrough is byte-identical per url by design."""
+    """Page synthesis (printf-exact text construction) + coordinate
+    extraction (``GeoparseStage``: each page's first ``COORD_RE``
+    match); text passthrough is byte-identical per url by design."""
     ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
 
     def mk(t: pa.Table) -> pa.Table:
@@ -2309,8 +2328,9 @@ def geod_line_interp(sf_dir):
             "lat_i": pa.array(_r6(lats.reshape(-1))),
         })
 
-    return pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True)
+    return _typed(pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                                  zero_copy_batch=True),
+                  pid=pa.int64(), k=pa.int64(), lon_i=pa.float64(), lat_i=pa.float64())
 
 
 @query("geod_inverse_ellipsoidal", sql=_golden_sql("geod_inverse_sf001.parquet"))
@@ -2319,8 +2339,10 @@ def geod_inverse_ellipsoidal(sf_dir):
     reference's geod_inverse, src/geodesic.c:944): distance + azimuths
     per derived pair; exact everywhere incl. near-antipodal."""
     pts = _points_ds(sf_dir)
-    return pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
-                           batch_size=None, zero_copy_batch=True)
+    return _typed(pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
+                                  batch_size=None, zero_copy_batch=True),
+                  pid=pa.int64(), s12_mm=pa.int64(), azi1_udeg=pa.int64(),
+                  converged=pa.bool_())
 
 
 def _geod_inverse_rows(t: pa.Table) -> pa.Table:
@@ -2481,7 +2503,9 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
             "kept_eid_sum": [np.int64(eid[kept].sum())],
         })
 
-    return _bucket_per_key(ds, "user_id", per_user)
+    return _typed(_bucket_per_key(ds, "user_id", per_user),
+                  user_id=pa.int64(), n_points=pa.int64(), n_kept=pa.int64(),
+                  kept_idx_sum=pa.int64(), kept_eid_sum=pa.int64())
 
 
 # -- focal raster stats ----------------------------------------------------

@@ -8,11 +8,13 @@ coordinates are integer centi-degrees of its pid, and their text is
 gathered from per-centi-value tables formatted once with printf('%.2f'),
 so an independent SQL oracle reproduces the text byte-for-byte.
 
-``GeoparseStage`` extracts "(lat, lon)" mentions with an RE2 regex via
-``pyarrow.compute.extract_regex`` — fully vectorized, no Python-per-row.
-The ``text`` column itself is NEVER rewritten downstream of synthesis:
-the per-row invariant "byte-identical extracted text per url" falls out
-of passthrough (SURVEY.md §1.4).
+``GeoparseStage`` extracts each row's first "(lat, lon)" mention, the
+leftmost match of ``COORD_RE``. It parses the bytes at the row's first
+``(`` with whole-column numpy word operations; only a row whose first
+``(`` does not open a mention the parser can read goes through
+``pyarrow.compute.extract_regex``. The ``text`` column itself is NEVER
+rewritten downstream of synthesis: the per-row invariant "byte-identical
+extracted text per url" falls out of passthrough (SURVEY.md §1.4).
 """
 
 from __future__ import annotations
@@ -92,25 +94,130 @@ def synth_pages_stage(ds, pid_col: str, text_col=None, batch_size=None):
                           zero_copy_batch=True)
 
 
-class GeoparseStage:
-    """Geoparser over one batch of pages: the RE2 pattern's "(lat, lon)"
-    mentions as float64 ``lat``/``lon`` columns beside the ``keep``
-    columns; rows without a mention are dropped. Stateless: passed to
-    ``map_batches`` as an instance, it runs as a task pool, not an actor
-    pool."""
+# The parser reads 8-byte little-endian words at any byte offset of a
+# row's text (byte 0 is the lowest byte). One number, -?\d+\.\d\d, takes
+# at most four bytes before its '.' (a sign and three digits, or four
+# digits); a longer run is left to RE2.
+_U = np.uint64
+_ASCII_0 = _U(0x3030303030303030)
+_LOW7, _HIGH = _U(0x7F7F7F7F7F7F7F7F), _U(0x8080808080808080)
+_PLUS_118 = _U(0x7676767676767676)  # 0x76 + 10 = 0x80
+_BYTE_INDEX = _U(0x0001020304050607)  # (256**b * _BYTE_INDEX) >> 56 == b
+_DECIMALS = _U(0x0080800000000000)  # bytes 5-6
+_NIBBLES = _U(0x000F0F000F0F0F0F)  # bytes 0-3 and 5-6
+_WORD_PAD = 32  # bytes past the last row that a word or check may read
+_SLICE = 16_384  # rows per parser pass: its temporaries stay in cache
 
-    def __init__(self, pattern: str = COORD_RE, text_col="text", keep=("pid", "url", "text")):
-        self.pattern = pattern
-        self.text_col = text_col
+
+def _nondigit(x):
+    """Bit 7 of each byte of ``x`` set where that byte is not '0'-'9'."""
+    t = x ^ _ASCII_0  # a digit byte becomes 0-9
+    return (((t & _LOW7) + _PLUS_118) | t) & _HIGH
+
+
+def _number(x):
+    r"""The number ``-?\d+\.\d\d`` at byte 1 of each word of ``x``:
+    (float64 value, whether it parsed, byte index of its '.' in ``x``).
+
+    The value is ``±(centi-integer) / 100``, the correctly rounded double
+    that Arrow's string -> float64 cast gives ('-0.00' gives -0.0)."""
+    x = x >> _U(8)
+    neg = (x & _U(0xFF)) == 0x2D
+    x = x + neg * _U(3)  # '-' reads as a leading '0'
+    flags = _nondigit(x)  # byte 7 is 0, so some byte is flagged
+    low = flags & (~flags + _U(1))  # the first non-digit's flag alone
+    run = ((low >> _U(7)) * _BYTE_INDEX) >> _U(56)  # sign + integer digits
+    ok = (run > neg) & (run <= 4)
+    shift = _U(32) - _U(8) * np.minimum(run, _U(4))
+    y = x << shift  # the '.' on byte 4, the decimals on bytes 5-6
+    ok &= (((y >> _U(32)) & _U(0xFF)) == 0x2E) & (((flags << shift) & _DECIMALS) == 0)
+    # the six digits, most significant first, on bytes 2-7
+    v = y & _NIBBLES
+    v = ((v & _U(0xFFFFFFFF)) << _U(16)) | ((v >> _U(40)) << _U(48))
+    # eight decimal digits -> their integer (three multiply-shift steps)
+    v = (v * _U(2561)) >> _U(8)
+    v = ((v & _U(0x00FF00FF00FF00FF)) * _U(6553601)) >> _U(16)
+    v = ((v & _U(0x0000FFFF0000FFFF)) * _U(42949672960001)) >> _U(32)
+    return v / np.where(neg, -100.0, 100.0), ok, run.astype(np.int64) + 1
+
+
+def _first_parens(arr: pa.Array):
+    """The non-null rows of a string array that hold a '(', the offset of
+    each one's first '(' and of its end in the array's value bytes, and
+    those bytes, zero-padded."""
+    n = len(arr)
+    none = np.empty(0, np.int64)
+    if n == 0:
+        return none, none, none, None
+    width = np.dtype(np.int64 if pa.types.is_large_string(arr.type) else np.int32)
+    off = np.frombuffer(arr.buffers()[1], width, n + 1, arr.offset * width.itemsize)
+    off = off.astype(np.int64)
+    if off[-1] == off[0]:
+        return none, none, none, None
+    raw = np.frombuffer(arr.buffers()[2], np.uint8, int(off[-1] - off[0]), int(off[0]))
+    off -= off[0]
+    hits = np.flatnonzero(raw == 0x28)
+    if hits.size == n and ((off[:-1] <= hits) & (hits < off[1:])).all():
+        rows, pos = np.arange(n), hits  # one '(' per row
+    else:
+        row = np.searchsorted(off, hits, "right") - 1
+        first = np.flatnonzero(np.diff(row, prepend=-1))
+        rows, pos = row[first], hits[first]
+    if arr.null_count:
+        keep = arr.is_valid().to_numpy(zero_copy_only=False)[rows]
+        rows, pos = rows[keep], pos[keep]
+    return rows, pos, off[1:][rows], np.concatenate([raw, np.zeros(_WORD_PAD, np.uint8)])
+
+
+def _mentions(arr: pa.Array):
+    """float64 lat, lon and a found mask per row of a string array: the
+    first ``COORD_RE`` match of each row, as ``extract_regex`` + cast."""
+    n = len(arr)
+    lat, lon, found = np.empty(n), np.empty(n), np.zeros(n, bool)
+    rows, pos, end, buf = _first_parens(arr)
+    if not rows.size:
+        return lat, lon, found
+    words = np.ndarray((buf.size - 7,), "<u8", buf, 0, (1,))  # word i: bytes i..i+7
+    la, ok, dot = _number(words[pos])  # '(' on byte 0
+    comma = pos + dot + 3
+    second = words[comma + 1]
+    lo, ok2, dot = _number(second)  # ' ' on byte 0
+    close = comma + 1 + dot + 3
+    ok &= (ok2 & (buf[comma] == 0x2C) & ((second & _U(0xFF)) == 0x20)
+           & (buf[close] == 0x29) & (close < end))
+    lat[rows], lon[rows], found[rows] = la, lo, ok
+    # a match must start at a '(' and is unique from a given start, so only
+    # a row whose first '(' opens no parsed mention needs RE2
+    redo = rows[~ok]
+    if redo.size:
+        ex = pc.extract_regex(arr.take(pa.array(redo)), COORD_RE)
+        glat = pc.cast(pc.struct_field(ex, "glat"), pa.float64())
+        lat[redo] = glat.to_numpy(zero_copy_only=False)
+        lon[redo] = pc.cast(pc.struct_field(ex, "glon"), pa.float64()).to_numpy(
+            zero_copy_only=False)
+        found[redo] = pc.is_valid(glat).to_numpy(zero_copy_only=False)
+    return lat, lon, found
+
+
+class GeoparseStage:
+    """Geoparser over one batch of pages: the first "(lat, lon)" mention
+    of each ``text`` (the leftmost ``COORD_RE`` match) as float64
+    ``lat``/``lon`` columns beside the ``keep`` columns; rows without a
+    mention are dropped. Stateless: passed to ``map_batches`` as an
+    instance, it runs as a task pool, not an actor pool."""
+
+    def __init__(self, keep=("pid", "url", "text")):
         self.keep = keep
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        ex = pc.extract_regex(batch[self.text_col], self.pattern)
-        lat = pc.cast(pc.struct_field(ex, "glat"), pa.float64())
-        lon = pc.cast(pc.struct_field(ex, "glon"), pa.float64())
+        text = batch["text"]
+        parts = [_mentions(c.slice(s, _SLICE))
+                 for c in getattr(text, "chunks", [text])
+                 for s in range(0, len(c), _SLICE)]
+        lat, lon, found = (np.concatenate(p) for p in zip(*parts)) if parts else (
+            np.empty(0), np.empty(0), np.empty(0, bool))
         cols = {k: batch[k] for k in self.keep if k in batch.column_names}
-        cols["lat"] = lat
-        cols["lon"] = lon
+        cols["lat"] = pa.array(lat)
+        cols["lon"] = pa.array(lon)
         out = pa.table(cols)
-        ok = pc.and_(pc.is_valid(out["lat"]), pc.is_valid(out["lon"]))
-        return out.filter(ok)
+        return out if found.all() else out.filter(pa.array(found))

@@ -169,8 +169,9 @@ def test_rect_overlap_join_matches_bruteforce(ray_session):
 
 
 def _empty_sf(path):
-    """A scale-factor directory whose lineitem, orders and part tables
-    have zero rows, and a DuckDB connection with a view over each."""
+    """A scale-factor directory whose lineitem, orders, part and events
+    tables have zero rows (events with its real schema), and a DuckDB
+    connection with a view over each."""
     import duckdb
     import pyarrow.parquet as pq
 
@@ -182,10 +183,22 @@ def _empty_sf(path):
                    str(path / "orders.parquet"))
     pq.write_table(pa.table({"p_partkey": empty}),
                    str(path / "part.parquet"))
+    pq.write_table(pa.schema([("event_id", pa.int64()),
+                              ("ts", pa.timestamp("us")),
+                              ("user_id", pa.int64()),
+                              ("event_type", pa.string()),
+                              ("value", pa.float64()),
+                              ("props", pa.string())]).empty_table(),
+                   str(path / "events.parquet"))
     con = duckdb.connect()
-    for t in ("lineitem", "orders", "part"):
+    for t in ("lineitem", "orders", "part", "events"):
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{path}/{t}.parquet'")
     return con
+
+
+# queries whose oracle is a frozen golden of the sf0.01 answer
+_GOLDEN_ORACLES = {"knn_s2_geodesic", "polygon_area_geodesic",
+                   "geod_inverse_ellipsoidal", "traj_simplify_dp"}
 
 
 def _assert_empty_like_oracle(path, con, names):
@@ -195,7 +208,7 @@ def _assert_empty_like_oracle(path, con, names):
         got = QUERIES[name]["fn"](str(path))
         got = got if isinstance(got, pd.DataFrame) else got.to_pandas()
         want = con.sql(QUERIES[name]["sql"]).fetchdf()
-        if name == "knn_s2_geodesic":  # the golden holds the sf0.01 rows
+        if name in _GOLDEN_ORACLES:  # the golden holds the sf0.01 rows
             want = want.iloc[:0]
         assert len(want) == 0, name
         assert list(got.columns) == list(want.columns), name
@@ -231,6 +244,21 @@ def test_cell_and_knn_queries_empty_input_keep_oracle_schema(tmp_path,
         "geohash_cell_agg", "tile_pyramid_counts", "tile_agg", "s2_cell_agg",
         "hex_cell_agg", "zonal_stats", "raster_focal_mean", "raster_warp",
         "raster_polygonize"))
+
+
+def test_point_queries_empty_input_keep_oracle_schema(tmp_path, ray_session):
+    """Zero-row inputs: the per-point transform, tiling, PIP and geodesic
+    queries, the per-order ring queries and the per-user trajectory
+    simplification return zero rows with their oracles' columns and
+    dtypes (the golden-oracle queries: their golden's)."""
+    con = _empty_sf(tmp_path)
+    _assert_empty_like_oracle(tmp_path, con, (
+        "points_webmerc", "points_utm", "points_lcc", "points_geocent",
+        "helmert7_xyz", "webmerc_inverse", "tile_assign", "pip_join",
+        "haversine_dist", "polygon_area_geodesic", "trajectory_length",
+        "grid_shift_fwd", "catalog_datum_mix", "grid_shift_lla_compiled",
+        "vertical_shift_gtx", "pm_shift_paris", "axis_units_km",
+        "geod_line_interp", "geod_inverse_ellipsoidal", "traj_simplify_dp"))
 
 
 def _nonfinite_points():
