@@ -17,7 +17,8 @@ from typing import Any
 
 
 def entry() -> Any:
-    """Flagship: pages -> geoparse -> reproject -> tile -> PIP -> agg."""
+    """Flagship: pages -> geoparse -> PIP -> reproject and tile of the
+    matched points -> agg."""
     from proj_ray.pipelines.flagship import flagship_pipeline
 
     return flagship_pipeline("/root/testdata/sf0.001")

@@ -22,7 +22,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..sources import read_table
+from ..sources import read_table, table_rows
 from .derive import (
     DEG_TO_RAD_LIT,
     LAT_MUL,
@@ -89,6 +89,16 @@ def _typed(ds, **cols):
         return ds if ds.num_rows else pa.schema(cols).empty_table()
     ds = ds.materialize()
     return ds if ds.count() else pa.schema(cols).empty_table()
+
+
+def _typed_input(ds, sf_dir, table, **cols):
+    """``ds``, or an empty table with ``cols`` when the input ``table``
+    of ``sf_dir`` has no rows. The count comes from the part files'
+    footers, so unlike ``_typed`` nothing runs and no result is held: for
+    a query with output rows whenever its input has rows. (``pip_join``
+    and ``polygon_area_geodesic`` can also return zero rows on a
+    non-empty input; that result still has no columns.)"""
+    return ds if table_rows(sf_dir, table) else pa.schema(cols).empty_table()
 
 
 # ===========================================================================
@@ -168,9 +178,10 @@ def points_webmerc(sf_dir):
     out = transform_points_stage(pts, "+init=epsg:4326", "+init=epsg:3857",
                                  out_x="xm", out_y="ym")
 
-    return _typed(out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    return _typed_input(out.map_batches(_round_xm_ym, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- UTM (tmerc series) forward --------------------------------------------
@@ -240,8 +251,9 @@ def points_utm(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
                                  "+proj=utm +zone=33 +datum=WGS84",
                                  out_x="xm", out_y="ym")
-    return _typed(out.select_columns(["pid", "xm", "ym"]),
-                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    return _typed_input(out.select_columns(["pid", "xm", "ym"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- Lambert Conformal Conic forward ----------------------------------------
@@ -305,9 +317,10 @@ def points_lcc(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84", _LCC_DEF,
                                  out_x="xm", out_y="ym")
 
-    return _typed(out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                                  zero_copy_batch=True),
-                  pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    return _typed_input(out.map_batches(_round_xm_ym, batch_format="pyarrow",
+                                        zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
 
 
 # -- geocentric XYZ ---------------------------------------------------------
@@ -344,8 +357,9 @@ def points_geocent(sf_dir):
         return pa.table({"pid": b["pid"], "gx": pa.array(X), "gy": pa.array(Y),
                          "gz": pa.array(Z)})
 
-    return _typed(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
-                  pid=pa.int64(), gx=pa.float64(), gy=pa.float64(), gz=pa.float64())
+    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), gx=pa.float64(), gy=pa.float64(), gz=pa.float64())
 
 
 # ===========================================================================
@@ -400,9 +414,10 @@ def helmert7_xyz(sf_dir):
         return pa.table({"pid": pa.array(pid, pa.int64()), "hx": pa.array(hx),
                          "hy": pa.array(hy), "hz": pa.array(hz)})
 
-    return _typed(ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                                 zero_copy_batch=True),
-                  pid=pa.int64(), hx=pa.float64(), hy=pa.float64(), hz=pa.float64())
+    return _typed_input(ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                                       zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), hx=pa.float64(), hy=pa.float64(), hz=pa.float64())
 
 
 # -- inverse Web Mercator ---------------------------------------------------
@@ -452,8 +467,9 @@ def webmerc_inverse(sf_dir):
                          "lon": pa.array(_r6(t["lon"].to_numpy(zero_copy_only=False))),
                          "lat": pa.array(_r6(t["lat"].to_numpy(zero_copy_only=False)))})
 
-    return _typed(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
-                  pid=pa.int64(), lon=pa.float64(), lat=pa.float64())
+    return _typed_input(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), lon=pa.float64(), lat=pa.float64())
 
 
 # -- tile assignment + per-tile aggregate ----------------------------------
@@ -490,9 +506,10 @@ def tile_assign(sf_dir):
     from ..stages.tile_stage import tile_stage
 
     out = tile_stage(pts, _TILE_ZOOM, out="cell_id", with_xy=True)
-    return _typed(out.select_columns(["pid", "tile_x", "tile_y", "cell_id"]),
-                  pid=pa.int64(), tile_x=pa.int64(), tile_y=pa.int64(),
-                  cell_id=pa.int64())
+    return _typed_input(out.select_columns(["pid", "tile_x", "tile_y", "cell_id"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), tile_x=pa.int64(), tile_y=pa.int64(),
+                        cell_id=pa.int64())
 
 
 def _tile_agg_sql():
@@ -1055,7 +1072,8 @@ def pip_join(sf_dir):
     joined = pts.map_batches(
         PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",)),
         batch_format="pyarrow", batch_size=None)
-    return _typed(joined, pid=pa.int64(), polygon_id=pa.string())
+    return _typed_input(joined, sf_dir, "lineitem",
+                        pid=pa.int64(), polygon_id=pa.string())
 
 
 # -- kNN --------------------------------------------------------------------
@@ -1296,8 +1314,9 @@ def haversine_dist(sf_dir):
         d = np.floor(d * 1.0e3 + 0.5) / 1.0e3
         return pa.table({"pid": t["pid"], "dist_m": pa.array(d)})
 
-    return _typed(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
-                  pid=pa.int64(), dist_m=pa.float64())
+    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), dist_m=pa.float64())
 
 
 # -- within-distance spatial self-join ---------------------------------------
@@ -1430,8 +1449,9 @@ def polygon_area_geodesic(sf_dir):
 
     out = (ds.map_batches(add_bucket, batch_format="pandas", batch_size=None)
            .groupby("bucket").map_groups(per_bucket, batch_format="pandas"))
-    return _typed(out, l_orderkey=pa.int64(), n_vertices=pa.int64(),
-                  perimeter_m=pa.float64(), area_m2=pa.float64())
+    return _typed_input(out, sf_dir, "lineitem",
+                        l_orderkey=pa.int64(), n_vertices=pa.int64(),
+                        perimeter_m=pa.float64(), area_m2=pa.float64())
 
 
 # -- rectangle overlap join ---------------------------------------------------
@@ -1606,9 +1626,10 @@ def trajectory_length(sf_dir):
                               batch_size=None, zero_copy_batch=True)
     out = bucketed.groupby("bucket").map_groups(per_bucket,
                                                 batch_format="pandas")
-    return _typed(out.select_columns(cols),
-                  l_orderkey=pa.int64(), n_vertices=pa.int64(),
-                  n_segments=pa.int64(), total_mm=pa.int64())
+    return _typed_input(out.select_columns(cols),
+                        sf_dir, "lineitem",
+                        l_orderkey=pa.int64(), n_vertices=pa.int64(),
+                        n_segments=pa.int64(), total_mm=pa.int64())
 
 
 @query("spatial_clusters", sql=_golden_sql("spatial_clusters_sf001.parquet"))
@@ -1759,8 +1780,9 @@ def grid_shift_fwd(sf_dir):
         pts, "+proj=latlong +nadgrids=synthA +ellps=WGS84",
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- dated grid catalog: as-of selection + linear date mixing -------------
@@ -1866,8 +1888,9 @@ def catalog_datum_mix(sf_dir):
              " +ellps=WGS84",
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- nad2bin-compiled grid: closed-form .lla -> CTABLE2 -> shift ----------
@@ -1971,8 +1994,9 @@ def grid_shift_lla_compiled(sf_dir):
         "+proj=latlong +datum=WGS84",
         out_x="lon_shifted", out_y="lat_shifted",
         grid_loader=lambda name: grid if name == "synthB" else None)
-    return _typed(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                  pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
 
 
 # --- vertical geoid shift through a GTX file ------------------------------
@@ -2071,8 +2095,9 @@ def vertical_shift_gtx(sf_dir):
         "+proj=latlong +datum=WGS84",
         z_col="z", out_x="lon_o", out_y="lat_o", out_z="z_ellips",
         grid_loader=lambda name: vgrid if name == "synthV" else None)
-    return _typed(out.select_columns(["pid", "z_ellips"]),
-                  pid=pa.int64(), z_ellips=pa.float64())
+    return _typed_input(out.select_columns(["pid", "z_ellips"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), z_ellips=pa.float64())
 
 
 _NTF_GRID = "/root/reference/nad/ntf_r93.gsb"
@@ -2171,8 +2196,9 @@ def pm_shift_paris(sf_dir):
     out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
                                  "+proj=latlong +datum=WGS84 +pm=paris",
                                  out_x="lon_paris", out_y="lat_out")
-    return _typed(out.select_columns(["pid", "lon_paris", "lat_out"]),
-                  pid=pa.int64(), lon_paris=pa.float64(), lat_out=pa.float64())
+    return _typed_input(out.select_columns(["pid", "lon_paris", "lat_out"]),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), lon_paris=pa.float64(), lat_out=pa.float64())
 
 
 # -- axis orientation + unit conversion -------------------------------------
@@ -2213,9 +2239,10 @@ def axis_units_km(sf_dir):
                          "ys_km": pa.array(_r6(t["ys_km"].to_numpy(zero_copy_only=False))),
                          "lat_in": t["lat"]})
 
-    return _typed(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
-                  pid=pa.int64(), xw_km=pa.float64(), ys_km=pa.float64(),
-                  lat_in=pa.float64())
+    return _typed_input(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), xw_km=pa.float64(), ys_km=pa.float64(),
+                        lat_in=pa.float64())
 
 
 # -- geoparse extraction ----------------------------------------------------
@@ -2328,9 +2355,10 @@ def geod_line_interp(sf_dir):
             "lat_i": pa.array(_r6(lats.reshape(-1))),
         })
 
-    return _typed(pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                                  zero_copy_batch=True),
-                  pid=pa.int64(), k=pa.int64(), lon_i=pa.float64(), lat_i=pa.float64())
+    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
+                                        zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), k=pa.int64(), lon_i=pa.float64(), lat_i=pa.float64())
 
 
 @query("geod_inverse_ellipsoidal", sql=_golden_sql("geod_inverse_sf001.parquet"))
@@ -2339,10 +2367,11 @@ def geod_inverse_ellipsoidal(sf_dir):
     reference's geod_inverse, src/geodesic.c:944): distance + azimuths
     per derived pair; exact everywhere incl. near-antipodal."""
     pts = _points_ds(sf_dir)
-    return _typed(pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
-                                  batch_size=None, zero_copy_batch=True),
-                  pid=pa.int64(), s12_mm=pa.int64(), azi1_udeg=pa.int64(),
-                  converged=pa.bool_())
+    return _typed_input(pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
+                                        batch_size=None, zero_copy_batch=True),
+                        sf_dir, "lineitem",
+                        pid=pa.int64(), s12_mm=pa.int64(), azi1_udeg=pa.int64(),
+                        converged=pa.bool_())
 
 
 def _geod_inverse_rows(t: pa.Table) -> pa.Table:
@@ -2503,9 +2532,10 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
             "kept_eid_sum": [np.int64(eid[kept].sum())],
         })
 
-    return _typed(_bucket_per_key(ds, "user_id", per_user),
-                  user_id=pa.int64(), n_points=pa.int64(), n_kept=pa.int64(),
-                  kept_idx_sum=pa.int64(), kept_eid_sum=pa.int64())
+    return _typed_input(_bucket_per_key(ds, "user_id", per_user),
+                        sf_dir, "events",
+                        user_id=pa.int64(), n_points=pa.int64(), n_kept=pa.int64(),
+                        kept_idx_sum=pa.int64(), kept_eid_sum=pa.int64())
 
 
 # -- focal raster stats ----------------------------------------------------

@@ -25,3 +25,14 @@ def read_table(sf_dir: str, name: str, columns=None, **kwargs):
 
     path = os.path.join(sf_dir, f"{name}.parquet")
     return rd.read_datasource(PartFilesDatasource(path, columns), **kwargs)
+
+
+def table_rows(sf_dir: str, name: str) -> int:
+    """Row count of one testdata table, summed from its part files'
+    parquet footers: no Ray task runs and no column is read."""
+    import pyarrow.parquet as pq
+
+    from .parts import _part_files
+
+    path = os.path.join(sf_dir, f"{name}.parquet")
+    return sum(pq.read_metadata(f).num_rows for f in _part_files(path))

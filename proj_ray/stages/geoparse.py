@@ -157,12 +157,9 @@ def _first_parens(arr: pa.Array):
     raw = np.frombuffer(arr.buffers()[2], np.uint8, int(off[-1] - off[0]), int(off[0]))
     off -= off[0]
     hits = np.flatnonzero(raw == 0x28)
-    if hits.size == n and ((off[:-1] <= hits) & (hits < off[1:])).all():
-        rows, pos = np.arange(n), hits  # one '(' per row
-    else:
-        row = np.searchsorted(off, hits, "right") - 1
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        rows, pos = row[first], hits[first]
+    row = np.searchsorted(off, hits, "right") - 1
+    first = np.flatnonzero(np.diff(row, prepend=-1))
+    rows, pos = row[first], hits[first]
     if arr.null_count:
         keep = arr.is_valid().to_numpy(zero_copy_only=False)[rows]
         rows, pos = rows[keep], pos[keep]
