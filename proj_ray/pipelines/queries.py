@@ -81,12 +81,10 @@ def _sorted_pdf(obj, by):
 
 
 def _typed(ds, **cols):
-    """``ds`` (a Dataset or a pyarrow table), or an empty table with
-    ``cols`` (name -> pyarrow type) when ``ds`` has no rows: Ray Data
-    keeps no schema for a zero-row Dataset (its ``to_pandas()`` has no
-    columns), while the oracle's empty result has typed ones."""
-    if isinstance(ds, pa.Table):
-        return ds if ds.num_rows else pa.schema(cols).empty_table()
+    """The Dataset ``ds``, or an empty table with ``cols`` (name ->
+    pyarrow type) when ``ds`` has no rows: Ray Data keeps no schema for
+    a zero-row Dataset (its ``to_pandas()`` has no columns), while the
+    oracle's empty result has typed ones."""
     ds = ds.materialize()
     return ds if ds.count() else pa.schema(cols).empty_table()
 
@@ -530,33 +528,24 @@ def _tile_agg_sql():
 
 @query("tile_agg", sql=_tile_agg_sql())
 def tile_agg(sf_dir):
-    """Per-tile aggregate at zoom 4 via partial combine + small groupby
-    (the skew-safe two-phase shape; dense cells pre-reduced per batch)."""
-    pts = _points_ds(sf_dir)
+    """Per-tile aggregate at zoom 4 (stages.agg.group_agg: dense cells
+    pre-reduced per block, <= 256 zoom-4 parent cells per block)."""
+    from ..stages.agg import group_agg
     from ..stages.tile_stage import tile_stage
 
-    tiled = tile_stage(pts, _TILE_ZOOM, out="cell_id")
+    tiled = tile_stage(_points_ds(sf_dir), _TILE_ZOOM, out="cell_id")
 
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
+    def cols(df: pd.DataFrame) -> pd.DataFrame:
         pid = df["pid"].to_numpy()
-        df = pd.DataFrame({
+        return pd.DataFrame({
             "parent_cell": _parent(df["cell_id"].to_numpy(), _TILE_ZOOM, 4),
-            "n_points": 1,
-            "sum_lon_centi": pid * LON_MUL % 36000 - 18000,
-            "min_pid": pid,
-        })
-        return df.groupby("parent_cell", as_index=False).agg(
-            n_points=("n_points", "sum"), sum_lon_centi=("sum_lon_centi", "sum"),
-            min_pid=("min_pid", "min"))
+            "lon_centi": pid * LON_MUL % 36000 - 18000, "pid": pid})
 
-    partials = tiled.map_batches(partial, batch_format="pandas", batch_size=None)
-    # size-dispatched final combine: <= 256 zoom-4 parent cells per
-    # block; distributed groupby past the threshold (stages.agg)
-    from ..stages.agg import combine_partials
-
-    out = combine_partials(
-        partials, ["parent_cell"],
-        {"n_points": "sum", "sum_lon_centi": "sum", "min_pid": "min"})
+    out = group_agg(
+        tiled.map_batches(cols, batch_format="pandas", batch_size=None),
+        ["parent_cell"], {"n_points": ("pid", "count"),
+                          "sum_lon_centi": ("lon_centi", "sum"),
+                          "min_pid": ("pid", "min")})
     return _sorted_pdf(out.astype(np.int64), ["parent_cell"])
 
 
@@ -671,33 +660,17 @@ def _s2_cell_agg_sql():
 def s2_cell_agg(sf_dir):
     """Per-S2-cell aggregate at level 7: Hilbert leaf ids assigned per
     batch (stages/s2_stage.py), coarsened with integer-only parent
-    arithmetic, then the tile_agg two-phase shape (per-batch partial
-    groupby, size-dispatched combine).  Cell ids are the
-    locality-preserving shard key at 100-TB scale: range-partitioning
-    by id keeps spatial neighbours in the same partition (Hilbert
-    adjacency pinned in tests/test_s2cell.py)."""
-    from ..stages.agg import combine_partials
+    arithmetic, then aggregated per cell (stages.agg.group_agg).  Cell
+    ids are the locality-preserving shard key at 100-TB scale:
+    range-partitioning by id keeps spatial neighbours in the same
+    partition (Hilbert adjacency pinned in tests/test_s2cell.py)."""
+    from ..stages.agg import group_agg
     from ..stages.s2_stage import s2_stage
 
-    pts = _points_ds(sf_dir)
-    cells = s2_stage(pts, _S2_LEVEL, out="cell_id")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        df = pd.DataFrame({
-            "cell_id": df["cell_id"].to_numpy(),
-            "n_points": 1,
-            "min_pid": df["pid"].to_numpy(),
-            "sum_pid": df["pid"].to_numpy(),
-        })
-        return df.groupby("cell_id", as_index=False).agg(
-            n_points=("n_points", "sum"), min_pid=("min_pid", "min"),
-            sum_pid=("sum_pid", "sum"))
-
-    partials = cells.map_batches(partial, batch_format="pandas",
-                                 batch_size=None)
-    out = combine_partials(
-        partials, ["cell_id"],
-        {"n_points": "sum", "min_pid": "min", "sum_pid": "sum"})
+    cells = s2_stage(_points_ds(sf_dir), _S2_LEVEL, out="cell_id")
+    out = group_agg(cells, ["cell_id"], {"n_points": ("pid", "count"),
+                                         "min_pid": ("pid", "min"),
+                                         "sum_pid": ("pid", "sum")})
     return _sorted_pdf(out.astype(np.int64), ["cell_id"])
 
 
@@ -763,22 +736,15 @@ def s2_cell_center(sf_dir):
     """Distinct level-7 S2 cells -> exact cell-center lon/lat via the
     published GetCenterSiTi decode (full-depth phantom-child decode +
     curve-parity delta; kernels/s2cell.py:cell_center_st).  Distinct
-    set built with the per-batch-partial + size-dispatched combine
-    shape; the decode itself is integer-exact so both sides round the
-    final trig to 1e-6 deg (ROUND6 idiom, as webmerc_inverse)."""
-    from ..stages.agg import combine_partials
+    set built with stages.agg.group_agg; the decode itself is
+    integer-exact so both sides round the final trig to 1e-6 deg
+    (ROUND6 idiom, as webmerc_inverse)."""
+    from ..stages.agg import group_agg
     from ..stages.s2_stage import s2_stage
     from ..kernels.s2cell import cell_center_lonlat
 
-    pts = _points_ds(sf_dir)
-    cells = s2_stage(pts, _S2_LEVEL, out="cell_id")
-
-    def partial(df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"cell_id": df["cell_id"].unique(), "n": 1})
-
-    partials = cells.map_batches(partial, batch_format="pandas",
-                                 batch_size=None)
-    out = combine_partials(partials, ["cell_id"], {"n": "sum"})
+    cells = s2_stage(_points_ds(sf_dir), _S2_LEVEL, out="cell_id")
+    out = group_agg(cells, ["cell_id"], {"n": ("cell_id", "count")})
     ids = out["cell_id"].to_numpy(dtype=np.int64)
     lon, lat = cell_center_lonlat(ids.view(np.uint64))
     return _sorted_pdf(pd.DataFrame({
@@ -836,12 +802,11 @@ def s2_shard_bbox(sf_dir):
     pruned read must produce the identical row set, which gates the
     covering's no-miss property end-to-end.  A covering that touches
     no written shard (or an empty point table) gives no rows."""
-    from ..stages.s2_stage import s2_shard_bbox_read
+    from ..stages.s2_stage import s2_shard_boxes_read
 
     lon0, lon1, lat0, lat1 = _S2_BBOX
-    idx_dir = _s2_index_dir(sf_dir)
-    ds, _ = s2_shard_bbox_read(idx_dir, lon0, lon1, lat0, lat1,
-                               _S2_SHARD_LEVEL)
+    ds, _ = s2_shard_boxes_read(_s2_index_dir(sf_dir), [_S2_BBOX],
+                                _S2_SHARD_LEVEL)
     if ds is None:
         return pd.DataFrame({"pid": np.empty(0, np.int64),
                              "lon": np.empty(0, np.float64),
@@ -869,6 +834,19 @@ _RCELL = 500               # centi-degrees: 5-degree cells
 _RNROW = 16000 // _RCELL   # 32 rows  (lat in [-80, 80))
 _RNCOL = 36000 // _RCELL   # 72 cols  (lon in [-180, 180))
 _RFRAC = 0.3               # mask = top 30% of cells by count
+
+
+def _raster_cells(sf_dir) -> pd.DataFrame:
+    """Point counts (r, c, n) of the occupied 5-degree raster cells:
+    a bincount per block, then ``stages.agg.combine_partials``. The
+    partials and the combine are bounded by the raster size (72x32
+    here), never the corpus."""
+    from ..stages.agg import combine_partials
+
+    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
+                              zero_copy_batch=True)
+    return combine_partials(partials, ["r", "c"], {"n": "sum"})
 
 
 def _cell_count_partial(t: pa.Table) -> pa.Table:
@@ -979,19 +957,13 @@ def zonal_stats(sf_dir):
     raster by even-odd pnpoly on cell CENTERS, then aggregate the
     occupied-cell point counts per zone.
 
-    Scale shape: the per-cell counts come from the same raster-bounded
-    partial-bincount combine as raster_polygonize; zone burn-in is
-    pnpoly over the bounded cell-center table against the broadcast
-    polygon set (kernels.pip.PolygonSet, identical comparisons to the SQL
-    crossing test, so the match is exact)."""
+    Scale shape: the per-cell counts come from _raster_cells; zone
+    burn-in is pnpoly over the bounded cell-center table against the
+    broadcast polygon set (kernels.pip.PolygonSet, identical comparisons
+    to the SQL crossing test, so the match is exact)."""
     from ..kernels.pip import PolygonSet
-    from ..stages.agg import combine_partials
 
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    cells = combine_partials(partials, ["r", "c"], {"n": "sum"})
+    cells = _raster_cells(sf_dir)
     px = (cells["c"].to_numpy(np.int64) * _RCELL + _RCELL // 2 - 18000) / 100.0
     py = (cells["r"].to_numpy(np.int64) * _RCELL + _RCELL // 2 - 8000) / 100.0
     n = cells["n"].to_numpy(np.int64)
@@ -1011,21 +983,15 @@ def raster_polygonize(sf_dir):
     (deterministic rank threshold), and vectorize the mask into
     4-connected regions via min-label CC (stages.raster.polygonize).
 
-    Scale shape: the partial stream and the final combine are bounded
-    by the RASTER size (72x32 here), never the corpus; the combine
-    (stages.agg.combine_partials) size-dispatches onto its distributed
-    branch for fine rasters.  The threshold + CC here run driver-side
+    Scale shape: the cell counts come from _raster_cells, bounded by
+    the RASTER size (72x32 here), never the corpus; the combine runs
+    distributed for fine rasters.  The threshold + CC here run driver-side
     over that raster-bounded cell table (16M cells at zoom 12 is still
     driver-tractable; the CC kernel is a few numpy passes per
     halving of the component count)."""
     from ..stages.raster import polygonize
-    from ..stages.agg import combine_partials
 
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    cells = combine_partials(partials, ["r", "c"], {"n": "sum"})
+    cells = _raster_cells(sf_dir)
     return polygonize(cells, _RFRAC)
 
 
@@ -1100,8 +1066,14 @@ def _knn_sql():
 def knn_points(sf_dir):
     """Broadcast kNN: per-batch partial top-k then tiny final reduce —
     no shuffle of the point stream. Deterministic (d2, id) tie-break."""
-    pts = _points_ds(sf_dir)
-    return knn_topk(pts, _KNN_QUERIES, k=5, id_col="pid")
+    return _qid_int32(knn_topk(_points_ds(sf_dir), _KNN_QUERIES, k=5,
+                               id_col="pid"))
+
+
+def _qid_int32(t: pa.Table) -> pa.Table:
+    """``t`` with ``qid`` as int32, the type of the oracle's VALUES list."""
+    return t.set_column(t.schema.get_field_index("qid"), "qid",
+                        t["qid"].cast(pa.int32()))
 
 
 def knn_s2_certified(index_dir, queries, k, shard_level, r0=3.0,
@@ -1122,7 +1094,7 @@ def knn_s2_certified(index_dir, queries, k, shard_level, r0=3.0,
     At 10^12 rows this is the kNN scale path: O(neighbourhood shards)
     read per query instead of a corpus scan."""
     from ..stages.knn_stage import geodesic_box_lb
-    from ..stages.s2_stage import s2_shard_bbox_read
+    from ..stages.s2_stage import s2_shard_boxes_read
 
     tables = []
     for qid, qx, qy in queries:
@@ -1130,8 +1102,8 @@ def knn_s2_certified(index_dir, queries, k, shard_level, r0=3.0,
         while True:
             lon0, lon1 = max(qx - r, -180.0), min(qx + r, 180.0)
             lat0, lat1 = max(qy - r, -90.0), min(qy + r, 90.0)
-            ds, _ = s2_shard_bbox_read(index_dir, lon0, lon1, lat0, lat1,
-                                       shard_level)
+            ds, _ = s2_shard_boxes_read(
+                index_dir, [(lon0, lon1, lat0, lat1)], shard_level)
             got = None
             if ds is not None:
                 got = knn_topk(ds, [(qid, qx, qy)], k=k, id_col="pid",
@@ -1168,10 +1140,8 @@ def knn_s2_pruned(sf_dir):
     the identical full-scan SQL as knn_points — the pruned read must
     return the exact rows, which driver-gates the certificate logic and
     the covering's no-miss property together."""
-    return _typed(knn_s2_certified(_s2_index_dir(sf_dir), _KNN_QUERIES,
-                                   k=5, shard_level=_S2_SHARD_LEVEL),
-                  qid=pa.int32(), id=pa.int64(), rank=pa.int64(),
-                  d2=pa.float64())
+    return _qid_int32(knn_s2_certified(_s2_index_dir(sf_dir), _KNN_QUERIES,
+                                       k=5, shard_level=_S2_SHARD_LEVEL))
 
 
 @query("knn_geodesic", sql=_golden_sql("knn_geodesic_sf001.parquet"))
@@ -2404,31 +2374,8 @@ def _geod_inverse_rows(t: pa.Table) -> pa.Table:
 
 
 # ===========================================================================
-# Relational part 2: per-key bucketed maps and the salted skew aggregate
+# Relational part 2: the hot-cell aggregate and per-user simplification
 # ===========================================================================
-
-def _bucket_per_key(ds, key_col, per_key):
-    """Per-key map over COARSE hash buckets: one Ray group per bucket
-    (key % 256), pandas groupby-apply per key inside — ~20x cheaper
-    per key than one Ray map_groups call per key, and the bucket count
-    scales the shuffle with the cluster, not the key cardinality."""
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["_bkt"] = df[key_col].to_numpy().astype(np.int64) & 255
-        return df
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        out = (g.drop(columns=["_bkt"])
-               .groupby(key_col, group_keys=False, sort=False)
-               [list(g.columns.drop("_bkt"))]
-               .apply(per_key))
-        return out.reset_index(drop=True)
-
-    return (ds.map_batches(add_bucket, batch_format="pandas",
-                           batch_size=None)
-            .groupby("_bkt").map_groups(per_bucket,
-                                        batch_format="pandas"))
-
 
 def _salted_sql():
     tx, ty = _tile_sql_exprs(2)
@@ -2444,10 +2391,11 @@ def _salted_sql():
 @query("salted_cell_agg", sql=_salted_sql())
 def salted_cell_agg(sf_dir):
     """Skew demo: zoom-2 cells are few and hot (megacity-cell shape).
-    The salted two-phase aggregate (partial per (key, salt) inside
-    map_batches, final groupby over tiny partials) produces the exact
-    same totals as an unsalted GROUP BY — the oracle proves it."""
-    pts = _points_ds(sf_dir)
+    stages.agg.group_agg pre-reduces each block to at most one row per
+    cell, so a hot cell moves one partial row per block however many
+    of the block's rows it holds; the oracle's unsalted GROUP BY gives
+    the same totals."""
+    from ..stages.agg import group_agg
 
     def add_cell(t: pa.Table) -> pa.Table:
         lon = t["lon"].to_numpy(zero_copy_only=False)
@@ -2455,25 +2403,18 @@ def salted_cell_agg(sf_dir):
         return pa.table({"cell": pa.array(_cell_id(lon, lat, 2), pa.int64()),
                          "pid": t["pid"]})
 
-    with_cell = pts.map_batches(add_cell, batch_format="pyarrow", batch_size=None)
-    from ..stages.agg import partial_group_sums
-
-    out = partial_group_sums(with_cell, ["cell"], ["pid"], count_col="n_points",
-                             salt_mod=8)
-    # rename summed column to the oracle's name
-    def fin(df: pd.DataFrame) -> pd.DataFrame:
-        return df.rename(columns={"pid": "sum_pid"})
-
-    out = out.map_batches(fin, batch_format="pandas", batch_size=None)
-    return _sorted_pdf(_typed(out, cell=pa.int64(), n_points=pa.int64(),
-                              sum_pid=pa.int64()), ["cell"])
+    with_cell = _points_ds(sf_dir).map_batches(
+        add_cell, batch_format="pyarrow", batch_size=None)
+    out = group_agg(with_cell, ["cell"], {"n_points": ("pid", "count"),
+                                          "sum_pid": ("pid", "sum")})
+    return _sorted_pdf(out.astype(np.int64), ["cell"])
 
 
 _DP_TOL_DEG = 60.0  # Douglas-Peucker tolerance (degrees; drops ~1/3)
 
 
 @query("traj_simplify_dp", sql=_golden_sql("traj_simplify_sf001.parquet"))
-def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
+def traj_simplify_dp(sf_dir):
     """Per-user polyline simplification (Douglas-Peucker): each user's
     event trace (points in (event-time, event_id) order, lon/lat derived
     from event_id exactly as the other spatial queries derive geometry)
@@ -2481,7 +2422,7 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
     running chord exceeds the tolerance — the standard map-generalization
     operator for trajectory compression before tiling.
 
-    Shape: one key-hash shuffle (groupby user), then an in-group
+    Shape: one key-hash shuffle (stages.agg.bucket_map), then an in-group
     stack-based DP where every split evaluates ALL candidate deviations
     vectorized (squared-distance compare — no sqrt, no division ordering
     hazards; num^2/den and the argmax tie-break to the FIRST maximum are
@@ -2491,8 +2432,10 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
 
     Oracle: frozen golden from an independent per-point pure-Python
     scalar DP (tools/freeze_goldens.py:freeze_traj_simplify_golden)."""
+    from ..stages.agg import bucket_map
+
     ds = read_table(sf_dir, "events", columns=["event_id", "user_id", "ts"])
-    tol2 = float(tol_deg) * float(tol_deg)
+    tol2 = _DP_TOL_DEG * _DP_TOL_DEG
 
     def per_user(g: pd.DataFrame) -> pd.DataFrame:
         eid = g["event_id"].to_numpy().astype(np.int64)
@@ -2532,7 +2475,11 @@ def traj_simplify_dp(sf_dir, tol_deg: float = _DP_TOL_DEG):
             "kept_eid_sum": [np.int64(eid[kept].sum())],
         })
 
-    return _typed_input(_bucket_per_key(ds, "user_id", per_user),
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        return (g.groupby("user_id", group_keys=False, sort=False)
+                [list(g.columns)].apply(per_user).reset_index(drop=True))
+
+    return _typed_input(bucket_map(ds, ["user_id"], per_bucket),
                         sf_dir, "events",
                         user_id=pa.int64(), n_points=pa.int64(), n_kept=pa.int64(),
                         kept_idx_sum=pa.int64(), kept_eid_sum=pa.int64())
@@ -2567,8 +2514,7 @@ def raster_focal_mean(sf_dir):
     regular lat/lon raster model of src/nad_init.c).
 
     Scale shape: the corpus-proportional work ends at the per-batch
-    bincount rasterization (raster-bounded partials, size-dispatched
-    combine — same skeleton as raster_polygonize); the stencil then
+    bincount rasterization (_raster_cells); the stencil then
     runs over the RASTER (72x32 here), vectorized as nine shifted-array
     adds over the padded grid.  A corpus-scale raster (zoom 14+) would
     shard the grid into row bands and exchange one-row halos — the
@@ -2576,13 +2522,7 @@ def raster_focal_mean(sf_dir):
     the antimeridian (cells are pure indices here, matching the SQL
     twin's BETWEEN neighborhood).  Only occupied cells are emitted, so
     the result and the oracle's inner self-join agree exactly."""
-    from ..stages.agg import combine_partials
-
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    cells = combine_partials(partials, ["r", "c"], {"n": "sum"})
+    cells = _raster_cells(sf_dir)
     grid = np.zeros((_RNROW, _RNCOL), np.int64)
     grid[cells["r"].to_numpy(np.int64), cells["c"].to_numpy(np.int64)] = \
         cells["n"].to_numpy(np.int64)
@@ -2657,19 +2597,12 @@ def raster_warp(sf_dir):
     repr literals.
 
     Scale shape: the corpus-proportional work ends at the per-batch
-    bincount rasterization (raster-bounded partials, size-dispatched
-    combine — the raster_polygonize skeleton); the target mapping is
+    bincount rasterization (_raster_cells); the target mapping is
     computed vectorized over the BOUNDED target grid and gathers
     source values through one hash merge.  Only target cells whose
     source cell is occupied are emitted (inner-join semantics, exactly
     the SQL twin)."""
-    from ..stages.agg import combine_partials
-
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
-                              zero_copy_batch=True)
-    cells = combine_partials(partials, ["r", "c"], {"n": "sum"})
+    cells = _raster_cells(sf_dir)
 
     tr, tc = np.divmod(np.arange(_WARP_NR * _WARP_NC, dtype=np.int64),
                        _WARP_NC)
@@ -2743,16 +2676,13 @@ def hex_cell_agg(sf_dir):
     """Hexagonal spatial index + aggregate — the H3-style hex leg next
     to the S2 (s2_cell_agg) and slippy-tile (tile_agg) indexes: assign
     each point to a flat-top hex cell (axial coords + vectorized cube
-    rounding, pure numpy) and aggregate per cell with per-batch
-    partials -> size-dispatched combine.  Hexes are the standard
-    choice for density/kNN-ish spatial joins (uniform neighbor
-    distance); the cell id is 2 int64s, so the shuffle moves 40
-    bytes/partial-row and the combine is cell-cardinality-bounded."""
-    from ..stages.agg import combine_partials
+    rounding, pure numpy) and aggregate per cell (stages.agg.group_agg).
+    Hexes are the standard choice for density/kNN-ish spatial joins
+    (uniform neighbor distance); the cell id is 2 int64s, so the
+    combine moves 40 bytes/partial-row and is cell-cardinality-bounded."""
+    from ..stages.agg import group_agg
 
-    pts = _points_ds(sf_dir)
-
-    def partial(t: pa.Table) -> pa.Table:
+    def cells(t: pa.Table) -> pd.DataFrame:
         pid = t["pid"].to_numpy(zero_copy_only=False)
         lon = t["lon"].to_numpy(zero_copy_only=False)
         lat = t["lat"].to_numpy(zero_copy_only=False)
@@ -2766,31 +2696,19 @@ def hex_cell_agg(sf_dir):
         fix_z = ~fix_x & (dz > dy)
         hq = np.where(fix_x, -ry - rz, rx).astype(np.int64)
         hr = np.where(fix_z, -rx - ry, rz).astype(np.int64)
-        lon_centi = (pid * LON_MUL) % 36000 - 18000
-        df = pd.DataFrame({"hex_q": hq, "hex_r": hr, "pid": pid,
-                           "lon_centi": lon_centi})
-        g = df.groupby(["hex_q", "hex_r"], as_index=False).agg(
-            n_points=("pid", "size"), sum_lon_centi=("lon_centi", "sum"),
-            min_pid=("pid", "min"))
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return pd.DataFrame({"hex_q": hq, "hex_r": hr, "pid": pid,
+                             "lon_centi": (pid * LON_MUL) % 36000 - 18000})
 
-    parts = pts.map_batches(partial, batch_format="pyarrow", batch_size=None,
-                            zero_copy_batch=True)
-    out = combine_partials(parts, ["hex_q", "hex_r"],
-                           {"n_points": "sum", "sum_lon_centi": "sum",
-                            "min_pid": "min"})
+    out = group_agg(
+        _points_ds(sf_dir).map_batches(cells, batch_format="pyarrow",
+                                       batch_size=None, zero_copy_batch=True),
+        ["hex_q", "hex_r"], {"n_points": ("pid", "count"),
+                             "sum_lon_centi": ("lon_centi", "sum"),
+                             "min_pid": ("pid", "min")})
     return _sorted_pdf(out.astype(np.int64), ["hex_q", "hex_r"])
 
 
 # -- Per-cluster convex hull ------------------------------------------------
-
-
-def _cluster_bucket(df: pd.DataFrame) -> pd.DataFrame:
-    """(cluster, pid) rows plus a 64-way ``_bkt`` bucket of the cluster id."""
-    df = df[["cluster", "pid"]].copy()
-    df["_bkt"] = (df["cluster"].to_numpy(np.uint64)
-                  % np.uint64(64)).astype(np.int64)
-    return df
 
 
 @query("cluster_convex_hull", sql=_golden_sql("cluster_hull_sf001.parquet"))
@@ -2798,15 +2716,15 @@ def cluster_convex_hull(sf_dir):
     """Convex hull per spatial cluster — the footprint-polygon step a
     geo pipeline runs after density clustering (cluster extents for
     map display, coverage area, downstream PIP).  Chains the shipped
-    stack: 30 km radius clusters (_cluster_labels) -> distinct
-    (cluster, pid) via one bucket_aggregate -> per-cluster Andrew
-    monotone chain (`kernels/hull.py`), emitting CCW vertices (ord 0 =
-    smallest (lon, lat)) for clusters with >= 3 distinct coordinates.
+    stack: 30 km radius clusters (_cluster_labels) -> one bucket
+    shuffle of the (pid, cluster) labels (stages.agg.bucket_map) ->
+    per-cluster Andrew monotone chain (`kernels/hull.py`), emitting CCW
+    vertices (ord 0 = smallest (lon, lat)) for clusters with >= 3
+    distinct coordinates.
 
-    Scale: the hull pass is a coarse-bucket shuffle of (cluster, pid)
-    pairs — one row per distinct member, never the raw multiplicity —
-    and each bucket runs a vectorized-dedup + O(m log m) chain per
-    cluster; cluster sizes are bounded by the radius graph's density,
+    Scale: each bucket runs a vectorized coordinate dedup (np.unique)
+    + O(m log m) chain per cluster, so a pid's repeated rows cost no
+    pre-pass; cluster sizes are bounded by the radius graph's density,
     and the chain is the per-group sequential core every hull has.
     Coordinates recompute from pid inside the hull stage (no join).
     Golden: Jarvis gift-wrapping march — a DIFFERENT hull algorithm —
@@ -2816,10 +2734,7 @@ def cluster_convex_hull(sf_dir):
     lattice-aligned (0.01-degree) collinear cases classify
     identically."""
     from ..kernels.hull import convex_hull_ccw
-    from ..stages.agg import bucket_aggregate
-
-    labels = _cluster_labels(_points_ds(sf_dir))
-    members = bucket_aggregate(labels, ["cluster", "pid"], {"n": "count"})
+    from ..stages.agg import bucket_map
 
     def hulls(g: pd.DataFrame) -> pd.DataFrame:
         out_c, out_o, out_x, out_y = [], [], [], []
@@ -2840,11 +2755,8 @@ def cluster_convex_hull(sf_dir):
                              "lon": np.array(out_x, np.float64),
                              "lat": np.array(out_y, np.float64)})
 
-    out = (members.map_batches(_cluster_bucket, batch_format="pandas",
-                               batch_size=None)
-           .groupby("_bkt")
-           .map_groups(lambda g: hulls(g.drop(columns=["_bkt"])),
-                       batch_format="pandas")).to_pandas()
+    out = bucket_map(_cluster_labels(_points_ds(sf_dir)), ["cluster"],
+                     hulls).to_pandas()
     if len(out) == 0:  # no hullable cluster at this SF: keep the schema
         out = pd.DataFrame({"cluster": np.empty(0, np.int64),
                             "ord": np.empty(0, np.int64),
@@ -2870,10 +2782,7 @@ def cluster_diameter(sf_dir):
     cluster_convex_hull; d2_deg is the identical IEEE double
     dx*dx + dy*dy on both sides."""
     from ..kernels.hull import convex_hull_ccw
-    from ..stages.agg import bucket_aggregate
-
-    labels = _cluster_labels(_points_ds(sf_dir))
-    members = bucket_aggregate(labels, ["cluster", "pid"], {"n": "count"})
+    from ..stages.agg import bucket_map
 
     def diam(g: pd.DataFrame) -> pd.DataFrame:
         out_c, out_n, out_d = [], [], []
@@ -2893,11 +2802,8 @@ def cluster_diameter(sf_dir):
                              "n_distinct": np.array(out_n, np.int64),
                              "d2_deg": np.array(out_d, np.float64)})
 
-    out = (members.map_batches(_cluster_bucket, batch_format="pandas",
-                               batch_size=None)
-           .groupby("_bkt")
-           .map_groups(lambda g: diam(g.drop(columns=["_bkt"])),
-                       batch_format="pandas")).to_pandas()
+    out = bucket_map(_cluster_labels(_points_ds(sf_dir)), ["cluster"],
+                     diam).to_pandas()
     if len(out) == 0:
         out = pd.DataFrame({"cluster": np.empty(0, np.int64),
                             "n_distinct": np.empty(0, np.int64),
@@ -2948,16 +2854,15 @@ def geohash_cell_agg(sf_dir):
 
     The encode is pure vectorized bit arithmetic in ONE map_batches
     (floor-quantize both axes, interleave via shifted masks); the
-    per-cell rollup is a mergeable (count, min) through bucket_
-    aggregate keyed on the 20-bit INT cell — strings render only on
-    the final bounded frame (and identically in SQL via substr on the
-    same alphabet), so the shuffle carries ints, never text.  Both
+    per-cell rollup is a mergeable (count, min) through
+    stages.agg.group_agg keyed on the 20-bit INT cell — strings render
+    only on the final bounded frame (and identically in SQL via substr
+    on the same alphabet), so the combine carries ints, never text.  Both
     engines share the exact quantize expression
     floor((lon+180)/360*32768) with the same clamp, so cell ids are
     bitwise-identical."""
-    from ..stages.agg import bucket_aggregate
+    from ..stages.agg import group_agg
 
-    ds = _points_ds(sf_dir)
     jj = np.arange(_GH_BITS, dtype=np.int64)
 
     def enc(t: pa.Table) -> pd.DataFrame:
@@ -2972,12 +2877,10 @@ def geohash_cell_agg(sf_dir):
             + (((gy[:, None] >> jj) & 1) << (2 * jj)).sum(axis=1)
         return pd.DataFrame({"cell": z >> 10, "pid": pid})
 
-    agg = _typed(bucket_aggregate(
-        ds.map_batches(enc, batch_format="pyarrow", batch_size=None,
-                       zero_copy_batch=True),
-        ["cell"], {"n_points": ("pid", "count"),
-                   "min_pid": ("pid", "min")}, num_buckets=64),
-        cell=pa.int64(), n_points=pa.int64(), min_pid=pa.int64()).to_pandas()
+    agg = group_agg(
+        _points_ds(sf_dir).map_batches(enc, batch_format="pyarrow",
+                                       batch_size=None, zero_copy_batch=True),
+        ["cell"], {"n_points": ("pid", "count"), "min_pid": ("pid", "min")})
     cell = agg["cell"].to_numpy(np.int64)
     chars = np.frombuffer(_GH_ALPHA.encode(), np.uint8)
     gh = np.empty((len(cell), 4), np.uint8)
@@ -3019,20 +2922,17 @@ def tile_pyramid_counts(sf_dir):
     (the naive per-level re-scan does zmax-zmin full passes).
 
     Scale: the z12 frame is GRID-bounded (<= 4^12 ~ 16.7M cells
-    regardless of corpus size; count-mergeable via bucket_aggregate),
+    regardless of corpus size; count-mergeable via stages.agg.group_agg),
     and every rollup shrinks it 4x, so the driver-side halving loop is
     corpus-independent.  The SQL twin groups the raw points at every
     level independently, so the gate checks that parents exactly equal
     the sum of their children under the documented half-open edge
     convention (kernels/tiling.py)."""
-    from ..stages.agg import bucket_aggregate
+    from ..stages.agg import group_agg
     from ..stages.tile_stage import tile_stage
 
     tiled = tile_stage(_points_ds(sf_dir), _PYR_ZMAX, out="cell_id")
-    agg = _typed(bucket_aggregate(tiled, ["cell_id"],
-                                  {"n_points": ("pid", "count")},
-                                  num_buckets=64),
-                 cell_id=pa.int64(), n_points=pa.int64()).to_pandas()
+    agg = group_agg(tiled, ["cell_id"], {"n_points": ("pid", "count")})
     cid = agg["cell_id"].to_numpy(np.int64)
     tx = cid & ((1 << _PYR_ZMAX) - 1)
     ty = cid >> _PYR_ZMAX

@@ -30,11 +30,9 @@ from .transform_stage import TransformStage, transform_points_stage
 from .geoparse import GeoparseStage, synth_pages_stage
 from .tile_stage import tile_stage
 from .s2_stage import (s2_stage, s2_shard_write,
-                       s2_shard_write_resumable, s2_shard_bbox_read,
-                       s2_shard_boxes_read)
+                       s2_shard_write_resumable, s2_shard_boxes_read)
 from .pip_stage import PIPJoinActor, make_polygons
 from .knn_stage import knn_topk
-from .agg import partial_group_sums
 
 __all__ = [
     "TransformStage",
@@ -45,10 +43,8 @@ __all__ = [
     "s2_stage",
     "s2_shard_write",
     "s2_shard_write_resumable",
-    "s2_shard_bbox_read",
     "s2_shard_boxes_read",
     "PIPJoinActor",
     "make_polygons",
     "knn_topk",
-    "partial_group_sums",
 ]

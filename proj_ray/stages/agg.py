@@ -1,136 +1,108 @@
-"""Pre-aggregation helpers: combine inside map_batches BEFORE the
-groupby so the all-to-all shuffle moves one row per (key, batch)
-instead of every input row (SURVEY.md §2.6, ray_guide 'Aggregation at
-scale'). Optional key salting spreads pathological hot keys."""
+"""Where rows with the same key meet: the engine's one aggregation path.
+
+- Keyed aggregates (``group_agg``): each block pre-reduces its own rows
+  with one pandas groupby, so the combine moves at most one row per
+  (key, block) however skewed a key is; no salt is needed (SURVEY.md
+  §2.6, ray_guide 'Aggregation at scale'). ``combine_partials`` then
+  finishes on the driver while the partials number at most
+  ``DRIVER_ROWS``, and through ``bucket_aggregate`` past that.
+- Per-group functions (``bucket_map``): one shuffle hashes the rows onto
+  ``BUCKETS`` coarse buckets of their key columns, and a function runs
+  on each bucket's frame, which holds every row of each of its keys.
+
+A spec is ``{out_col: (in_col, op)}`` or ``{out_col: op}`` (the column
+aggregates itself), with op 'sum', 'min', 'max' or 'count' (rows)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 
+# past this many partial rows the final combine runs distributed; below
+# it one driver-side groupby skips the shuffle's fixed latency
+DRIVER_ROWS = 2_000_000
+# hash buckets of a bucket_map shuffle: scales the shuffle with the
+# cluster, independent of key cardinality (SURVEY §8)
+BUCKETS = 256
 
-def partial_group_sums(ds, key_cols, sum_cols, count_col="n", batch_size=None,
-                       salt_mod=None):
-    """Stage 1: per-batch groupby-sum (vectorized pandas) emitting
-    partials; stage 2: Ray groupby over the partials. Returns a Dataset
-    with key_cols + summed sum_cols + count_col.
 
-    ``salt_mod``: when set, batches add ``_salt = row_index %% salt_mod``
-    to the partial key, splitting a hot key's rows across salt_mod
-    partial rows per batch; the final groupby drops the salt. (With
-    per-batch partials the partial row count is already bounded by
-    #keys x #batches; salting matters when single batches are dominated
-    by one key and the per-batch combine itself is the bottleneck.)
-    """
+def _named(key_cols, spec):
+    """pandas named aggregation of ``spec``: {out_col: (in_col, op)}."""
+    named = {}
+    for out_col, s in spec.items():
+        in_col, op = s if isinstance(s, tuple) else (out_col, s)
+        named[out_col] = (key_cols[0], "size") if op == "count" else (in_col, op)
+    return named
+
+
+def group_agg(ds, key_cols, spec) -> pd.DataFrame:
+    """Keyed aggregate of ``ds``: one pandas groupby per block, then
+    ``combine_partials``. Returns a pandas frame of key_cols + spec
+    columns (unsorted; callers order it; no dtypes when no row)."""
     key_cols = list(key_cols)
-    sum_cols = list(sum_cols)
+    named = _named(key_cols, spec)
 
     def partial(df: pd.DataFrame) -> pd.DataFrame:
-        if salt_mod:
-            df = df.assign(_salt=np.arange(len(df)) % salt_mod)
-        keys = key_cols + (["_salt"] if salt_mod else [])
-        g = df.groupby(keys, as_index=False, sort=False)[sum_cols].sum()
-        cnt = df.groupby(keys, as_index=False, sort=False).size().rename(
-            columns={"size": count_col})
-        out = g.merge(cnt, on=keys)
-        if salt_mod:
-            out = out.drop(columns=["_salt"])
-        return out
+        return df.groupby(key_cols, as_index=False, sort=False,
+                          dropna=False).agg(**named)
 
-    partials = ds.map_batches(partial, batch_format="pandas", batch_size=batch_size)
-    return bucket_aggregate(partials, key_cols,
-                            {**{c: "sum" for c in sum_cols},
-                             count_col: "sum"})
+    merge = {c: "sum" if op in ("sum", "size") else op
+             for c, (_, op) in named.items()}
+    partials = ds.map_batches(partial, batch_format="pandas", batch_size=None)
+    return combine_partials(partials, key_cols, merge)
 
 
-def combine_partials(partials, key_cols, agg_spec,
-                     driver_threshold: int = 2_000_000,
-                     path: str | None = None) -> pd.DataFrame:
-    """Size-dispatched FINAL combine of a pre-reduced partial stream.
+def combine_partials(partials, key_cols, agg_spec) -> pd.DataFrame:
+    """FINAL combine of a pre-reduced partial stream (``agg_spec``:
+    {col: 'sum' | 'min' | 'max'}), as a pandas frame (unsorted).
 
-    ``partials`` is a Dataset whose blocks each hold at most
-    key-cardinality rows (the output of a per-batch combine), so its
-    total row count is #blocks x cardinality — bounded, but NOT
-    constant: at ~10^6 blocks a low-cardinality pipeline still
-    approaches 10^9 partial rows, too many to concat on the driver.
-
-    - driver path (partial count <= ``driver_threshold``): concat
-      ``iter_batches`` + one pandas groupby — skips the distributed
-      groupby's fixed multi-second shuffle latency (the right branch
-      for bench-scale runs);
-    - distributed path: ``groupby(keys).aggregate`` — the 100 TB
-      branch; only the final key-cardinality-bounded result reaches
-      the driver.
-
-    ``agg_spec``: {col: 'sum' | 'min' | 'max'}.  ``path`` forces
-    'driver' or 'distributed' (parity tests).  Returns a pandas frame
-    (unsorted; callers order it)."""
+    Each block of ``partials`` holds at most key-cardinality rows, so
+    the total is #blocks x cardinality: bounded, but not constant. Up
+    to ``DRIVER_ROWS`` partials are concatenated on the driver for one
+    pandas groupby; past that ``bucket_aggregate`` combines them
+    distributed and only the key-bounded result reaches the driver."""
     key_cols = list(key_cols)
     mat = partials.materialize()
-    if path is None:
-        path = "driver" if mat.count() <= driver_threshold else "distributed"
-    elif path not in ("driver", "distributed"):
-        raise ValueError(f"combine_partials: unknown path {path!r}")
-
-    if path == "driver":
-        chunks = list(mat.iter_batches(batch_size=None, batch_format="pandas"))
-        if not chunks:
-            return pd.DataFrame(columns=key_cols + list(agg_spec))
-        allp = pd.concat(chunks, ignore_index=True)
-        return allp.groupby(key_cols, as_index=False, dropna=False).agg(
-            **{c: (c, op) for c, op in agg_spec.items()})
-
-    # distributed branch: coarse-bucket shuffle + in-bucket vectorized
-    # pandas groupby (bucket_aggregate) — Ray's sort-based aggregate
-    # pays per-distinct-key Python work and is ~500x slower at 1e5+
-    # keys; only the key-cardinality-bounded result reaches the driver
-    out = bucket_aggregate(mat, key_cols, agg_spec).to_pandas()
-    return out[key_cols + list(agg_spec)]
+    if mat.count() > DRIVER_ROWS:
+        return bucket_aggregate(mat, key_cols, agg_spec).to_pandas()
+    chunks = list(mat.iter_batches(batch_size=None, batch_format="pandas"))
+    if not chunks:
+        return pd.DataFrame(columns=key_cols + list(agg_spec))
+    allp = pd.concat(chunks, ignore_index=True)
+    return allp.groupby(key_cols, as_index=False, dropna=False).agg(
+        **{c: (c, op) for c, op in agg_spec.items()})
 
 
-def bucket_aggregate(ds, key_cols, agg_spec, num_buckets: int = 256):
-    """Distributed groupby-aggregate for HIGH-CARDINALITY keys, as a
-    Dataset -> Dataset stage.
-
-    Ray's ``groupby(key).aggregate(...)`` pays per-DISTINCT-KEY Python
-    work in its reduce (measured ~177 s for 600k rows / 150k int keys
-    on 32 CPUs); this primitive instead hashes the key columns onto
-    ``num_buckets`` coarse buckets (one CHEAP shuffle whose key domain
-    is the bucket id), then runs ONE vectorized pandas groupby inside
-    each bucket — same 600k/150k case: ~0.3 s, identical result.
-
-    Correctness: every row of a key lands in the same bucket (the
-    bucket is a deterministic function of the key columns via
-    ``pd.util.hash_pandas_object``), so the per-bucket groupby is a
-    complete groupby for its keys and bucket outputs are disjoint.
-
-    ``agg_spec``: {out_col: 'sum' | 'min' | 'max' | 'count'} (the
-    column aggregates itself; 'count' counts rows) or
-    {out_col: (in_col, op)} to rename.  Output columns: key_cols +
-    agg columns, original dtypes preserved by pandas.  Bucket count
-    scales the shuffle with the cluster, independent of key
-    cardinality (the same trick the per-key reducers use, SURVEY §8
-    session-7 notes)."""
+def bucket_map(ds, key_cols, fn):
+    """``fn`` over coarse hash buckets of ``key_cols``, as a Dataset ->
+    Dataset stage. Every row of a key lands in the same bucket (the
+    bucket is ``pd.util.hash_pandas_object`` of the key columns modulo
+    ``BUCKETS``), so ``fn`` gets each of its keys' rows complete, in one
+    pandas frame holding several keys. Ray's per-key groupby pays
+    Python work per distinct key (~177 s for 600k rows / 150k int keys
+    on 32 CPUs); a bucket shuffle with one vectorized pass per bucket
+    took ~0.3 s on the same case."""
     key_cols = list(key_cols)
-    named = {}
-    for out_col, spec in agg_spec.items():
-        in_col, op = spec if isinstance(spec, tuple) else (out_col, spec)
-        named[out_col] = (key_cols[0] if op == "count" else in_col,
-                          "size" if op == "count" else op)
 
     def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
         h = pd.util.hash_pandas_object(df[key_cols], index=False).to_numpy()
-        df["_bkt"] = (h % np.uint64(num_buckets)).astype(np.int64)
-        return df
+        return df.assign(_bkt=(h % np.uint64(BUCKETS)).astype(np.int64))
+
+    return (ds.map_batches(add_bucket, batch_format="pandas", batch_size=None)
+            .groupby("_bkt")
+            .map_groups(lambda g: fn(g.drop(columns=["_bkt"])),
+                        batch_format="pandas"))
+
+
+def bucket_aggregate(ds, key_cols, agg_spec):
+    """Distributed groupby-aggregate for high-cardinality keys, as a
+    Dataset -> Dataset stage: ``bucket_map`` with one pandas groupby
+    per bucket. Output columns: key_cols + agg columns, with pandas'
+    dtypes; a null key is a group of its own, as in Ray's aggregate."""
+    key_cols = list(key_cols)
+    named = _named(key_cols, agg_spec)
 
     def reduce(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns=["_bkt"])
-        # dropna=False: Ray's aggregate keeps null-key groups; pandas
-        # would silently drop them by default
-        out = g.groupby(key_cols, as_index=False, dropna=False).agg(**named)
-        return out[key_cols + list(agg_spec)]
+        return g.groupby(key_cols, as_index=False, dropna=False).agg(**named)
 
-    return (ds.map_batches(add_bucket, batch_format="pandas",
-                           batch_size=None)
-            .groupby("_bkt").map_groups(reduce, batch_format="pandas"))
+    return bucket_map(ds, key_cols, reduce)

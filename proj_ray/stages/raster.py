@@ -8,9 +8,9 @@ Pipeline shape (the 100-TB story):
 1. **Rasterize** — per-batch ``np.bincount`` over the (row, col) key
    inside ``map_batches``; each block emits at most ``nrow x ncol``
    partial rows, so the partial stream is raster-bounded, never
-   corpus-proportional.  The final combine is the size-dispatched
-   :func:`proj_ray.stages.agg.combine_partials` (driver concat below
-   2M partial rows, distributed groupby above).
+   corpus-proportional.  The final combine is
+   :func:`proj_ray.stages.agg.combine_partials` (driver concat up to
+   ``DRIVER_ROWS`` partial rows, distributed groupby above).
 2. **Threshold** — ``active_cells`` keeps the top ``frac`` of cells by
    (count DESC, row, col): a rank rule rather than a quantile so the
    selection is deterministic and identical in the DuckDB oracle

@@ -117,45 +117,26 @@ def s2_shard_write_resumable(fragments, read_fragment, out_dir: str,
     return ran, len(fragments) - len(todo)
 
 
-def s2_shard_bbox_read(index_dir: str, lon0, lon1, lat0, lat1,
-                       shard_level: int):
-    """Read ONLY the shards a bbox can touch: ``bbox_covering`` (an
-    exact superset — no shard ever missed; tests/test_s2cell.py pins
-    the no-miss property) at the shard level, then ``read_parquet``
-    over just those partition dirs.  The unrelated corpus share never
-    leaves storage.  Returns the dataset plus
-    (shards_read, shards_total) for pruning evidence."""
+def s2_shard_boxes_read(index_dir: str, boxes, shard_level: int):
+    """Read ONLY the shards that the lon/lat ``boxes`` (lon0, lon1,
+    lat0, lat1) can touch: ``bbox_covering`` of each box (an exact
+    superset, so no shard is ever missed; tests/test_s2cell.py pins the
+    no-miss property) at the shard level, then ``read_parquet`` over
+    just those partition dirs. The shard sets of all boxes are unioned
+    first, so a region that wraps the anti-meridian (two disjoint lon
+    intervals) reads a shard touched by several boxes once, with no
+    duplicate rows. Returns the dataset (None when no shard holds a
+    row) plus (shards_read, shards_total) for pruning evidence."""
     import os
 
     import ray.data as rd
 
-    from ..kernels.s2cell import bbox_covering
-
-    cover = bbox_covering(lon0, lon1, lat0, lat1, shard_level)
-    shards = {int(v) for v in cover.view(np.int64)}
-    return _read_shards(index_dir, shards)
-
-
-def s2_shard_boxes_read(index_dir: str, boxes, shard_level: int):
-    """Multi-box variant of ``s2_shard_bbox_read`` for queries whose
-    exact-superset region wraps the anti-meridian (two disjoint lon
-    intervals): the shard sets of all boxes are UNIONED before the
-    read, so a shard touched by several boxes is read exactly once —
-    no duplicate candidate rows."""
     from ..kernels.s2cell import bbox_covering
 
     shards = set()
     for lon0, lon1, lat0, lat1 in boxes:
         cover = bbox_covering(lon0, lon1, lat0, lat1, shard_level)
         shards.update(int(v) for v in cover.view(np.int64))
-    return _read_shards(index_dir, shards)
-
-
-def _read_shards(index_dir: str, shards):
-    import os
-
-    import ray.data as rd
-
     all_dirs = sorted(d for d in os.listdir(index_dir)
                       if d.startswith("s2_shard="))
     hit = [d for d in all_dirs if int(d.split("=", 1)[1]) in shards]

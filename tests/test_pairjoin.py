@@ -198,7 +198,9 @@ def _empty_sf(path):
 
 # queries whose oracle is a frozen golden of the sf0.01 answer
 _GOLDEN_ORACLES = {"knn_s2_geodesic", "polygon_area_geodesic",
-                   "geod_inverse_ellipsoidal", "traj_simplify_dp"}
+                   "geod_inverse_ellipsoidal", "traj_simplify_dp",
+                   "knn_geodesic", "radius_geodesic", "cluster_convex_hull",
+                   "cluster_diameter"}
 
 
 def _assert_empty_like_oracle(path, con, names):
@@ -217,14 +219,15 @@ def _assert_empty_like_oracle(path, con, names):
 
 
 def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
-    """Zero-row inputs: radius_pair_join and rect_overlap_join return
-    their oracles' (empty) columns and dtypes, spatial_clusters an empty
-    int64 (pid, cluster) frame."""
+    """Zero-row inputs: radius_pair_join, rect_overlap_join and the
+    per-cluster hull and diameter return their oracles' (empty) columns
+    and dtypes, spatial_clusters an empty int64 (pid, cluster) frame."""
     from proj_ray.pipelines.queries import QUERIES
 
     con = _empty_sf(tmp_path)
-    _assert_empty_like_oracle(tmp_path, con,
-                              ("radius_pair_join", "rect_overlap_join"))
+    _assert_empty_like_oracle(tmp_path, con, (
+        "radius_pair_join", "rect_overlap_join", "cluster_convex_hull",
+        "cluster_diameter"))
 
     got = QUERIES["spatial_clusters"]["fn"](str(tmp_path)).to_pandas()
     want = pd.DataFrame({"pid": np.empty(0, np.int64),
@@ -234,13 +237,15 @@ def test_grid_joins_empty_input_keep_oracle_schema(tmp_path, ray_session):
 
 def test_cell_and_knn_queries_empty_input_keep_oracle_schema(tmp_path,
                                                             ray_session):
-    """Zero-row inputs: the shard-pruned kNN queries, the cell
-    aggregates and the raster queries return zero rows with their
-    oracles' columns and dtypes (knn_s2_geodesic: its golden's) instead
-    of raising."""
+    """Zero-row inputs: the kNN and radius queries, the shard-pruned
+    bbox read, the cell aggregates and the raster queries return zero
+    rows with their oracles' columns and dtypes (the golden-oracle
+    queries: their golden's) instead of raising."""
     con = _empty_sf(tmp_path)
     _assert_empty_like_oracle(tmp_path, con, (
-        "knn_s2_pruned", "knn_s2_geodesic", "salted_cell_agg",
+        "knn_points", "knn_s2_pruned", "knn_geodesic", "knn_s2_geodesic",
+        "radius_geodesic", "s2_shard_bbox", "s2_cell_center",
+        "salted_cell_agg",
         "geohash_cell_agg", "tile_pyramid_counts", "tile_agg", "s2_cell_agg",
         "hex_cell_agg", "zonal_stats", "raster_focal_mean", "raster_warp",
         "raster_polygonize"))

@@ -1,13 +1,10 @@
-"""Parity between the bench-scale (driver/broadcast) and 100-TB
-(distributed join / groupby) branches of every size-dispatched
-operator: forcing either path must produce identical results.
-
-Covers combine_partials' distributed fallback."""
+"""Parity between the bench-scale (driver) and 100-TB (distributed
+groupby) branches of combine_partials: forcing the distributed branch
+(``DRIVER_ROWS`` = 0) must give the driver branch's result."""
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-import pytest
 
 
 def _sorted(df, by):
@@ -16,9 +13,10 @@ def _sorted(df, by):
     return df.sort_values(by).reset_index(drop=True)
 
 
-def test_combine_partials_paths_agree(ray_session):
+def test_combine_partials_paths_agree(ray_session, monkeypatch):
     import ray.data as rd
 
+    from proj_ray.stages import agg
     from proj_ray.stages.agg import combine_partials
 
     rng = np.random.default_rng(11)
@@ -38,9 +36,9 @@ def test_combine_partials_paths_agree(ray_session):
     partials = raw.map_batches(partial2, batch_format="pandas",
                                batch_size=None)
     spec = {"v": "sum", "vmin": "min", "n": "sum"}
-    a = _sorted(combine_partials(partials, ["k"], spec, path="driver"), ["k"])
-    b = _sorted(combine_partials(partials, ["k"], spec, path="distributed"),
-                ["k"])
+    a = _sorted(combine_partials(partials, ["k"], spec), ["k"])
+    monkeypatch.setattr(agg, "DRIVER_ROWS", 0)
+    b = _sorted(combine_partials(partials, ["k"], spec), ["k"])
     pd.testing.assert_frame_equal(a, b.astype(a.dtypes.to_dict()))
     # and the totals are the ground truth
     assert int(a["n"].sum()) == n
@@ -53,15 +51,6 @@ def test_combine_partials_empty(ray_session):
 
     empty = rd.from_arrow(pa.table({"k": pa.array([], pa.int64()),
                                     "v": pa.array([], pa.int64())}))
-    out = combine_partials(empty, ["k"], {"v": "sum"}, path="driver")
+    out = combine_partials(empty, ["k"], {"v": "sum"})
     assert out.empty and list(out.columns) == ["k", "v"]
 
-
-def test_forced_path_validation(ray_session):
-    import ray.data as rd
-
-    from proj_ray.stages.agg import combine_partials
-
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(np.arange(9), pa.int64())}))
-    with pytest.raises(ValueError, match="unknown path"):
-        combine_partials(ds, ["doc_id"], {}, path="Driver")

@@ -149,7 +149,7 @@ def test_s2_shard_write_resumable(tmp_path, ray_session):
     import pytest
     import ray.data as rd
 
-    from proj_ray.stages.s2_stage import (s2_shard_bbox_read, s2_shard_write,
+    from proj_ray.stages.s2_stage import (s2_shard_boxes_read, s2_shard_write,
                                           s2_shard_write_resumable)
 
     rng = np.random.default_rng(77)
@@ -182,8 +182,8 @@ def test_s2_shard_write_resumable(tmp_path, ray_session):
     ref = str(tmp_path / "oneshot")
     s2_shard_write(rd.from_pandas(df), ref, shard_level=3)
     box = (-40.0, 60.0, -20.0, 50.0)
-    got, _ = s2_shard_bbox_read(out, *box, 3)
-    want, _ = s2_shard_bbox_read(ref, *box, 3)
+    got, _ = s2_shard_boxes_read(out, [box], 3)
+    want, _ = s2_shard_boxes_read(ref, [box], 3)
     g = got.to_pandas().sort_values("pid").reset_index(drop=True)
     w = want.to_pandas().sort_values("pid").reset_index(drop=True)
     assert g[["pid", "lon", "lat"]].equals(w[["pid", "lon", "lat"]])
