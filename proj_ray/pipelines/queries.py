@@ -92,10 +92,12 @@ def _typed(ds, **cols):
 def _typed_input(ds, sf_dir, table, **cols):
     """``ds``, or an empty table with ``cols`` when the input ``table``
     of ``sf_dir`` has no rows. The count comes from the part files'
-    footers, so unlike ``_typed`` nothing runs and no result is held: for
-    a query with output rows whenever its input has rows. (``pip_join``
-    and ``polygon_area_geodesic`` can also return zero rows on a
-    non-empty input; that result still has no columns.)"""
+    footers, so unlike ``_typed`` nothing runs and no result is held. It
+    serves the per-group queries (``polygon_area_geodesic``,
+    ``trajectory_length``, ``traj_simplify_dp``), whose shuffle has no
+    block function to run on a zero-row input; the per-point queries use
+    ``_per_point``. (``polygon_area_geodesic`` can also return zero rows
+    on a non-empty input; that result still has no columns.)"""
     return ds if table_rows(sf_dir, table) else pa.schema(cols).empty_table()
 
 
@@ -109,7 +111,6 @@ def _typed_input(ds, sf_dir, table, **cols):
 from ..kernels.common import (  # noqa: E402
     FORTPI, HALFPI, RAD_TO_DEG, enfn,
 )
-from ..stages.transform_stage import transform_points_stage  # noqa: E402
 from ..transform import make_transform  # noqa: E402
 
 def _R(x):
@@ -127,20 +128,35 @@ def _r2(x):
     return np.floor(x * 100.0 + 0.5) / 100.0
 
 
-def _points_ds(sf_dir, batch_size=None):
-    """lineitem keys -> (pid, lon, lat) derived point stream."""
+def _points(pid) -> pa.Table:
+    """(pid, lon, lat) of the derived points ``pid``."""
+    lon, lat = lonlat_numpy(pid)
+    return pa.table({"pid": pid, "lon": lon, "lat": lat})
+
+
+def _points_ds(sf_dir, fn=_points):
+    """``fn`` over each lineitem block's int64 ``pid`` array (the derived
+    point ids), as a Dataset; by default the (pid, lon, lat) point
+    stream."""
     ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
 
-    def mk(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
-        lon, lat = lonlat_numpy(pid)
-        return pa.table({"pid": pa.array(pid, pa.int64()),
-                         "lon": pa.array(lon, pa.float64()),
-                         "lat": pa.array(lat, pa.float64())})
+    def block(t: pa.Table) -> pa.Table:
+        return fn(pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
+                            t["l_linenumber"].to_numpy(zero_copy_only=False)))
 
-    return ds.map_batches(mk, batch_format="pyarrow", batch_size=batch_size,
+    return ds.map_batches(block, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
+
+
+def _per_point(sf_dir, fn):
+    """A per-point query: ``fn`` maps a block's int64 ``pid`` array to its
+    output table. Returns ``_points_ds(sf_dir, fn)``, or, when lineitem's
+    parquet footers count no row, ``fn`` of no pids: Ray Data keeps no
+    schema for a zero-row Dataset, so the empty answer's columns and
+    types come from the same code as a non-empty one's."""
+    if table_rows(sf_dir, "lineitem"):
+        return _points_ds(sf_dir, fn)
+    return fn(np.empty(0, np.int64))
 
 
 _LON_SQL, _LAT_SQL = lonlat_sql(PID_SQL)
@@ -151,13 +167,6 @@ points AS (
 
 
 # -- Web Mercator forward ---------------------------------------------------
-
-def _round_xm_ym(t: pa.Table) -> pa.Table:
-    """Keep pid and round xm/ym to centimetres (the oracle's ROUND2_SQL)."""
-    return pa.table({"pid": t["pid"],
-                     "xm": pa.array(_r2(t["xm"].to_numpy(zero_copy_only=False))),
-                     "ym": pa.array(_r2(t["ym"].to_numpy(zero_copy_only=False)))})
-
 
 @query(
     "points_webmerc",
@@ -172,14 +181,13 @@ def _round_xm_ym(t: pa.Table) -> pa.Table:
 def points_webmerc(sf_dir):
     """WGS84 lon/lat -> EPSG:3857 through the full fused transform
     pipeline (incl. the @null nadgrids datum branch of epsg:3857)."""
-    pts = _points_ds(sf_dir)
-    out = transform_points_stage(pts, "+init=epsg:4326", "+init=epsg:3857",
-                                 out_x="xm", out_y="ym")
+    t = make_transform("+init=epsg:4326", "+init=epsg:3857")
 
-    return _typed_input(out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                                        zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    def fn(pid):
+        xm, ym, _ = t(*lonlat_numpy(pid))
+        return pa.table({"pid": pid, "xm": _r2(xm), "ym": _r2(ym)})
+
+    return _per_point(sf_dir, fn)
 
 
 # -- UTM (tmerc series) forward --------------------------------------------
@@ -233,25 +241,14 @@ def points_utm(sf_dir):
     """Derived points in the zone-33 band -> UTM 33N. The tmerc series
     uses only +,-,*,/,sqrt,sin,cos => bit-identical to the SQL oracle at
     FULL precision (no rounding)."""
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    t = make_transform("+proj=latlong +datum=WGS84",
+                       "+proj=utm +zone=33 +datum=WGS84")
 
-    def mk(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
-        lon = lon_band_numpy(pid, 1200, 600)
-        _, lat = lonlat_numpy(pid)
-        return pa.table({"pid": pa.array(pid, pa.int64()),
-                         "lon": pa.array(lon, pa.float64()),
-                         "lat": pa.array(lat, pa.float64())})
+    def fn(pid):
+        xm, ym, _ = t(lon_band_numpy(pid, 1200, 600), lonlat_numpy(pid)[1])
+        return pa.table({"pid": pid, "xm": xm, "ym": ym})
 
-    pts = ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
-                                 "+proj=utm +zone=33 +datum=WGS84",
-                                 out_x="xm", out_y="ym")
-    return _typed_input(out.select_columns(["pid", "xm", "ym"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- Lambert Conformal Conic forward ----------------------------------------
@@ -299,26 +296,13 @@ def _lcc_sql():
 def points_lcc(sf_dir):
     """European-band points -> LCC 2SP (tan/pow in tsfn => cm rounding
     swallows the <=3-ulp libm differences)."""
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    t = make_transform("+proj=latlong +datum=WGS84", _LCC_DEF)
 
-    def mk(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
-        lon = lon_band_numpy(pid, -500, 1500)
-        _, lat = lonlat_numpy(pid)
-        return pa.table({"pid": pa.array(pid, pa.int64()),
-                         "lon": pa.array(lon, pa.float64()),
-                         "lat": pa.array(lat, pa.float64())})
+    def fn(pid):
+        xm, ym, _ = t(lon_band_numpy(pid, -500, 1500), lonlat_numpy(pid)[1])
+        return pa.table({"pid": pid, "xm": _r2(xm), "ym": _r2(ym)})
 
-    pts = ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(pts, "+proj=latlong +datum=WGS84", _LCC_DEF,
-                                 out_x="xm", out_y="ym")
-
-    return _typed_input(out.map_batches(_round_xm_ym, batch_format="pyarrow",
-                                        zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), xm=pa.float64(), ym=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- geocentric XYZ ---------------------------------------------------------
@@ -344,20 +328,13 @@ def _geocent_sql():
 def points_geocent(sf_dir):
     """lon/lat/h=100 -> geocentric XYZ; sin/cos/sqrt only => FULL
     precision bitwise match (src/geocent.c:148-205 closed form)."""
-    pts = _points_ds(sf_dir)
     t = make_transform("+proj=latlong +datum=WGS84", "+proj=geocent +datum=WGS84")
 
-    def fn(b: pa.Table) -> pa.Table:
-        lon = b["lon"].to_numpy(zero_copy_only=False)
-        lat = b["lat"].to_numpy(zero_copy_only=False)
-        z = np.full(lon.shape, 100.0)
-        X, Y, Z = t(lon, lat, z)
-        return pa.table({"pid": b["pid"], "gx": pa.array(X), "gy": pa.array(Y),
-                         "gz": pa.array(Z)})
+    def fn(pid):
+        X, Y, Z = t(*lonlat_numpy(pid), np.full(pid.shape, 100.0))
+        return pa.table({"pid": pid, "gx": X, "gy": Y, "gz": Z})
 
-    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), gx=pa.float64(), gy=pa.float64(), gz=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # ===========================================================================
@@ -365,7 +342,8 @@ def points_geocent(sf_dir):
 # haversine, synthetic grid shift, pm/axis/units, geoparse extraction
 # ===========================================================================
 
-from ..kernels.tiling import cell_id as _cell_id, parent_cell as _parent  # noqa: E402
+from ..kernels.tiling import cell_id as _cell_id, cell_xy as _cell_xy  # noqa: E402
+from ..kernels.tiling import parent_cell as _parent  # noqa: E402
 from ..kernels.geodesic import MEAN_RADIUS, haversine as _haversine  # noqa: E402
 from ..stages.geoparse import GeoparseStage, synth_pages_batch  # noqa: E402
 from ..stages.knn_stage import knn_topk  # noqa: E402
@@ -400,22 +378,15 @@ def helmert7_xyz(sf_dir):
     from ..kernels.geocent import helmert_to_wgs84
 
     dp = CRS("+proj=latlong +datum=potsdam").datum_params
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
 
-    def fn(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
+    def fn(pid):
         X = (pid * 31 % 2000000 - 1000000).astype(np.float64) + 6378137.0
         Y = (pid * 37 % 2000000 - 1000000).astype(np.float64)
         Z = (pid * 41 % 2000000 - 1000000).astype(np.float64)
         hx, hy, hz = helmert_to_wgs84(dp, X, Y, Z, seven=True)
-        return pa.table({"pid": pa.array(pid, pa.int64()), "hx": pa.array(hx),
-                         "hy": pa.array(hy), "hz": pa.array(hz)})
+        return pa.table({"pid": pid, "hx": hx, "hy": hy, "hz": hz})
 
-    return _typed_input(ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                                       zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), hx=pa.float64(), hy=pa.float64(), hz=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- inverse Web Mercator ---------------------------------------------------
@@ -444,30 +415,15 @@ def _webmerc_inv_sql():
 def webmerc_inverse(sf_dir):
     """EPSG:3857 meters -> WGS84 degrees through the fused inverse
     pipeline (incl. the epsg:3857 @null-grid datum branch)."""
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    t = make_transform("+init=epsg:3857", "+init=epsg:4326")
 
-    def mk(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
+    def fn(pid):
         xm = (pid * LON_MUL % 36000 - 18000).astype(np.float64) * 1.0e3
         ym = (pid * LAT_MUL % 16000 - 8000).astype(np.float64) * 1.0e3
-        return pa.table({"pid": pa.array(pid, pa.int64()),
-                         "xm": pa.array(xm), "ym": pa.array(ym)})
+        lon, lat, _ = t(xm, ym)
+        return pa.table({"pid": pid, "lon": _r6(lon), "lat": _r6(lat)})
 
-    pts = ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(pts, "+init=epsg:3857", "+init=epsg:4326",
-                                 lon_col="xm", lat_col="ym",
-                                 out_x="lon", out_y="lat")
-
-    def fin(t: pa.Table) -> pa.Table:
-        return pa.table({"pid": t["pid"],
-                         "lon": pa.array(_r6(t["lon"].to_numpy(zero_copy_only=False))),
-                         "lat": pa.array(_r6(t["lat"].to_numpy(zero_copy_only=False)))})
-
-    return _typed_input(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), lon=pa.float64(), lat=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- tile assignment + per-tile aggregate ----------------------------------
@@ -500,14 +456,13 @@ def _tile_assign_sql():
 def tile_assign(sf_dir):
     """Integer-exact web-mercator quadtree cells at zoom 12 (documented
     half-open edge convention; see kernels.tiling)."""
-    pts = _points_ds(sf_dir)
-    from ..stages.tile_stage import tile_stage
+    def fn(pid):
+        lon, lat = lonlat_numpy(pid)
+        tx, ty = _cell_xy(lon, lat, _TILE_ZOOM)
+        return pa.table({"pid": pid, "tile_x": tx, "tile_y": ty,
+                         "cell_id": _cell_id(lon, lat, _TILE_ZOOM)})
 
-    out = tile_stage(pts, _TILE_ZOOM, out="cell_id", with_xy=True)
-    return _typed_input(out.select_columns(["pid", "tile_x", "tile_y", "cell_id"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), tile_x=pa.int64(), tile_y=pa.int64(),
-                        cell_id=pa.int64())
+    return _per_point(sf_dir, fn)
 
 
 def _tile_agg_sql():
@@ -531,21 +486,17 @@ def tile_agg(sf_dir):
     """Per-tile aggregate at zoom 4 (stages.agg.group_agg: dense cells
     pre-reduced per block, <= 256 zoom-4 parent cells per block)."""
     from ..stages.agg import group_agg
-    from ..stages.tile_stage import tile_stage
 
-    tiled = tile_stage(_points_ds(sf_dir), _TILE_ZOOM, out="cell_id")
+    def cols(pid):
+        cid = _cell_id(*lonlat_numpy(pid), _TILE_ZOOM)
+        return pa.table({"parent_cell": _parent(cid, _TILE_ZOOM, 4),
+                         "lon_centi": pid * LON_MUL % 36000 - 18000,
+                         "pid": pid})
 
-    def cols(df: pd.DataFrame) -> pd.DataFrame:
-        pid = df["pid"].to_numpy()
-        return pd.DataFrame({
-            "parent_cell": _parent(df["cell_id"].to_numpy(), _TILE_ZOOM, 4),
-            "lon_centi": pid * LON_MUL % 36000 - 18000, "pid": pid})
-
-    out = group_agg(
-        tiled.map_batches(cols, batch_format="pandas", batch_size=None),
-        ["parent_cell"], {"n_points": ("pid", "count"),
-                          "sum_lon_centi": ("lon_centi", "sum"),
-                          "min_pid": ("pid", "min")})
+    out = group_agg(_points_ds(sf_dir, cols),
+                    ["parent_cell"], {"n_points": ("pid", "count"),
+                                      "sum_lon_centi": ("lon_centi", "sum"),
+                                      "min_pid": ("pid", "min")})
     return _sorted_pdf(out.astype(np.int64), ["parent_cell"])
 
 
@@ -1034,12 +985,8 @@ def pip_join(sf_dir):
     """Broadcast PIP join: the packed polygon set goes into the object
     store once per operator; even-odd ray casting per point (pnpoly
     semantics, src/PJ_healpix.c:103-138). Exact rows (north rule)."""
-    pts = _points_ds(sf_dir)
-    joined = pts.map_batches(
-        PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",)),
-        batch_format="pyarrow", batch_size=None)
-    return _typed_input(joined, sf_dir, "lineitem",
-                        pid=pa.int64(), polygon_id=pa.string())
+    join = PIPJoinActor(poly_defs=FLAGSHIP_POLYGONS, id_cols=("pid",))
+    return _per_point(sf_dir, lambda pid: join(_points(pid)))
 
 
 # -- kNN --------------------------------------------------------------------
@@ -1275,18 +1222,12 @@ def _haversine_sql():
 def haversine_dist(sf_dir):
     """Great-circle distance to (0,0) (mm-rounded; the SQL-expressible
     spherical variant of the Karney geod_inverse kernel)."""
-    pts = _points_ds(sf_dir)
-
-    def fn(t: pa.Table) -> pa.Table:
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
+    def fn(pid):
+        lon, lat = lonlat_numpy(pid)
         d = _haversine(lon, lat, np.zeros_like(lon), np.zeros_like(lat))
-        d = np.floor(d * 1.0e3 + 0.5) / 1.0e3
-        return pa.table({"pid": t["pid"], "dist_m": pa.array(d)})
+        return pa.table({"pid": pid, "dist_m": np.floor(d * 1.0e3 + 0.5) / 1.0e3})
 
-    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), dist_m=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- within-distance spatial self-join ---------------------------------------
@@ -1369,24 +1310,19 @@ def polygon_area_geodesic(sf_dir):
     with the crossings-parity pole correction and reduce into
     (-area0/2, area0/2] (sign convention: counter-clockwise positive).
     Orders with < 3 distinct vertices are skipped (not a polygon).
-    Shape: one key-hash shuffle, all geodesic math vectorized per
-    group.  Golden: per-edge scalar Karney port + fsum
-    (tools/scalar_ref.polygon_area_scalar), bitwise-identical."""
+    Shape: one key-hash shuffle (stages.agg.bucket_map), all geodesic
+    math vectorized per bucket.  Golden: per-edge scalar Karney port +
+    fsum (tools/scalar_ref.polygon_area_scalar), bitwise-identical."""
+    from ..kernels.karney import geod_polygon_area_many
+    from ..stages.agg import bucket_map
+
     ds = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_linenumber"])
 
-    def add_bucket(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.copy()
-        df["bucket"] = df["l_orderkey"].to_numpy().astype(np.int64) & 255
-        return df
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        # COARSE bucket (orderkey % 256): ALL rings in the bucket go
-        # through ONE vectorized Karney call (geod_polygon_area_many,
-        # bit-identical to the ring-at-a-time kernel); only the
-        # per-ring fsum reductions loop in Python
-        from ..kernels.karney import geod_polygon_area_many
-
+        # ALL rings in the bucket go through ONE vectorized Karney call
+        # (geod_polygon_area_many, bit-identical to the ring-at-a-time
+        # kernel); only the per-ring fsum reductions loop in Python
         g = g.drop_duplicates(["l_orderkey", "l_linenumber"])
         g = g.sort_values(["l_orderkey", "l_linenumber"], kind="mergesort")
         ok_arr = g["l_orderkey"].to_numpy().astype(np.int64)
@@ -1417,9 +1353,8 @@ def polygon_area_geodesic(sf_dir):
             "area_m2": ar,
         })
 
-    out = (ds.map_batches(add_bucket, batch_format="pandas", batch_size=None)
-           .groupby("bucket").map_groups(per_bucket, batch_format="pandas"))
-    return _typed_input(out, sf_dir, "lineitem",
+    return _typed_input(bucket_map(ds, ["l_orderkey"], per_bucket),
+                        sf_dir, "lineitem",
                         l_orderkey=pa.int64(), n_vertices=pa.int64(),
                         perimeter_m=pa.float64(), area_m2=pa.float64())
 
@@ -1547,30 +1482,22 @@ def trajectory_length(sf_dir):
     vector sum and SQL's window-lag sum agree bit-for-bit (a float-sum
     twin would be association-order-sensitive).
 
-    Shape: COARSE key-hash shuffle — orders are bucketed by
-    ``l_orderkey % n_buckets`` and the per-bucket function vectorizes
-    across ALL its orders at once (one lexsort, cumsum-differenced
-    per-order segment sums), so Python is invoked #buckets times, not
-    #orders times (the per-order map_groups variant paid ~0.6 ms of
-    pandas slicing per order — 9.8 s at sf0.01; this runs in ~1 s).
-    n_buckets scales with the cluster, independent of key count; no
-    global sort."""
+    Shape: COARSE key-hash shuffle — orders are hashed onto the
+    ``stages.agg.bucket_map`` buckets and the per-bucket function
+    vectorizes across ALL its orders at once (one lexsort,
+    cumsum-differenced per-order segment sums), so Python is invoked
+    #buckets times, not #orders times (the per-order map_groups variant
+    paid ~0.6 ms of pandas slicing per order — 9.8 s at sf0.01; this
+    runs in ~1 s).  The bucket count scales with the cluster,
+    independent of key count; no global sort."""
+    from ..stages.agg import bucket_map
+
     ds = read_table(sf_dir, "lineitem",
                     columns=["l_orderkey", "l_linenumber"])
-    n_buckets = 256
-
-    def bucketize(t: pa.Table) -> pa.Table:
-        ok = pc.cast(t["l_orderkey"], pa.int64())
-        b = pc.cast(pc.bit_wise_and(ok, n_buckets - 1), pa.int64())
-        return t.append_column("bucket", b)
-
-    cols = ["l_orderkey", "n_vertices", "n_segments", "total_mm"]
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ok = g["l_orderkey"].to_numpy().astype(np.int64)
         ln = g["l_linenumber"].to_numpy().astype(np.int64)
-        if not ok.size:
-            return pd.DataFrame({c: np.array([], np.int64) for c in cols})
         order = np.lexsort((ln, ok))
         ok, ln = ok[order], ln[order]
         keep = np.concatenate(
@@ -1592,11 +1519,7 @@ def trajectory_length(sf_dir):
             "total_mm": pre[ends - 1] - pre[starts],
         })
 
-    bucketed = ds.map_batches(bucketize, batch_format="pyarrow",
-                              batch_size=None, zero_copy_batch=True)
-    out = bucketed.groupby("bucket").map_groups(per_bucket,
-                                                batch_format="pandas")
-    return _typed_input(out.select_columns(cols),
+    return _typed_input(bucket_map(ds, ["l_orderkey"], per_bucket),
                         sf_dir, "lineitem",
                         l_orderkey=pa.int64(), n_vertices=pa.int64(),
                         n_segments=pa.int64(), total_mm=pa.int64())
@@ -1726,15 +1649,20 @@ def _gridshift_sql():
     """
 
 
-def _band_points(t: pa.Table) -> pa.Table:
-    """Derived points in the synthetic grids' coverage: lon in [-29, 29),
-    lat in [31, 69)."""
-    pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                    t["l_linenumber"].to_numpy(zero_copy_only=False))
-    lon = lon_band_numpy(pid, -2900, 5800)
-    lat = (3100 + pid * LAT_MUL % 3800) / 1.0e2
-    return pa.table({"pid": pa.array(pid, pa.int64()),
-                     "lon": pa.array(lon), "lat": pa.array(lat)})
+def _band_lonlat(pid):
+    """(lon, lat) of the derived points in the synthetic grids' coverage:
+    lon in [-29, 29), lat in [31, 69)."""
+    return lon_band_numpy(pid, -2900, 5800), (3100 + pid * LAT_MUL % 3800) / 1.0e2
+
+
+def _shifted(sf_dir, t, lonlat):
+    """(pid, lon_shifted, lat_shifted) per point: ``lonlat(pid)`` through
+    the compiled transform ``t``."""
+    def fn(pid):
+        x, y, _ = t(*lonlat(pid))
+        return pa.table({"pid": pid, "lon_shifted": x, "lat_shifted": y})
+
+    return _per_point(sf_dir, fn)
 
 
 @query("grid_shift_fwd", sql=_gridshift_sql())
@@ -1742,17 +1670,9 @@ def grid_shift_fwd(sf_dir):
     """Forward datum grid shift through a synthetic CTABLE: ordered
     first-match apply + bilinear interpolation (src/nad_intr.c:5-62,
     src/nad_cvt.c:59-67). Full-precision bitwise vs the SQL bilinear."""
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    pts = ds.map_batches(_band_points, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, "+proj=latlong +nadgrids=synthA +ellps=WGS84",
-        "+proj=latlong +datum=WGS84",
-        out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    t = make_transform("+proj=latlong +nadgrids=synthA +ellps=WGS84",
+                       "+proj=latlong +datum=WGS84", grid_loader=_grid_loader)
+    return _shifted(sf_dir, t, _band_lonlat)
 
 
 # --- dated grid catalog: as-of selection + linear date mixing -------------
@@ -1849,18 +1769,10 @@ def catalog_datum_mix(sf_dir):
                                     suffix=".csv")
     with _os.fdopen(fd, "w") as f:
         f.write(_CATALOG_CSV_TEXT)
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    pts = ds.map_batches(_band_points, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, f"+proj=latlong +catalog={csv_path} +date={_CATALOG_DATE}"
-             " +ellps=WGS84",
-        "+proj=latlong +datum=WGS84",
-        out_x="lon_shifted", out_y="lat_shifted", grid_loader=_grid_loader)
-    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    t = make_transform(
+        f"+proj=latlong +catalog={csv_path} +date={_CATALOG_DATE} +ellps=WGS84",
+        "+proj=latlong +datum=WGS84", grid_loader=_grid_loader)
+    return _shifted(sf_dir, t, _band_lonlat)
 
 
 # --- nad2bin-compiled grid: closed-form .lla -> CTABLE2 -> shift ----------
@@ -1955,18 +1867,10 @@ def grid_shift_lla_compiled(sf_dir):
     _os.replace(tmp, path)
     grid = read_ctable2(path)
 
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    pts = ds.map_batches(_band_points, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, "+proj=latlong +nadgrids=synthB +ellps=WGS84",
-        "+proj=latlong +datum=WGS84",
-        out_x="lon_shifted", out_y="lat_shifted",
-        grid_loader=lambda name: grid if name == "synthB" else None)
-    return _typed_input(out.select_columns(["pid", "lon_shifted", "lat_shifted"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), lon_shifted=pa.float64(), lat_shifted=pa.float64())
+    t = make_transform("+proj=latlong +nadgrids=synthB +ellps=WGS84",
+                       "+proj=latlong +datum=WGS84",
+                       grid_loader=lambda name: grid if name == "synthB" else None)
+    return _shifted(sf_dir, t, _band_lonlat)
 
 
 # --- vertical geoid shift through a GTX file ------------------------------
@@ -2046,28 +1950,15 @@ def vertical_shift_gtx(sf_dir):
     _os.replace(tmp, path)
     vgrid = read_gtx(path)
 
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    t = make_transform("+proj=latlong +datum=WGS84 +geoidgrids=synthV",
+                       "+proj=latlong +datum=WGS84",
+                       grid_loader=lambda name: vgrid if name == "synthV" else None)
 
-    def mk(t: pa.Table) -> pa.Table:
-        pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                        t["l_linenumber"].to_numpy(zero_copy_only=False))
-        lon = lon_band_numpy(pid, -2900, 5800)
-        lat = (3100 + pid * LAT_MUL % 3800) / 1.0e2
+    def fn(pid):
         z = (pid % 1000).astype(np.float64) / 10.0
-        return pa.table({"pid": pa.array(pid, pa.int64()),
-                         "lon": pa.array(lon), "lat": pa.array(lat),
-                         "z": pa.array(z)})
+        return pa.table({"pid": pid, "z_ellips": t(*_band_lonlat(pid), z)[2]})
 
-    pts = ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, "+proj=latlong +datum=WGS84 +geoidgrids=synthV",
-        "+proj=latlong +datum=WGS84",
-        z_col="z", out_x="lon_o", out_y="lat_o", out_z="z_ellips",
-        grid_loader=lambda name: vgrid if name == "synthV" else None)
-    return _typed_input(out.select_columns(["pid", "z_ellips"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), z_ellips=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 _NTF_GRID = "/root/reference/nad/ntf_r93.gsb"
@@ -2083,15 +1974,10 @@ def _require_ntf_grid():
             "real ntf_r93.gsb NTv2 grid")
 
 
-def _ntf_points(t: pa.Table) -> pa.Table:
-    """Derived points inside the ntf_r93 coverage (France): lon in
-    [-4.0, 7.99], lat in [42.5, 50.99]."""
-    pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                    t["l_linenumber"].to_numpy(zero_copy_only=False))
-    lon = (pid * LON_MUL % 1200 - 400) / 1.0e2
-    lat = (4250 + pid * LAT_MUL % 850) / 1.0e2
-    return pa.table({"pid": pa.array(pid, pa.int64()),
-                     "lon": pa.array(lon), "lat": pa.array(lat)})
+def _ntf_lonlat(pid):
+    """(lon, lat) of the derived points inside the ntf_r93 coverage
+    (France): lon in [-4.0, 7.99], lat in [42.5, 50.99]."""
+    return (pid * LON_MUL % 1200 - 400) / 1.0e2, (4250 + pid * LAT_MUL % 850) / 1.0e2
 
 
 @query("grid_shift_real", sql=_golden_sql("grid_shift_real_sf001.parquet"))
@@ -2106,15 +1992,9 @@ def grid_shift_real(sf_dir):
     same machinery is independently golden-tested against td_out.dist
     in tests/test_grid_golden.py."""
     _require_ntf_grid()
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    pts = ds.map_batches(_ntf_points, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, f"+proj=latlong +ellps=WGS84 +nadgrids={_NTF_GRID}",
-        "+proj=latlong +datum=WGS84",
-        out_x="lon_shifted", out_y="lat_shifted")
-    return out.select_columns(["pid", "lon_shifted", "lat_shifted"])
+    t = make_transform(f"+proj=latlong +ellps=WGS84 +nadgrids={_NTF_GRID}",
+                       "+proj=latlong +datum=WGS84")
+    return _shifted(sf_dir, t, _ntf_lonlat)
 
 
 @query("grid_shift_real_inv",
@@ -2132,15 +2012,9 @@ def grid_shift_real_inv(sf_dir):
     grid is present; fwd∘inv round-trip asserted there at reference
     tolerance."""
     _require_ntf_grid()
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
-
-    pts = ds.map_batches(_ntf_points, batch_format="pyarrow", batch_size=None,
-                         zero_copy_batch=True)
-    out = transform_points_stage(
-        pts, "+proj=latlong +datum=WGS84",
-        f"+proj=latlong +ellps=WGS84 +nadgrids={_NTF_GRID}",
-        out_x="lon_shifted", out_y="lat_shifted")
-    return out.select_columns(["pid", "lon_shifted", "lat_shifted"])
+    t = make_transform("+proj=latlong +datum=WGS84",
+                       f"+proj=latlong +ellps=WGS84 +nadgrids={_NTF_GRID}")
+    return _shifted(sf_dir, t, _ntf_lonlat)
 
 
 # -- prime meridian ---------------------------------------------------------
@@ -2162,13 +2036,14 @@ def _pm_sql():
 def pm_shift_paris(sf_dir):
     """Prime-meridian handling (pj_datums.c:66-81 registry + the
     from_greenwich step, src/pj_transform.c:253-260). Bitwise exact."""
-    pts = _points_ds(sf_dir)
-    out = transform_points_stage(pts, "+proj=latlong +datum=WGS84",
-                                 "+proj=latlong +datum=WGS84 +pm=paris",
-                                 out_x="lon_paris", out_y="lat_out")
-    return _typed_input(out.select_columns(["pid", "lon_paris", "lat_out"]),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), lon_paris=pa.float64(), lat_out=pa.float64())
+    t = make_transform("+proj=latlong +datum=WGS84",
+                       "+proj=latlong +datum=WGS84 +pm=paris")
+
+    def fn(pid):
+        x, y, _ = t(*lonlat_numpy(pid))
+        return pa.table({"pid": pid, "lon_paris": x, "lat_out": y})
+
+    return _per_point(sf_dir, fn)
 
 
 # -- axis orientation + unit conversion -------------------------------------
@@ -2197,22 +2072,16 @@ def _axis_units_sql():
 def axis_units_km(sf_dir):
     """+axis=wsu (denormalization, src/pj_transform.c:728-825) combined
     with +units=km (fr_meter scaling, src/pj_init.c:556-571)."""
-    pts = _points_ds(sf_dir)
-    out = transform_points_stage(
-        pts, "+proj=latlong +datum=WGS84",
-        "+proj=merc +datum=WGS84 +units=km +axis=wsu",
-        out_x="xw_km", out_y="ys_km")
+    t = make_transform("+proj=latlong +datum=WGS84",
+                       "+proj=merc +datum=WGS84 +units=km +axis=wsu")
 
-    def fin(t: pa.Table) -> pa.Table:
-        return pa.table({"pid": t["pid"],
-                         "xw_km": pa.array(_r6(t["xw_km"].to_numpy(zero_copy_only=False))),
-                         "ys_km": pa.array(_r6(t["ys_km"].to_numpy(zero_copy_only=False))),
-                         "lat_in": t["lat"]})
+    def fn(pid):
+        lon, lat = lonlat_numpy(pid)
+        x, y, _ = t(lon, lat)
+        return pa.table({"pid": pid, "xw_km": _r6(x), "ys_km": _r6(y),
+                         "lat_in": lat})
 
-    return _typed_input(out.map_batches(fin, batch_format="pyarrow", zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), xw_km=pa.float64(), ys_km=pa.float64(),
-                        lat_in=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 # -- geoparse extraction ----------------------------------------------------
@@ -2238,19 +2107,24 @@ def _geoparse_sql():
 def geoparse_extract(sf_dir):
     """Page synthesis (printf-exact text construction) + coordinate
     extraction (``GeoparseStage``: each page's first ``COORD_RE``
-    match); text passthrough is byte-identical per url by design."""
-    ds = read_table(sf_dir, "documents", columns=["doc_id", "text"])
+    match); text passthrough is byte-identical per url by design.  On a
+    zero-row ``documents`` table the block function runs on its zero-row
+    input, as ``_per_point`` does for lineitem."""
+    parse = GeoparseStage(keep=("pid", "url"))
+    cols = ["doc_id", "text"]
 
-    def mk(t: pa.Table) -> pa.Table:
-        return synth_pages_batch(
+    def fn(t: pa.Table) -> pa.Table:
+        return parse(synth_pages_batch(
             pa.table({"pid": pc.cast(t["doc_id"], pa.int64()), "text": t["text"]}),
-            "pid", text_col="text")
+            "pid", text_col="text"))
 
-    pages = ds.map_batches(mk, batch_format="pyarrow", batch_size=None,
-                           zero_copy_batch=True)
-    parsed = pages.map_batches(GeoparseStage(), batch_format="pyarrow",
-                               batch_size=None)
-    return parsed.select_columns(["pid", "url", "lat", "lon"])
+    if table_rows(sf_dir, "documents"):
+        return read_table(sf_dir, "documents", columns=cols).map_batches(
+            fn, batch_format="pyarrow", batch_size=None, zero_copy_batch=True)
+    import pyarrow.parquet as pq
+
+    return fn(pq.read_table(_os.path.join(sf_dir, "documents.parquet"),
+                            columns=cols))
 
 
 # ===========================================================================
@@ -2307,28 +2181,19 @@ def geod_line_interp(sf_dir):
     """geod -l line mode as a flat_map-shaped stage: each point pair
     expands to 5 great-circle samples (spherical slerp variant;
     the ellipsoidal Karney path is covered by geod_inverse_ellipsoidal)."""
-    pts = _points_ds(sf_dir)
-
-    def fn(t: pa.Table) -> pa.Table:
-        pid = t["pid"].to_numpy(zero_copy_only=False)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
+    def fn(pid):
+        lon, lat = lonlat_numpy(pid)
         lon2 = (pid * LAT_MUL % 36000 - 18000) / 1.0e2
         lat2 = (pid * LON_MUL % 16000 - 8000) / 1.0e2
         lons, lats = slerp_line(lon, lat, lon2, lat2, _GEOD_N)
-        n = pid.size
-        ks = np.tile(np.arange(_GEOD_N, dtype=np.int64), n)
         return pa.table({
-            "pid": pa.array(np.repeat(pid, _GEOD_N), pa.int64()),
-            "k": pa.array(ks, pa.int64()),
-            "lon_i": pa.array(_r6(lons.reshape(-1))),
-            "lat_i": pa.array(_r6(lats.reshape(-1))),
+            "pid": np.repeat(pid, _GEOD_N),
+            "k": np.tile(np.arange(_GEOD_N, dtype=np.int64), pid.size),
+            "lon_i": _r6(lons.reshape(-1)),
+            "lat_i": _r6(lats.reshape(-1)),
         })
 
-    return _typed_input(pts.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                                        zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), k=pa.int64(), lon_i=pa.float64(), lat_i=pa.float64())
+    return _per_point(sf_dir, fn)
 
 
 @query("geod_inverse_ellipsoidal", sql=_golden_sql("geod_inverse_sf001.parquet"))
@@ -2336,12 +2201,7 @@ def geod_inverse_ellipsoidal(sf_dir):
     """Ellipsoidal geodesic inverse (Karney order-6 series, the
     reference's geod_inverse, src/geodesic.c:944): distance + azimuths
     per derived pair; exact everywhere incl. near-antipodal."""
-    pts = _points_ds(sf_dir)
-    return _typed_input(pts.map_batches(_geod_inverse_rows, batch_format="pyarrow",
-                                        batch_size=None, zero_copy_batch=True),
-                        sf_dir, "lineitem",
-                        pid=pa.int64(), s12_mm=pa.int64(), azi1_udeg=pa.int64(),
-                        converged=pa.bool_())
+    return _per_point(sf_dir, lambda pid: _geod_inverse_rows(_points(pid)))
 
 
 def _geod_inverse_rows(t: pa.Table) -> pa.Table:
@@ -2397,16 +2257,11 @@ def salted_cell_agg(sf_dir):
     the same totals."""
     from ..stages.agg import group_agg
 
-    def add_cell(t: pa.Table) -> pa.Table:
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
-        return pa.table({"cell": pa.array(_cell_id(lon, lat, 2), pa.int64()),
-                         "pid": t["pid"]})
+    def add_cell(pid):
+        return pa.table({"cell": _cell_id(*lonlat_numpy(pid), 2), "pid": pid})
 
-    with_cell = _points_ds(sf_dir).map_batches(
-        add_cell, batch_format="pyarrow", batch_size=None)
-    out = group_agg(with_cell, ["cell"], {"n_points": ("pid", "count"),
-                                          "sum_pid": ("pid", "sum")})
+    out = group_agg(_points_ds(sf_dir, add_cell), ["cell"],
+                    {"n_points": ("pid", "count"), "sum_pid": ("pid", "sum")})
     return _sorted_pdf(out.astype(np.int64), ["cell"])
 
 
@@ -2682,10 +2537,8 @@ def hex_cell_agg(sf_dir):
     combine moves 40 bytes/partial-row and is cell-cardinality-bounded."""
     from ..stages.agg import group_agg
 
-    def cells(t: pa.Table) -> pd.DataFrame:
-        pid = t["pid"].to_numpy(zero_copy_only=False)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
+    def cells(pid):
+        lon, lat = lonlat_numpy(pid)
         q = ((2.0 / 3.0) * lon) / _HEX_S
         r = ((-1.0 / 3.0) * lon + (np.sqrt(3.0) / 3.0) * lat) / _HEX_S
         y = -q - r
@@ -2696,15 +2549,13 @@ def hex_cell_agg(sf_dir):
         fix_z = ~fix_x & (dz > dy)
         hq = np.where(fix_x, -ry - rz, rx).astype(np.int64)
         hr = np.where(fix_z, -rx - ry, rz).astype(np.int64)
-        return pd.DataFrame({"hex_q": hq, "hex_r": hr, "pid": pid,
-                             "lon_centi": (pid * LON_MUL) % 36000 - 18000})
+        return pa.table({"hex_q": hq, "hex_r": hr, "pid": pid,
+                         "lon_centi": (pid * LON_MUL) % 36000 - 18000})
 
-    out = group_agg(
-        _points_ds(sf_dir).map_batches(cells, batch_format="pyarrow",
-                                       batch_size=None, zero_copy_batch=True),
-        ["hex_q", "hex_r"], {"n_points": ("pid", "count"),
-                             "sum_lon_centi": ("lon_centi", "sum"),
-                             "min_pid": ("pid", "min")})
+    out = group_agg(_points_ds(sf_dir, cells),
+                    ["hex_q", "hex_r"], {"n_points": ("pid", "count"),
+                                         "sum_lon_centi": ("lon_centi", "sum"),
+                                         "min_pid": ("pid", "min")})
     return _sorted_pdf(out.astype(np.int64), ["hex_q", "hex_r"])
 
 
@@ -2865,22 +2716,18 @@ def geohash_cell_agg(sf_dir):
 
     jj = np.arange(_GH_BITS, dtype=np.int64)
 
-    def enc(t: pa.Table) -> pd.DataFrame:
-        pid = t["pid"].to_numpy(zero_copy_only=False)
-        lon = t["lon"].to_numpy(zero_copy_only=False)
-        lat = t["lat"].to_numpy(zero_copy_only=False)
+    def enc(pid):
+        lon, lat = lonlat_numpy(pid)
         gx = np.minimum(np.floor((lon + 180.0) / 360.0 * 32768.0)
                         .astype(np.int64), 32767)
         gy = np.minimum(np.floor((lat + 90.0) / 180.0 * 32768.0)
                         .astype(np.int64), 32767)
         z = (((gx[:, None] >> jj) & 1) << (2 * jj + 1)).sum(axis=1) \
             + (((gy[:, None] >> jj) & 1) << (2 * jj)).sum(axis=1)
-        return pd.DataFrame({"cell": z >> 10, "pid": pid})
+        return pa.table({"cell": z >> 10, "pid": pid})
 
-    agg = group_agg(
-        _points_ds(sf_dir).map_batches(enc, batch_format="pyarrow",
-                                       batch_size=None, zero_copy_batch=True),
-        ["cell"], {"n_points": ("pid", "count"), "min_pid": ("pid", "min")})
+    agg = group_agg(_points_ds(sf_dir, enc), ["cell"],
+                    {"n_points": ("pid", "count"), "min_pid": ("pid", "min")})
     cell = agg["cell"].to_numpy(np.int64)
     chars = np.frombuffer(_GH_ALPHA.encode(), np.uint8)
     gh = np.empty((len(cell), 4), np.uint8)
@@ -2929,10 +2776,12 @@ def tile_pyramid_counts(sf_dir):
     the sum of their children under the documented half-open edge
     convention (kernels/tiling.py)."""
     from ..stages.agg import group_agg
-    from ..stages.tile_stage import tile_stage
 
-    tiled = tile_stage(_points_ds(sf_dir), _PYR_ZMAX, out="cell_id")
-    agg = group_agg(tiled, ["cell_id"], {"n_points": ("pid", "count")})
+    def cells(pid):
+        return pa.table({"cell_id": _cell_id(*lonlat_numpy(pid), _PYR_ZMAX)})
+
+    agg = group_agg(_points_ds(sf_dir, cells), ["cell_id"],
+                    {"n_points": ("cell_id", "count")})
     cid = agg["cell_id"].to_numpy(np.int64)
     tx = cid & ((1 << _PYR_ZMAX) - 1)
     ty = cid >> _PYR_ZMAX

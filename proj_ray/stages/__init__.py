@@ -26,9 +26,8 @@ def _tune_worker_threads():
 
 _tune_worker_threads()
 
-from .transform_stage import TransformStage, transform_points_stage
+from .transform_stage import TransformStage
 from .geoparse import GeoparseStage, synth_pages_stage
-from .tile_stage import tile_stage
 from .s2_stage import (s2_stage, s2_shard_write,
                        s2_shard_write_resumable, s2_shard_boxes_read)
 from .pip_stage import PIPJoinActor, make_polygons
@@ -36,10 +35,8 @@ from .knn_stage import knn_topk
 
 __all__ = [
     "TransformStage",
-    "transform_points_stage",
     "GeoparseStage",
     "synth_pages_stage",
-    "tile_stage",
     "s2_stage",
     "s2_shard_write",
     "s2_shard_write_resumable",

@@ -1,12 +1,13 @@
 """Coordinate-transform stage: the reference's whole 14-step pipeline
-(src/pj_transform.c:87-370) fused into one vectorized map_batches UDF.
+(src/pj_transform.c:87-370) fused into one vectorized callable over a
+pyarrow table.
 
-The compiled :class:`proj_ray.transform.Transform` is built once on the
-driver and captured by closure — small and picklable; Ray Data puts the
-closure into the object store once per operator, and each task gets that
-reference, not a copy per batch. Stateless => task pool (cheap,
-elastic). :class:`TransformStage` is the same transform as a callable
-class.
+The compiled :class:`proj_ray.transform.Transform` is built once in
+``__init__`` — small and picklable; Ray Data puts an instance passed to
+``map_batches`` into the object store once per operator, and each task
+gets that reference, not a copy per batch. The registry's per-point
+queries call a compiled ``make_transform`` inside their block function
+(``pipelines.queries._per_point``) instead.
 """
 
 from __future__ import annotations
@@ -14,42 +15,16 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
-from ..transform import Transform, make_transform
-
-
-def _apply(t: Transform, batch: pa.Table, lon_col, lat_col, z_col,
-           out_x, out_y, out_z):
-    lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-    z = (batch[z_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-         if z_col else None)
-    x, y, zo = t(lon, lat, z)
-    out = batch.append_column(out_x, pa.array(x, pa.float64()))
-    out = out.append_column(out_y, pa.array(y, pa.float64()))
-    if out_z:
-        out = out.append_column(out_z, pa.array(zo, pa.float64()))
-    return out
-
-
-def transform_points_stage(ds, src_def, dst_def, lon_col="lon", lat_col="lat",
-                           z_col=None, out_x="x", out_y="y", out_z=None,
-                           grid_loader=None):
-    """Stateless task-pool transform stage (the default)."""
-    t = make_transform(src_def, dst_def, grid_loader=grid_loader)
-
-    def fn(batch: pa.Table) -> pa.Table:
-        return _apply(t, batch, lon_col, lat_col, z_col, out_x, out_y, out_z)
-
-    return ds.map_batches(fn, batch_format="pyarrow", batch_size=None,
-                          zero_copy_batch=True)
+from ..transform import make_transform
 
 
 class TransformStage:
-    """The same transform as a callable over one pyarrow table, compiled
+    """The transform as a callable over one pyarrow table, compiled
     once in ``__init__``: call it in process (the benchmark's in-process
     replay does), pass an instance to ``map_batches`` (a task pool), or
     pass the class with ``fn_constructor_kwargs`` (an actor pool, one
-    compile per actor)."""
+    compile per actor). Appends ``out_x``/``out_y`` (and ``out_z`` when
+    given) to the batch."""
 
     def __init__(self, src_def, dst_def, lon_col="lon", lat_col="lat",
                  z_col=None, out_x="x", out_y="y", out_z=None):
@@ -57,4 +32,14 @@ class TransformStage:
         self.cols = (lon_col, lat_col, z_col, out_x, out_y, out_z)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        return _apply(self.t, batch, *self.cols)
+        lon_col, lat_col, z_col, out_x, out_y, out_z = self.cols
+
+        def col(c):
+            return batch[c].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+
+        x, y, zo = self.t(col(lon_col), col(lat_col), col(z_col) if z_col else None)
+        out = batch.append_column(out_x, pa.array(x, pa.float64()))
+        out = out.append_column(out_y, pa.array(y, pa.float64()))
+        if out_z:
+            out = out.append_column(out_z, pa.array(zo, pa.float64()))
+        return out

@@ -78,3 +78,37 @@ def test_registry_fits_driver_window():
         n for n in names if QUERIES[n]["sql"] is not None]
     for fn in entrymod.queries().values():
         assert callable(fn)
+
+
+# the per-point queries whose oracle runs on the repo's own inputs (the
+# two grid_shift_real* queries need the absent ntf_r93.gsb)
+_POINT_QUERIES = (
+    "points_webmerc", "points_utm", "points_lcc", "points_geocent",
+    "helmert7_xyz", "webmerc_inverse", "tile_assign", "pip_join",
+    "haversine_dist", "grid_shift_fwd", "catalog_datum_mix",
+    "grid_shift_lla_compiled", "vertical_shift_gtx", "pm_shift_paris",
+    "axis_units_km", "geod_line_interp", "geod_inverse_ellipsoidal")
+
+
+def test_point_queries_match_oracle_sf001(ray_session):
+    """Each per-point query's non-empty rows at sf0.01 equal its
+    ``oracle_sql()`` through DuckDB, compared as ``tools/check_oracle.py``
+    compares them (columns, row count, dtype kind and order-insensitive
+    values)."""
+    from tools.check_oracle import TABLES as ORACLE_TABLES
+    from tools.check_oracle import compare, to_pandas
+
+    sf = os.path.join(os.path.dirname(SF), "sf0.01")
+    qs = entrymod.queries()
+    sqls = entrymod.oracle_sql()
+    con = duckdb.connect()
+    for t in ORACLE_TABLES:
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
+    bad = []
+    for name in _POINT_QUERIES:
+        got = to_pandas(qs[name](sf))
+        want = con.sql(sqls[name]).fetchdf()
+        if not len(want) or not compare(name, got, want):
+            bad.append(name)
+    con.close()
+    assert not bad

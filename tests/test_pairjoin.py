@@ -169,9 +169,9 @@ def test_rect_overlap_join_matches_bruteforce(ray_session):
 
 
 def _empty_sf(path):
-    """A scale-factor directory whose lineitem, orders, part and events
-    tables have zero rows (events with its real schema), and a DuckDB
-    connection with a view over each."""
+    """A scale-factor directory whose lineitem, orders, part, events and
+    documents tables have zero rows (events and documents with their
+    real schemas), and a DuckDB connection with a view over each."""
     import duckdb
     import pyarrow.parquet as pq
 
@@ -190,8 +190,14 @@ def _empty_sf(path):
                               ("value", pa.float64()),
                               ("props", pa.string())]).empty_table(),
                    str(path / "events.parquet"))
+    pq.write_table(pa.schema([("doc_id", pa.int64()),
+                              ("text", pa.string()),
+                              ("lang", pa.string()),
+                              ("source", pa.string()),
+                              ("n_chars", pa.int64())]).empty_table(),
+                   str(path / "documents.parquet"))
     con = duckdb.connect()
-    for t in ("lineitem", "orders", "part", "events"):
+    for t in ("lineitem", "orders", "part", "events", "documents"):
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{path}/{t}.parquet'")
     return con
 
@@ -253,9 +259,10 @@ def test_cell_and_knn_queries_empty_input_keep_oracle_schema(tmp_path,
 
 def test_point_queries_empty_input_keep_oracle_schema(tmp_path, ray_session):
     """Zero-row inputs: the per-point transform, tiling, PIP and geodesic
-    queries, the per-order ring queries and the per-user trajectory
-    simplification return zero rows with their oracles' columns and
-    dtypes (the golden-oracle queries: their golden's)."""
+    queries, the per-order ring queries, the per-user trajectory
+    simplification and the page geoparser return zero rows with their
+    oracles' columns and dtypes (the golden-oracle queries: their
+    golden's)."""
     con = _empty_sf(tmp_path)
     _assert_empty_like_oracle(tmp_path, con, (
         "points_webmerc", "points_utm", "points_lcc", "points_geocent",
@@ -263,7 +270,8 @@ def test_point_queries_empty_input_keep_oracle_schema(tmp_path, ray_session):
         "haversine_dist", "polygon_area_geodesic", "trajectory_length",
         "grid_shift_fwd", "catalog_datum_mix", "grid_shift_lla_compiled",
         "vertical_shift_gtx", "pm_shift_paris", "axis_units_km",
-        "geod_line_interp", "geod_inverse_ellipsoidal", "traj_simplify_dp"))
+        "geod_line_interp", "geod_inverse_ellipsoidal", "traj_simplify_dp",
+        "geoparse_extract"))
 
 
 def _nonfinite_points():
