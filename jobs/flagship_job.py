@@ -44,10 +44,9 @@ from proj_ray.pipelines.flagship import AGG_ZOOM, KEY_COLS, ZOOM  # noqa: E402
 def plan(sf: str) -> list:
     """[(unit, part file)]: one unit per lineitem part file, keyed by
     the file name without its extension."""
-    from proj_ray.sources.parts import _part_files
+    from proj_ray.sources import part_units
 
-    return [(os.path.splitext(os.path.basename(f))[0], f)
-            for f in _part_files(os.path.join(sf, "lineitem.parquet"))]
+    return part_units(sf, "lineitem")
 
 
 def config(sf: str) -> dict:

@@ -17,12 +17,15 @@ Exactness design (the driver hash-compares values):
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..sources import read_table, table_rows
+from .flagship import FLAGSHIP_POLYGONS, KEY_COLS
 from .derive import (
     DEG_TO_RAD_LIT,
     LAT_MUL,
@@ -134,15 +137,20 @@ def _points(pid) -> pa.Table:
     return pa.table({"pid": pid, "lon": lon, "lat": lat})
 
 
+def _pids(t: pa.Table):
+    """The int64 derived point ids of a table of lineitem keys."""
+    return pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
+                     t["l_linenumber"].to_numpy(zero_copy_only=False))
+
+
 def _points_ds(sf_dir, fn=_points):
     """``fn`` over each lineitem block's int64 ``pid`` array (the derived
     point ids), as a Dataset; by default the (pid, lon, lat) point
     stream."""
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    ds = read_table(sf_dir, "lineitem", columns=KEY_COLS)
 
     def block(t: pa.Table) -> pa.Table:
-        return fn(pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                            t["l_linenumber"].to_numpy(zero_copy_only=False)))
+        return fn(_pids(t))
 
     return ds.map_batches(block, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
@@ -348,7 +356,6 @@ from ..kernels.geodesic import MEAN_RADIUS, haversine as _haversine  # noqa: E40
 from ..stages.geoparse import GeoparseStage, synth_pages_batch  # noqa: E402
 from ..stages.knn_stage import knn_topk  # noqa: E402
 from ..stages.pip_stage import PIPJoinActor  # noqa: E402
-from .flagship import FLAGSHIP_POLYGONS  # noqa: E402
 
 
 # -- 7-param Helmert on geocentric XYZ (linear => bitwise exact) -----------
@@ -607,21 +614,28 @@ def _s2_cell_agg_sql():
     """
 
 
+def _s2_cells(pid) -> pa.Table:
+    """(pid, cell_id): the level-7 S2 cell of each derived point, as
+    the int64 view of its uint64 id."""
+    from ..kernels.s2cell import cell_id_from_lonlat
+
+    ids = cell_id_from_lonlat(*lonlat_numpy(pid), _S2_LEVEL).view(np.int64)
+    return pa.table({"pid": pid, "cell_id": ids})
+
+
 @query("s2_cell_agg", sql=_s2_cell_agg_sql())
 def s2_cell_agg(sf_dir):
     """Per-S2-cell aggregate at level 7: Hilbert leaf ids assigned per
-    batch (stages/s2_stage.py), coarsened with integer-only parent
+    block (``_s2_cells``), coarsened with integer-only parent
     arithmetic, then aggregated per cell (stages.agg.group_agg).  Cell
     ids are the locality-preserving shard key at 100-TB scale:
     range-partitioning by id keeps spatial neighbours in the same
     partition (Hilbert adjacency pinned in tests/test_s2cell.py)."""
     from ..stages.agg import group_agg
-    from ..stages.s2_stage import s2_stage
 
-    cells = s2_stage(_points_ds(sf_dir), _S2_LEVEL, out="cell_id")
-    out = group_agg(cells, ["cell_id"], {"n_points": ("pid", "count"),
-                                         "min_pid": ("pid", "min"),
-                                         "sum_pid": ("pid", "sum")})
+    out = group_agg(_points_ds(sf_dir, _s2_cells), ["cell_id"],
+                    {"n_points": ("pid", "count"), "min_pid": ("pid", "min"),
+                     "sum_pid": ("pid", "sum")})
     return _sorted_pdf(out.astype(np.int64), ["cell_id"])
 
 
@@ -691,11 +705,10 @@ def s2_cell_center(sf_dir):
     integer-exact so both sides round the final trig to 1e-6 deg
     (ROUND6 idiom, as webmerc_inverse)."""
     from ..stages.agg import group_agg
-    from ..stages.s2_stage import s2_stage
     from ..kernels.s2cell import cell_center_lonlat
 
-    cells = s2_stage(_points_ds(sf_dir), _S2_LEVEL, out="cell_id")
-    out = group_agg(cells, ["cell_id"], {"n": ("cell_id", "count")})
+    out = group_agg(_points_ds(sf_dir, _s2_cells), ["cell_id"],
+                    {"n": ("cell_id", "count")})
     ids = out["cell_id"].to_numpy(dtype=np.int64)
     lon, lat = cell_center_lonlat(ids.view(np.uint64))
     return _sorted_pdf(pd.DataFrame({
@@ -707,30 +720,42 @@ def s2_cell_center(sf_dir):
 _S2_BBOX = (-20.0, 55.0, 8.0, 62.0)
 _S2_SHARD_LEVEL = 3
 
-_S2_INDEX_CACHE: dict = {}
+
+@functools.cache
+def _process_root() -> str:
+    """A temporary directory for this process's files (the S2 shard
+    index, the compiled synthetic grids), made on first use and removed
+    when the interpreter exits."""
+    import atexit
+    import shutil
+    import tempfile
+
+    d = tempfile.mkdtemp(prefix="proj_ray_tmp_")
+    atexit.register(shutil.rmtree, d, True)
+    return d
 
 
 def _s2_index_dir(sf_dir):
-    """Session-scoped Hilbert shard index over the derived point
-    stream: built ONCE per (sf_dir, level) and reused by every
-    shard-pruned query in the process (s2_shard_bbox, knn_s2_pruned,
-    knn_s2_geodesic, radius_geodesic) — mirroring real usage, where the
-    layout is built once and queried many times.  The content is
-    deterministic (same points, same shard assignment), so reuse cannot
-    change any query's rows; the tempdir lives for the process (small:
-    one copy of the point stream).  Queries run sequentially in the
-    driver/gate process, so the build is not racy."""
-    import tempfile
+    """The Hilbert shard index over ``sf_dir``'s derived point stream,
+    which every shard-pruned query reads (s2_shard_bbox, knn_s2_pruned,
+    knn_s2_geodesic, radius_geodesic): one ``s2_shard_write_resumable``
+    unit per lineitem part file (its (pid, lon, lat) points), in a
+    directory per ``sf_dir`` under the process's temporary root.  The
+    first call in a process builds it; a later call runs the writer
+    again and the manifest skips every unit.  The content is
+    deterministic (same points, same shard assignment), so reuse
+    cannot change any query's rows."""
+    import pyarrow.parquet as pq
 
-    key = (_os.path.abspath(sf_dir), _S2_SHARD_LEVEL)
-    d = _S2_INDEX_CACHE.get(key)
-    if d is not None and _os.path.isdir(d):
-        return d
-    from ..stages.s2_stage import s2_shard_write
+    from ..sources import part_units
+    from ..stages.s2_stage import s2_shard_write_resumable
+    from ..state import config_hash
 
-    d = tempfile.mkdtemp(prefix="proj_ray_s2idx_")
-    s2_shard_write(_points_ds(sf_dir), d, _S2_SHARD_LEVEL)
-    _S2_INDEX_CACHE[key] = d
+    d = _os.path.join(_process_root(), config_hash(_os.path.abspath(sf_dir)))
+    s2_shard_write_resumable(
+        part_units(sf_dir, "lineitem"),
+        lambda path: _points(_pids(pq.read_table(path, columns=KEY_COLS))),
+        d, _S2_SHARD_LEVEL)
     return d
 
 
@@ -745,8 +770,8 @@ def _s2_index_dir(sf_dir):
 def s2_shard_bbox(sf_dir):
     """Hilbert-range-sharded spatial read END-TO-END (I/O-layer
     pruning by cell partition): write the points as
-    one parquet partition per level-3 S2 cell (s2_shard_write — the
-    resumable locality-preserving 100-TB layout), then answer a bbox
+    one parquet partition per level-3 S2 cell (s2_shard_write_resumable
+    — the resumable locality-preserving 100-TB layout), then answer a bbox
     query by reading ONLY the shards bbox_covering selects (exact
     superset, so no row can be missed) and applying the exact lon/lat
     filter.  The oracle is a plain full-scan SQL bbox filter — the
@@ -756,8 +781,8 @@ def s2_shard_bbox(sf_dir):
     from ..stages.s2_stage import s2_shard_boxes_read
 
     lon0, lon1, lat0, lat1 = _S2_BBOX
-    ds, _ = s2_shard_boxes_read(_s2_index_dir(sf_dir), [_S2_BBOX],
-                                _S2_SHARD_LEVEL)
+    ds = s2_shard_boxes_read(_s2_index_dir(sf_dir), [_S2_BBOX],
+                             _S2_SHARD_LEVEL)
     if ds is None:
         return pd.DataFrame({"pid": np.empty(0, np.int64),
                              "lon": np.empty(0, np.float64),
@@ -786,6 +811,15 @@ _RNROW = 16000 // _RCELL   # 32 rows  (lat in [-80, 80))
 _RNCOL = 36000 // _RCELL   # 72 cols  (lon in [-180, 180))
 _RFRAC = 0.3               # mask = top 30% of cells by count
 
+# the oracles' twin of _raster_cells: point counts (r, c, n) per
+# occupied 5-degree cell
+_RCELLS_CTE = f"""cells AS (
+      SELECT CAST(floor(((({PID_SQL}) * {LAT_MUL}) % 16000) / {_RCELL}.0) AS BIGINT) AS r,
+             CAST(floor(((({PID_SQL}) * {LON_MUL}) % 36000) / {_RCELL}.0) AS BIGINT) AS c,
+             COUNT(*) AS n
+      FROM lineitem GROUP BY 1, 2
+    )"""
+
 
 def _raster_cells(sf_dir) -> pd.DataFrame:
     """Point counts (r, c, n) of the occupied 5-degree raster cells:
@@ -794,7 +828,7 @@ def _raster_cells(sf_dir) -> pd.DataFrame:
     here), never the corpus."""
     from ..stages.agg import combine_partials
 
-    ds = read_table(sf_dir, "lineitem", columns=["l_orderkey", "l_linenumber"])
+    ds = read_table(sf_dir, "lineitem", columns=KEY_COLS)
     partials = ds.map_batches(_cell_count_partial, batch_format="pyarrow",
                               zero_copy_batch=True)
     return combine_partials(partials, ["r", "c"], {"n": "sum"})
@@ -803,8 +837,7 @@ def _raster_cells(sf_dir) -> pd.DataFrame:
 def _cell_count_partial(t: pa.Table) -> pa.Table:
     """Per-batch point counts (r, c, n) of the occupied 5-degree raster
     cells."""
-    pid = pid_numpy(t["l_orderkey"].to_numpy(zero_copy_only=False),
-                    t["l_linenumber"].to_numpy(zero_copy_only=False))
+    pid = _pids(t)
     r = (pid * LAT_MUL % 16000) // _RCELL
     c = (pid * LON_MUL % 36000) // _RCELL
     cnt = np.bincount(r * _RNCOL + c, minlength=_RNROW * _RNCOL)
@@ -818,12 +851,7 @@ def _polygonize_sql():
     from ..stages.raster import ID_MUL
 
     return f"""
-    WITH RECURSIVE cells AS (
-      SELECT CAST(floor(((({PID_SQL}) * {LAT_MUL}) % 16000) / {_RCELL}.0) AS BIGINT) AS r,
-             CAST(floor(((({PID_SQL}) * {LON_MUL}) % 36000) / {_RCELL}.0) AS BIGINT) AS c,
-             COUNT(*) AS n
-      FROM lineitem GROUP BY 1, 2
-    ),
+    WITH RECURSIVE {_RCELLS_CTE},
     ranked AS (
       SELECT r, c, n,
              row_number() OVER (ORDER BY n DESC, r, c) AS rk,
@@ -857,7 +885,10 @@ def _polygonize_sql():
     """
 
 
-def _zonal_sql():
+def _ring_edges_sql():
+    """The polygon set's ring edges as SQL ``VALUES`` rows
+    ``(polygon_id, xi, yi, xj, yj)``: each vertex with the one before
+    it, the first with the last, as pnpoly walks a ring."""
     rows = []
     for pid_, ring in FLAGSHIP_POLYGONS:
         jj = len(ring) - 1
@@ -866,14 +897,13 @@ def _zonal_sql():
             xj, yj = ring[jj]
             rows.append(f"('{pid_}', {_R(xi)}, {_R(yi)}, {_R(xj)}, {_R(yj)})")
             jj = i
-    edges = ",\n      ".join(rows)
+    return ",\n      ".join(rows)
+
+
+def _zonal_sql():
+    edges = _ring_edges_sql()
     return f"""
-    WITH cells AS (
-      SELECT CAST(floor(((({PID_SQL}) * {LAT_MUL}) % 16000) / {_RCELL}.0) AS BIGINT) AS r,
-             CAST(floor(((({PID_SQL}) * {LON_MUL}) % 36000) / {_RCELL}.0) AS BIGINT) AS c,
-             COUNT(*) AS n
-      FROM lineitem GROUP BY 1, 2
-    ),
+    WITH {_RCELLS_CTE},
     centers AS (
       SELECT r, c, n,
              (c * {_RCELL} + {_RCELL // 2} - 18000) / 1.0e2 AS px,
@@ -949,15 +979,7 @@ def raster_polygonize(sf_dir):
 # -- point-in-polygon join --------------------------------------------------
 
 def _pip_sql():
-    rows = []
-    for pid_, ring in FLAGSHIP_POLYGONS:
-        jj = len(ring) - 1
-        for i in range(len(ring)):
-            xi, yi = ring[i]
-            xj, yj = ring[jj]
-            rows.append(f"('{pid_}', {_R(xi)}, {_R(yi)}, {_R(xj)}, {_R(yj)})")
-            jj = i
-    edges = ",\n      ".join(rows)
+    edges = _ring_edges_sql()
     return f"""
     WITH {_POINTS_CTE},
     dpoints AS (SELECT DISTINCT pid, lon, lat FROM points),
@@ -1013,8 +1035,7 @@ def _knn_sql():
 def knn_points(sf_dir):
     """Broadcast kNN: per-batch partial top-k then tiny final reduce —
     no shuffle of the point stream. Deterministic (d2, id) tie-break."""
-    return _qid_int32(knn_topk(_points_ds(sf_dir), _KNN_QUERIES, k=5,
-                               id_col="pid"))
+    return _qid_int32(knn_topk(_points_ds(sf_dir), _KNN_QUERIES, k=5))
 
 
 def _qid_int32(t: pa.Table) -> pa.Table:
@@ -1049,12 +1070,11 @@ def knn_s2_certified(index_dir, queries, k, shard_level, r0=3.0,
         while True:
             lon0, lon1 = max(qx - r, -180.0), min(qx + r, 180.0)
             lat0, lat1 = max(qy - r, -90.0), min(qy + r, 90.0)
-            ds, _ = s2_shard_boxes_read(
+            ds = s2_shard_boxes_read(
                 index_dir, [(lon0, lon1, lat0, lat1)], shard_level)
             got = None
             if ds is not None:
-                got = knn_topk(ds, [(qid, qx, qy)], k=k, id_col="pid",
-                               metric=metric)
+                got = knn_topk(ds, [(qid, qx, qy)], k=k, metric=metric)
                 if metric == "planar":
                     d2 = got["d2"].to_numpy(zero_copy_only=False)
                     ok = len(got) >= k and float(d2.max()) <= r * r
@@ -1102,8 +1122,7 @@ def knn_geodesic(sf_dir):
     Golden: per-point scalar Karney port (tools/scalar_ref.py) +
     plain Python sort over the full corpus."""
     pts = _points_ds(sf_dir)
-    return knn_topk(pts, _KNN_QUERIES, k=5, id_col="pid",
-                    metric="geodesic")
+    return knn_topk(pts, _KNN_QUERIES, k=5, metric="geodesic")
 
 
 @query("knn_s2_geodesic", sql=_golden_sql("knn_geodesic_sf001.parquet"))
@@ -1179,7 +1198,7 @@ def radius_search_geodesic(index_dir, queries, radius_m, shard_level):
                 boxes.append((qx - dlon + 360.0, 180.0, lat0, lat1))
             if qx + dlon > 180.0:
                 boxes.append((-180.0, qx + dlon - 360.0, lat0, lat1))
-        ds, _ = s2_shard_boxes_read(index_dir, boxes, shard_level)
+        ds = s2_shard_boxes_read(index_dir, boxes, shard_level)
         if ds is None:
             continue
         hits = ds.map_batches(_radius_hits, fn_kwargs=dict(
@@ -1235,19 +1254,25 @@ def haversine_dist(sf_dir):
 _PAIR_RADIUS_M = 30000.0
 
 
+def _hav_sql(lon1, lat1, lon2, lat2):
+    """Haversine metres from (lon1, lat1) to (lon2, lat2), SQL columns
+    in degrees: the identical IEEE op sequence as
+    kernels.geodesic.haversine with those arguments."""
+    d2r = _R(np.pi / 180.0)
+    return (f"2.0 * {_R(MEAN_RADIUS)} * asin(sqrt(least("
+            f"sin(({lat2} * {d2r} - {lat1} * {d2r}) * 0.5)"
+            f" * sin(({lat2} * {d2r} - {lat1} * {d2r}) * 0.5)"
+            f" + cos({lat1} * {d2r}) * cos({lat2} * {d2r})"
+            f" * sin(({lon2} * {d2r} - {lon1} * {d2r}) * 0.5)"
+            f" * sin(({lon2} * {d2r} - {lon1} * {d2r}) * 0.5), 1.0)))")
+
+
 def _pair_join_sql():
     from ..stages.pairjoin import PAIR_DX_DEG, PAIR_DY_DEG, PAIR_NX
 
-    d2r = _R(np.pi / 180.0)
-    # identical IEEE op sequence as kernels.geodesic.haversine with
     # arg1 = the smaller-pid endpoint (symmetric bit-exactly anyway:
     # sin(-x) = -sin(x) squares away, cos products commute)
-    hav = (f"2.0 * {_R(MEAN_RADIUS)} * asin(sqrt(least("
-           f"sin((b.lat * {d2r} - a.lat * {d2r}) * 0.5)"
-           f" * sin((b.lat * {d2r} - a.lat * {d2r}) * 0.5)"
-           f" + cos(a.lat * {d2r}) * cos(b.lat * {d2r})"
-           f" * sin((b.lon * {d2r} - a.lon * {d2r}) * 0.5)"
-           f" * sin((b.lon * {d2r} - a.lon * {d2r}) * 0.5), 1.0)))")
+    hav = _hav_sql("a.lon", "a.lat", "b.lon", "b.lat")
     return f"""
     WITH {_POINTS_CTE},
     dpoints AS (SELECT DISTINCT pid, lon, lat FROM points),
@@ -1316,8 +1341,7 @@ def polygon_area_geodesic(sf_dir):
     from ..kernels.karney import geod_polygon_area_many
     from ..stages.agg import bucket_map
 
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_linenumber"])
+    ds = read_table(sf_dir, "lineitem", columns=KEY_COLS)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # ALL rings in the bucket go through ONE vectorized Karney call
@@ -1439,13 +1463,7 @@ def rect_overlap_join(sf_dir):
 # -- trajectory length -------------------------------------------------------
 
 def _traj_sql():
-    d2r = _R(np.pi / 180.0)
-    hav = (f"2.0 * {_R(MEAN_RADIUS)} * asin(sqrt(least("
-           f"sin((lat * {d2r} - plat * {d2r}) * 0.5)"
-           f" * sin((lat * {d2r} - plat * {d2r}) * 0.5)"
-           f" + cos(plat * {d2r}) * cos(lat * {d2r})"
-           f" * sin((lon * {d2r} - plon * {d2r}) * 0.5)"
-           f" * sin((lon * {d2r} - plon * {d2r}) * 0.5), 1.0)))")
+    hav = _hav_sql("plon", "plat", "lon", "lat")
     return f"""
     WITH v AS (
       SELECT DISTINCT l_orderkey, l_linenumber,
@@ -1492,8 +1510,7 @@ def trajectory_length(sf_dir):
     independent of key count; no global sort."""
     from ..stages.agg import bucket_map
 
-    ds = read_table(sf_dir, "lineitem",
-                    columns=["l_orderkey", "l_linenumber"])
+    ds = read_table(sf_dir, "lineitem", columns=KEY_COLS)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         ok = g["l_orderkey"].to_numpy().astype(np.int64)
@@ -1761,13 +1778,10 @@ def catalog_datum_mix(sf_dir):
     per-point as-of scan, the dmstor-parsed region containment and the
     mixing arithmetic, full-precision bitwise vs the SQL twin.  The
     catalog CSV is config-plane data (like init files): tiny,
-    deterministic, written once driver-side; grids load once per
-    transform instance via the injected loader."""
-    import tempfile
-
-    fd, csv_path = tempfile.mkstemp(prefix="proj_ray_catalog_",
-                                    suffix=".csv")
-    with _os.fdopen(fd, "w") as f:
+    deterministic, written into the calling process's temporary root;
+    grids load once per transform instance via the injected loader."""
+    csv_path = _os.path.join(_process_root(), "catalog.csv")
+    with open(csv_path, "w") as f:
         f.write(_CATALOG_CSV_TEXT)
     t = make_transform(
         f"+proj=latlong +catalog={csv_path} +date={_CATALOG_DATE} +ellps=WGS84",
@@ -1856,15 +1870,11 @@ def grid_shift_lla_compiled(sf_dir):
     (src/nad_cvt.c:59-67). Node values have a closed form, so the
     oracle recompiles the float32 nodes in SQL (CAST .. AS REAL) and
     matches bit-for-bit at full precision."""
-    import tempfile
-
     from ..kernels.grid import read_ctable2
     from ..sources.grids import nad2bin_convert
 
-    path = _os.path.join(tempfile.gettempdir(), "proj_ray_lla_synthB.ct2")
-    tmp = f"{path}.{_os.getpid()}"
-    nad2bin_convert(_lla_synth_text(), tmp, "ctable2")
-    _os.replace(tmp, path)
+    path = _os.path.join(_process_root(), "synthB.ct2")
+    nad2bin_convert(_lla_synth_text(), path, "ctable2")
     grid = read_ctable2(path)
 
     t = make_transform("+proj=latlong +nadgrids=synthB +ellps=WGS84",
@@ -1937,17 +1947,13 @@ def vertical_shift_gtx(sf_dir):
     heights written with write_gtx and re-read with read_gtx
     (src/pj_gridinfo.c:711-815), then the distributed z apply
     (src/pj_apply_vgridshift.c:46-211). Bitwise vs the SQL bilinear."""
-    import tempfile
-
     from ..kernels.common import DEG_TO_RAD as _D2R
     from ..sources.grids import VShiftGrid, read_gtx, write_gtx
 
-    path = _os.path.join(tempfile.gettempdir(), "proj_ray_synthV.gtx")
-    tmp = f"{path}.{_os.getpid()}"
-    write_gtx(tmp, VShiftGrid(
+    path = _os.path.join(_process_root(), "synthV.gtx")
+    write_gtx(path, VShiftGrid(
         "synthV", (-30.0 * _D2R, 30.0 * _D2R), (0.5 * _D2R, 0.5 * _D2R),
         _VGTX_LIM, _vgtx_values()))
-    _os.replace(tmp, path)
     vgrid = read_gtx(path)
 
     t = make_transform("+proj=latlong +datum=WGS84 +geoidgrids=synthV",
@@ -2346,12 +2352,7 @@ def traj_simplify_dp(sf_dir):
 @query(
     "raster_focal_mean",
     sql=f"""
-    WITH cells AS (
-      SELECT CAST(floor(((({PID_SQL}) * {LAT_MUL}) % 16000) / {_RCELL}.0) AS BIGINT) AS r,
-             CAST(floor(((({PID_SQL}) * {LON_MUL}) % 36000) / {_RCELL}.0) AS BIGINT) AS c,
-             COUNT(*) AS n
-      FROM lineitem GROUP BY 1, 2
-    )
+    WITH {_RCELLS_CTE}
     SELECT a.r, a.c, CAST(a.n AS BIGINT) AS n,
            CAST(SUM(b.n) AS BIGINT) AS focal_sum,
            CAST(COUNT(*) AS BIGINT) AS focal_cnt
@@ -2411,12 +2412,7 @@ def _warp_sql():
     Y80, SY = repr(_WARP_Y80), repr(_WARP_STEPY)
     R, PI, DG = repr(_WARP_R), repr(float(np.pi)), repr(_WARP_DEGSC)
     return f"""
-    WITH cells AS (
-      SELECT CAST(floor(((({PID_SQL}) * {LAT_MUL}) % 16000) / {_RCELL}.0) AS BIGINT) AS r,
-             CAST(floor(((({PID_SQL}) * {LON_MUL}) % 36000) / {_RCELL}.0) AS BIGINT) AS c,
-             COUNT(*) AS n
-      FROM lineitem GROUP BY 1, 2
-    ),
+    WITH {_RCELLS_CTE},
     tgt AS (
       SELECT a.range AS tr, b.range AS tc
       FROM range({_WARP_NR}) a, range({_WARP_NC}) b

@@ -36,3 +36,14 @@ def table_rows(sf_dir: str, name: str) -> int:
 
     path = os.path.join(sf_dir, f"{name}.parquet")
     return sum(pq.read_metadata(f).num_rows for f in _part_files(path))
+
+
+def part_units(sf_dir: str, name: str) -> list:
+    """[(file stem, path)]: one plan unit per part file of one testdata
+    table, keyed by the file name without its extension (``state``'s
+    unit ids)."""
+    from .parts import _part_files
+
+    path = os.path.join(sf_dir, f"{name}.parquet")
+    return [(os.path.splitext(os.path.basename(f))[0], f)
+            for f in _part_files(path)]

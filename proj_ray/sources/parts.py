@@ -6,9 +6,10 @@ the schema come from the file footers, read on the driver, so building
 the Dataset runs no Ray task: no metadata fetch, no sampling, and no
 fixed-size read batches that cut a file into odd blocks.
 
-Only ``sources.read_table`` and ``jobs/flagship_job.py`` (which plans
-one unit per part file) import this module, so ``import proj_ray``
-(and ``proj_ray.sources.grids``) never pays the ``ray.data`` import.
+Only the functions of ``proj_ray.sources`` (``read_table``,
+``table_rows``, and ``part_units``, which plans one unit per part file)
+import this module, so ``import proj_ray`` (and
+``proj_ray.sources.grids``) never pays the ``ray.data`` import.
 """
 
 from __future__ import annotations

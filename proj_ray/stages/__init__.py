@@ -28,8 +28,7 @@ _tune_worker_threads()
 
 from .transform_stage import TransformStage
 from .geoparse import GeoparseStage, synth_pages_stage
-from .s2_stage import (s2_stage, s2_shard_write,
-                       s2_shard_write_resumable, s2_shard_boxes_read)
+from .s2_stage import s2_shard_write_resumable, s2_shard_boxes_read
 from .pip_stage import PIPJoinActor, make_polygons
 from .knn_stage import knn_topk
 
@@ -37,8 +36,6 @@ __all__ = [
     "TransformStage",
     "GeoparseStage",
     "synth_pages_stage",
-    "s2_stage",
-    "s2_shard_write",
     "s2_shard_write_resumable",
     "s2_shard_boxes_read",
     "PIPJoinActor",

@@ -14,7 +14,7 @@ reduce — no shuffle of the point stream:
 
 Metrics:
 
-- ``planar`` — squared-euclidean in the given coordinate columns;
+- ``planar`` — squared-euclidean in the lon/lat columns;
   deterministic identical IEEE arithmetic, so ranks match a SQL oracle
   exactly (ties broken by id).  Output (qid, id, rank, d2).
 - ``geodesic`` — TRUE ellipsoidal distance via the Karney order-6
@@ -68,10 +68,10 @@ def _reduce_candidates(t: pa.Table, k: int) -> pa.Table:
                      "d": pa.array(ds, pa.float64())})
 
 
-def knn_topk(ds, queries, k=5, lon_col="lon", lat_col="lat", id_col="pid",
-             batch_size=None, metric="planar"):
-    """``queries`` = [(qid, qlon, qlat), ...] (small). Returns a pyarrow
-    Table with rank 1..k per query by (distance, id):
+def knn_topk(ds, queries, k=5, metric="planar"):
+    """``queries`` = [(qid, qlon, qlat), ...] (small); ``ds`` has the
+    point columns ``pid``, ``lon`` and ``lat``. Returns a pyarrow Table
+    with rank 1..k per query by (distance, pid as ``id``):
     (qid, id, rank, d2) for ``metric="planar"``,
     (qid, id, rank, s12_mm) for ``metric="geodesic"``.  Points with a
     non-finite lon or lat are never neighbours."""
@@ -83,9 +83,9 @@ def knn_topk(ds, queries, k=5, lon_col="lon", lat_col="lat", id_col="pid",
     nq = len(qids)
 
     def partial(batch: pa.Table) -> pa.Table:
-        lon = batch[lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        lat = batch[lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        ids = batch[id_col].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
+        lon = batch["lon"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        lat = batch["lat"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        ids = batch["pid"].to_numpy(zero_copy_only=False).astype(np.int64, copy=False)
         ok = np.isfinite(lon) & np.isfinite(lat)
         if not ok.all():
             lon, lat, ids = lon[ok], lat[ok], ids[ok]
@@ -107,7 +107,7 @@ def knn_topk(ds, queries, k=5, lon_col="lon", lat_col="lat", id_col="pid",
                          "id": pa.array(idss, pa.int64()),
                          "d": pa.array(dsel, pa.float64())})
 
-    cand = ds.map_batches(partial, batch_format="pyarrow", batch_size=batch_size,
+    cand = ds.map_batches(partial, batch_format="pyarrow", batch_size=None,
                           zero_copy_batch=True)
     # associative intermediate reduce bounds the driver concat
     red = cand.map_batches(lambda t: _reduce_candidates(t, k),

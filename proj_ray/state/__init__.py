@@ -18,10 +18,12 @@ checkpoints per-partition lineage and metrics. The design (SURVEY.md §4
 - unit outputs are idempotent (unit id -> file names; rename is
   atomic), so retries and duplicated tasks are safe
 
-``run_resumable_shards`` runs such a plan, one ``part-<id>.parquet``
-per unit; ``write_unit`` is the one write-and-record step, which
-``stages.s2_stage.s2_shard_write_resumable`` also uses for its
-per-cell layout.
+``run_units`` is the one plan runner: it skips the completed units and
+runs the rest as Ray tasks, each through ``write_unit``, the one
+write-and-record step. ``run_resumable_shards`` (one
+``part-<id>.parquet`` per unit; the flagship job) and
+``stages.s2_stage.s2_shard_write_resumable`` (one file per unit and
+S2 shard; the shard-pruned queries' index) both call it.
 """
 
 from __future__ import annotations
@@ -157,31 +159,44 @@ def run_bounded(remote_fn, todo):
         yield from ray.get(ready)
 
 
+def run_units(units, unit_parts, out_dir: str, cfg_hash: str):
+    """Run the plan ``units`` [(unit id, spec), ...] into ``out_dir``.
+
+    ``unit_parts(unit_id, spec)`` returns the unit's ``{relative path:
+    pyarrow.Table}``, written and recorded by :func:`write_unit` inside
+    a Ray task. Units that :meth:`LineageManifest.completed` lists under
+    ``cfg_hash`` are skipped; the rest run in parallel through
+    :func:`run_bounded`. This is the raw-task escape hatch the Dataset
+    API can't express ("skip finished partitions"); each unit's writes
+    are atomic and idempotent.
+
+    Returns (n_run, n_skipped)."""
+    import ray
+
+    done = LineageManifest(out_dir).completed(cfg_hash)
+    todo = [(str(uid), spec) for uid, spec in units if str(uid) not in done]
+
+    @ray.remote
+    def _run(uid, spec):
+        return write_unit(out_dir, uid, str(spec), cfg_hash,
+                          unit_parts(uid, spec))
+
+    ran = sum(1 for _ in run_bounded(_run, todo))
+    return ran, len(units) - len(todo)
+
+
 def run_resumable_shards(shards, shard_fn, out_dir: str, config):
     """Deterministic shard-level resumable execution.
 
     ``shards``: list of (shard_id, shard_spec) — the explicit work plan
     (input files, key ranges, ...). ``shard_fn(shard_spec) ->
     pyarrow.Table`` runs the per-shard pipeline, written as
-    ``part-<shard_id>.parquet``. Completed shards (see
-    :meth:`LineageManifest.completed`) are skipped on restart; the rest
-    run as parallel Ray tasks through :func:`run_bounded`. This is the
-    raw-task escape hatch the Dataset API can't express ("skip finished
-    partitions"); each shard's write is atomic and idempotent.
+    ``part-<shard_id>.parquet`` by :func:`run_units`, which skips the
+    shards completed under ``config``.
 
-    Returns (n_run, n_skipped, metrics).
-    """
-    import ray
-
+    Returns (n_run, n_skipped, metrics)."""
     cfg_hash = config_hash(config)
-    man = LineageManifest(out_dir)
-    done = man.completed(cfg_hash)
-    todo = [(str(sid), spec) for sid, spec in shards if str(sid) not in done]
-
-    @ray.remote
-    def _run(sid, spec):
-        return write_unit(out_dir, sid, str(spec), cfg_hash,
-                          {f"part-{sid}.parquet": shard_fn(spec)})
-
-    ran = sum(1 for _ in run_bounded(_run, todo))
-    return ran, len(shards) - len(todo), man.metrics(cfg_hash)
+    ran, skipped = run_units(
+        shards, lambda sid, spec: {f"part-{sid}.parquet": shard_fn(spec)},
+        out_dir, cfg_hash)
+    return ran, skipped, LineageManifest(out_dir).metrics(cfg_hash)

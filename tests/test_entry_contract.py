@@ -90,11 +90,11 @@ _POINT_QUERIES = (
     "axis_units_km", "geod_line_interp", "geod_inverse_ellipsoidal")
 
 
-def test_point_queries_match_oracle_sf001(ray_session):
-    """Each per-point query's non-empty rows at sf0.01 equal its
-    ``oracle_sql()`` through DuckDB, compared as ``tools/check_oracle.py``
-    compares them (columns, row count, dtype kind and order-insensitive
-    values)."""
+def _oracle_mismatches(names):
+    """The queries of ``names`` whose rows at sf0.01 are empty or differ
+    from their ``oracle_sql()`` through DuckDB, compared as
+    ``tools/check_oracle.py`` compares them (columns, row count, dtype
+    kind and order-insensitive values)."""
     from tools.check_oracle import TABLES as ORACLE_TABLES
     from tools.check_oracle import compare, to_pandas
 
@@ -105,10 +105,45 @@ def test_point_queries_match_oracle_sf001(ray_session):
     for t in ORACLE_TABLES:
         con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf}/{t}.parquet'")
     bad = []
-    for name in _POINT_QUERIES:
+    for name in names:
         got = to_pandas(qs[name](sf))
         want = con.sql(sqls[name]).fetchdf()
         if not len(want) or not compare(name, got, want):
             bad.append(name)
     con.close()
-    assert not bad
+    return bad
+
+
+def test_point_queries_match_oracle_sf001(ray_session):
+    """Each per-point query's non-empty rows at sf0.01 equal its
+    ``oracle_sql()`` through DuckDB."""
+    assert not _oracle_mismatches(_POINT_QUERIES)
+
+
+def test_index_and_cell_queries_match_oracle_sf001(ray_session):
+    """The S2 cell queries and the four queries that read the Hilbert
+    shard index (built once per process by the resumable writer) give
+    their ``oracle_sql()`` rows at sf0.01."""
+    assert not _oracle_mismatches((
+        "s2_cell_agg", "s2_cell_center", "s2_shard_bbox", "knn_s2_pruned",
+        "knn_s2_geodesic", "radius_geodesic"))
+
+
+def test_catalog_datum_mix_leaves_no_temp_file(ray_session, tmp_path,
+                                               monkeypatch):
+    """The dated-catalog query writes its catalog CSV into the process's
+    temporary root (removed at exit), not as a new file of the temp
+    directory per call, and its points are shifted (a catalog it could
+    not read would turn every lane into HUGE)."""
+    import tempfile
+
+    import numpy as np
+
+    from tools.check_oracle import to_pandas
+
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    got = to_pandas(entrymod.queries()["catalog_datum_mix"](SF))
+    assert not [f for f in os.listdir(tmp_path)
+                if f.startswith("proj_ray_catalog_")]
+    assert len(got) > 0
+    assert np.isfinite(got[["lon_shifted", "lat_shifted"]].to_numpy()).all()

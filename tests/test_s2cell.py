@@ -1,15 +1,30 @@
 """S2 cell index: vectorized kernel vs scalar Python-int reference,
 self-consistency (roundtrips, containment, Hilbert adjacency), and the
 oracle-determinism pin (numpy vs DuckDB trig bit-equality on the
-synthetic centidegree domain).  No Ray needed — pure kernels; the Ray
-stage itself is gated end-to-end by the s2_cell_agg / s2_cell_center
+synthetic centidegree domain), then the shard-pruned kNN and radius
+readers over the resumable Hilbert shard layout, on Ray.  The per-block
+cell assignment is gated end-to-end by the s2_cell_agg / s2_cell_center
 driver queries."""
+
+import os
 
 import numpy as np
 import pytest
 
 from proj_ray.kernels import s2cell as s2
 from tools.scalar_ref import s2_cell_id_scalar, s2_center_scalar
+
+
+def _write_shards(df, idx):
+    """Write the level-3 Hilbert shard layout of ``df`` (pid, lon, lat)
+    to ``idx`` through the resumable writer, as one fragment."""
+    import pyarrow as pa
+
+    from proj_ray.stages.s2_stage import s2_shard_write_resumable
+
+    table = pa.Table.from_pandas(df, preserve_index=False)
+    assert s2_shard_write_resumable([(0, "df")], lambda _: table, idx,
+                                    shard_level=3) == (1, 0)
 
 
 def _grid_points(n, seed=3):
@@ -263,22 +278,19 @@ def test_knn_s2_certified_forced_doubling(tmp_path, ray_session):
 
     from proj_ray.pipelines.queries import knn_s2_certified
     from proj_ray.stages.knn_stage import knn_topk
-    from proj_ray.stages.s2_stage import s2_shard_write
 
     rng = np.random.default_rng(31)
     n = 20000
     df = pd.DataFrame({"pid": np.arange(n, dtype=np.int64),
                        "lon": rng.uniform(-180, 180, n),
                        "lat": rng.uniform(-90, 90, n)})
-    ds = rd.from_pandas(df)
     idx = str(tmp_path / "shards")
-    s2_shard_write(ds, idx, shard_level=3)
+    _write_shards(df, idx)
     queries = [(0, -100.0, 40.0), (1, 0.0, 0.0), (2, 179.5, 88.0),
                (3, -180.0, -90.0)]
     got = knn_s2_certified(idx, queries, k=5, shard_level=3,
                            r0=0.05).to_pandas()
-    want = knn_topk(rd.from_pandas(df), queries, k=5,
-                    id_col="pid").to_pandas()
+    want = knn_topk(rd.from_pandas(df), queries, k=5).to_pandas()
     key = ["qid", "rank"]
     got = got.sort_values(key).reset_index(drop=True)
     want = want.sort_values(key).reset_index(drop=True)
@@ -322,21 +334,19 @@ def test_knn_geodesic_pruned_matches_brute_force(tmp_path, ray_session):
 
     from proj_ray.pipelines.queries import knn_s2_certified
     from proj_ray.stages.knn_stage import knn_topk
-    from proj_ray.stages.s2_stage import s2_shard_write
 
     rng = np.random.default_rng(97)
     n = 20000
     df = pd.DataFrame({"pid": np.arange(n, dtype=np.int64),
                        "lon": rng.uniform(-180, 180, n),
                        "lat": rng.uniform(-90, 90, n)})
-    ds = rd.from_pandas(df)
     idx = str(tmp_path / "gshards")
-    s2_shard_write(ds, idx, shard_level=3)
+    _write_shards(df, idx)
     queries = [(0, -100.0, 40.0), (1, 0.0, 0.0), (2, 179.5, 88.0),
                (3, -180.0, -90.0)]
     got = knn_s2_certified(idx, queries, k=5, shard_level=3, r0=0.05,
                            metric="geodesic").to_pandas()
-    want = knn_topk(rd.from_pandas(df), queries, k=5, id_col="pid",
+    want = knn_topk(rd.from_pandas(df), queries, k=5,
                     metric="geodesic").to_pandas()
     key = ["qid", "rank"]
     got = got.sort_values(key).reset_index(drop=True)
@@ -361,7 +371,7 @@ def test_knn_geodesic_matches_scalar_karney(ray_session):
     pid = np.arange(n, dtype=np.int64)
     df = pd.DataFrame({"pid": pid, "lon": lon, "lat": lat})
     queries = [(0, 12.5, 41.9), (1, -70.0, -33.4)]
-    got = knn_topk(rd.from_pandas(df), queries, k=7, id_col="pid",
+    got = knn_topk(rd.from_pandas(df), queries, k=7,
                    metric="geodesic").to_pandas()
     for qid, qx, qy in queries:
         dist = [karney_inverse_scalar(lon[i], lat[i], qx, qy)[0]
@@ -392,18 +402,16 @@ def test_knn_non_finite_lanes_and_zero_queries(ray_session):
     queries = [(7, 0.0, 0.0), (8, 10.0, -5.0)]
     for metric, dcol in (("planar", "d2"), ("geodesic", "s12_mm")):
         got = knn_topk(rd.from_pandas(df), queries, k=n_finite + 2,
-                       id_col="pid", metric=metric)
+                       metric=metric)
         want = knn_topk(rd.from_pandas(df[finite].reset_index(drop=True)),
-                        queries, k=n_finite + 2, id_col="pid",
-                        metric=metric)
+                        queries, k=n_finite + 2, metric=metric)
         g = got.to_pandas()
         assert set(g["id"]) <= set(np.flatnonzero(finite).tolist())
         for qid, _, _ in queries:
             ranks = g.loc[g["qid"] == qid, "rank"].tolist()
             assert ranks == list(range(1, n_finite + 1))
         assert g.equals(want.to_pandas())
-        empty = knn_topk(rd.from_pandas(df), [], k=3, id_col="pid",
-                         metric=metric)
+        empty = knn_topk(rd.from_pandas(df), [], k=3, metric=metric)
         assert empty.num_rows == 0
         assert empty.column_names == ["qid", "id", "rank", dcol]
         assert empty.schema == got.schema
@@ -441,11 +449,9 @@ def test_radius_search_pruned_matches_brute_force(tmp_path, ray_session):
     including an anti-meridian site (two disjoint lon boxes, shard
     sets unioned) and a polar site (lon bound degrades to full range)."""
     import pandas as pd
-    import ray.data as rd
 
     from proj_ray.kernels.geodesic import geod_inverse
     from proj_ray.pipelines.queries import radius_search_geodesic
-    from proj_ray.stages.s2_stage import s2_shard_write
 
     rng = np.random.default_rng(41)
     n = 20000
@@ -454,7 +460,7 @@ def test_radius_search_pruned_matches_brute_force(tmp_path, ray_session):
     pid = np.arange(n, dtype=np.int64)
     df = pd.DataFrame({"pid": pid, "lon": lon, "lat": lat})
     idx = str(tmp_path / "radshards")
-    s2_shard_write(rd.from_pandas(df), idx, shard_level=3)
+    _write_shards(df, idx)
     queries = [(0, -100.0, 40.0), (1, 179.8, 20.0), (2, 10.0, 89.0),
                (3, -180.0, -60.0)]
     R = 800_000.0
@@ -515,3 +521,51 @@ def test_s2_shard_bbox_degenerate_coverings(case, tmp_path, ray_session):
         assert 0 < len(want) < keep.sum()
     else:
         assert len(want) == 0
+
+
+def test_s2_index_layout_sf001(tmp_path, ray_session, sf_dir):
+    """The shard-pruned queries' index over sf0.01 holds one file per
+    (lineitem part file, level-3 shard) — at most 384 per part file; a
+    second build runs no unit (the manifest is unchanged); and the
+    per-process root it lives in is removed when the interpreter
+    exits."""
+    import subprocess
+    import sys
+
+    import pyarrow.parquet as pq
+
+    from proj_ray.pipelines.derive import lonlat_numpy, pid_numpy
+    from proj_ray.pipelines.queries import (_S2_SHARD_LEVEL, _process_root,
+                                            _s2_index_dir)
+    from proj_ray.sources import part_units
+
+    sf = os.path.join(os.path.dirname(sf_dir), "sf0.01")
+    d = _s2_index_dir(sf)
+    assert os.path.dirname(d) == _process_root()
+    files = sorted(os.path.relpath(os.path.join(r, f), d)
+                   for r, _, fs in os.walk(d) for f in fs
+                   if f.endswith(".parquet"))
+    want = []
+    for stem, path in part_units(sf, "lineitem"):
+        t = pq.read_table(path, columns=["l_orderkey", "l_linenumber"])
+        lon, lat = lonlat_numpy(pid_numpy(t["l_orderkey"].to_numpy(),
+                                          t["l_linenumber"].to_numpy()))
+        shards = np.unique(s2.id_at_level(s2.cell_id_from_lonlat(lon, lat),
+                                          _S2_SHARD_LEVEL).view(np.int64))
+        assert shards.size <= 6 * 4 ** _S2_SHARD_LEVEL
+        want += [f"s2_shard={c}/part-{stem}.parquet" for c in shards.tolist()]
+    assert files == sorted(want)
+
+    manifest = open(os.path.join(d, "_manifest.jsonl")).read()
+    assert _s2_index_dir(sf) == d
+    assert open(os.path.join(d, "_manifest.jsonl")).read() == manifest
+
+    code = ("from proj_ray.pipelines.queries import _process_root; "
+            "d = _process_root(); open(d + '/x', 'w').close(); print(d)")
+    env = dict(os.environ, TMPDIR=str(tmp_path))
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    out = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                         capture_output=True, text=True, check=True)
+    child = out.stdout.strip()
+    assert os.path.dirname(child) == str(tmp_path)
+    assert not os.path.exists(child)
