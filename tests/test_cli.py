@@ -441,11 +441,9 @@ def test_cs2cs_lane_errno_mapping(capsys):
     assert "tolerance condition error" in capsys.readouterr().err
 
 
-def test_run_line_parsing_parity_pins(capsys):
+def test_run_line_parsing_parity_pins(capsys, tmp_path):
     """C-exact run-line loop (_c_args): usage banners, combined flags,
     invalid options, listing exit, -e sentinel, file inputs."""
-    import tempfile
-
     # no args -> usage banner on stderr, exit 0 (proj.c:254-258)
     assert proj_main([], stdin=io.StringIO(""), stdout=io.StringIO()) == 0
     err = capsys.readouterr().err
@@ -475,12 +473,11 @@ def test_run_line_parsing_parity_pins(capsys):
 
     # input FILE arguments; '-' mixes stdin; missing file -> Sys errno
     # line on stderr and the file is skipped (cs2cs.c:415-425)
-    with tempfile.NamedTemporaryFile("w", suffix=".txt",
-                                     delete=False) as f:
-        f.write("2 47\n")
+    infile = tmp_path / "in.txt"
+    infile.write_text("2 47\n")
     out = io.StringIO()
     rc = cs2cs_main(["+proj=latlong", "+ellps=WGS84", "+to", "+proj=utm",
-                     "+zone=31", "+ellps=WGS84", f.name, "/no/such/file",
+                     "+zone=31", "+ellps=WGS84", str(infile), "/no/such/file",
                      "-"], stdin=io.StringIO("3 48\n"), stdout=out)
     err = capsys.readouterr().err
     assert rc == 0

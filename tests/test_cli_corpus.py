@@ -134,9 +134,9 @@ def _geod_kinds(rng, inverse):
     }
 
 
-# kinds whose output is non-finite; only the -f cases mix them in. The
-# DMS cases were pinned without them, when rtodms raised on nan; geod's
-# DMS output now prints such a field as 'nan' (test_cli covers it)
+# kinds whose output is non-finite. The first DMS cases were pinned
+# without them, when rtodms raised on nan; the *_dms_nonfinite cases mix
+# them into DMS output, which prints such a field as 'nan'
 _GEOD_NONFINITE = {"overflow": "1e999 0 10 10", "nan_tok": "nan 0 10 10"}
 
 
@@ -240,6 +240,10 @@ def _cases():
                     extra=_GEOD_NONFINITE))
     gi_dms = _text(_mix(7, 200, lambda r: _geod_kinds(r, True)))
     gd_dms = _text(_mix(8, 200, lambda r: _geod_kinds(r, False)))
+    gi_dms_nf = _text(_mix(11, 200, lambda r: _geod_kinds(r, True),
+                           extra=_GEOD_NONFINITE))
+    gd_dms_nf = _text(_mix(12, 200, lambda r: _geod_kinds(r, False),
+                           extra=_GEOD_NONFINITE))
     gi_plain = _text([_geod_kinds(r, True)["plain"] for r in
                       [np.random.default_rng(9)] for _ in range(3000)])
     big_ll = _text(_big(10, _ll_kinds))
@@ -359,6 +363,8 @@ def _cases():
     add("geod_I_dms_W4a", geod_main, G + ["-I", "-W4", "-a"], gi_dms)
     add("geod_dms", geod_main, G, gd_dms)
     add("geod_dms_w2p", geod_main, G + ["-w2", "-p"], gd_dms)
+    add("geod_I_dms_nonfinite", geod_main, G + ["-I"], gi_dms_nf)
+    add("geod_dms_nonfinite", geod_main, G, gd_dms_nf)
     for tag, fl in (("t1", ["-t1"]), ("tminus", ["-t-"]),
                     ("tdot", ["-t."])):
         add(f"geod_I_{tag}", geod_main, G + ["-I", "-f", "%.6f"] + fl, gi)
@@ -499,6 +505,9 @@ EXPECTED = {
     "geod_I_dms_W4a": (
         "81a303a5aabd9d0a533c7c4ef377cc0c5ee538971fd39fde2771216a5485e778",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "geod_I_dms_nonfinite": (
+        "fbffab6a4f32e51411929db7fef9523dc3d1d73125b420cf7cb2f52bc1c53b60",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     "geod_I_mixed_F": (
         "8d08d135cfe5b95497dd07175c79345bd63dddeb96c6dcdba12cb0e75a4827e6",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
@@ -534,6 +543,9 @@ EXPECTED = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     "geod_dms": (
         "f0e570d92965457a07868c284a6faa696117a59ccecc0566496582f8ac7ba903",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
+    "geod_dms_nonfinite": (
+        "6a87b6b9585b2eb60ddc4c214e326d3c17fc279c55d020e5301b7ea599031494",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 0),
     "geod_dms_w2p": (
         "6ebe7570f06168e78b24ca274344acc0d0e6f8514271b7c4bd44c12650b3b2bf",
