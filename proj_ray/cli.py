@@ -24,6 +24,7 @@ from __future__ import annotations
 import re
 import sys
 import warnings
+from collections import namedtuple
 
 import numpy as np
 
@@ -36,16 +37,12 @@ class _PjFwdFilter:
     """The plain proj program's transform: raw pj_fwd / pj_inv
     (src/proj.c:429-434) — NOT pj_transform.  No geocentric
     conversion (geocent stays the identity pseudo-projection, scaled
-    by a), no axis denormalization, no datum step.  Presents the
-    minimal Transform surface the filter paths use."""
+    by a), no axis denormalization, no datum step.  Geographic
+    degrees in, projected out; ``inverse`` runs the other way."""
 
     def __init__(self, P, inverse):
-        from types import SimpleNamespace
-
         self.P = P
         self.inverse = inverse
-        self.src = SimpleNamespace(is_latlong=not inverse)
-        self.dst = SimpleNamespace(is_latlong=bool(inverse))
 
     def __call__(self, u, v, z=None):
         from .kernels.projections import generic_fwd, generic_inv
@@ -404,7 +401,7 @@ def _emit(arr, di, pieces, cons, tail):
     return _join_lines(out)
 
 
-def _process_proj_lines(lines, transform: Transform, flags):
+def _process_proj_lines(lines, transform: _PjFwdFilter, flags):
     """proj.c-style line processing (src/proj.c:60-150): consume exactly
     two coordinate fields, echo ONLY the consumed text under -E, print
     x TAB y (no z — proj is 2-D), then the unconsumed remainder verbatim
@@ -423,7 +420,8 @@ def _proj_chunk(chunk, transform, flags):
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    src_ll = transform.src.is_latlong
+    inverse = transform.inverse
+    src_ll = not inverse
     arr, di, vals, cons, tail = _parse_chunk(
         chunk, _tag_of(flags), (src_ll, src_ll), False, "-E" in flags)
     if not di.size:
@@ -436,7 +434,6 @@ def _proj_chunk(chunk, transform, flags):
         u, v = u * RAD_TO_DEG, v * RAD_TO_DEG
     u = np.where(np.isfinite(v), u, np.inf)
     fscale = _proj_mscale(flags)
-    inverse = "-I" in flags
     if fscale is not None and inverse:
         pre = 1.0 / fscale
         u, v = u * pre, v * pre
@@ -450,7 +447,7 @@ def _proj_chunk(chunk, transform, flags):
     err = x == np.inf
     fmt = flags.get("-f")
     ox, oy = _fmt_cols([np.where(err, 0.0, x), y], fmt or "%.2f", c_nan=True)
-    if transform.dst.is_latlong and fmt is None:
+    if inverse and fmt is None:
         dms = np.isfinite(x) & np.isfinite(y)
         if dms.any():
             mask = pa.array(dms)
@@ -510,8 +507,7 @@ def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
         if abs(lat_d) * DEG_TO_RAD - HALFPI > 1e-12:
             return -14
         dst = transform.dst
-        if (not dst.is_latlong
-                and getattr(dst, "proj_name", None) in ("tmerc", "utm")
+        if (not dst.is_latlong and dst.proj_name in ("tmerc", "utm")
                 and np.isfinite(lon_d)):
             dlam = float(_adjlon(np.array([lon_d * DEG_TO_RAD
                                            - dst.lam0]))[0])
@@ -519,9 +515,8 @@ def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
                 return -14
     # deferred grid-load failure (lazy C semantics): the datum /
     # vgrid step poisoned the lane with the recorded errno
-    le = getattr(transform, "lane_errno", None)
-    if le is not None:
-        return le
+    if transform.lane_errno is not None:
+        return transform.lane_errno
     return -20
 
 
@@ -1216,9 +1211,7 @@ def _pr_list(P, stdout, oform=None, very_verby=False):
         flag = False
         n = 1
         line = "#"
-        entries = getattr(P.pl, "entries", None) or [
-            (k, P.pl._d[k], False) for k in P.pl.keys()]
-        for k, v, shadow in entries:
+        for k, v, shadow in P.pl.entries:
             entry_used = (not shadow) and k in P.pl.used
             if entry_used == (not not_used):
                 param = f"{k}={v}" if v else k
@@ -1336,9 +1329,8 @@ def proj_main(argv=None, stdin=None, stdout=None, stderr=None):
             # proj.c:423-427: the filter requires a projected CRS
             emess(3, "+proj=latlong unsuitable for use with proj"
                   " program.", "proj", stderr)
-        inv_fn = getattr(P0, "inv", None)
-        if "-I" in flags and (inv_fn is None or getattr(
-                inv_fn, "__name__", "") == "_no_inverse"):
+        if "-I" in flags and (P0.inv is None or getattr(
+                P0.inv, "__name__", "") == "_no_inverse"):
             # proj.c:430-432 (library pj_inv.c semantics)
             emess(3, "inverse projection not available", "proj", stderr)
         if "-T" in flags:
@@ -1429,15 +1421,12 @@ def geod_main(argv=None, stdin=None, stdout=None):
         to_meter = (float(expr.split("/")[0]) / float(expr.split("/")[1])
                     if "/" in expr else float(expr))
     fr_meter = 1.0 / to_meter
-    from types import SimpleNamespace
-
-    ctx = SimpleNamespace(a=a, f=f, to_meter=to_meter, fr_meter=fr_meter,
-                          oform=flags.get("-f"),
-                          osform=flags.get("-F", "%.3f"),
-                          prec=flags.get("-w", 3),
-                          inverse="-I" in flags, fullout="-a" in flags,
-                          pos_azi="-p" in flags, tag=_tag_of(flags),
-                          wfixed=flags.get("-Wfixed", False))
+    ctx = _GeodCtx(a=a, f=f, to_meter=to_meter, fr_meter=fr_meter,
+                   oform=flags.get("-f"), osform=flags.get("-F", "%.3f"),
+                   prec=flags.get("-w", 3),
+                   inverse="-I" in flags, fullout="-a" in flags,
+                   pos_azi="-p" in flags, tag=_tag_of(flags),
+                   wfixed=flags.get("-Wfixed", False))
 
     def pll(lat_deg, lon_deg):
         return _geod_pll(lat_deg, lon_deg, ctx)
@@ -1514,6 +1503,11 @@ def geod_main(argv=None, stdin=None, stdout=None):
         for chunk in _iter_line_chunks(fobj):
             print(_geod_chunk(chunk, ctx), file=stdout)
     return 0
+
+
+# geod's settings, from its ellipsoid and command-line flags
+_GeodCtx = namedtuple("_GeodCtx", "a f to_meter fr_meter oform osform prec"
+                      " inverse fullout pos_azi tag wfixed")
 
 
 def _geod_pll(lat_deg, lon_deg, ctx):

@@ -580,8 +580,7 @@ class CRS:
 
         self.geoc = bool(self.es) and pl.get_b("geoc")
         self.over = pl.get_b("over")
-        self.has_geoid_vgrids = pl.has("geoidgrids")
-        self.geoidgrids = pl.get_s("geoidgrids") if self.has_geoid_vgrids else None
+        self.geoidgrids = pl.get_s("geoidgrids")
 
         self.is_long_wrap_set = pl.has("lon_wrap")
         if self.is_long_wrap_set:

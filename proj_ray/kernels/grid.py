@@ -413,9 +413,11 @@ def apply_vgridshift(vgrids, inverse: bool, lam, phi, z):
     z = np.asarray(z, dtype=np.float64).copy()
     ok = np.zeros(lam.shape, dtype=bool)
     err_in = ~np.isfinite(lam)
+    # a NaN latitude passes every bbox test: its lane stays uncovered
+    live = ~err_in & ~np.isnan(phi)
     NODATA = np.float32(-88.8888)
     for vg in vgrids:
-        todo = np.flatnonzero(~ok & ~err_in)
+        todo = np.flatnonzero(~ok & live)
         if todo.size == 0:
             break
         inside = vg.contains(lam[todo], phi[todo])

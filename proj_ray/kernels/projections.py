@@ -67,8 +67,8 @@ def setup_for(name):
 
 def generic_fwd(P, lam, phi):
     """Vectorized pj_fwd: range check, pole snap, lam0, wrap, project, scale."""
-    lam = np.asarray(lam, dtype=np.float64).copy()
-    phi = np.asarray(phi, dtype=np.float64).copy()
+    lam = np.asarray(lam, dtype=np.float64)
+    phi = np.asarray(phi, dtype=np.float64)
     t = np.abs(phi) - HALFPI
     bad = (t > _WRAP_EPS) | (np.abs(lam) > 10.0) | ~np.isfinite(lam) | ~np.isfinite(phi)
     snap = np.abs(t) <= _WRAP_EPS

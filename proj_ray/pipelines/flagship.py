@@ -66,8 +66,7 @@ class FlagshipChain:
     are built once, on the driver; Ray Data puts the instance into the
     object store once per operator."""
 
-    def __init__(self, zoom: int = ZOOM, mult: int = 1):
-        self.zoom = zoom
+    def __init__(self, mult: int = 1):
         self.mult = mult
         self.geoparse = GeoparseStage(keep=("pid",))
         self.merc = make_transform("+init=epsg:4326", "+init=epsg:3857")
@@ -89,7 +88,7 @@ class FlagshipChain:
         # lon/lat (tiling from the metres differs at exact tile edges),
         # so no sink reads the metres yet
         self.merc(lon, lat)
-        cell = np.repeat(cell_id(lon, lat, self.zoom), np.diff(first, append=pt.size))
+        cell = np.repeat(cell_id(lon, lat, ZOOM), np.diff(first, append=pt.size))
         return pts["pid"].to_numpy()[pt], cell, poly
 
     def __call__(self, keys: pa.Table) -> pa.Table:
@@ -121,26 +120,25 @@ def pages_dataset(sf_dir: str, mult: int = 1):
     return _map_keys(sf_dir, lambda keys: key_pages(keys, mult))
 
 
-def flagship_points(sf_dir: str, zoom: int = ZOOM, mult: int = 1):
+def flagship_points(sf_dir: str, mult: int = 1):
     """The flagship POINT stream as a Dataset of (pid, cell_id,
     polygon_id), one row per (point, containing polygon) — the rows
     jobs/flagship_job.py writes."""
-    return _map_keys(sf_dir, FlagshipChain(zoom, mult))
+    return _map_keys(sf_dir, FlagshipChain(mult))
 
 
-def flagship_pipeline(sf_dir: str, zoom: int = ZOOM, agg_zoom: int = AGG_ZOOM,
-                      mult: int = 1):
+def flagship_pipeline(sf_dir: str, mult: int = 1):
     """Returns the per-(cell, polygon) aggregate as a pandas frame
     (parent_cell, polygon_id, n_points, min_pid), ordered by
     (parent_cell, polygon_id); key-cardinality-bounded."""
-    chain = FlagshipChain(zoom, mult)
+    chain = FlagshipChain(mult)
     ids = np.asarray(chain.polygons.ids, dtype=object)
 
     def partial(keys: pa.Table) -> pa.Table:
         # per-block partial on one int64 key, parent_cell * n_polygons +
         # polygon_index: (key, n_points, min_pid), keys ascending
         pid, cell, poly = chain.join(keys)
-        key = parent_cell(cell, zoom, agg_zoom) * ids.size + poly
+        key = parent_cell(cell, ZOOM, AGG_ZOOM) * ids.size + poly
         order = np.lexsort((pid, key))
         key = key[order]
         first = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
@@ -148,7 +146,7 @@ def flagship_pipeline(sf_dir: str, zoom: int = ZOOM, agg_zoom: int = AGG_ZOOM,
                          "n_points": np.diff(first, append=key.size),
                          "min_pid": pid[order[first]]})
 
-    # final combine: the key space (cells at agg_zoom x polygons) is tiny,
+    # final combine: the key space (cells at AGG_ZOOM x polygons) is tiny,
     # so below the size threshold the all-to-all groupby shuffle (seconds
     # of fixed latency) is replaced by a driver-side reduce over the small
     # partials; past it (#blocks x cardinality at 100 TB scale) the same

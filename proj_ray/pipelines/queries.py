@@ -1630,16 +1630,16 @@ def _bilinear_sql(v):
             f"+ ((1.0 - fl) * fp) * ({f01}) + (fl * fp) * ({f11})")
 
 
-def _gridshift_sql():
+def _grid_cells_cte(ll, delta):
+    """The grid-shift twins' ``pts``/``tb``/``idx`` CTE: each band
+    point's (lam, phi) radians (``_band_lonlat``), then its cell (il,
+    ip) and in-cell fractions (fl, fp) on a grid with lower-left corner
+    ``ll`` and spacing ``delta`` (radians), as nad_intr computes them."""
     from ..kernels.common import PI
 
-    ll_lam, ll_phi = _GRID_SPEC["ll"]
-    dl, dp = _GRID_SPEC["delta"]
+    (ll_lam, ll_phi), (dl, dp) = ll, delta
     lon_sql = lon_band_sql(PID_SQL, -2900, 5800)       # lon in [-29, 29)
-    lat_sql = f"(3100 + (({PID_SQL}) * {LAT_MUL}) %% 3800) / 1.0e2".replace("%%", "%")
-    vlam = "CAST((({i}) * 7 + ({j}) * 13) % 101 - 50 AS DOUBLE) * {amp}".replace("{amp}", _R(_GRID_AMP))
-    vphi = "CAST((({i}) * 11 + ({j}) * 17) % 89 - 44 AS DOUBLE) * {amp}".replace("{amp}", _R(_GRID_AMP))
-
+    lat_sql = f"(3100 + (({PID_SQL}) * {LAT_MUL}) % 3800) / 1.0e2"
     return f"""
     WITH pts AS (
       SELECT {PID_SQL} AS pid,
@@ -1658,7 +1658,14 @@ def _gridshift_sql():
              tbl / {_R(dl)} - floor(tbl / {_R(dl)}) AS fl,
              tbp / {_R(dp)} - floor(tbp / {_R(dp)}) AS fp
       FROM tb
-    )
+    )"""
+
+
+def _gridshift_sql():
+    vlam = "CAST((({i}) * 7 + ({j}) * 13) % 101 - 50 AS DOUBLE) * {amp}".replace("{amp}", _R(_GRID_AMP))
+    vphi = "CAST((({i}) * 11 + ({j}) * 17) % 89 - 44 AS DOUBLE) * {amp}".replace("{amp}", _R(_GRID_AMP))
+
+    return f"""{_grid_cells_cte(_GRID_SPEC["ll"], _GRID_SPEC["delta"])}
     SELECT pid,
       (lam - ({_bilinear_sql(vlam)})) * {_R(RAD_TO_DEG)} AS lon_shifted,
       (phi + ({_bilinear_sql(vphi)})) * {_R(RAD_TO_DEG)} AS lat_shifted
@@ -1705,12 +1712,6 @@ _CATALOG_DATE = 2004.0
 
 def _catalog_sql():
     from ..crs import dmstor
-    from ..kernels.common import PI
-
-    ll_lam, ll_phi = _GRID_SPEC["ll"]
-    dl, dp = _GRID_SPEC["delta"]
-    lon_sql = lon_band_sql(PID_SQL, -2900, 5800)
-    lat_sql = f"(3100 + (({PID_SQL}) * {LAT_MUL}) % 3800) / 1.0e2"
 
     def node(name, plane):
         a, b, m, o = _GRID_FORMULAS[name][plane]
@@ -1738,25 +1739,7 @@ def _catalog_sql():
 
     lam_b, lam_c = mixed(0, "-")
     phi_b, phi_c = mixed(1, "+")
-    return f"""
-    WITH pts AS (
-      SELECT {PID_SQL} AS pid,
-             ({lon_sql}) * {DEG_TO_RAD_LIT} AS lam,
-             ({lat_sql}) * {DEG_TO_RAD_LIT} AS phi
-      FROM lineitem
-    ), tb AS (
-      SELECT pid, lam, phi,
-             ((lam - {_R(ll_lam)}) - {_R(PI)}) + {_R(PI)} AS tbl,
-             phi - {_R(ll_phi)} AS tbp
-      FROM pts
-    ), idx AS (
-      SELECT pid, lam, phi,
-             CAST(floor(tbl / {_R(dl)}) AS BIGINT) AS il,
-             CAST(floor(tbp / {_R(dp)}) AS BIGINT) AS ip,
-             tbl / {_R(dl)} - floor(tbl / {_R(dl)}) AS fl,
-             tbp / {_R(dp)} - floor(tbp / {_R(dp)}) AS fp
-      FROM tb
-    )
+    return f"""{_grid_cells_cte(_GRID_SPEC["ll"], _GRID_SPEC["delta"])}
     SELECT pid,
       (CASE WHEN lam <= {ur_b} THEN {lam_b} ELSE {lam_c} END) * {_R(RAD_TO_DEG)} AS lon_shifted,
       (CASE WHEN lam <= {ur_b} THEN {phi_b} ELSE {phi_c} END) * {_R(RAD_TO_DEG)} AS lat_shifted
@@ -1819,13 +1802,10 @@ def _lla_synth_text():
 
 def _lla_gridshift_sql():
     from ..kernels.common import DEG_TO_RAD as _D2R
-    from ..kernels.common import PI
 
     # identical doubles to parse_lla's float(token) * DEG_TO_RAD
-    ll_lam, ll_phi = -30.0 * _D2R, 30.0 * _D2R
-    dl = dp = 0.5 * _D2R
-    lon_sql = lon_band_sql(PID_SQL, -2900, 5800)       # lon in [-29, 29)
-    lat_sql = f"(3100 + (({PID_SQL}) * {LAT_MUL}) % 3800) / 1.0e2"
+    ll = (-30.0 * _D2R, 30.0 * _D2R)
+    delta = (0.5 * _D2R, 0.5 * _D2R)
     # the compiled node: int closed form -> double -> *U_SEC_TO_RAD ->
     # float32 (CTABLE2 storage) -> widened back to double by nad_intr
     vlam = ("CAST(CAST(CAST(((({i}) * 7 + ({j}) * 13) % 101 - 50)"
@@ -1835,25 +1815,7 @@ def _lla_gridshift_sql():
             f" * {_LLA_SCALE} AS DOUBLE) * {_LLA_USEC_LIT} AS REAL)"
             " AS DOUBLE)")
 
-    return f"""
-    WITH pts AS (
-      SELECT {PID_SQL} AS pid,
-             ({lon_sql}) * {DEG_TO_RAD_LIT} AS lam,
-             ({lat_sql}) * {DEG_TO_RAD_LIT} AS phi
-      FROM lineitem
-    ), tb AS (
-      SELECT pid, lam, phi,
-             ((lam - {_R(ll_lam)}) - {_R(PI)}) + {_R(PI)} AS tbl,
-             phi - {_R(ll_phi)} AS tbp
-      FROM pts
-    ), idx AS (
-      SELECT pid, lam, phi,
-             CAST(floor(tbl / {_R(dl)}) AS BIGINT) AS il,
-             CAST(floor(tbp / {_R(dp)}) AS BIGINT) AS ip,
-             tbl / {_R(dl)} - floor(tbl / {_R(dl)}) AS fl,
-             tbp / {_R(dp)} - floor(tbp / {_R(dp)}) AS fp
-      FROM tb
-    )
+    return f"""{_grid_cells_cte(ll, delta)}
     SELECT pid,
       (lam - ({_bilinear_sql(vlam)})) * {_R(RAD_TO_DEG)} AS lon_shifted,
       (phi + ({_bilinear_sql(vphi)})) * {_R(RAD_TO_DEG)} AS lat_shifted

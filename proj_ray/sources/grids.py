@@ -278,17 +278,54 @@ def read_any_grid(path: str):
     return [read_gtx(path)]
 
 
+def find_lib_file(name: str):
+    """pj_open_lib's search (src/pj_open_lib.c:41-176) for grid and grid
+    catalog files: ``name`` as given if that file exists, else
+    ``$PROJ_LIB/name``; None when neither does.  ``+init`` files keep
+    their own rule (``crs.CRS``)."""
+    if os.path.isfile(name):
+        return name
+    proj_lib = os.environ.get("PROJ_LIB")
+    if proj_lib and os.path.isfile(os.path.join(proj_lib, name)):
+        return os.path.join(proj_lib, name)
+    return None
+
+
+def load_grids(name: str, cache=None):
+    """Grid name -> the file's top-level grids in file order (an NTv2
+    file's siblings, the reference's ``gi->next`` chain), or None when
+    ``find_lib_file`` finds no file.  ``cache`` maps absolute paths to
+    grids already read."""
+    from ..log import PJ_LOG_DEBUG_MAJOR, pj_log
+
+    path = find_lib_file(name)
+    if path is None:
+        pj_log(PJ_LOG_DEBUG_MAJOR, f"grid {name!r} not found in search path")
+        return None
+    cache = {} if cache is None else cache
+    key = os.path.abspath(path)
+    if key not in cache:
+        cache[key] = read_any_grid(path)
+        pj_log(PJ_LOG_DEBUG_MAJOR, f"loaded grid {path}")
+    return cache[key]
+
+
+_GRID_FILE_CACHE: dict = {}
+
+
+def default_grid_loader(name):
+    """The ``grid_loader`` of a Transform given none: ``load_grids`` with
+    the grids cached per path for the process (the reference caches
+    per-ctx gridinfo the same way, src/pj_gridinfo.c)."""
+    return load_grids(name, _GRID_FILE_CACHE)
+
+
 def dir_grid_loader(grid_dir: str):
     """A ``grid_loader`` for Transform/nadgrids resolving names against a
     directory of grid files (any supported format)."""
     def loader(name):
-        p = os.path.join(grid_dir, name)
-        if not os.path.exists(p):
-            return None
-        grids = read_any_grid(p)
-        # multiple top-level subgrids become consecutive gridlist
-        # entries (the reference's gi->next sibling chain)
-        return grids[0] if len(grids) == 1 else grids
+        grids = load_grids(os.path.join(grid_dir, name))
+        return grids[0] if grids is not None and len(grids) == 1 else grids
     return loader
 
 

@@ -51,25 +51,22 @@ class PIPJoinActor:
     1,500-polygon benchmark set pickles to about 0.8 MB in about a
     millisecond, so there is nothing to gain from shipping it another
     way. The instance form avoids actor startup latency and scales with
-    the task pool. Emits one output row per (point, containing polygon):
-    ``id_cols`` + ``polygon_id``.
+    the task pool. Reads the ``lon``/``lat`` columns and emits one output
+    row per (point, containing polygon): ``id_cols`` + ``polygon_id``.
 
     ``zoom`` and ``index`` are accepted and ignored: they chose among
     probe paths that no longer exist, and the benchmark scripts still
     pass them; the next change to the benchmark drops them.
     """
 
-    def __init__(self, poly_defs, lon_col="lon", lat_col="lat",
-                 id_cols=("pid",), zoom=None, index=None):
+    def __init__(self, poly_defs, id_cols=("pid",), zoom=None, index=None):
         self.polygons = PolygonSet(poly_defs)
         self.polygon_ids = pa.array(self.polygons.ids, pa.string())
-        self.lon_col = lon_col
-        self.lat_col = lat_col
         self.id_cols = id_cols
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon = batch[self.lon_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
-        lat = batch[self.lat_col].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        lon = batch["lon"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+        lat = batch["lat"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
         pt_idx, poly_idx = self.polygons.join(lon, lat)
         pt_idx = pa.array(pt_idx, pa.int64())
         cols = {c: batch[c].take(pt_idx)

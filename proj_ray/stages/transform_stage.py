@@ -23,23 +23,17 @@ class TransformStage:
     once in ``__init__``: call it in process (the benchmark's in-process
     replay does), pass an instance to ``map_batches`` (a task pool), or
     pass the class with ``fn_constructor_kwargs`` (an actor pool, one
-    compile per actor). Appends ``out_x``/``out_y`` (and ``out_z`` when
-    given) to the batch."""
+    compile per actor). Reads the ``lon``/``lat`` columns and appends
+    ``out_x``/``out_y`` to the batch."""
 
-    def __init__(self, src_def, dst_def, lon_col="lon", lat_col="lat",
-                 z_col=None, out_x="x", out_y="y", out_z=None):
+    def __init__(self, src_def, dst_def, out_x="x", out_y="y"):
         self.t = make_transform(src_def, dst_def)
-        self.cols = (lon_col, lat_col, z_col, out_x, out_y, out_z)
+        self.out_x, self.out_y = out_x, out_y
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        lon_col, lat_col, z_col, out_x, out_y, out_z = self.cols
-
         def col(c):
             return batch[c].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
 
-        x, y, zo = self.t(col(lon_col), col(lat_col), col(z_col) if z_col else None)
-        out = batch.append_column(out_x, pa.array(x, pa.float64()))
-        out = out.append_column(out_y, pa.array(y, pa.float64()))
-        if out_z:
-            out = out.append_column(out_z, pa.array(zo, pa.float64()))
-        return out
+        x, y, _ = self.t(col("lon"), col("lat"))
+        out = batch.append_column(self.out_x, pa.array(x, pa.float64()))
+        return out.append_column(self.out_y, pa.array(y, pa.float64()))

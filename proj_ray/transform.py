@@ -28,6 +28,8 @@ bad points flow through as inf and are surfaced as nulls at the sink
 
 from __future__ import annotations
 
+import errno
+
 import numpy as np
 
 from .crs import CRS, PJD_3PARAM, PJD_7PARAM, PJD_GRIDSHIFT, PJD_UNKNOWN
@@ -46,128 +48,60 @@ from .kernels.geocent import (
     helmert_from_wgs84,
     helmert_to_wgs84,
 )
-from .kernels.grid import apply_gridshift, gridlist_from_nadgrids
+from .kernels.grid import apply_gridshift, apply_vgridshift, gridlist_from_nadgrids
 from .kernels.projections import generic_fwd, generic_inv
+from .sources.grids import default_grid_loader, find_lib_file
+
+# axis letter -> (canonical enu slot, sign), src/pj_transform.c:728-825
+_AXIS = {"e": (0, 1), "w": (0, -1), "n": (1, 1), "s": (1, -1),
+         "u": (2, 1), "d": (2, -1)}
 
 
 def _adjust_axis(axis, denormalize, x, y, z):
-    """src/pj_transform.c:728-825 vectorized."""
-    ins = (x, y, z)
-    outs = [x.copy(), y.copy(), z.copy()]
-    if not denormalize:
-        # positional value i (meaning axis[i]) lands on its canonical slot
-        for i_axis, ch in enumerate(axis):
-            v = ins[i_axis]
-            if ch == "e":
-                outs[0] = v.copy()
-            elif ch == "w":
-                outs[0] = -v
-            elif ch == "n":
-                outs[1] = v.copy()
-            elif ch == "s":
-                outs[1] = -v
-            elif ch == "u":
-                outs[2] = v.copy()
-            elif ch == "d":
-                outs[2] = -v
-    else:
-        # canonical enu values are rearranged into the declared axis order
-        for i_axis, ch in enumerate(axis):
-            if ch == "e":
-                outs[i_axis] = ins[0].copy()
-            elif ch == "w":
-                outs[i_axis] = -ins[0]
-            elif ch == "n":
-                outs[i_axis] = ins[1].copy()
-            elif ch == "s":
-                outs[i_axis] = -ins[1]
-            elif ch == "u":
-                outs[i_axis] = ins[2].copy()
-            elif ch == "d":
-                outs[i_axis] = -ins[2]
+    """Normalize the declared axis order to enu, or (``denormalize``)
+    put enu values back into it."""
+    ins, outs = (x, y, z), [x, y, z]
+    for i, ch in enumerate(axis):
+        slot, sign = _AXIS[ch]
+        src, dst = (slot, i) if denormalize else (i, slot)
+        outs[dst] = ins[src] if sign > 0 else -ins[src]
     return outs[0], outs[1], outs[2]
 
 
-def _load_catalog(catalog_name, grid_loader=None):
-    """Resolve and read a dated grid catalog CSV (+catalog=...).
-
-    Path resolution follows pj_open_lib: the name as given if it exists,
-    else relative to $PROJ_LIB.  Grid names inside the CSV resolve via
-    ``grid_loader`` when supplied, else against the catalog's own
-    directory (read_any_grid sniffs CTABLE2/NTv1/NTv2/GTX)."""
-    import os
-
+def _load_catalog(catalog_name, grid_loader):
+    """Read a dated grid catalog CSV (+catalog=...), found like a grid
+    file; the grid names inside it resolve through ``grid_loader``."""
     from .kernels.gridcatalog import read_catalog_csv
-    from .sources.grids import read_any_grid
 
-    path = catalog_name
-    if not os.path.isfile(path):
-        proj_lib = os.environ.get("PROJ_LIB")
-        if proj_lib and os.path.isfile(os.path.join(proj_lib, catalog_name)):
-            path = os.path.join(proj_lib, catalog_name)
-        else:
-            # the C's pj_gc_readcatalog fails on the raw fopen and
-            # leaves the POSITIVE system errno (ENOENT) in pj_errno —
-            # pj_strerrno then prints 'no system list, errno: 2'
-            import errno as _errno
-
-            raise FileNotFoundError(
-                _errno.ENOENT, f"grid catalog {catalog_name!r} (2)")
-    base = os.path.dirname(os.path.abspath(path))
-    loader = grid_loader or (lambda name: read_any_grid(os.path.join(base, name))[0])
-    return read_catalog_csv(path, loader)
-
-
-_GRID_FILE_CACHE: dict = {}
-
-
-def default_grid_loader(name):
-    """pj_open_lib-style grid resolution (src/pj_open_lib.c): the name
-    as given (absolute / cwd-relative) if it exists, else relative to
-    $PROJ_LIB.  Parsed grids are cached per path (the reference caches
-    per-ctx gridinfo the same way, src/pj_gridinfo.c).  Returns None
-    for missing files — gridlist_from_nadgrids turns that into the
-    -38 error unless the grid was marked '@optional'."""
-    import os
-
-    from .sources.grids import read_any_grid
-
-    candidates = [name]
-    proj_lib = os.environ.get("PROJ_LIB")
-    if proj_lib:
-        candidates.append(os.path.join(proj_lib, name))
-    from .log import PJ_LOG_DEBUG_MAJOR, pj_log
-
-    for path in candidates:
-        if os.path.isfile(path):
-            key = os.path.abspath(path)
-            if key not in _GRID_FILE_CACHE:
-                _GRID_FILE_CACHE[key] = read_any_grid(path)[0]
-                pj_log(PJ_LOG_DEBUG_MAJOR, f"loaded grid {path}")
-            return _GRID_FILE_CACHE[key]
-    pj_log(PJ_LOG_DEBUG_MAJOR, f"grid {name!r} not found in search path")
-    return None
+    path = find_lib_file(catalog_name)
+    if path is None:
+        # the C's pj_gc_readcatalog fails on the raw fopen and
+        # leaves the POSITIVE system errno (ENOENT) in pj_errno —
+        # pj_strerrno then prints 'no system list, errno: 2'
+        raise FileNotFoundError(errno.ENOENT, f"grid catalog {catalog_name!r} (2)")
+    return read_catalog_csv(path, grid_loader)
 
 
 class Transform:
     """Compiled (src, dst) transform. Call with float64 arrays.
 
-    ``degrees=True`` treats latlong-CRS coordinates as degrees on both
-    ends (the cs2cs text boundary, src/cs2cs.c:138-141); internally
-    everything is radians, matching the reference.
+    Latlong-CRS coordinates are degrees on both ends (the cs2cs text
+    boundary, src/cs2cs.c:138-141); internally everything is radians,
+    matching the reference.  No step writes the caller's arrays; a z
+    that no step changes comes back as the array passed in.
     """
 
-    def __init__(self, src, dst, grid_loader=None, vgrid_loader=None):
+    def __init__(self, src, dst, grid_loader=None):
         self.src = src if isinstance(src, CRS) else CRS(src)
         self.dst = dst if isinstance(dst, CRS) else CRS(dst)
-        self._src_grids = None
-        self._dst_grids = None
-        self._src_catalog = self._dst_catalog = None
-        self._grid_loader = grid_loader
-        # injected loaders (fixtures) stay exclusive; otherwise fall
-        # back to pj_open_lib-style PROJ_LIB resolution
-        vgrid_loader = vgrid_loader or grid_loader or default_grid_loader
-        grid_loader = grid_loader or default_grid_loader
+        # injected loaders (fixtures) stay exclusive; otherwise grids
+        # resolve pj_open_lib-style (sources.grids.load_grids)
+        loader = grid_loader or default_grid_loader
+        # the datum step is elided for unknown or equal datums
+        # (pj_datum_transform, src/pj_transform.c:602-720)
+        self._skip_datum = (self.src.datum_type == PJD_UNKNOWN
+                            or self.dst.datum_type == PJD_UNKNOWN
+                            or self.src.same_datum(self.dst))
         # the C loads grids LAZILY at the first transform
         # (pj_apply_gridshift.c / pj_gridlist.c): a same-datum pipeline
         # never loads them at all, and a missing mandatory grid fails
@@ -177,11 +111,10 @@ class Transform:
         # lane_errno — every lane of the failing step goes HUGE and
         # the CLI reports 'pj_transform(): <cause>' per line.
         self.lane_errno = None
-        self._h_fail = self._v_fail = False
 
-        def _lazy(load):
+        def _lazy(load, *args):
             try:
-                return load(), False
+                return load(*args), False
             except (ValueError, FileNotFoundError, OSError) as exc:
                 from .errors import errno_from_exception
 
@@ -195,63 +128,51 @@ class Transform:
                     self.lane_errno = code or -38
                 return None, True
 
-        elide = (self.src.datum_type == PJD_UNKNOWN
-                 or self.dst.datum_type == PJD_UNKNOWN
-                 or self.src.same_datum(self.dst))
-        if not elide and self.src.datum_type == PJD_GRIDSHIFT:
-            if getattr(self.src, "catalog_name", None):
-                self._src_catalog, f = _lazy(
-                    lambda: _load_catalog(self.src.catalog_name, grid_loader))
-            else:
-                self._src_grids, f = _lazy(
-                    lambda: gridlist_from_nadgrids(self.src.nadgrids,
-                                                   grid_loader))
-            self._h_fail |= f
-        if not elide and self.dst.datum_type == PJD_GRIDSHIFT:
-            if getattr(self.dst, "catalog_name", None):
-                self._dst_catalog, f = _lazy(
-                    lambda: _load_catalog(self.dst.catalog_name, grid_loader))
-            else:
-                self._dst_grids, f = _lazy(
-                    lambda: gridlist_from_nadgrids(self.dst.nadgrids,
-                                                   grid_loader))
-            self._h_fail |= f
-        # vertical geoid grids (+geoidgrids, steps 5/7 of pj_transform;
-        # never elided — both steps always run when configured)
-        self._src_vgrids = self._dst_vgrids = None
-        vloader = vgrid_loader or grid_loader
-        if getattr(self.src, "has_geoid_vgrids", False):
-            self._src_vgrids, f = _lazy(
-                lambda: gridlist_from_nadgrids(self.src.geoidgrids, vloader))
-            self._v_fail |= f
-        if getattr(self.dst, "has_geoid_vgrids", False):
-            self._dst_vgrids, f = _lazy(
-                lambda: gridlist_from_nadgrids(self.dst.geoidgrids, vloader))
-            self._v_fail |= f
+        # per side (src, dst): the datum step's grid list (a GridCatalog
+        # for +catalog), then the geoid step's (+geoidgrids, steps 5/7
+        # of pj_transform; never elided)
+        self._hgrids, self._vgrids = [None, None], [None, None]
+        failed = [False, False]
+        for vertical, grids in ((False, self._hgrids), (True, self._vgrids)):
+            for side, crs in enumerate((self.src, self.dst)):
+                if vertical:
+                    if crs.geoidgrids is None:
+                        continue
+                    load, name = gridlist_from_nadgrids, crs.geoidgrids
+                elif self._skip_datum or crs.datum_type != PJD_GRIDSHIFT:
+                    continue
+                elif crs.catalog_name:
+                    load, name = _load_catalog, crs.catalog_name
+                else:
+                    load, name = gridlist_from_nadgrids, crs.nadgrids
+                grids[side], f = _lazy(load, name, loader)
+                failed[vertical] |= f
+        self._h_fail, self._v_fail = failed
 
     # -- datum step (src/pj_transform.c:602-720) ------------------------
+    def _grid_shift(self, side, inverse, x, y):
+        grids = self._hgrids[side]
+        if isinstance(grids, list):
+            return apply_gridshift(grids, inverse, x, y)
+        return grids.apply((self.src, self.dst)[side].datum_date, inverse, x, y)
+
     def _datum_transform(self, x, y, z):
         src, dst = self.src, self.dst
-        if src.datum_type == PJD_UNKNOWN or dst.datum_type == PJD_UNKNOWN:
-            return x, y, z
-        if src.same_datum(dst):
+        if self._skip_datum:
             return x, y, z
         if self._h_fail:
             # deferred grid-load failure: every lane errors like the
             # C's per-point pj_transform() -38; z stays untouched (the
             # C aborts the point before any z step runs — cs2cs then
             # prints the ORIGINAL z, cs2cs.c:150-155)
-            bad = np.full_like(np.asarray(x, dtype=np.float64), HUGE)
+            bad = np.full_like(x, HUGE)
             return bad, bad.copy(), z
 
         src_a, src_es = src.a_orig, src.es_orig
         dst_a, dst_es = dst.a_orig, dst.es_orig
 
         if src.datum_type == PJD_GRIDSHIFT:
-            if self._src_catalog is not None:
-                x, y = self._src_catalog.apply(src.datum_date, False, x, y)
-            else:
-                x, y = apply_gridshift(self._src_grids, False, x, y)
+            x, y = self._grid_shift(0, False, x, y)
             src_a = SRS_WGS84_SEMIMAJOR
             src_es = SRS_WGS84_ESQUARED
         if dst.datum_type == PJD_GRIDSHIFT:
@@ -271,23 +192,19 @@ class Transform:
             x, y, z = geocentric_to_geodetic(dst_a, dst_es, x, y, z)
 
         if dst.datum_type == PJD_GRIDSHIFT:
-            if self._dst_catalog is not None:
-                x, y = self._dst_catalog.apply(dst.datum_date, True, x, y)
-            else:
-                x, y = apply_gridshift(self._dst_grids, True, x, y)
+            x, y = self._grid_shift(1, True, x, y)
         return x, y, z
 
     # -------------------------------------------------------------------
-    def __call__(self, x, y, z=None, degrees=True):
+    def __call__(self, x, y, z=None):
         src, dst = self.src, self.dst
-        x = np.asarray(x, dtype=np.float64).copy()
-        y = np.asarray(y, dtype=np.float64).copy()
-        z = (np.zeros_like(x) if z is None
-             else np.asarray(z, dtype=np.float64).copy())
+        x = np.asarray(x, dtype=np.float64)
+        y = np.asarray(y, dtype=np.float64)
+        z = np.zeros_like(x) if z is None else np.asarray(z, dtype=np.float64)
 
-        if degrees and src.is_latlong:
-            x *= DEG_TO_RAD
-            y *= DEG_TO_RAD
+        if src.is_latlong:
+            x = x * DEG_TO_RAD
+            y = y * DEG_TO_RAD
 
         # 1. axis normalization
         if src.axis != "enu":
@@ -312,17 +229,13 @@ class Transform:
             # deferred vgrid failure: x/y poisoned, original z kept
             x = np.full_like(x, HUGE)
             y = np.full_like(y, HUGE)
-        if self._src_vgrids:
-            from .kernels.grid import apply_vgridshift
-
-            z, _ok = apply_vgridshift(self._src_vgrids, False, x, y, z)
+        if self._vgrids[0]:
+            z, _ok = apply_vgridshift(self._vgrids[0], False, x, y, z)
         # 6. datum transform
         x, y, z = self._datum_transform(x, y, z)
         # 7. dst geoid vertical shift (inverse)
-        if self._dst_vgrids:
-            from .kernels.grid import apply_vgridshift
-
-            z, _ok = apply_vgridshift(self._dst_vgrids, True, x, y, z)
+        if self._vgrids[1]:
+            z, _ok = apply_vgridshift(self._vgrids[1], True, x, y, z)
         # 8. - dst prime meridian
         if dst.from_greenwich != 0.0:
             x = np.where(np.isfinite(x), x - dst.from_greenwich, x)
@@ -339,10 +252,10 @@ class Transform:
             # 10. lon_wrap recentering (src/pj_transform.c:332-344)
             ok = np.isfinite(x)
             c = dst.long_wrap_center
-            xv = x[ok]
+            xv = np.where(ok, x, c)
             xv = xv + TWOPI * np.ceil(np.maximum(0.0, (c - PI - xv)) / TWOPI)
             xv = xv - TWOPI * np.ceil(np.maximum(0.0, (xv - (c + PI))) / TWOPI)
-            x[ok] = xv
+            x = np.where(ok, xv, x)
         # 11. vertical units back
         if dst.vto_meter != 1.0:
             z = z * dst.vfr_meter
@@ -350,7 +263,7 @@ class Transform:
         if dst.axis != "enu":
             x, y, z = _adjust_axis(dst.axis, True, x, y, z)
 
-        if degrees and dst.is_latlong:
+        if dst.is_latlong:
             ok = np.isfinite(x) & np.isfinite(y)
             x = np.where(ok, x * RAD_TO_DEG, HUGE)
             y = np.where(ok, y * RAD_TO_DEG, HUGE)
