@@ -40,9 +40,10 @@ def parse_catalog_date(date_string: str) -> float:
 
 
 class CatalogEntry:
-    """One dated catalog row: (grid, region bbox radians, date, priority)."""
+    """One dated catalog row: (grid, region bbox radians, date, priority);
+    ``grid`` is None when the row's grid file could not be loaded."""
 
-    def __init__(self, grid: ShiftGrid, region, date, priority=0):
+    def __init__(self, grid: ShiftGrid | None, region, date, priority=0):
         self.grid = grid
         self.region = tuple(float(v) for v in region)  # (ll_lam, ll_phi, ur_lam, ur_phi)
         self.date = parse_catalog_date(date) if isinstance(date, str) else float(date)
@@ -80,53 +81,53 @@ class GridCatalog:
             todo[sel] = False
         return out, dates
 
+    def _shift(self, idx, sel, inverse, lam, phi):
+        """Each lane of ``sel`` through its entry ``idx``'s grid (HUGE
+        where nad_cvt finds no cell), and the mask of the lanes whose
+        entry has no grid."""
+        out_lam = np.full_like(lam, HUGE)
+        out_phi = np.full_like(phi, HUGE)
+        missing = np.zeros(lam.shape, dtype=bool)
+        for k in np.unique(idx[sel]):
+            ids = np.flatnonzero(sel & (idx == k))
+            grid = self.entries[k].grid
+            if grid is None:
+                missing[ids] = True
+                continue
+            out_lam[ids], out_phi[ids] = nad_cvt(lam[ids], phi[ids], grid, inverse)
+        return out_lam, out_phi, missing
+
     def apply(self, date: float, inverse: bool, lam, phi):
         """Vectorized pj_gc_apply_gridshift. Returns shifted (lam, phi);
-        points with no matching 'after' grid pass through unshifted."""
-        lam = np.asarray(lam, dtype=np.float64).copy()
-        phi = np.asarray(phi, dtype=np.float64).copy()
-        ok_in = np.isfinite(lam)
+        points with no matching 'after' grid pass through unshifted.
+        A point whose matching entry names a grid file that could not
+        be loaded comes back HUGE, the reference's -38
+        (PJD_ERR_FAILED_TO_LOAD_GRID, src/pj_gridcatalog.c:137-152)."""
+        lam = np.asarray(lam, dtype=np.float64)
+        phi = np.asarray(phi, dtype=np.float64)
 
         after_idx, after_dates = self._find(True, lam, phi, date)
-        out_lam = lam.copy()
-        out_phi = phi.copy()
-
-        groups = {}
-        for k in np.unique(after_idx):
-            if k < 0:
-                continue
-            groups[k] = np.flatnonzero((after_idx == k) & ok_in)
-        after_lam = np.full_like(lam, HUGE)
-        after_phi = np.full_like(phi, HUGE)
-        for k, ids in groups.items():
-            al, ap = nad_cvt(lam[ids], phi[ids], self.entries[k].grid, inverse)
-            after_lam[ids] = al
-            after_phi[ids] = ap
+        after_lam, after_phi, missing = self._shift(
+            after_idx, (after_idx >= 0) & np.isfinite(lam), inverse, lam, phi)
         got_after = np.isfinite(after_lam)
 
         if date == 0.0:
-            out_lam[got_after] = after_lam[got_after]
-            out_phi[got_after] = after_phi[got_after]
-            return out_lam, out_phi
-
-        before_idx, before_dates = self._find(False, lam, phi, date)
-        before_lam = np.full_like(lam, HUGE)
-        before_phi = np.full_like(phi, HUGE)
-        for k in np.unique(before_idx):
-            if k < 0:
-                continue
-            ids = np.flatnonzero((before_idx == k) & got_after)
-            if ids.size:
-                bl, bp = nad_cvt(lam[ids], phi[ids], self.entries[k].grid, inverse)
-                before_lam[ids] = bl
-                before_phi[ids] = bp
-        got_both = got_after & np.isfinite(before_lam)
-
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mix = (date - before_dates) / (after_dates - before_dates)
-        sel = got_both
-        out_lam[sel] = mix[sel] * after_lam[sel] + (1.0 - mix[sel]) * before_lam[sel]
-        out_phi[sel] = mix[sel] * after_phi[sel] + (1.0 - mix[sel]) * before_phi[sel]
+            sel = got_after
+            new_lam, new_phi = after_lam[sel], after_phi[sel]
+        else:
+            before_idx, before_dates = self._find(False, lam, phi, date)
+            before_lam, before_phi, missing_before = self._shift(
+                before_idx, (before_idx >= 0) & got_after, inverse, lam, phi)
+            missing |= missing_before
+            sel = got_after & np.isfinite(before_lam)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                mix = ((date - before_dates) / (after_dates - before_dates))[sel]
+            new_lam = mix * after_lam[sel] + (1.0 - mix) * before_lam[sel]
+            new_phi = mix * after_phi[sel] + (1.0 - mix) * before_phi[sel]
+        out_lam, out_phi = lam.copy(), phi.copy()
+        out_lam[sel], out_phi[sel] = new_lam, new_phi
+        out_lam[missing] = HUGE
+        out_phi[missing] = HUGE
         return out_lam, out_phi
 
 
@@ -155,7 +156,10 @@ def read_catalog_csv(path, grid_loader):
     - like the C loop (``while readentry == 0``), reading STOPS at the
       first short (<5 token) line.
 
-    ``grid_loader(name)`` maps the gridname token to a loaded ShiftGrid.
+    ``grid_loader(name)`` maps the gridname token to a loaded ShiftGrid,
+    or None when the file is missing; such an entry keeps ``grid=None``
+    (the reference loads an entry's grid only when a point selects it)
+    and ``GridCatalog.apply`` fails the points that select it.
     Returns a GridCatalog.
     """
     from ..crs import dmstor

@@ -202,71 +202,74 @@ class Transform:
         y = np.asarray(y, dtype=np.float64)
         z = np.zeros_like(x) if z is None else np.asarray(z, dtype=np.float64)
 
-        if src.is_latlong:
-            x = x * DEG_TO_RAD
-            y = y * DEG_TO_RAD
+        # NaN/inf lanes come out HUGE (the per-lane error sentinel), so
+        # the invalid-value warnings their kernel steps raise say nothing
+        with np.errstate(invalid="ignore"):
+            if src.is_latlong:
+                x = x * DEG_TO_RAD
+                y = y * DEG_TO_RAD
 
-        # 1. axis normalization
-        if src.axis != "enu":
-            x, y, z = _adjust_axis(src.axis, False, x, y, z)
-        # 2. vertical units
-        if src.vto_meter != 1.0:
-            z = z * src.vto_meter
-        # 3. to geodetic
-        if src.is_geocent:
-            if src.to_meter != 1.0:
+            # 1. axis normalization
+            if src.axis != "enu":
+                x, y, z = _adjust_axis(src.axis, False, x, y, z)
+            # 2. vertical units
+            if src.vto_meter != 1.0:
+                z = z * src.vto_meter
+            # 3. to geodetic
+            if src.is_geocent:
+                if src.to_meter != 1.0:
+                    ok = np.isfinite(x)
+                    x = np.where(ok, x * src.to_meter, x)
+                    y = np.where(ok, y * src.to_meter, y)
+                x, y, z = geocentric_to_geodetic(src.a_orig, src.es_orig, x, y, z)
+            elif not src.is_latlong:
+                x, y = generic_inv(src, x, y)
+            # 4. + src prime meridian
+            if src.from_greenwich != 0.0:
+                x = np.where(np.isfinite(x), x + src.from_greenwich, x)
+            # 5. source geoid -> ellipsoidal vertical shift (+geoidgrids)
+            if self._v_fail:
+                # deferred vgrid failure: x/y poisoned, original z kept
+                x = np.full_like(x, HUGE)
+                y = np.full_like(y, HUGE)
+            if self._vgrids[0]:
+                z, _ok = apply_vgridshift(self._vgrids[0], False, x, y, z)
+            # 6. datum transform
+            x, y, z = self._datum_transform(x, y, z)
+            # 7. dst geoid vertical shift (inverse)
+            if self._vgrids[1]:
+                z, _ok = apply_vgridshift(self._vgrids[1], True, x, y, z)
+            # 8. - dst prime meridian
+            if dst.from_greenwich != 0.0:
+                x = np.where(np.isfinite(x), x - dst.from_greenwich, x)
+            # 9. to destination
+            if dst.is_geocent:
+                x, y, z = geodetic_to_geocentric(dst.a_orig, dst.es_orig, x, y, z)
+                if dst.fr_meter != 1.0:
+                    ok = np.isfinite(x)
+                    x = np.where(ok, x * dst.fr_meter, x)
+                    y = np.where(ok, y * dst.fr_meter, y)
+            elif not dst.is_latlong:
+                x, y = generic_fwd(dst, x, y)
+            elif dst.is_long_wrap_set:
+                # 10. lon_wrap recentering (src/pj_transform.c:332-344)
                 ok = np.isfinite(x)
-                x = np.where(ok, x * src.to_meter, x)
-                y = np.where(ok, y * src.to_meter, y)
-            x, y, z = geocentric_to_geodetic(src.a_orig, src.es_orig, x, y, z)
-        elif not src.is_latlong:
-            x, y = generic_inv(src, x, y)
-        # 4. + src prime meridian
-        if src.from_greenwich != 0.0:
-            x = np.where(np.isfinite(x), x + src.from_greenwich, x)
-        # 5. source geoid -> ellipsoidal vertical shift (+geoidgrids)
-        if self._v_fail:
-            # deferred vgrid failure: x/y poisoned, original z kept
-            x = np.full_like(x, HUGE)
-            y = np.full_like(y, HUGE)
-        if self._vgrids[0]:
-            z, _ok = apply_vgridshift(self._vgrids[0], False, x, y, z)
-        # 6. datum transform
-        x, y, z = self._datum_transform(x, y, z)
-        # 7. dst geoid vertical shift (inverse)
-        if self._vgrids[1]:
-            z, _ok = apply_vgridshift(self._vgrids[1], True, x, y, z)
-        # 8. - dst prime meridian
-        if dst.from_greenwich != 0.0:
-            x = np.where(np.isfinite(x), x - dst.from_greenwich, x)
-        # 9. to destination
-        if dst.is_geocent:
-            x, y, z = geodetic_to_geocentric(dst.a_orig, dst.es_orig, x, y, z)
-            if dst.fr_meter != 1.0:
-                ok = np.isfinite(x)
-                x = np.where(ok, x * dst.fr_meter, x)
-                y = np.where(ok, y * dst.fr_meter, y)
-        elif not dst.is_latlong:
-            x, y = generic_fwd(dst, x, y)
-        elif dst.is_long_wrap_set:
-            # 10. lon_wrap recentering (src/pj_transform.c:332-344)
-            ok = np.isfinite(x)
-            c = dst.long_wrap_center
-            xv = np.where(ok, x, c)
-            xv = xv + TWOPI * np.ceil(np.maximum(0.0, (c - PI - xv)) / TWOPI)
-            xv = xv - TWOPI * np.ceil(np.maximum(0.0, (xv - (c + PI))) / TWOPI)
-            x = np.where(ok, xv, x)
-        # 11. vertical units back
-        if dst.vto_meter != 1.0:
-            z = z * dst.vfr_meter
-        # 12. axis denormalization
-        if dst.axis != "enu":
-            x, y, z = _adjust_axis(dst.axis, True, x, y, z)
+                c = dst.long_wrap_center
+                xv = np.where(ok, x, c)
+                xv = xv + TWOPI * np.ceil(np.maximum(0.0, (c - PI - xv)) / TWOPI)
+                xv = xv - TWOPI * np.ceil(np.maximum(0.0, (xv - (c + PI))) / TWOPI)
+                x = np.where(ok, xv, x)
+            # 11. vertical units back
+            if dst.vto_meter != 1.0:
+                z = z * dst.vfr_meter
+            # 12. axis denormalization
+            if dst.axis != "enu":
+                x, y, z = _adjust_axis(dst.axis, True, x, y, z)
 
-        if dst.is_latlong:
-            ok = np.isfinite(x) & np.isfinite(y)
-            x = np.where(ok, x * RAD_TO_DEG, HUGE)
-            y = np.where(ok, y * RAD_TO_DEG, HUGE)
+            if dst.is_latlong:
+                ok = np.isfinite(x) & np.isfinite(y)
+                x = np.where(ok, x * RAD_TO_DEG, HUGE)
+                y = np.where(ok, y * RAD_TO_DEG, HUGE)
         return x, y, z
 
 

@@ -402,3 +402,46 @@ def test_catalog_datum_transform_e2e(tmp_path, monkeypatch):
     from proj_ray.crs import CRS
     c = CRS("+proj=latlong +nadgrids=@null +catalog=catalog.csv +ellps=WGS84")
     assert c.catalog_name is None
+
+
+@pytest.mark.parametrize("date", ["", " +date=2005.0"], ids=["no_date", "date_2005"])
+def test_catalog_missing_grid_fails_its_points(tmp_path, monkeypatch, date):
+    """A catalog entry whose grid file is missing fails the points that
+    select it with HUGE (pj_gc_apply_gridshift's -38,
+    src/pj_gridcatalog.c:137-152), as the 'after' or the 'before' grid;
+    every other point keeps the value the catalog without that entry
+    gives (shifted by its own grid, or passed through off every region)."""
+    from proj_ray.kernels.grid import write_ctable2
+    from proj_ray.transform import make_transform
+
+    d2r = np.pi / 180.0
+    for name, lon0, shift_sec in (("g2000.ct2", 20, 3.6), ("g2010.ct2", 20, 10.8),
+                                  ("w2010.ct2", -20, 10.8)):
+        cvs = np.zeros((11, 11, 2), dtype=np.float32)
+        cvs[..., 0] = shift_sec / 3600.0 * d2r
+        write_ctable2(str(tmp_path / name),
+                      ShiftGrid(name, (lon0 * d2r, -10 * d2r), (d2r, 2 * d2r),
+                                (11, 11), cvs))
+    head = "gridname,ll_long,ll_lat,ur_long,ur_lat,priority,date\n"
+    kept = "g2000.ct2,20,-10,30,10,0,2000.0\ng2010.ct2,20,-10,30,10,0,2010.0\n"
+    (tmp_path / "kept.csv").write_text(head + kept)
+    # without a date nope.ct2 is the 'after' grid of (0, 0) and (-15, 0);
+    # at 2005 it is the 'before' grid of (-15, 0), and (0, 0) has no
+    # 'after' grid and passes through
+    (tmp_path / "cat.csv").write_text(
+        head + "nope.ct2,-10,-10,10,10,0,2000.0\n"
+        "nope.ct2,-20,-10,-10,10,0,1990.0\n"
+        "w2010.ct2,-20,-10,-10,10,0,2010.0\n" + kept)
+    monkeypatch.setenv("PROJ_LIB", str(tmp_path))
+
+    lon = np.array([0.0, 25.0, 60.0, -15.0, 5.0])
+    lat = np.array([0.0, 0.0, 0.0, 0.0, 80.0])
+    x, y, _ = make_transform(f"+proj=latlong +catalog=cat.csv +ellps=WGS84{date}",
+                             "+proj=latlong +datum=WGS84")(lon, lat)
+    kx, ky, _ = make_transform(f"+proj=latlong +catalog=kept.csv +ellps=WGS84{date}",
+                               "+proj=latlong +datum=WGS84")(lon, lat)
+    failed = [not date, False, False, True, False]
+    assert np.array_equal(np.isinf(x), failed) and np.array_equal(np.isinf(y), failed)
+    ok = ~np.array(failed)
+    assert x[ok].tobytes() == kx[ok].tobytes() and y[ok].tobytes() == ky[ok].tobytes()
+    assert x[1] != 25.0  # shifted by g2000 / the g2000-g2010 mix

@@ -1,5 +1,8 @@
 """Transform compile and call contracts: one grid search for every way a
-grid is named, and no step writes the caller's arrays."""
+grid is named, no step writes the caller's arrays, and non-finite lanes
+raise no numpy warning."""
+
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +91,32 @@ def test_call_never_writes_its_inputs(tmp_path):
         out = t(*ins)
         assert [a.tobytes() for a in ins] == before, (src, dst)
         assert np.isfinite(out[0][:5]).any(), (src, dst)
+
+
+@pytest.mark.parametrize("src, dst, x, y", [
+    ("+init=epsg:4326", "+init=epsg:31467", (9.0, 10.5), (50.0, 52.0)),  # Helmert + tmerc
+    ("+init=epsg:32632", "+init=epsg:4326", (500e3, 650e3), (5.0e6, 5.5e6)),  # utm inverse
+    (WGS84, "+proj=geocent +datum=WGS84", (9.0, 10.5), (50.0, 52.0)),
+    ("+proj=geocent +datum=WGS84", "+init=epsg:31467", (4.0e6, 4.1e6), (6e5, 7e5)),
+    ("+proj=latlong +ellps=GRS80 +nadgrids=h.gsb", WGS84, (-5.0, 3.0), (45.0, 44.0)),
+    (WGS84, "+proj=latlong +ellps=GRS80 +nadgrids=h.gsb", (-5.0, 3.0), (45.0, 44.0)),
+], ids=["helmert7_tmerc", "utm_inv", "geocent_fwd", "geocent_inv", "ntv2_fwd", "ntv2_inv"])
+def test_nonfinite_lanes_raise_no_warning(tmp_path, src, dst, x, y):
+    """NaN and inf lanes come out HUGE without a numpy RuntimeWarning
+    (warnings are errors here), and the finite lanes beside them keep
+    the bytes they have in a call of their own."""
+    _pairs(tmp_path)  # writes h.gsb
+    t = make_transform(src, dst, grid_loader=dir_grid_loader(str(tmp_path)))
+    xs = np.array([*x, np.nan, np.inf, -np.inf, 1.0, x[0]])
+    ys = np.array([*y, 1.0, 1.0, 1.0, np.nan, np.inf])
+    zs = np.full(xs.size, 4.9e6) if t.src.is_geocent else None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = t(xs, ys, zs)
+        alone = t(xs[:2], ys[:2], None if zs is None else zs[:2])
+    for got, want in zip(out[:2], alone[:2]):
+        assert np.isinf(got[2:]).all(), (src, dst)
+        assert np.isfinite(want).all() and got[:2].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("axis, expect", [
