@@ -491,11 +491,14 @@ def _factors_text(P, lam, phi):
     return pc.if_else(pa.array(ok), text, pa.scalar("\t<* * * * * *>"))
 
 
-def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
-    """Best-effort per-point pj_transform errno for a failed lane
-    (cs2cs calls pj_transform one point at a time, so every failure
-    carries a cause, src/cs2cs.c:117-119).  The engine's vectorized
-    kernels mark bad lanes HUGE without a per-lane errno, so the
+def _pj_transform_lane_errno(transform: Transform, lane, lon_d, lat_d):
+    """Best-effort per-point pj_transform errno for lane ``lane`` of the
+    transform's last call, which failed (cs2cs calls pj_transform one
+    point at a time, so every failure carries a cause,
+    src/cs2cs.c:117-119).  The transform records the lanes that
+    selected a catalog entry without its grid (-38,
+    src/pj_gridcatalog.c:137-152).  The engine's vectorized kernels
+    mark other bad lanes HUGE without a per-lane errno, so the
     dominant causes are reconstructed from the inputs: the pj_fwd
     latitude range check (src/pj_fwd.c:12-14) and the tmerc/utm
     |lam| > pi/2 guard (src/PJ_tmerc.c:31-36, the only kernel that
@@ -503,6 +506,8 @@ def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
     default -20 (src/projects.h:337)."""
     from .kernels.common import adjlon as _adjlon
 
+    if transform.missing_grid is not None and transform.missing_grid[lane]:
+        return -38
     if transform.src.is_latlong and np.isfinite(lat_d):
         if abs(lat_d) * DEG_TO_RAD - HALFPI > 1e-12:
             return -14
@@ -520,11 +525,11 @@ def _pj_transform_lane_errno(transform: Transform, lon_d, lat_d):
     return -20
 
 
-def _lane_emess(stderr, transform, lon_d, lat_d, line_no,
+def _lane_emess(stderr, transform, lane, lon_d, lat_d, line_no,
                 file_name="<stdin>"):
     from .errors import pj_strerrno
 
-    code = _pj_transform_lane_errno(transform, lon_d, lat_d)
+    code = _pj_transform_lane_errno(transform, lane, lon_d, lat_d)
     emess(-3, f"pj_transform(): {pj_strerrno(code)}", "cs2cs", stderr,
           file_name, line_no)
 
@@ -568,7 +573,7 @@ def _cs2cs_chunk(chunk, transform, flags, stderr, base, file_name):
     # parse-failed lanes skip pj_transform entirely (cs2cs.c:108-117):
     # only transform failures emess
     for i in np.flatnonzero(~ok & np.isfinite(u) & np.isfinite(v)):
-        _lane_emess(stderr, transform, u[i], v[i], base + int(di[i]) + 1,
+        _lane_emess(stderr, transform, i, u[i], v[i], base + int(di[i]) + 1,
                     file_name)
     x, y = np.where(ok, x, 0.0), np.where(ok, y, 0.0)
     # cs2cs.c main: oform defaults to %.2f unless the output is latlong,

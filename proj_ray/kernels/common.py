@@ -6,7 +6,8 @@ imports**, mirroring the scalar helpers of the reference implementation:
 - ``adjlon``        <- reference src/adjlon.c:9-15
 - ``tsfn``          <- reference src/pj_tsfn.c:5-10
 - ``msfn``          <- reference src/pj_msfn.c:4-7
-- ``phi2``          <- reference src/pj_phi2.c:8-25 (masked iteration)
+- ``iterate_lanes`` <- the reference's per-point fixed-point loops, per lane
+- ``phi2``          <- reference src/pj_phi2.c:8-25
 - ``enfn/mlfn/inv_mlfn`` <- reference src/pj_mlfn.c:22-57
 - ``aasin/aacos/asqrt/aatan2`` <- reference src/aasincos.c:7-35
 
@@ -69,35 +70,92 @@ def msfn(sinphi: np.ndarray, cosphi: np.ndarray, es: float) -> np.ndarray:
     return cosphi / np.sqrt(1.0 - es * sinphi * sinphi)
 
 
+def settle(go, state, idx, lanes, rest):
+    """Write the stopping lanes (``~go``) of the compacted iterate
+    ``lanes`` back to the ``state`` arrays at ``idx``; return the
+    remaining lanes of ``idx``, ``lanes`` and ``rest`` (scalars in
+    ``rest`` pass through).  Integer indices, not boolean masks: a
+    scattered mask costs several times a ``take``."""
+    keep = np.flatnonzero(go)
+    stop = np.flatnonzero(~go)
+    at = idx.take(stop)
+    for s, v in zip(state, lanes):
+        s[at] = v.take(stop)
+    return (idx.take(keep), tuple(v.take(keep) for v in lanes),
+            tuple(r.take(keep) if np.ndim(r) else r for r in rest))
+
+
+def iterate_lanes(step, state, args, maxiter, active):
+    """Run the per-point fixed-point loop of the reference (pj_mlfn.c,
+    pj_phi2.c, geocent.c, the projections' Newton loops) over lanes.
+
+    ``step(*lanes, *args)`` maps the unsettled lanes' state and args to
+    ``(new_state, done)``.  ``state`` is one 1-D array or a tuple of
+    them, owned by the caller and updated in place: each lane of
+    ``active`` gets its iterate once, on the pass that settles it or
+    after the last of ``maxiter`` passes; other lanes stay untouched.
+    The loop works on the compacted unsettled lanes, and the array args
+    are gathered once (scalar args pass through).  While every lane
+    runs, ``step`` gets the caller's arrays themselves, so it must not
+    write its inputs.  Returns ``(state, converged)``; the caller keeps
+    its own rule for a lane that hit the cap.
+
+    Loops that keep their own code: robin's and natearth's inverses,
+    like the other loops that test ``np.all(done)``, stop all lanes
+    together, not lane by lane; ``karney._newton_inverse``
+    brackets its roots and its step depends on the pass number (it may
+    bisect only after ``_MAXIT1`` passes); ``grid.nad_cvt``'s last pass
+    fails its lanes without the convergence test (nad_cvt.c), though it
+    shares ``settle``; ``geodesic.vincenty_*`` is a kept reference.
+    """
+    single = isinstance(state, np.ndarray)
+    state = (state,) if single else tuple(state)
+    idx = np.flatnonzero(active)
+    if idx.size == active.size:
+        lanes = state
+    else:
+        lanes = tuple(s.take(idx) for s in state)
+        args = tuple(a.take(idx) if np.ndim(a) else a for a in args)
+    for _ in range(maxiter):
+        if idx.size == 0:
+            break
+        new, done = step(*lanes, *args)
+        lanes = (new,) if single else new
+        if done.any():
+            idx, lanes, args = settle(~done, state, idx, lanes, args)
+    for s, v in zip(state, lanes):  # the cap: keep the last iterate
+        s[idx] = v
+    converged = active.copy()
+    converged[idx] = False
+    return (state[0] if single else state), converged
+
+
+def theta_step(t, k):
+    """One Newton step of ``t + sin(t) = k`` to 1e-7, the auxiliary angle
+    of moll/wag4/wag5, nell, wink2, boggs and hatano (PJ_moll.c:22-27)."""
+    V = (t + np.sin(t) - k) / (1.0 + np.cos(t))
+    return t - V, np.abs(V) < 1e-7
+
+
 def phi2(ts: np.ndarray, e: float) -> np.ndarray:
     """Inverse of tsfn: conformal -> geodetic latitude.
 
-    Masked fixed-point iteration replicating src/pj_phi2.c:8-25
+    Per-lane fixed-point iteration replicating src/pj_phi2.c:8-25
     (TOL 1e-10, <=15 iterations, update-then-test order). Elements that
     fail to converge become inf (errno -18 in the reference).
     """
-    TOL = 1.0e-10
     ts = np.asarray(ts, dtype=np.float64)
     eccnth = 0.5 * e
+
+    def step(phi, ts):
+        con = e * np.sin(phi)
+        dphi = HALFPI - 2.0 * np.arctan(ts * np.power((1.0 - con) / (1.0 + con), eccnth)) - phi
+        return phi + dphi, ~(np.abs(dphi) > 1.0e-10)
+
     phi = HALFPI - 2.0 * np.arctan(ts)
     active = np.isfinite(phi)
-    bad = ~np.isfinite(ts)
-    for _ in range(15):
-        if not np.any(active):
-            break
-        con = e * np.sin(phi[active])
-        dphi = (
-            HALFPI
-            - 2.0 * np.arctan(ts[active] * np.power((1.0 - con) / (1.0 + con), eccnth))
-            - phi[active]
-        )
-        phi[active] = phi[active] + dphi
-        still = np.abs(dphi) > TOL
-        idx = np.flatnonzero(active)
-        active[idx[~still]] = False
-    if np.any(active):  # hit iteration cap without converging
-        bad = bad | active
-    phi[bad] = HUGE
+    phi, ok = iterate_lanes(step, phi, (ts,), 15, active)
+    phi[~np.isfinite(ts) | (active & ~ok)] = HUGE
     return phi
 
 
@@ -126,23 +184,17 @@ def mlfn(phi: np.ndarray, sphi: np.ndarray, cphi: np.ndarray, en: np.ndarray) ->
 
 def inv_mlfn(arg: np.ndarray, es: float, en: np.ndarray) -> np.ndarray:
     """Newton inverse of mlfn. src/pj_mlfn.c:48-57 (EPS 1e-11, <=10 iters)."""
-    EPS = 1e-11
     arg = np.asarray(arg, dtype=np.float64)
     k = 1.0 / (1.0 - es)
-    phi = arg.copy()
-    active = np.isfinite(phi)
-    for _ in range(10):
-        if not np.any(active):
-            break
-        p = phi[active]
+
+    def step(p, arg):
         s = np.sin(p)
         t = 1.0 - es * s * s
-        step = (mlfn(p, s, np.cos(p), en) - arg[active]) * (t * np.sqrt(t)) * k
-        phi[active] = p - step
-        idx = np.flatnonzero(active)
-        active[idx[np.abs(step) < EPS]] = False
+        d = (mlfn(p, s, np.cos(p), en) - arg) * (t * np.sqrt(t)) * k
+        return p - d, np.abs(d) < 1e-11
+
     # non-convergence leaves last iterate (reference returns phi with errno -17)
-    return phi
+    return iterate_lanes(step, arg.copy(), (arg,), 10, np.isfinite(arg))[0]
 
 
 _ONE_TOL = 1.00000000000001  # aasincos.c:3

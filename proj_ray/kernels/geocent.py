@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import HALFPI, HUGE, PI
+from .common import HALFPI, HUGE, PI, iterate_lanes
 
 
 def geodetic_to_geocentric(a: float, es: float, lam, phi, z):
@@ -72,22 +72,11 @@ def geocentric_to_geodetic(a: float, es: float, X, Y, Z):
         CT = np.where(RR == 0.0, 0.0, Zs / RR)  # sin of geocentric latitude
         ST = np.where(RR == 0.0, 0.0, P / RR)   # cos of geocentric latitude
     RX = 1.0 / np.sqrt(1.0 - es * (2.0 - es) * ST * ST)
-    CPHI0 = ST * (1.0 - es) * RX
-    SPHI0 = CT * RX
-    CPHI = CPHI0.copy()
-    SPHI = SPHI0.copy()
+    CPHI = ST * (1.0 - es) * RX
+    SPHI = CT * RX
     height = np.zeros_like(P)
 
-    active = ok.copy()
-    for _ in range(maxiter):
-        if not np.any(active):
-            break
-        sphi0 = SPHI0[active]
-        cphi0 = CPHI0[active]
-        st = ST[active]
-        ct = CT[active]
-        p = P[active]
-        zz = Zs[active]
+    def step(_h, cphi0, sphi0, st, ct, p, zz):
         RN = a / np.sqrt(1.0 - es * sphi0 * sphi0)
         h = p * cphi0 + zz * sphi0 - RN * (1.0 - es * sphi0 * sphi0)
         RK = es * RN / (RN + h)
@@ -95,14 +84,9 @@ def geocentric_to_geodetic(a: float, es: float, X, Y, Z):
         cphi = st * (1.0 - RK) * rx
         sphi = ct * rx
         sdphi = sphi * cphi0 - cphi * sphi0
-        height[active] = h
-        CPHI[active] = cphi
-        SPHI[active] = sphi
-        CPHI0[active] = cphi
-        SPHI0[active] = sphi
-        idx = np.flatnonzero(active)
-        done = sdphi * sdphi <= genau2
-        active[idx[done]] = False
+        return (h, cphi, sphi), sdphi * sdphi <= genau2
+
+    iterate_lanes(step, (height, CPHI, SPHI), (ST, CT, P, Zs), maxiter, ok)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         lat = np.arctan(SPHI / np.abs(CPHI))

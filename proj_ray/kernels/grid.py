@@ -32,7 +32,7 @@ import struct
 
 import numpy as np
 
-from .common import HUGE, PI, adjlon
+from .common import HUGE, PI, adjlon, settle
 
 
 class ShiftGrid:
@@ -184,18 +184,6 @@ def nad_intr(t_lam, t_phi, grid: ShiftGrid):
     return out[0], out[1]
 
 
-def _settle(go, t_lam, t_phi, idx, cl, cp, *rest):
-    """Write the stopping lanes' iterate (``~go``) back to
-    ``t_lam``/``t_phi`` at ``idx`` and return the compacted remaining
-    lanes of ``idx, cl, cp, *rest``.  Integer indices, not boolean
-    masks: a scattered mask costs several times a ``take``."""
-    keep = np.flatnonzero(go)
-    stop = np.flatnonzero(~go)
-    t_lam[idx.take(stop)] = cl.take(stop)
-    t_phi[idx.take(stop)] = cp.take(stop)
-    return tuple(a.take(keep) for a in (idx, cl, cp, *rest))
-
-
 def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
     """Vectorized nad_cvt (src/nad_cvt.c:6-68). Returns shifted (lam, phi)
     with inf where the grid doesn't apply / iteration diverged.
@@ -249,8 +237,8 @@ def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
         inner = np.isfinite(dl)
         if not inner.all():
             # grid edge: keep the first-order approximation (nad_cvt.c:29-45)
-            idx, cl, cp, bl, bp, dl, dp = _settle(
-                inner, t_lam, t_phi, idx, cl, cp, bl, bp, dl, dp)
+            idx, (cl, cp), (bl, bp, dl, dp) = settle(
+                inner, (t_lam, t_phi), idx, (cl, cp), (bl, bp, dl, dp))
         if i == 0:
             bad[idx] = True  # out of tries: i < 0 in the C
             break
@@ -260,7 +248,7 @@ def nad_cvt(lam, phi, grid: ShiftGrid, inverse: bool):
         cp = cp - dif_phi
         go = (np.abs(dif_lam) > TOL) & (np.abs(dif_phi) > TOL)
         if not go.all():
-            idx, cl, cp, bl, bp = _settle(go, t_lam, t_phi, idx, cl, cp, bl, bp)
+            idx, (cl, cp), (bl, bp) = settle(go, (t_lam, t_phi), idx, (cl, cp), (bl, bp))
     out_lam = adjlon(t_lam + ll_lam)
     out_phi = t_phi + ll_phi
     return np.where(bad, HUGE, out_lam), np.where(bad, HUGE, out_phi)

@@ -98,7 +98,8 @@ class GridCatalog:
         return out_lam, out_phi, missing
 
     def apply(self, date: float, inverse: bool, lam, phi):
-        """Vectorized pj_gc_apply_gridshift. Returns shifted (lam, phi);
+        """Vectorized pj_gc_apply_gridshift. Returns shifted (lam, phi)
+        and the mask of the points that failed for a missing grid;
         points with no matching 'after' grid pass through unshifted.
         A point whose matching entry names a grid file that could not
         be loaded comes back HUGE, the reference's -38
@@ -128,7 +129,7 @@ class GridCatalog:
         out_lam[sel], out_phi[sel] = new_lam, new_phi
         out_lam[missing] = HUGE
         out_phi[missing] = HUGE
-        return out_lam, out_phi
+        return out_lam, out_phi, missing
 
 
 def _atoi(s: str) -> int:

@@ -11,10 +11,13 @@ The implementation is masked-vectorized NumPy over lanes of point
 pairs: the per-case branches of the C code (meridional / equatorial /
 short-line / Newton) become boolean masks, and the Newton iteration on
 alp1 runs on the shrinking active subset with per-lane bracketing
-state, in the same style as every other iterative kernel in this
-package.  Series coefficient tables are the published order-6
-expansions (numeric parity with geodesic.c:1380-1607 is intentional —
-they are math constants of the algorithm, not code).
+state.  It keeps its own loop rather than ``common.iterate_lanes``,
+which the package's other per-lane iterations call: its step depends
+on the pass number (it may bisect only after ``_MAXIT1`` passes) and a
+settled lane keeps the evaluation of its last pass, not an update.
+Series coefficient tables are the published order-6 expansions
+(numeric parity with geodesic.c:1380-1607 is intentional — they are
+math constants of the algorithm, not code).
 """
 
 from __future__ import annotations

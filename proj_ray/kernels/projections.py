@@ -27,6 +27,7 @@ from .common import (
     aatan2,
     enfn,
     inv_mlfn,
+    iterate_lanes,
     mlfn,
     msfn,
     phi2,
@@ -696,21 +697,14 @@ def _stere_setup_common(P, phits):
                 halfpi = -HALFPI
                 halfe = -0.5 * e
                 xx = x
-            # masked fixed-point iteration (PJ_stere.c:121-133)
-            phi_cur = phi_l.copy()
-            converged = np.zeros_like(phi_cur, dtype=bool)
-            active = np.isfinite(phi_cur)
-            for _ in range(NITER):
-                if not np.any(active):
-                    break
-                sp = e * np.sin(phi_cur[active])
-                tpa = tp[active] if isinstance(tp, np.ndarray) else tp
-                newphi = 2.0 * np.arctan(tpa * np.power((1.0 + sp) / (1.0 - sp), halfe)) - halfpi
-                done = np.abs(phi_cur[active] - newphi) < CONV
-                phi_cur[active] = newphi
-                idx = np.flatnonzero(active)
-                converged[idx[done]] = True
-                active[idx[done]] = False
+            # per-lane fixed-point iteration (PJ_stere.c:121-133)
+            def step(phi, tp):
+                sp = e * np.sin(phi)
+                new = 2.0 * np.arctan(tp * np.power((1.0 + sp) / (1.0 - sp), halfe)) - halfpi
+                return new, np.abs(phi - new) < CONV
+
+            phi_cur, converged = iterate_lanes(step, phi_l.copy(), (tp,), NITER,
+                                               np.isfinite(phi_l))
             phi = np.where(converged, phi_cur, HUGE)
             if mode == "s_pole":
                 phi = np.where(converged, -phi_cur, HUGE)

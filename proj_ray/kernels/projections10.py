@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FORTPI, HALFPI, HUGE, PI, aasin
+from .common import FORTPI, HALFPI, HUGE, PI, aasin, iterate_lanes
 from .projections import register
 from .projections2 import _gn_sinu_sph
 from .projections2 import setup_moll as _setup_moll
@@ -138,6 +138,13 @@ def setup_somerc(P):
         lampp = aasin(cp_ * np.sin(lamp) / np.cos(phipp))
         return kR * lampp, kR * np.log(np.tan(FORTPI + 0.5 * phipp))
 
+    def step(p, con):
+        esp = e * np.sin(p)
+        delp = (con + np.log(np.tan(FORTPI + 0.5 * p))
+                - hlf_e * np.log((1.0 + esp) / (1.0 - esp))) * (
+            1.0 - esp * esp) * np.cos(p) * rone_es
+        return p - delp, np.abs(delp) < 1e-10
+
     def inv(x, y):
         phipp = 2.0 * (np.arctan(np.exp(y / kR)) - FORTPI)
         lampp = x / kR
@@ -146,21 +153,7 @@ def setup_somerc(P):
         lamp = aasin(cp_ * np.sin(lampp) / np.cos(phip))
         con = (K - np.log(np.tan(FORTPI + 0.5 * phip))) / c
         phip = np.array(phip, dtype=np.float64, copy=True)
-        active = np.isfinite(phip)
-        converged = np.zeros_like(active)
-        for _ in range(6):
-            if not np.any(active):
-                break
-            p = phip[active]
-            esp = e * np.sin(p)
-            delp = (con[active] + np.log(np.tan(FORTPI + 0.5 * p))
-                    - hlf_e * np.log((1.0 + esp) / (1.0 - esp))) * (
-                1.0 - esp * esp) * np.cos(p) * rone_es
-            phip[active] = p - delp
-            idx = np.flatnonzero(active)
-            done = np.abs(delp) < 1e-10
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        phip, converged = iterate_lanes(step, phip, (con,), 6, np.isfinite(phip))
         lam = lamp / c
         phip = np.where(converged, phip, HUGE)
         lam = np.where(converged, lam, HUGE)
@@ -348,6 +341,13 @@ def _mod_ster_setup(P, name):
         p = zpoly1(z, coef)
         return p.real, p.imag
 
+    def step(ph, chi):
+        esphi = e * np.sin(ph)
+        dphi = (2.0 * np.arctan(np.tan((HALFPI + chi) * 0.5)
+                * np.power((1.0 + esphi) / (1.0 - esphi), e * 0.5))
+                - HALFPI - ph)
+        return ph + dphi, np.abs(dphi) <= 1e-10
+
     def inv(x, y):
         target = np.asarray(x, dtype=np.float64) + 1j * np.asarray(y, dtype=np.float64)
         p = target.copy()
@@ -371,22 +371,8 @@ def _mod_ster_setup(P, name):
         with np.errstate(invalid="ignore", divide="ignore"):
             chi = aasin(cosz * schio + p.imag * sinz * cchio / np.where(small, 1.0, rh))
         if e:
-            phi = np.array(chi, copy=True)
-            active = np.isfinite(phi) & ~small
-            conv2 = np.zeros_like(active)
-            for _ in range(20):
-                if not np.any(active):
-                    break
-                ph = phi[active]
-                esphi = e * np.sin(ph)
-                dphi = (2.0 * np.arctan(np.tan((HALFPI + chi[active]) * 0.5)
-                        * np.power((1.0 + esphi) / (1.0 - esphi), e * 0.5))
-                        - HALFPI - ph)
-                phi[active] = ph + dphi
-                idx = np.flatnonzero(active)
-                done = np.abs(dphi) <= 1e-10
-                conv2[idx[done]] = True
-                active[idx[done]] = False
+            phi, conv2 = iterate_lanes(step, np.array(chi, copy=True), (chi,), 20,
+                                       np.isfinite(chi) & ~small)
             converged = converged & (conv2 | small)
         else:
             phi = chi

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import DEG_TO_RAD, FORTPI, HALFPI, HUGE, PI, enfn, inv_mlfn, mlfn, phi2, tsfn
+from .common import (DEG_TO_RAD, FORTPI, HALFPI, HUGE, PI, enfn, inv_mlfn, iterate_lanes,
+                     mlfn, phi2, tsfn)
 from .projections import register
 from .projections2 import _gn_sinu_sph
 from .projections2 import setup_moll as _setup_moll
@@ -197,6 +198,10 @@ def setup_lcca(P):
         lamn = lam * l_
         return k0 * (r * np.sin(lamn)), k0 * (r0 - r * np.cos(lamn))
 
+    def step(s, dr):
+        dif = (_fS(s) - dr) / _fSp(s)
+        return s - dif, np.abs(dif) < 1e-12
+
     def inv(x, y):
         x = np.asarray(x, dtype=np.float64) / k0
         y = np.asarray(y, dtype=np.float64) / k0
@@ -204,18 +209,7 @@ def setup_lcca(P):
         dr = y - x * np.tan(0.5 * theta)
         lam = theta / l_
         S = np.array(dr, dtype=np.float64, copy=True)
-        active = np.isfinite(S)
-        converged = np.zeros_like(active)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            s = S[active]
-            dif = (_fS(s) - dr[active]) / _fSp(s)
-            S[active] = s - dif
-            idx = np.flatnonzero(active)
-            done = np.abs(dif) < 1e-12
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        S, converged = iterate_lanes(step, S, (dr,), 10, np.isfinite(S))
         phi = inv_mlfn(S + M0, es, en)
         phi = np.where(converged, phi, HUGE)
         lam = np.where(converged, lam, HUGE)

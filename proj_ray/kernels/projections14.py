@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FORTPI, HALFPI, HUGE, PI, aacos, aasin, adjlon
+from .common import FORTPI, HALFPI, HUGE, PI, aacos, aasin, adjlon, iterate_lanes
 from .projections import register
 
 
@@ -169,6 +169,13 @@ def setup_labrd(P):
         y = y + Ca * V2r - Cb * V1r
         return x, y
 
+    def step(p, ps):
+        V1i = A * np.log(np.tan(FORTPI + 0.5 * p))
+        tpe = e * np.sin(p)
+        V2i = 0.5 * e * A * np.log((1.0 + tpe) / (1.0 - tpe))
+        tt = ps - 2.0 * (np.arctan(np.exp(V1i - V2i + C)) - FORTPI)
+        return p + tt, np.abs(tt) < EPS
+
     def inv(x, y):
         x = np.array(x, dtype=np.float64, copy=True)
         y = np.array(y, dtype=np.float64, copy=True)
@@ -182,18 +189,7 @@ def setup_labrd(P):
         y = y + (Cb * V1 - Ca * V2 - Cd * V3 + Cc * V4)
         ps = p0s + y / kRg
         pe = np.array(ps + phi0 - p0s, dtype=np.float64)
-        active = np.isfinite(pe)
-        for _ in range(20):
-            if not np.any(active):
-                break
-            p = pe[active]
-            V1i = A * np.log(np.tan(FORTPI + 0.5 * p))
-            tpe = e * np.sin(p)
-            V2i = 0.5 * e * A * np.log((1.0 + tpe) / (1.0 - tpe))
-            tt = ps[active] - 2.0 * (np.arctan(np.exp(V1i - V2i + C)) - FORTPI)
-            pe[active] = p + tt
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(tt) < EPS]] = False
+        pe = iterate_lanes(step, pe, (ps,), 20, np.isfinite(pe))[0]
         t_ = e * np.sin(pe)
         t_ = 1.0 - t_ * t_
         Re = one_es / (t_ * np.sqrt(t_))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import DEG_TO_RAD, FORTPI, HALFPI, HUGE, PI, TWOPI, aasin
+from .common import DEG_TO_RAD, FORTPI, HALFPI, HUGE, PI, TWOPI, aasin, iterate_lanes
 from .projections import register
 
 _PI_HALFPI = 4.71238898038468985766
@@ -89,55 +89,35 @@ def setup_lsat(P):
     c1 = state["c1"] / 15.0
     c3 = state["c3"] / 45.0
 
+    def lam_step(_lt, sav, lam, tanphi, fac):
+        lt = lam + p22 * sav
+        c = np.cos(lt)
+        lt = np.where(np.abs(c) < _TOL, lt - _TOL, lt)
+        c = np.where(np.abs(c) < _TOL, np.cos(lt), c)
+        xlam = (one_es * tanphi * sa + np.sin(lt) * ca) / c
+        ld = np.arctan(xlam) + fac
+        return (lt, ld), np.abs(np.abs(sav) - np.abs(ld)) < _TOL
+
+    def branch_step(lpp, _lamdp, _lamt, _ok, lam, tanphi):
+        """One pass of the nn loop: the lambda iteration from the branch
+        ``lpp``, then the branch switch."""
+        cl = np.cos(lam + p22 * lpp)
+        fac = lpp - np.sin(lpp) * np.where(cl < 0.0, -HALFPI, HALFPI)
+        (lamt, lamdp), ok = iterate_lanes(lam_step, (np.zeros_like(lpp), lpp.copy()),
+                                          (lam, tanphi, fac), 50,
+                                          np.ones(lpp.shape, dtype=bool))
+        in_range = (lamdp > rlm) & (lamdp < rlm2)
+        lpp = np.where(lamdp <= rlm, _TWOPI_HALFPI, np.where(lamdp >= rlm2, HALFPI, lpp))
+        return (lpp, lamdp, lamt, ok), ~ok | in_range
+
     def fwd(lam_in, phi_in):
         lam_in = np.asarray(lam_in, dtype=np.float64)
         phi = np.clip(np.asarray(phi_in, dtype=np.float64), -HALFPI, HALFPI)
         lampp = np.where(phi >= 0.0, HALFPI, _PI_HALFPI)
-        tanphi = np.tan(phi)
-        lamdp = np.zeros_like(phi)
-        lamt = np.zeros_like(phi)
-        ok = np.ones(phi.shape, dtype=bool)
-        outer_active = np.ones(phi.shape, dtype=bool)
-        for _nn in range(3):
-            if not np.any(outer_active):
-                break
-            idx = np.flatnonzero(outer_active)
-            lpp = lampp[idx]
-            lamtp = lam_in[idx] + p22 * lpp
-            cl = np.cos(lamtp)
-            lamtp = np.where(np.abs(cl) < _TOL, lamtp - _TOL, lamtp)
-            fac = lpp - np.sin(lpp) * np.where(cl < 0.0, -HALFPI, HALFPI)
-            sav = lpp.copy()
-            li = np.zeros(idx.shape, dtype=np.int64)
-            inner = np.ones(idx.shape, dtype=bool)
-            lamt_i = np.zeros_like(sav)
-            lamdp_i = np.zeros_like(sav)
-            for _l in range(50):
-                if not np.any(inner):
-                    break
-                s2 = sav[inner]
-                lt = lam_in[idx][inner] + p22 * s2
-                c = np.cos(lt)
-                lt = np.where(np.abs(c) < _TOL, lt - _TOL, lt)
-                c = np.where(np.abs(c) < _TOL, np.cos(lt), c)
-                xlam = (one_es * tanphi[idx][inner] * sa + np.sin(lt) * ca) / c
-                ld = np.arctan(xlam) + fac[inner]
-                done = np.abs(np.abs(s2) - np.abs(ld)) < _TOL
-                lamt_i[inner] = lt
-                lamdp_i[inner] = ld
-                sav[inner] = ld
-                jj = np.flatnonzero(inner)
-                li[jj[done]] = 1
-                inner[jj[done]] = False
-            lamdp[idx] = lamdp_i
-            lamt[idx] = lamt_i
-            ok[idx] = li == 1
-            # branch switching (the nn loop)
-            in_range = (lamdp_i > rlm) & (lamdp_i < rlm2)
-            settled = (li == 0) | in_range
-            lampp[idx] = np.where(lamdp_i <= rlm, _TWOPI_HALFPI,
-                                  np.where(lamdp_i >= rlm2, HALFPI, lampp[idx]))
-            outer_active[idx[settled]] = False
+        every = np.ones(phi.shape, dtype=bool)
+        (_, lamdp, lamt, ok), _ = iterate_lanes(
+            branch_step, (lampp, np.zeros_like(phi), np.zeros_like(phi), every.copy()),
+            (lam_in, np.tan(phi)), 3, every)
         sp = np.sin(phi)
         phidp = aasin((one_es * ca * sp - sa * np.cos(phi) * np.sin(lamt))
                       / np.sqrt(1.0 - es * sp * sp))
@@ -153,28 +133,23 @@ def setup_lsat(P):
         y = c1 * sd + c3 * np.sin(lamdp * 3.0) + tanph * xj / d
         return np.where(ok, x, HUGE), np.where(ok, y, HUGE)
 
+    def step(_s, sav, x, y):
+        sd = np.sin(sav)
+        sdsq = sd * sd
+        s_i = p22 * sa * np.cos(sav) * np.sqrt(
+            (1.0 + t * sdsq) / ((1.0 + w * sdsq) * (1.0 + q * sdsq)))
+        ld = (x + y * s_i / xj - a2 * np.sin(2.0 * sav)
+              - a4 * np.sin(sav * 4.0)
+              - s_i / xj * (c1 * np.sin(sav) + c3 * np.sin(sav * 3.0)))
+        ld = ld / b
+        return (s_i, ld), np.abs(ld - sav) < _TOL
+
     def inv(x, y):
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         lamdp = x / b
-        s = np.zeros_like(x)
-        active = np.isfinite(lamdp)
-        for _ in range(50):
-            if not np.any(active):
-                break
-            sav = lamdp[active]
-            sd = np.sin(sav)
-            sdsq = sd * sd
-            s_i = p22 * sa * np.cos(sav) * np.sqrt(
-                (1.0 + t * sdsq) / ((1.0 + w * sdsq) * (1.0 + q * sdsq)))
-            ld = (x[active] + y[active] * s_i / xj - a2 * np.sin(2.0 * sav)
-                  - a4 * np.sin(sav * 4.0)
-                  - s_i / xj * (c1 * np.sin(sav) + c3 * np.sin(sav * 3.0)))
-            ld = ld / b
-            s[active] = s_i
-            lamdp[active] = ld
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(ld - sav) < _TOL]] = False
+        (s, lamdp), _ = iterate_lanes(step, (np.zeros_like(x), lamdp), (x, y), 50,
+                                      np.isfinite(lamdp))
         sl = np.sin(lamdp)
         fac = np.exp(np.sqrt(1.0 + s * s / xj / xj)
                      * (y - c1 * sl - c3 * np.sin(lamdp * 3.0)))

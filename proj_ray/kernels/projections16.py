@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import HUGE, PI
+from .common import HUGE, PI, iterate_lanes
 from .projections import register
 
 _DEG36 = 0.62831853071795864768
@@ -482,23 +482,18 @@ def mdist(phi, sphi, cphi, en):
 
 
 def inv_mdist(dist, en):
-    """proj_mdist.c proj_inv_mdist — masked per-lane Newton (20 iters)."""
-    TOL = 1e-14
+    """proj_mdist.c proj_inv_mdist — per-lane Newton (20 iters)."""
     es = en["es"]
     k = 1.0 / (1.0 - es)
-    phi = np.array(dist, dtype=np.float64, copy=True)
-    active = np.isfinite(phi)
-    for _ in range(20):
-        if not np.any(active):
-            break
-        p = phi[active]
+
+    def step(p, dist):
         s = np.sin(p)
         t = 1.0 - es * s * s
-        delta = (mdist(p, s, np.cos(p), en) - dist[active]) * (t * np.sqrt(t)) * k
-        phi[active] = p - delta
-        idx = np.flatnonzero(active)
-        active[idx[np.abs(delta) < TOL]] = False
-    return phi
+        delta = (mdist(p, s, np.cos(p), en) - dist) * (t * np.sqrt(t)) * k
+        return p - delta, np.abs(delta) < 1e-14
+
+    phi = np.array(dist, dtype=np.float64, copy=True)
+    return iterate_lanes(step, phi, (dist,), 20, np.isfinite(phi))[0]
 
 
 @register("rouss")

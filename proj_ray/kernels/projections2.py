@@ -29,8 +29,10 @@ from .common import (
     aasin,
     enfn,
     inv_mlfn,
+    iterate_lanes,
     mlfn,
     msfn,
+    theta_step,
     tsfn,
 )
 from .projections import EPS10, register
@@ -68,27 +70,24 @@ def authlat(beta, APA):
 
 
 def _phi1(qs, Te, Tone_es):
-    """Inverse authalic iteration (PJ_aea.c phi1_, masked)."""
+    """Inverse authalic iteration (PJ_aea.c phi1_, per lane)."""
     Phi = np.arcsin(np.clip(0.5 * qs, -1.0, 1.0))
     if Te < 1.0e-7:
         return Phi
-    TOL = 1.0e-10
-    active = np.isfinite(Phi)
-    for _ in range(15):
-        if not np.any(active):
-            break
-        p = Phi[active]
+
+    def step(p, qs):
         sinpi = np.sin(p)
         cospi = np.cos(p)
         con = Te * sinpi
         com = 1.0 - con * con
         dphi = (0.5 * com * com / cospi
-                * (qs[active] / Tone_es - sinpi / com
+                * (qs / Tone_es - sinpi / com
                    + 0.5 / Te * np.log((1.0 - con) / (1.0 + con))))
-        Phi[active] = p + dphi
-        idx = np.flatnonzero(active)
-        active[idx[np.abs(dphi) <= TOL]] = False
-    Phi[active] = HUGE  # non-convergent lanes
+        return p + dphi, np.abs(dphi) <= 1.0e-10
+
+    active = np.isfinite(Phi)
+    Phi, ok = iterate_lanes(step, Phi, (qs,), 15, active)
+    Phi[active & ~ok] = HUGE  # non-convergent lanes
     return Phi
 
 
@@ -583,21 +582,9 @@ def _moll_family(P, C_x, C_y, C_p):
     P.es = 0.0
 
     def fwd(lam, phi):
-        k = C_p * np.sin(phi)
-        phi_i = phi.copy() if isinstance(phi, np.ndarray) else np.float64(phi)
         phi_i = np.array(phi, dtype=np.float64, copy=True)
-        active = np.isfinite(phi_i)
-        converged = np.zeros_like(active)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            p = phi_i[active]
-            V = (p + np.sin(p) - k[active]) / (1.0 + np.cos(p))
-            phi_i[active] = p - V
-            idx = np.flatnonzero(active)
-            done = np.abs(V) < 1e-7
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        phi_i, converged = iterate_lanes(theta_step, phi_i, (C_p * np.sin(phi),), 10,
+                                         np.isfinite(phi_i))
         phi_i = np.where(converged, phi_i * 0.5,
                          np.where(phi_i < 0.0, -HALFPI, HALFPI))
         x = C_x * lam * np.cos(phi_i)
@@ -646,25 +633,18 @@ def _gn_sinu_sph(P, m, n):
     C_y = np.sqrt((m + 1.0) / n)
     C_x = C_y / (m + 1.0)
 
+    def step(p, k):
+        V = (m * p + np.sin(p) - k) / (m + np.cos(p))
+        return p - V, np.abs(V) < 1e-7
+
     def fwd(lam, phi):
         phi_i = np.array(phi, dtype=np.float64, copy=True)
         bad = np.zeros(phi_i.shape, dtype=bool)
         if not m:
             phi_i = aasin(n * np.sin(phi_i)) if n != 1.0 else phi_i
         else:
-            k = n * np.sin(phi_i)
-            active = np.isfinite(phi_i)
-            converged = np.zeros_like(active)
-            for _ in range(8):
-                if not np.any(active):
-                    break
-                p = phi_i[active]
-                V = (m * p + np.sin(p) - k[active]) / (m + np.cos(p))
-                phi_i[active] = p - V
-                idx = np.flatnonzero(active)
-                done = np.abs(V) < 1e-7
-                converged[idx[done]] = True
-                active[idx[done]] = False
+            phi_i, converged = iterate_lanes(step, phi_i, (n * np.sin(phi_i),), 8,
+                                             np.isfinite(phi_i))
             bad = ~converged & np.isfinite(phi_i)
         x = C_x * lam * (m + np.cos(phi_i))
         y = C_y * phi_i

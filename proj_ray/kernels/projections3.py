@@ -25,6 +25,7 @@ from .common import (
     aasin,
     enfn,
     inv_mlfn,
+    iterate_lanes,
     mlfn,
     msfn,
 )
@@ -63,20 +64,14 @@ class Gauss:
         """Fixed-point iteration, DEL_TOL 1e-14, <=20 iters (pj_gauss.c:77-94)."""
         elam = slam / self.C
         num = np.power(np.tan(0.5 * sphi + FORTPI) / self.K, 1.0 / self.C)
+
+        def step(phi, num):
+            new = (2.0 * np.arctan(num * self._srat(
+                self.e * np.sin(phi), -0.5 * self.e)) - HALFPI)
+            return new, np.abs(new - phi) < 1e-14
+
         phi_s = np.array(sphi, dtype=np.float64, copy=True)
-        ephi = phi_s.copy()
-        active = np.isfinite(phi_s)
-        for _ in range(20):
-            if not np.any(active):
-                break
-            new = (2.0 * np.arctan(num[active] * self._srat(
-                self.e * np.sin(phi_s[active]), -0.5 * self.e)) - HALFPI)
-            done = np.abs(new - phi_s[active]) < 1e-14
-            ephi[active] = new
-            phi_s[active] = new
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
-        return elam, ephi
+        return elam, iterate_lanes(step, phi_s, (num,), 20, np.isfinite(phi_s))[0]
 
 
 @register("sterea")
@@ -317,25 +312,18 @@ def setup_eck4(P):
     C_y = 1.32650042817700232218
     C_p = 3.57079632679489661922
 
+    def step(t, p):
+        c = np.cos(t)
+        s = np.sin(t)
+        V = (t + s * (c + 2.0) - p) / (1.0 + c * (c + 2.0) - s * s)
+        return t - V, np.abs(V) < 1e-7
+
     def fwd(lam, phi):
         p = C_p * np.sin(phi)
         V = phi * phi
         th = phi * (0.895168 + V * (0.0218849 + V * 0.00826809))
         th = np.array(th, dtype=np.float64)
-        active = np.isfinite(th)
-        converged = np.zeros_like(active)
-        for _ in range(6):
-            if not np.any(active):
-                break
-            tt = th[active]
-            c = np.cos(tt)
-            s = np.sin(tt)
-            V2 = (tt + s * (c + 2.0) - p[active]) / (1.0 + c * (c + 2.0) - s * s)
-            th[active] = tt - V2
-            idx = np.flatnonzero(active)
-            done = np.abs(V2) < 1e-7
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        th, converged = iterate_lanes(step, th, (p,), 6, np.isfinite(th))
         x = np.where(converged, C_x * lam * (1.0 + np.cos(th)), C_x * lam)
         y = np.where(converged, C_y * np.sin(th),
                      np.where(th < 0.0, -C_y, C_y))

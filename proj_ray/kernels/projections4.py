@@ -22,6 +22,7 @@ from .common import (
     aasin,
     enfn,
     inv_mlfn,
+    iterate_lanes,
     mlfn,
     msfn,
     phi2,
@@ -204,37 +205,32 @@ def setup_poly(P):
             y = np.where(small, -ml0, y2)
             return x, y
 
+        def step(p, at_edge, r, yy):
+            sp = np.sin(p)
+            cp = np.cos(p)
+            s2ph = sp * cp
+            edge = np.abs(cp) < ITOL  # stops the lane unconverged
+            mlp = np.sqrt(1.0 - es * sp * sp)
+            c = sp * mlp / cp
+            ml = mlfn(p, sp, cp, en)
+            mlb = ml * ml + r
+            mlp2 = one_es / (mlp * mlp * mlp)
+            dPhi = ((ml + ml + c * mlb - 2.0 * yy * (c * ml + 1.0))
+                    / (es * s2ph * (mlb - 2.0 * yy * ml) / c
+                       + 2.0 * (yy - ml) * (c * mlp2 - 1.0 / s2ph)
+                       - mlp2 - mlp2))
+            return (p + np.where(edge, 0.0, dPhi), edge), (np.abs(dPhi) <= ITOL) | edge
+
         def inv(x, y):
             """Newton iteration of PJ_poly.c e_inverse (I_ITER 20, ITOL 1e-12)."""
             x = np.asarray(x, dtype=np.float64)
             yy = np.asarray(y, dtype=np.float64) + ml0
             small = np.abs(yy) <= TOL
             r = yy * yy + x * x
-            phi_i = yy.copy()
-            active = np.isfinite(phi_i) & ~small
-            converged = np.zeros_like(active)
-            for _ in range(20):
-                if not np.any(active):
-                    break
-                p = phi_i[active]
-                sp = np.sin(p)
-                cp = np.cos(p)
-                s2ph = sp * cp
-                edge = np.abs(cp) < ITOL
-                mlp = np.sqrt(1.0 - es * sp * sp)
-                c = sp * mlp / cp
-                ml = mlfn(p, sp, cp, en)
-                mlb = ml * ml + r[active]
-                mlp2 = one_es / (mlp * mlp * mlp)
-                dPhi = ((ml + ml + c * mlb - 2.0 * yy[active] * (c * ml + 1.0))
-                        / (es * s2ph * (mlb - 2.0 * yy[active] * ml) / c
-                           + 2.0 * (yy[active] - ml) * (c * mlp2 - 1.0 / s2ph)
-                           - mlp2 - mlp2))
-                phi_i[active] = p + np.where(edge, 0.0, dPhi)
-                idx = np.flatnonzero(active)
-                done = (np.abs(dPhi) <= ITOL) | edge
-                converged[idx[done & ~edge]] = True
-                active[idx[done]] = False
+            (phi_i, at_edge), converged = iterate_lanes(
+                step, (yy.copy(), np.zeros(yy.shape, dtype=bool)), (r, yy), 20,
+                np.isfinite(yy) & ~small)
+            converged &= ~at_edge
             with np.errstate(invalid="ignore", divide="ignore"):
                 c2 = np.sin(phi_i)
                 lam = np.arcsin(np.clip(x * np.tan(phi_i)
@@ -259,26 +255,19 @@ def setup_poly(P):
             y = np.where(small, ml0, y2)
             return x, y
 
+        def step(p, yy, B):
+            tp = np.tan(p)
+            dphi = (yy * (p * tp + 1.0) - p
+                    - 0.5 * (p * p + B) * tp) / ((p - yy) / tp - 1.0)
+            return p - dphi, np.abs(dphi) <= CONV
+
         def inv(x, y):
             x = np.asarray(x, dtype=np.float64)
             yy = phi0 + np.asarray(y, dtype=np.float64)
             small = np.abs(yy) <= TOL
             B = x * x + yy * yy
-            phi_i = yy.copy()
-            active = np.isfinite(phi_i) & ~small
-            converged = np.zeros_like(active)
-            for _ in range(10):
-                if not np.any(active):
-                    break
-                p = phi_i[active]
-                tp = np.tan(p)
-                dphi = (yy[active] * (p * tp + 1.0) - p
-                        - 0.5 * (p * p + B[active]) * tp) / ((p - yy[active]) / tp - 1.0)
-                phi_i[active] = p - dphi
-                idx = np.flatnonzero(active)
-                done = np.abs(dphi) <= CONV
-                converged[idx[done]] = True
-                active[idx[done]] = False
+            phi_i, converged = iterate_lanes(step, yy.copy(), (yy, B), 10,
+                                             np.isfinite(yy) & ~small)
             with np.errstate(invalid="ignore", divide="ignore"):
                 lam = np.arcsin(np.clip(x * np.tan(phi_i), -1.0, 1.0)) / np.sin(phi_i)
             lam = np.where(small, x, np.where(converged, lam, HUGE))

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FORTPI, HALFPI, HUGE, PI, aasin, asqrt
+from .common import FORTPI, HALFPI, HUGE, PI, aasin, asqrt, iterate_lanes, theta_step
 from .projections import register
 
 
@@ -77,6 +77,14 @@ def setup_krovak(P):
             y = -y
         return x, y
 
+    def step(f, u):
+        newphi = 2.0 * (np.arctan(
+            np.power(k, -1.0 / alfa)
+            * np.power(np.tan(u / 2.0 + s45), 1.0 / alfa)
+            * np.power((1.0 + e * np.sin(f)) / (1.0 - e * np.sin(f)), e / 2.0)
+        ) - s45)
+        return newphi, np.abs(f - newphi) < 1e-15
+
     def inv(x, y):
         # axes reverted (PJ_krovak.c e_inverse)
         xv = np.asarray(y, dtype=np.float64)
@@ -93,23 +101,7 @@ def setup_krovak(P):
         deltav = np.arcsin(np.clip(np.cos(s) * np.sin(d) / np.cos(u), -1, 1))
         lam_abs = lam0 - deltav / alfa
         # fixed-point phi iteration to 1e-15 (PJ_krovak.c:196-209)
-        fi1 = u.copy()
-        phi = u.copy()
-        active = np.isfinite(fi1)
-        for _ in range(50):
-            if not np.any(active):
-                break
-            f = fi1[active]
-            newphi = 2.0 * (np.arctan(
-                np.power(k, -1.0 / alfa)
-                * np.power(np.tan(u[active] / 2.0 + s45), 1.0 / alfa)
-                * np.power((1.0 + e * np.sin(f)) / (1.0 - e * np.sin(f)), e / 2.0)
-            ) - s45)
-            done = np.abs(f - newphi) < 1e-15
-            phi[active] = newphi
-            fi1[active] = newphi
-            idx = np.flatnonzero(active)
-            active[idx[done]] = False
+        phi = iterate_lanes(step, u.copy(), (u,), 50, np.isfinite(u))[0]
         lam = lam_abs - lam0  # generic wrapper re-adds lam0
         return lam, phi
 
@@ -237,21 +229,14 @@ def setup_fouc_s(P):
         t = np.cos(phi)
         return lam * t / (n + n1 * t), n * phi + n1 * np.sin(phi)
 
+    def step(p, y):
+        V = (n * p + n1 * np.sin(p) - y) / (n + n1 * np.cos(p))
+        return p - V, np.abs(V) < 1e-7
+
     def inv(x, y):
         if n:
             phi = np.array(y, dtype=np.float64, copy=True)
-            active = np.isfinite(phi)
-            converged = np.zeros_like(active)
-            for _ in range(10):
-                if not np.any(active):
-                    break
-                p = phi[active]
-                V = (n * p + n1 * np.sin(p) - y[active]) / (n + n1 * np.cos(p))
-                phi[active] = p - V
-                idx = np.flatnonzero(active)
-                done = np.abs(V) < 1e-7
-                converged[idx[done]] = True
-                active[idx[done]] = False
+            phi, converged = iterate_lanes(step, phi, (y,), 10, np.isfinite(phi))
             phi = np.where(converged, phi, np.where(y < 0.0, -HALFPI, HALFPI))
         else:
             phi = aasin(y)
@@ -272,15 +257,7 @@ def setup_nell(P):
         V = phi * phi
         th = phi * (1.00371 + V * (-0.0935382 + V * -0.011412))
         th = np.array(th, dtype=np.float64)
-        active = np.isfinite(th)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            t = th[active]
-            V2 = (t + np.sin(t) - k[active]) / (1.0 + np.cos(t))
-            th[active] = t - V2
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(V2) < 1e-7]] = False
+        th = iterate_lanes(theta_step, th, (k,), 10, np.isfinite(th))[0]
         return 0.5 * lam * (1.0 + np.cos(th)), th
 
     def inv(x, y):
@@ -303,18 +280,7 @@ def setup_wink2(P):
         y0 = phi * TWO_D_PI
         k = PI * np.sin(phi)
         th = np.array(phi * 1.8, dtype=np.float64)
-        active = np.isfinite(th)
-        converged = np.zeros_like(active)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            t = th[active]
-            V = (t + np.sin(t) - k[active]) / (1.0 + np.cos(t))
-            th[active] = t - V
-            idx = np.flatnonzero(active)
-            done = np.abs(V) < 1e-7
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        th, converged = iterate_lanes(theta_step, th, (k,), 10, np.isfinite(th))
         th = np.where(converged, th * 0.5, np.where(th < 0.0, -HALFPI, HALFPI))
         x = 0.5 * lam * (np.cos(th) + cosphi1)
         y = FORTPI * (np.sin(th) + y0)

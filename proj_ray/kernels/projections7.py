@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import FORTPI, HALFPI, HUGE, PI, aasin, asqrt
+from .common import FORTPI, HALFPI, HUGE, PI, aasin, asqrt, iterate_lanes, theta_step
 from .projections import register
 
 
@@ -302,15 +302,7 @@ def setup_boggs(P):
         at_pole = np.abs(np.abs(phi) - HALFPI) < 1e-7
         theta = np.array(phi, dtype=np.float64, copy=True)
         c = np.sin(theta) * PI
-        active = np.isfinite(theta) & ~at_pole
-        for _ in range(20):
-            if not np.any(active):
-                break
-            t = theta[active]
-            th1 = (t + np.sin(t) - c[active]) / (1.0 + np.cos(t))
-            theta[active] = t - th1
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(th1) < 1e-7]] = False
+        theta = iterate_lanes(theta_step, theta, (c,), 20, np.isfinite(theta) & ~at_pole)[0]
         theta = theta * 0.5
         with np.errstate(invalid="ignore", divide="ignore"):
             x = FXC * lam / (1.0 / np.cos(phi) + FXC2 / np.cos(theta))
@@ -501,15 +493,7 @@ def setup_hatano(P):
     def fwd(lam, phi):
         c = np.sin(phi) * np.where(phi < 0.0, CS, CN)
         th = np.array(phi, dtype=np.float64, copy=True)
-        active = np.isfinite(th)
-        for _ in range(20):
-            if not np.any(active):
-                break
-            t = th[active]
-            th1 = (t + np.sin(t) - c[active]) / (1.0 + np.cos(t))
-            th[active] = t - th1
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(th1) < 1e-7]] = False
+        th = iterate_lanes(theta_step, th, (c,), 20, np.isfinite(th))[0]
         th = th * 0.5
         x = FXC * lam * np.cos(th)
         y = np.sin(th) * np.where(th < 0.0, FYCS, FYCN)
@@ -573,22 +557,15 @@ def setup_nell_h(P):
     def fwd(lam, phi):
         return 0.5 * lam * (1.0 + np.cos(phi)), 2.0 * (phi - np.tan(0.5 * phi))
 
+    def step(ph, p):
+        c = np.cos(0.5 * ph)
+        V = (ph - np.tan(ph / 2) - p) / (1.0 - 0.5 / (c * c))
+        return ph - V, np.abs(V) < 1e-7
+
     def inv(x, y):
         p = 0.5 * y
         phi = np.zeros_like(np.asarray(y, dtype=np.float64))
-        active = np.isfinite(phi)
-        converged = np.zeros_like(active)
-        for _ in range(9):
-            if not np.any(active):
-                break
-            ph = phi[active]
-            c = np.cos(0.5 * ph)
-            V = (ph - np.tan(ph / 2) - p[active]) / (1.0 - 0.5 / (c * c))
-            phi[active] = ph - V
-            idx = np.flatnonzero(active)
-            done = np.abs(V) < 1e-7
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        phi, converged = iterate_lanes(step, phi, (p,), 9, np.isfinite(phi))
         phi = np.where(converged, phi, np.where(p < 0.0, -HALFPI, HALFPI))
         lam = np.where(converged, 2.0 * x / (1.0 + np.cos(phi)), 2.0 * x)
         return lam, phi
@@ -604,19 +581,15 @@ def setup_mbt_fps(P):
     C_x, C_y = 0.22248, 1.44492
     C1_2 = 0.33333333333333333333333333
 
+    def step(t0, k):
+        t = t0 / C2
+        V = (C1 * np.sin(t) + np.sin(t0) - k) / (C1_2 * np.cos(t) + np.cos(t0))
+        return t0 - V, np.abs(V) < 1e-7
+
     def fwd(lam, phi):
         k = C3 * np.sin(phi)
         th = np.array(phi, dtype=np.float64, copy=True)
-        active = np.isfinite(th)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            t0 = th[active]
-            t = t0 / C2
-            V = (C1 * np.sin(t) + np.sin(t0) - k[active]) / (C1_2 * np.cos(t) + np.cos(t0))
-            th[active] = t0 - V
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(V) < 1e-7]] = False
+        th = iterate_lanes(step, th, (k,), 10, np.isfinite(th))[0]
         t = th / C2
         return C_x * lam * (1.0 + 3.0 * np.cos(th) / np.cos(t)), C_y * np.sin(t)
 
@@ -669,19 +642,14 @@ def setup_mbtfpq(P):
     FYC, RYC = 1.87475828462269495505, 0.53340209679417701685
     FXC, RXC = 0.31245971410378249250, 3.20041258076506210122
 
+    def step(t, c):
+        th1 = (np.sin(0.5 * t) + np.sin(t) - c) / (0.5 * np.cos(0.5 * t) + np.cos(t))
+        return t - th1, np.abs(th1) < 1e-7
+
     def fwd(lam, phi):
         c = C * np.sin(phi)
         th = np.array(phi, dtype=np.float64, copy=True)
-        active = np.isfinite(th)
-        for _ in range(20):
-            if not np.any(active):
-                break
-            t = th[active]
-            th1 = (np.sin(0.5 * t) + np.sin(t) - c[active]) / (
-                0.5 * np.cos(0.5 * t) + np.cos(t))
-            th[active] = t - th1
-            idx = np.flatnonzero(active)
-            active[idx[np.abs(th1) < 1e-7]] = False
+        th = iterate_lanes(step, th, (c,), 20, np.isfinite(th))[0]
         return FXC * lam * (1.0 + 2.0 * np.cos(th) / np.cos(0.5 * th)), \
             FYC * np.sin(0.5 * th)
 

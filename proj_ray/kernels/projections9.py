@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .common import DEG_TO_RAD, HALFPI, HUGE, PI, aacos, aasin, aatan2
+from .common import DEG_TO_RAD, HALFPI, HUGE, PI, aacos, aasin, aatan2, iterate_lanes
 from .projections import register
 
 
@@ -232,25 +232,18 @@ def setup_putp2(P):
     C_x, C_y, C_p = 1.89490, 1.71848, 0.6141848493043784
     PI_DIV_3 = 1.0471975511965977
 
+    def step(t, p):
+        c = np.cos(t)
+        s2 = np.sin(t)
+        V = (t + s2 * (c - 1.0) - p) / (1.0 + c * (c - 1.0) - s2 * s2)
+        return t - V, np.abs(V) < 1e-10
+
     def fwd(lam, phi):
         p = C_p * np.sin(phi)
         s = phi * phi
         th = np.array(phi * (0.615709 + s * (0.00909953 + s * 0.0046292)),
                       dtype=np.float64)
-        active = np.isfinite(th)
-        converged = np.zeros_like(active)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            t = th[active]
-            c = np.cos(t)
-            s2 = np.sin(t)
-            V = (t + s2 * (c - 1.0) - p[active]) / (1.0 + c * (c - 1.0) - s2 * s2)
-            th[active] = t - V
-            idx = np.flatnonzero(active)
-            done = np.abs(V) < 1e-10
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        th, converged = iterate_lanes(step, th, (p,), 10, np.isfinite(th))
         th = np.where(converged, th, np.where(th < 0, -PI_DIV_3, PI_DIV_3))
         return C_x * lam * (np.cos(th) - 0.5), C_y * np.sin(th)
 
@@ -352,22 +345,15 @@ def _putp6_family(P, C_x, C_y, A, B, D):
     P.es = 0.0
     CON_POLE = 1.732050807568877
 
+    def step(t, p):
+        r = np.sqrt(1.0 + t * t)
+        V = ((A - r) * t - np.log(t + r) - p) / (A - 2.0 * r)
+        return t - V, np.abs(V) < 1e-10
+
     def fwd(lam, phi):
         p = B * np.sin(phi)
         th = np.array(phi * 1.10265779, dtype=np.float64)
-        active = np.isfinite(th)
-        converged = np.zeros_like(active)
-        for _ in range(10):
-            if not np.any(active):
-                break
-            t = th[active]
-            r = np.sqrt(1.0 + t * t)
-            V = ((A - r) * t - np.log(t + r) - p[active]) / (A - 2.0 * r)
-            th[active] = t - V
-            idx = np.flatnonzero(active)
-            done = np.abs(V) < 1e-10
-            converged[idx[done]] = True
-            active[idx[done]] = False
+        th, converged = iterate_lanes(step, th, (p,), 10, np.isfinite(th))
         th = np.where(converged, th, np.where(p < 0.0, -CON_POLE, CON_POLE))
         return C_x * lam * (D - np.sqrt(1.0 + th * th)), C_y * th
 

@@ -111,6 +111,10 @@ class Transform:
         # lane_errno — every lane of the failing step goes HUGE and
         # the CLI reports 'pj_transform(): <cause>' per line.
         self.lane_errno = None
+        # the last call's lanes whose datum step selected a catalog
+        # entry without its grid (each one the C's per-point -38), or
+        # None when no catalog step ran
+        self.missing_grid = None
 
         def _lazy(load, *args):
             try:
@@ -154,7 +158,11 @@ class Transform:
         grids = self._hgrids[side]
         if isinstance(grids, list):
             return apply_gridshift(grids, inverse, x, y)
-        return grids.apply((self.src, self.dst)[side].datum_date, inverse, x, y)
+        x, y, missing = grids.apply((self.src, self.dst)[side].datum_date, inverse, x, y)
+        if self.missing_grid is not None:
+            missing = missing | self.missing_grid
+        self.missing_grid = missing
+        return x, y
 
     def _datum_transform(self, x, y, z):
         src, dst = self.src, self.dst
@@ -201,6 +209,7 @@ class Transform:
         x = np.asarray(x, dtype=np.float64)
         y = np.asarray(y, dtype=np.float64)
         z = np.zeros_like(x) if z is None else np.asarray(z, dtype=np.float64)
+        self.missing_grid = None
 
         # NaN/inf lanes come out HUGE (the per-lane error sentinel), so
         # the invalid-value warnings their kernel steps raise say nothing

@@ -123,6 +123,22 @@ def test_cli_init_failure_diagnostics(capsys):
     assert rc == 1 and "<geod>: \nellipse setup failure" in err
 
 
+def test_cs2cs_catalog_missing_grid_lane_errno(tmp_path, monkeypatch, capsys):
+    """A point that selects a catalog entry whose grid file is missing
+    fails alone, with the reference's -38; a point outside that entry
+    passes through."""
+    (tmp_path / "cat.csv").write_text(
+        "gridname,ll_long,ll_lat,ur_long,ur_lat,priority,date\n"
+        "nope.ct2,-10,-10,10,10,0,2000.0\n")
+    monkeypatch.setenv("PROJ_LIB", str(tmp_path))
+    lines = run(cs2cs_main, ["+proj=latlong", "+catalog=cat.csv", "+ellps=WGS84",
+                             "+to", "+proj=latlong", "+datum=WGS84"], "0 0\n50 50\n")
+    err = capsys.readouterr().err
+    assert lines == ["*\t* 0.000", "50dE\t50dN 0.000"]
+    assert "line 1\npj_transform(): failed to load datum shift file" in err
+    assert "line 2" not in err and "tolerance condition" not in err
+
+
 def test_proj_S_factors_annotation():
     """-S appends '\\t<h k s omega a b>' (src/proj.c:104-108,213-218)."""
     lines = run(proj_main, ["+proj=merc", "+ellps=WGS84", "-S"], "0 45\n")

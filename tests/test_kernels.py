@@ -44,6 +44,50 @@ def test_mlfn_roundtrip():
     np.testing.assert_allclose(back, phi, atol=1e-10)
 
 
+def _count_up(sizes):
+    """A step that adds ``inc`` each pass and settles a lane once its
+    value reaches ``stop``; records how many lanes each pass ran."""
+    def step(x, stop, inc):
+        sizes.append(x.size)
+        x = x + inc
+        return x, x >= stop
+    return step
+
+
+def test_iterate_lanes_settles_each_lane_on_its_own_pass():
+    sizes = []
+    x = np.array([0.0, 0.0, 10.0, 0.0, np.nan, 0.0])
+    stop = np.array([1.0, 3.0, 0.0, 99.0, 1.0, 2.0])
+    active = np.array([True, True, False, True, False, True])
+    out, ok = C.iterate_lanes(_count_up(sizes), x, (stop, 1.0), 4, active)
+    assert out is x
+    # lanes 0/5/1 stop after passes 1/2/3 with that pass's value; lane 3
+    # runs out of passes and keeps its last iterate; lane 2 (inactive)
+    # and lane 4 (NaN, inactive) are untouched
+    np.testing.assert_array_equal(out, [1.0, 3.0, 10.0, 4.0, np.nan, 2.0])
+    np.testing.assert_array_equal(ok, [True, True, False, False, False, True])
+    assert sizes == [4, 3, 2, 1]  # settled lanes leave the loop
+
+
+def test_iterate_lanes_tuple_state_zero_lanes_and_no_gather():
+    seen = []
+
+    def step(a, b, k):
+        seen.append((a, b))
+        return (a + k, b * 2.0), a + k > 1.5
+
+    a, b = np.array([0.0, 1.0]), np.array([1.0, 1.0])
+    (a2, b2), ok = C.iterate_lanes(step, (a, b), (1.0,), 5, np.ones(2, dtype=bool))
+    assert seen[0][0] is a and seen[0][1] is b  # every lane runs: no gather
+    np.testing.assert_array_equal(a2, [2.0, 2.0])
+    np.testing.assert_array_equal(b2, [4.0, 2.0])
+    assert ok.all()
+    sizes = []
+    out, ok = C.iterate_lanes(_count_up(sizes), np.empty(0), (np.empty(0), 1.0), 3,
+                              np.zeros(0, dtype=bool))
+    assert out.shape == ok.shape == (0,) and sizes == []
+
+
 def _synth_grid(grid_id="SYNTH_A", ll=(-80.0, 37.0), delta=0.25, n=(25, 17), amp=1e-5):
     """FIXTURES.md §3: smooth deterministic shift field, radians."""
     d2r = np.pi / 180.0
@@ -281,13 +325,13 @@ def test_grid_catalog_asof_mix():
     lam = np.array([0.0])
     phi = np.array([0.0])
     # date 2005 => halfway mix: shift = -(2e-5) on lam (fwd subtracts)
-    lo, _ = cat.apply(2005.0, False, lam, phi)
+    lo, _, _ = cat.apply(2005.0, False, lam, phi)
     np.testing.assert_allclose(lo[0], -2e-5, atol=1e-10)
     # date 0 => pure after (first entry with date >= 0 is G2000)
-    lo0, _ = cat.apply(0.0, False, lam, phi)
+    lo0, _, _ = cat.apply(0.0, False, lam, phi)
     np.testing.assert_allclose(lo0[0], -1e-5, atol=1e-10)
     # point outside all regions passes through
-    lo2, _ = cat.apply(2005.0, False, np.array([2.0]), np.array([0.0]))
+    lo2, _, _ = cat.apply(2005.0, False, np.array([2.0]), np.array([0.0]))
     assert lo2[0] == 2.0
 
 
@@ -322,7 +366,7 @@ def test_grid_catalog_csv_reader(tmp_path):
     assert cat.entries[1].priority == 1
     np.testing.assert_allclose(cat.entries[1].region[0], -10 * d2r, rtol=1e-12)
     # behaves identically to the code-constructed catalog
-    lo, _ = cat.apply(2005.0, False, np.array([0.0]), np.array([0.0]))
+    lo, _, _ = cat.apply(2005.0, False, np.array([0.0]), np.array([0.0]))
     np.testing.assert_allclose(lo[0], -2e-5, atol=1e-10)
 
 
